@@ -256,8 +256,8 @@ def _campaign_unit(job) -> tuple:
 
 
 def _campaign_jobs(spec: EnumSpec, tids, limit):
-    for s in enumerate_structures(spec, limit=limit):
-        yield (s.n, s.gamma_names, s.tables, s.leq), tids
+    return (((s.n, s.gamma_names, s.tables, s.leq), tids)
+            for s in enumerate_structures(spec, limit=limit))
 
 
 def cmd_campaign(args) -> int:
@@ -265,13 +265,15 @@ def cmd_campaign(args) -> int:
     try:
         spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
         tids = _parse_theorems(args.theorems)
+        if args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+        jobs = _campaign_jobs(spec, tids, args.limit)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not _within_envelope(args.n, args.k):
         print(f"warning: n={args.n}, k={args.k} is beyond the supported "
               f"envelope ({_ENVELOPE}); proceeding anyway", file=sys.stderr)
-    jobs = _campaign_jobs(spec, tids, args.limit)
     structures = 0
     pred_counts = {name: 0 for name in sorted(PREDICATES)}
     combos: dict[str, int] = {}

@@ -12,6 +12,15 @@ values belonging to different structures cannot be mixed by accident.
 `downset`, `upset` and `gamma_product` form the subset algebra everything
 else is built from; the *_bits functions are the raw mask layer used by
 the hot loops.
+
+The mask layer answers from lookup tables kept in the structure's
+`_cache`, each built on first use.  `downset_bits` / `upset_bits` index a
+2^n-entry closure table built by a DP over the lowest set bit.
+`product_bits(s, A, B)` reads entry B of the product row of A: the row of
+a single element is a DP over B, and any other row is the OR of the rows
+of A minus its lowest bit and of that bit.  Only rows that are asked for
+get built, so memory grows with the rows used (at most 2^n rows of 2^n
+entries); a structure that is never multiplied pays nothing.
 """
 
 from __future__ import annotations
@@ -189,32 +198,54 @@ def _owned(s: Structure, a: Subset) -> int:
 
 # raw mask layer
 
+def _union_table(n: int, gens) -> list[int]:
+    """Entry m is the OR of gens[a] over the members a of mask m."""
+    tab = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        tab[m] = tab[m ^ low] | gens[low.bit_length() - 1]
+    return tab
+
+
 def downset_bits(s: Structure, bits: int) -> int:
-    out = 0
-    down = s.down
-    for a in bit_indices(bits):
-        out |= down[a]
-    return out
+    tab = s._cache.get("down_table")
+    if tab is None:
+        tab = s._cache["down_table"] = _union_table(s.n, s.down)
+    return tab[bits]
 
 
 def upset_bits(s: Structure, bits: int) -> int:
-    out = 0
-    up = s.up
-    for a in bit_indices(bits):
-        out |= up[a]
-    return out
+    tab = s._cache.get("up_table")
+    if tab is None:
+        tab = s._cache["up_table"] = _union_table(s.n, s.up)
+    return tab[bits]
+
+
+def _product_row(s: Structure, rows: list, abits: int) -> list[int]:
+    """Row A of the product table: entry B is the mask of A*B."""
+    low = abits & -abits
+    if abits == low:
+        a = low.bit_length() - 1
+        gens = [0] * s.n  # gens[b]: products of a and b over every operation
+        for t in s.tables:
+            for b, p in enumerate(t[a]):
+                gens[b] |= 1 << p
+        row = _union_table(s.n, gens)
+    else:
+        rest = rows[abits ^ low] or _product_row(s, rows, abits ^ low)
+        single = rows[low] or _product_row(s, rows, low)
+        row = [x | y for x, y in zip(rest, single)]
+    rows[abits] = row
+    return row
 
 
 def product_bits(s: Structure, abits: int, bbits: int) -> int:
     """Mask of {a g b : a in A, b in B, g any operation}."""
-    out = 0
-    blist = list(bit_indices(bbits))
-    for t in s.tables:
-        for a in bit_indices(abits):
-            row = t[a]
-            for b in blist:
-                out |= 1 << row[b]
-    return out
+    rows = s._cache.get("product_rows")
+    if rows is None:
+        rows = s._cache["product_rows"] = [None] * (1 << s.n)
+        rows[0] = [0] * (1 << s.n)
+    return (rows[abits] or _product_row(s, rows, abits))[bbits]
 
 
 def downset(s: Structure, a: Subset) -> Subset:

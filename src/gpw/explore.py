@@ -18,7 +18,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Callable, Iterator
 
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
@@ -249,10 +249,20 @@ def _gamma_names(k: int) -> tuple[str, ...]:
 
 def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[Structure]:
     """Walk the slice in a fixed deterministic order: tables in fill-order
-    lexicographic sequence, then orders in mask sequence."""
+    lexicographic sequence, then orders in mask sequence.
+
+    At most `limit` structures when it is given; 0 yields none and a
+    negative limit is an InputError.
+    """
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)
+                              or limit < 0):
+        raise InputError(f"limit must be an integer >= 0, got {limit!r}")
+    return islice(_walk(spec), limit)
+
+
+def _walk(spec: EnumSpec) -> Iterator[Structure]:
     names = _gamma_names(spec.k)
     orders = partial_orders(spec.n, spec.orders)
-    count = 0
     for tables in _associative_tables(spec.n, spec.k):
         for leq in orders:
             if not _compatible(tables, leq):
@@ -260,9 +270,6 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
             if spec.dedup == "iso" and not _is_canonical(tables, leq, spec.n, spec.k):
                 continue
             yield Structure(spec.n, names, tables, leq)
-            count += 1
-            if limit is not None and count >= limit:
-                return
 
 
 # sampling
@@ -358,7 +365,8 @@ def random_structure(n: int, k: int, seed: int | str | None = None,
     leq = _random_order(tables, n, rng)
     s = Structure(n, _gamma_names(k), tables, leq)
     report = validate(s)
-    assert report.ok, report.violations
+    if not report.ok:
+        raise RuntimeError(f"sampled structure fails validation: {report.violations}")
     return s
 
 

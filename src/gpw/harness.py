@@ -26,8 +26,7 @@ from .core import InputError, Structure, downset_bits, product_bits, subset_mask
 from .ideals import (IdealKind, _all_ideal_bits, _filter_gen_bits, _ideal_bits,
                      _prime_bits, _principal_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
-from .relations import (all_partitions, is_semilattice_congruence,
-                        relation_partition)
+from .relations import relation_partition, semilattice_congruences
 
 THEOREM_IDS = (
     "Prop2", "Lemma3", "Lemma4", "Lemma5", "Lemma6", "Thm8", "Lemma9",
@@ -92,9 +91,7 @@ def _union_of_blocks(s: Structure, bits: int, p) -> bool:
 
 
 def _exists_semilattice_all_simple(s: Structure, kind: IdealKind, chain: bool) -> bool:
-    for p in all_partitions(s):
-        if not is_semilattice_congruence(s, p):
-            continue
+    for p in semilattice_congruences(s):
         if not all(_subsemigroup_bits(s, b.bits) and _simple_bits(s, b.bits, kind)
                    for b in p.blocks):
             continue
@@ -409,21 +406,35 @@ def check_theorem21(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
 
 
 def check_stmt_1to2(s: Structure) -> TheoremVerdict:
-    """A prime subset splits set products: A*B inside forces a factor inside."""
+    """A prime subset splits set products: A*B inside forces a factor inside.
+
+    A*B lies inside T exactly when B lies inside the meet over a in A of
+    ok(a) = {b : every a g b in T}.  Subsets go by popcount and then
+    value, so the first offending B for a given A is the singleton of the
+    least element of that meet outside T: the witness is the one the
+    loop over every A and every B would find first.
+    """
     masks = subset_masks(s.n)
+    pairs = [[product_bits(s, 1 << a, 1 << b) for b in range(s.n)] for a in range(s.n)]
     ok, wit = True, None
     for tb in range(s.full + 1):
         if not _prime_bits(s, tb):
             continue
+        ok_b = [0] * s.n
+        for a, row in enumerate(pairs):
+            for b, p in enumerate(row):
+                if not p & ~tb:
+                    ok_b[a] |= 1 << b
+        inside = [s.full] * (s.full + 1)  # inside[A]: the B with A*B in T
+        for ab in range(1, s.full + 1):
+            low = ab & -ab
+            inside[ab] = inside[ab ^ low] & ok_b[low.bit_length() - 1]
         for ab in masks:
-            if ok and ab & ~tb:
-                for bb in masks:
-                    if bb & ~tb and not product_bits(s, ab, bb) & ~tb:
-                        ok = False
-                        wit = {"T": _bits_list(tb), "A": _bits_list(ab),
-                               "B": _bits_list(bb)}
-                        break
-            if not ok:
+            bad = inside[ab] & ~tb
+            if ab & ~tb and bad:
+                ok = False
+                wit = {"T": _bits_list(tb), "A": _bits_list(ab),
+                       "B": _bits_list(bad & -bad)}
                 break
         if not ok:
             break

@@ -198,3 +198,14 @@ def all_partitions(s: Structure) -> Iterator[Partition]:
         for e, c in enumerate(rgs):
             groups.setdefault(c, []).append(e)
         yield Partition(s, groups.values())
+
+
+def semilattice_congruences(s: Structure) -> tuple[Partition, ...]:
+    """Every semilattice congruence, in `all_partitions` order; one sweep
+    per structure, memoised."""
+    key = ("semilattice_congruences",)
+    hit = s._cache.get(key)
+    if hit is None:
+        hit = tuple(p for p in all_partitions(s) if is_semilattice_congruence(s, p))
+        s._cache[key] = hit
+    return hit

@@ -181,6 +181,22 @@ def test_campaign_limit(capsys):
     assert _report(out)["sections"]["structures"] == 5
 
 
+def test_campaign_limit_zero(capsys):
+    code, out, _ = _run(capsys, ["campaign", "--n", "3", "--k", "1",
+                                 "--limit", "0"])
+    assert code == 0
+    assert _report(out)["sections"]["structures"] == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--jobs", "0"),
+                                         ("--jobs", "-3")])
+def test_campaign_rejects_bad_limit_and_jobs(capsys, flag, value):
+    code, out, err = _run(capsys, ["campaign", "--n", "2", "--k", "1", flag, value])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag.lstrip("-") in err
+
+
 def test_campaign_rejects_bad_n(capsys):
     code, _, err = _run(capsys, ["campaign", "--n", "9"])
     assert code == 2

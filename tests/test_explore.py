@@ -3,8 +3,13 @@ and the pinned-versus-legacy separation facts."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gpw
 from gpw.analysis import is_intra_regular, is_intra_regular_legacy
 from gpw.core import InputError, validate
 from gpw.explore import (And, EnumSpec, Not, Or, Pred, PREDICATES,
@@ -66,6 +71,14 @@ def test_enumeration_deterministic_and_limited():
     assert len(set(a)) == 50
 
 
+def test_enumeration_limit_zero_and_negative():
+    assert list(enumerate_structures(EnumSpec(3, 1), limit=0)) == []
+    assert len(list(enumerate_structures(EnumSpec(3, 1), limit=1))) == 1
+    for bad in (-1, -5, 1.5, True):
+        with pytest.raises(InputError):
+            enumerate_structures(EnumSpec(3, 1), limit=bad)
+
+
 def test_enum_spec_validation():
     for bad in (dict(n=0), dict(n=7), dict(n=2, k=0), dict(n=2, k=4),
                 dict(n=2, orders="sideways"), dict(n=2, dedup="maybe")):
@@ -104,6 +117,31 @@ def test_random_structure_input_errors():
         random_structure(0, 1)
     with pytest.raises(InputError):
         random_structure(2, 0)
+
+
+_FAILING_VALIDATE = """
+import sys
+from gpw import explore
+from gpw.core import ValidationReport
+assert not __debug__, "expected python -O"
+explore.validate = lambda s: ValidationReport(False, [("associativity", (0, 0, 0))])
+try:
+    explore.random_structure(2, 1, seed=0)
+except RuntimeError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_random_structure_checks_validation_under_optimize():
+    """The sampler's validation must not be an assert, which -O strips."""
+    src = os.path.dirname(os.path.dirname(gpw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAILING_VALIDATE],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "fails validation" in proc.stdout
 
 
 # expression language

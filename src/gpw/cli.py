@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from multiprocessing import Pool
@@ -30,11 +31,12 @@ from .harness import THEOREM_IDS, check
 from .ideals import IdealKind, all_filters, all_ideals, filter_gen, principal
 from .relations import relation_partition
 
-_ENVELOPE = "n <= 3 with k <= 2, or n <= 4 with k = 1"
 
-
-def _within_envelope(n: int, k: int) -> bool:
-    return (n <= 3 and k <= 2) or (n <= 4 and k == 1)
+def _warn_beyond_envelope(n: int, k: int) -> None:
+    if not ((n <= 3 and k <= 2) or (n <= 4 and k == 1)):
+        print(f"warning: n={n}, k={k} is beyond the supported envelope "
+              "(n <= 3 with k <= 2, or n <= 4 with k = 1); proceeding anyway",
+              file=sys.stderr)
 
 
 def _report(command: str, sections: dict, timings: dict,
@@ -90,10 +92,23 @@ def _emit(report: dict, args) -> None:
     else:
         out = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write_atomic(args.out, out)
     else:
         sys.stdout.write(out)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write a temporary file next to `path`, then rename it over `path`,
+    so a failed write leaves whatever was there before."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_valid(path: str) -> Structure:
@@ -113,11 +128,7 @@ def _elements(bits_subset) -> list[int]:
 
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
-    try:
-        s = load(args.path)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    s = load(args.path)
     rep = validate(s)
     sections = {
         "valid": rep.ok,
@@ -149,11 +160,7 @@ def _predicate_section(s: Structure) -> tuple[dict, dict]:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    try:
-        s = _load_valid(args.path)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    s = _load_valid(args.path)
     preds, wits = _predicate_section(s)
     per_element = {}
     for x in range(s.n):
@@ -224,12 +231,8 @@ def _parse_theorems(text: str) -> tuple[str, ...]:
 
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
-    try:
-        tids = _parse_theorems(args.theorems)
-        s = _load_valid(args.path)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tids = _parse_theorems(args.theorems)
+    s = _load_valid(args.path)
     verdicts = [check(s, tid) for tid in tids]
     ok = all(v.equivalent for v in verdicts)
     sections = {
@@ -262,18 +265,12 @@ def _campaign_jobs(spec: EnumSpec, tids, limit):
 
 def cmd_campaign(args) -> int:
     t0 = time.perf_counter()
-    try:
-        spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
-        tids = _parse_theorems(args.theorems)
-        if args.jobs < 1:
-            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-        jobs = _campaign_jobs(spec, tids, args.limit)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not _within_envelope(args.n, args.k):
-        print(f"warning: n={args.n}, k={args.k} is beyond the supported "
-              f"envelope ({_ENVELOPE}); proceeding anyway", file=sys.stderr)
+    spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
+    tids = _parse_theorems(args.theorems)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _campaign_jobs(spec, tids, args.limit)
+    _warn_beyond_envelope(args.n, args.k)
     structures = 0
     pred_counts = {name: 0 for name in sorted(PREDICATES)}
     combos: dict[str, int] = {}
@@ -326,17 +323,11 @@ def cmd_campaign(args) -> int:
 
 def cmd_search(args) -> int:
     t0 = time.perf_counter()
-    try:
-        spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
-        expr = parse_expr(args.expr)
-        if args.mode not in ("first", "all", "count"):
-            raise InputError("mode must be first, all or count")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not _within_envelope(args.n, args.k):
-        print(f"warning: n={args.n}, k={args.k} is beyond the supported "
-              f"envelope ({_ENVELOPE}); proceeding anyway", file=sys.stderr)
+    spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
+    expr = parse_expr(args.expr)
+    if args.mode not in ("first", "all", "count"):
+        raise InputError("mode must be first, all or count")
+    _warn_beyond_envelope(args.n, args.k)
     sections = {
         "corpus": {"n": spec.n, "k": spec.k, "orders": spec.orders,
                    "dedup": spec.dedup},
@@ -437,10 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

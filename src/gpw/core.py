@@ -266,8 +266,8 @@ def gamma_product(s: Structure, a: Subset, b: Subset) -> Subset:
 def word_product(s: Structure, items: Sequence) -> int:
     """Evaluate an alternating word  e0 g0 e1 g1 ... em  left to right.
 
-    On a validated structure the result is independent of bracketing; a
-    debug-mode assertion cross-checks the right-to-left fold.
+    On a validated structure the result is independent of bracketing; the
+    right-to-left fold is cross-checked, and a mismatch is an InputError.
     """
     seq = list(items)
     if len(seq) % 2 == 0 or not seq:
@@ -280,11 +280,11 @@ def word_product(s: Structure, items: Sequence) -> int:
     acc = seq[0]
     for j, g in enumerate(ops):
         acc = s.tables[g][acc][seq[2 * j + 2]]
-    if __debug__ and ops:
-        rev = seq[-1]
-        for j in range(len(ops) - 1, -1, -1):
-            rev = s.tables[ops[j]][seq[2 * j]][rev]
-        assert rev == acc, "bracketing changed a word product; structure is not associative"
+    rev = seq[-1]
+    for j in range(len(ops) - 1, -1, -1):
+        rev = s.tables[ops[j]][seq[2 * j]][rev]
+    if rev != acc:
+        raise InputError("bracketing changed a word product; structure is not associative")
     return acc
 
 

@@ -2,10 +2,21 @@
 
 Tables are generated by a backtracking fill over cells in a fixed order
 with an incremental associativity check, so the stream of surviving
-tables is deterministic and lexicographic in the fill order.  Orders come
-from a cached mask enumeration filtered down to genuine partial orders.
-A structure is emitted only when every operation respects the order on
-both sides.
+tables is deterministic and lexicographic in the fill order.  The fill
+keeps, per operation and value, the list of filled cells with that
+product, so a new cell's check visits only the cells it can meet.
+Orders come from a cached mask enumeration filtered down to genuine
+partial orders.  A structure is emitted only when every operation
+respects the order on both sides.
+
+Every (table, order) pair is tested, but the work that depends on the
+table alone is done once per table.  The compatibility join keeps, per
+pair a != b, the mask of order pairs that a <= b forces; an order passes
+when none of its pairs forces a pair outside it.  The isomorphism filter
+(`dedup="iso"`) first asks whether some relabeling makes the table
+smaller, in which case no structure on it is canonical; otherwise only
+the table's automorphisms can make the order smaller, and each costs a
+few mask operations per order.
 
 Sampling reuses the same backtracking with shuffled value order and a
 node budget; the generator is seeded from (n, k, seed) so repeated calls
@@ -19,7 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
@@ -58,12 +69,14 @@ class EnumSpec:
 
 # table generation
 
-def _cell_ok(t: list, n: int, k: int, g: int, a: int, b: int) -> bool:
+def _cell_ok(t: list, pre: list, n: int, k: int, g: int, a: int, b: int) -> bool:
     """Associativity constraints that the cell (g, a, b) just completed.
 
     Sound on partial tables (only fully determined constraints fire) and
     complete over a whole fill: each constraint is checked the moment its
-    last participating cell gets a value.
+    last participating cell gets a value.  `pre[m][v]` lists the filled
+    cells (x, y) with x m y == v, so the two outer-product checks visit
+    only the cells whose product is a or b.
     """
     v = t[g][a][b]
     tg = t[g]
@@ -98,55 +111,55 @@ def _cell_ok(t: list, n: int, k: int, g: int, a: int, b: int) -> bool:
     # the new cell is the outer product of the left side: (x m y) g b, x m y == a
     for m in range(k):
         tm = t[m]
-        for x in range(n):
-            row_x = tm[x]
-            for y in range(n):
-                if row_x[y] != a:
-                    continue
-                w = tg[y][b]
-                if w < 0:
-                    continue
-                rhs = tm[x][w]
-                if rhs >= 0 and rhs != v:
-                    return False
+        for x, y in pre[m][a]:
+            w = tg[y][b]
+            if w < 0:
+                continue
+            rhs = tm[x][w]
+            if rhs >= 0 and rhs != v:
+                return False
     # the new cell is the outer product of the right side: a g (y m z), y m z == b
+    row_a = tg[a]
     for m in range(k):
         tm = t[m]
-        for y in range(n):
-            row_y = tm[y]
-            p = tg[a][y]
-            for z in range(n):
-                if row_y[z] != b:
-                    continue
-                if p < 0:
-                    continue
-                lhs = tm[p][z]
-                if lhs >= 0 and lhs != v:
-                    return False
+        for y, z in pre[m][b]:
+            p = row_a[y]
+            if p < 0:
+                continue
+            lhs = tm[p][z]
+            if lhs >= 0 and lhs != v:
+                return False
     return True
 
 
-def _fill_cells(n: int, k: int) -> list[tuple[int, int, int]]:
-    return [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
-
-
-def _associative_tables(n: int, k: int) -> Iterator[tuple]:
-    """All k-tuples of n x n tables satisfying mixed associativity."""
-    cells = _fill_cells(n, k)
+def _fill(n: int, k: int, values: Callable[[], Iterable[int]]) -> Iterator[tuple]:
+    """Backtracking fill over the cells in fill order, trying the values
+    `values()` gives, in its order, at each cell; yields every complete
+    k-tuple of tables satisfying mixed associativity."""
+    cells = [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
     t = [[[-1] * n for _ in range(n)] for _ in range(k)]
+    pre = [[[] for _ in range(n)] for _ in range(k)]
 
     def rec(i: int) -> Iterator[tuple]:
         if i == len(cells):
             yield tuple(tuple(tuple(row) for row in tg) for tg in t)
             return
         g, a, b = cells[i]
-        for v in range(n):
-            t[g][a][b] = v
-            if _cell_ok(t, n, k, g, a, b):
+        row, cell, pre_g = t[g][a], (a, b), pre[g]
+        for v in values():
+            row[b] = v
+            pre_g[v].append(cell)
+            if _cell_ok(t, pre, n, k, g, a, b):
                 yield from rec(i + 1)
-        t[g][a][b] = -1
+            pre_g[v].pop()
+        row[b] = -1
 
     yield from rec(0)
+
+
+def _associative_tables(n: int, k: int) -> Iterator[tuple]:
+    """All k-tuples of n x n tables satisfying mixed associativity."""
+    yield from _fill(n, k, lambda: range(n))
 
 
 # order generation
@@ -199,47 +212,111 @@ def partial_orders(n: int, mode: str = "all") -> tuple:
     return tuple(out)
 
 
-def _compatible(tables: tuple, leq) -> bool:
-    n = len(leq)
-    for t in tables:
-        for a in range(n):
-            for b in range(n):
-                if a != b and leq[a][b]:
+def _pair_bit(n: int, a: int, b: int) -> int:
+    """The mask bit of the pair (a, b).  Row-major pairs go from the most
+    significant bit down, so two masks compare as integers the way their
+    row-major 0/1 keys compare as tuples."""
+    return 1 << (n * n - 1 - a * n - b)
+
+
+class _Order(NamedTuple):
+    """An order as masks over the pairs (a, b), see `_pair_bit`."""
+
+    pairs: tuple[int, ...]  # a*n + b for each pair a != b in the order
+    outside: int  # every pair not in the order
+    key: int  # the off-diagonal pairs in the order
+
+
+def _order_masks(leq, n: int) -> _Order:
+    """`leq` is any n x n matrix of truth values (tuples or lists)."""
+    pairs, inside = [], 0
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq[a][b]:
+                pairs.append(a * n + b)
+                inside |= _pair_bit(n, a, b)
+    diagonal = sum(_pair_bit(n, a, a) for a in range(n))
+    return _Order(tuple(pairs), ((1 << n * n) - 1) ^ inside ^ diagonal, inside)
+
+
+def _requirements(tables: tuple, n: int) -> tuple[int, ...]:
+    """Per pair a*n + b with a != b, the mask of the pairs (a g c, b g c)
+    and (c g a, c g b) over every c and g: what a <= b forces into an
+    order for every operation to respect it on both sides."""
+    bit = [[_pair_bit(n, x, y) for y in range(n)] for x in range(n)]
+    req = [0] * (n * n)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                m = 0
+                for t in tables:
                     ra, rb = t[a], t[b]
                     for c in range(n):
-                        if not leq[ra[c]][rb[c]] or not leq[t[c][a]][t[c][b]]:
-                            return False
+                        m |= bit[ra[c]][rb[c]] | bit[t[c][a]][t[c][b]]
+                req[a * n + b] = m
+    return tuple(req)
+
+
+def _compatible(req: tuple[int, ...], order: _Order) -> bool:
+    """Every operation of the table whose `_requirements` are `req`
+    respects the order on both sides."""
+    outside = order.outside
+    for i in order.pairs:
+        if req[i] & outside:
+            return False
     return True
 
 
 # isomorphism filtering
+#
+# A relabeling (pi, rho) of carrier and operation labels maps a structure
+# to the key: its relabeled tables in (g, a, b) order, then its relabeled
+# order row-major.  A structure is canonical when no relabeling gives a
+# smaller key.  The table part decides first, so a table that some
+# relabeling makes smaller has no canonical structure, and on a lex-least
+# table only the relabelings that fix it, its automorphisms, can matter;
+# they compare order keys alone, and those depend on pi only.
 
-def _iso_key(tables: tuple, leq: tuple, n: int, k: int, pi, rho) -> tuple:
-    inv = [0] * n
-    for i, p in enumerate(pi):
-        inv[p] = i
-    out = []
-    for g in range(k):
-        t = tables[rho[g]]
-        for a in range(n):
-            ia = inv[a]
-            for b in range(n):
-                out.append(pi[t[ia][inv[b]]])
-    for a in range(n):
-        ia = inv[a]
-        for b in range(n):
-            out.append(1 if leq[ia][inv[b]] else 0)
-    return tuple(out)
-
-
-def _is_canonical(tables: tuple, leq: tuple, n: int, k: int) -> bool:
-    """True when (tables, leq) is the least member of its isomorphism class
-    under carrier relabelings crossed with operation-label relabelings."""
-    base = _iso_key(tables, leq, n, k, tuple(range(n)), tuple(range(k)))
-    for pi in permutations(range(n)):
+def _automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
+    """None when some relabeling makes the tables smaller; otherwise, for
+    each distinct carrier permutation pi != id of an automorphism, the
+    mask bit that pair a*n + b moves to, indexed by a*n + b."""
+    base = [x for t in tables for row in t for x in row]
+    identity = tuple(range(n))
+    moves = {}
+    for pi in permutations(identity):
+        inv = [0] * n
+        for i, p in enumerate(pi):
+            inv[p] = i
         for rho in permutations(range(k)):
-            if _iso_key(tables, leq, n, k, pi, rho) < base:
-                return False
+            diff = 0
+            relabeled = (pi[tables[r][ia][ib]] for r in rho for ia in inv for ib in inv)
+            for x, y in zip(relabeled, base):
+                if x != y:
+                    diff = x - y
+                    break
+            if diff < 0:
+                return None
+            if diff == 0 and pi != identity and pi not in moves:
+                moves[pi] = tuple(_pair_bit(n, pi[a], pi[b])
+                                  for a in range(n) for b in range(n))
+    return tuple(moves.values())
+
+
+def _is_canonical(automorphisms: tuple | None, order: _Order) -> bool:
+    """True when (tables, order) is the least member of its isomorphism
+    class under carrier relabelings crossed with operation-label
+    relabelings; `automorphisms` is what `_automorphisms` gave for the
+    tables."""
+    if automorphisms is None:
+        return False
+    key = order.key
+    for moved in automorphisms:
+        m = 0
+        for i in order.pairs:
+            m |= moved[i]
+        if m < key:
+            return False
     return True
 
 
@@ -261,15 +338,18 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
 
 
 def _walk(spec: EnumSpec) -> Iterator[Structure]:
-    names = _gamma_names(spec.k)
-    orders = partial_orders(spec.n, spec.orders)
-    for tables in _associative_tables(spec.n, spec.k):
-        for leq in orders:
-            if not _compatible(tables, leq):
+    n, k, iso = spec.n, spec.k, spec.dedup == "iso"
+    names = _gamma_names(k)
+    orders = [(leq, _order_masks(leq, n)) for leq in partial_orders(n, spec.orders)]
+    for tables in _associative_tables(n, k):
+        req = _requirements(tables, n)
+        automorphisms = _automorphisms(tables, n, k) if iso else None
+        for leq, order in orders:
+            if not _compatible(req, order):
                 continue
-            if spec.dedup == "iso" and not _is_canonical(tables, leq, spec.n, spec.k):
+            if iso and not _is_canonical(automorphisms, order):
                 continue
-            yield Structure(spec.n, names, tables, leq)
+            yield Structure(n, names, tables, leq)
 
 
 # sampling
@@ -290,33 +370,25 @@ def _random_tables(n: int, k: int, rng: random.Random,
     region, so each attempt gets its own node budget and a fresh shuffle;
     the median attempt finishes in well under a thousand nodes.
     """
-    cells = _fill_cells(n, k)
     for _ in range(attempts):
-        t = [[[-1] * n for _ in range(n)] for _ in range(k)]
         nodes = 0
 
-        def rec(i: int) -> bool:
+        def values() -> Iterator[int]:
             nonlocal nodes
-            if i == len(cells):
-                return True
-            g, a, b = cells[i]
             vals = list(range(n))
             rng.shuffle(vals)
             for v in vals:
                 nodes += 1
                 if nodes > max_nodes:
                     raise _Exhausted
-                t[g][a][b] = v
-                if _cell_ok(t, n, k, g, a, b) and rec(i + 1):
-                    return True
-            t[g][a][b] = -1
-            return False
+                yield v
 
         try:
-            if rec(0):
-                return tuple(tuple(tuple(row) for row in tg) for tg in t)
+            tables = next(_fill(n, k, values), None)
         except _Exhausted:
             continue
+        if tables is not None:
+            return tables
     raise SamplingBudgetError(
         f"table sampling spent {attempts} attempts of {max_nodes} nodes "
         f"each without completing a fill at n={n}, k={k}")
@@ -325,6 +397,7 @@ def _random_tables(n: int, k: int, rng: random.Random,
 def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
     """A compatible order: thinned random linear extensions, with the
     trivial order as the always-compatible fallback."""
+    req = _requirements(tables, n)
     for _ in range(20):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -340,7 +413,7 @@ def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
                     for b in range(n):
                         if row_m[b]:
                             row_a[b] = True
-        if _compatible(tables, leq):
+        if _compatible(req, _order_masks(leq, n)):
             return tuple(tuple(row) for row in leq)
     return tuple(tuple(a == b for b in range(n)) for a in range(n))
 

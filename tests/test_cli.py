@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from gpw import cli
 from gpw.cli import main
 from gpw.gpsjson import digest, dump, to_obj
 
@@ -123,6 +125,21 @@ def test_analyze_out_file(capsys, min_sl_path, tmp_path):
     assert _report(target.read_text())["command"] == "analyze"
 
 
+def test_out_file_failed_write_keeps_old_file(capsys, min_sl_path, tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("previous report\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    code, out, err = _run(capsys, ["analyze", "--out", str(target), min_sl_path])
+    assert code == 2
+    assert err == "error: disk full\n"
+    assert target.read_text() == "previous report\n"
+    assert set(os.listdir(tmp_path)) == {"report.json", "min_sl.json"}
+
+
 # check
 
 def test_check_all(capsys, min_sl_path):
@@ -203,11 +220,22 @@ def test_campaign_rejects_bad_n(capsys):
     assert "error:" in err
 
 
+_ENVELOPE_WARNING = ("warning: n=4, k=2 is beyond the supported envelope "
+                     "(n <= 3 with k <= 2, or n <= 4 with k = 1); proceeding anyway\n")
+
+
 def test_campaign_envelope_warning(capsys):
     code, _, err = _run(capsys, ["campaign", "--n", "4", "--k", "2",
                                  "--limit", "1", "--theorems", "Lemma4"])
     assert code == 0
-    assert "envelope" in err
+    assert err == _ENVELOPE_WARNING
+
+
+def test_search_envelope_warning(capsys):
+    code, _, err = _run(capsys, ["search", "--n", "4", "--k", "2",
+                                 "--expr", "simple | !simple"])
+    assert code == 0
+    assert err == _ENVELOPE_WARNING
 
 
 # search

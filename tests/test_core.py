@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gpw
 from gpw.core import (InputError, OwnerError, Structure, Subset, downset,
                       downset_bits, gamma_product, product_bits, subset_masks,
                       upset, validate, word_product)
@@ -107,6 +111,31 @@ def test_word_product(min_sl):
         word_product(min_sl, [1, "bogus", 1])
     with pytest.raises(InputError):
         word_product(min_sl, [1, "g0", 9])
+
+
+_NON_ASSOCIATIVE_WORD = """
+import sys
+from gpw.core import InputError, Structure, word_product
+assert not __debug__, "expected python -O"
+# x g y = 1 - x: (0 g 0) g 0 = 0 but 0 g (0 g 0) = 1
+s = Structure(2, ("g0",), (((1, 1), (0, 0)),), ((True, False), (False, True)))
+try:
+    word_product(s, [0, "g0", 0, "g0", 0])
+except InputError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_word_product_bracketing_check_holds_under_optimize():
+    """The cross-check must not be an assert, which -O strips."""
+    src = os.path.dirname(os.path.dirname(gpw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _NON_ASSOCIATIVE_WORD],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "not associative" in proc.stdout
 
 
 def test_subset_masks_order():

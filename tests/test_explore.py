@@ -55,6 +55,20 @@ def test_structure_counts_iso():
     assert _count(EnumSpec(2, 1, dedup="iso")) == 11
     assert _count(EnumSpec(3, 1, dedup="iso")) == 173
     assert _count(EnumSpec(2, 2, dedup="iso")) == 15
+    assert _count(EnumSpec(4, 1, dedup="iso")) == 4753
+
+
+# external pins: OEIS A027851 counts semigroups up to isomorphism, A023814
+# labeled semigroups; with one operation and the trivial order the walk
+# enumerates exactly those
+
+def test_semigroups_up_to_isomorphism_a027851():
+    assert [_count(EnumSpec(n, 1, orders="trivial", dedup="iso"))
+            for n in (1, 2, 3, 4)] == [1, 5, 24, 188]
+
+
+def test_labeled_semigroups_a023814_at_n4():
+    assert _count(EnumSpec(4, 1, orders="trivial")) == 3492
 
 
 def test_enumerated_structures_are_valid():

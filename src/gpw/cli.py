@@ -250,17 +250,20 @@ def cmd_check(args) -> int:
 # campaign
 
 def _campaign_unit(job) -> tuple:
-    payload, tids = job
-    s = Structure(*payload)
+    """Predicates and checks of one structure: the names of the predicates
+    it satisfies, and its failure record when a check disagrees."""
+    s, tids = job
     preds = tuple(name for name, fn in sorted(PREDICATES.items()) if fn(s))
     verdicts = [check(s, tid) for tid in tids]
     bad = [v.as_dict() for v in verdicts if not v.equivalent]
-    return payload, preds, bad
+    if not bad:
+        return preds, None
+    return preds, {"structure": to_obj(s), "digest": digest(s), "verdicts": bad}
 
 
 def _campaign_jobs(spec: EnumSpec, tids, limit):
-    return (((s.n, s.gamma_names, s.tables, s.leq), tids)
-            for s in enumerate_structures(spec, limit=limit))
+    # a Structure pickles as its raw tables, so pool workers rebuild it once
+    return ((s, tids) for s in enumerate_structures(spec, limit=limit))
 
 
 def cmd_campaign(args) -> int:
@@ -282,19 +285,13 @@ def cmd_campaign(args) -> int:
         pool = None
         stream = map(_campaign_unit, jobs)
     try:
-        for payload, preds, bad in stream:
+        for preds, failure in stream:
             structures += 1
             for name in preds:
                 pred_counts[name] += 1
             key = "+".join(preds) if preds else "(none)"
             combos[key] = combos.get(key, 0) + 1
-            if bad:
-                s = Structure(*payload)
-                failure = {
-                    "structure": to_obj(s),
-                    "digest": digest(s),
-                    "verdicts": bad,
-                }
+            if failure is not None:
                 break
     finally:
         if pool is not None:
@@ -325,8 +322,6 @@ def cmd_search(args) -> int:
     t0 = time.perf_counter()
     spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
     expr = parse_expr(args.expr)
-    if args.mode not in ("first", "all", "count"):
-        raise InputError("mode must be first, all or count")
     _warn_beyond_envelope(args.n, args.k)
     sections = {
         "corpus": {"n": spec.n, "k": spec.k, "orders": spec.orders,

@@ -3,8 +3,12 @@
 Tables are generated by a backtracking fill over cells in a fixed order
 with an incremental associativity check, so the stream of surviving
 tables is deterministic and lexicographic in the fill order.  The fill
-keeps, per operation and value, the list of filled cells with that
-product, so a new cell's check visits only the cells it can meet.
+is one loop over depths, each holding its own iterator of values to try.
+Its tables are padded: an extra row n and column n, and n in every
+unfilled cell, so a product with an unfilled factor is n and the check
+needs no separate test for it.  The fill also keeps, per operation and
+value, the list of filled cells with that product, so a new cell's check
+visits only the cells it can meet.
 Orders come from a cached mask enumeration filtered down to genuine
 partial orders.  A structure is emitted only when every operation
 respects the order on both sides.
@@ -19,8 +23,9 @@ the table's automorphisms can make the order smaller, and each costs a
 few mask operations per order.
 
 Sampling reuses the same backtracking with shuffled value order and a
-node budget; the generator is seeded from (n, k, seed) so repeated calls
-agree byte for byte across runs and platforms.
+node budget, counted by the fill itself: each value tried is a node.  The
+generator is seeded from (n, k, seed) so repeated calls agree byte for
+byte across runs and platforms.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ class SamplingBudgetError(RuntimeError):
     """Raised when the randomized fill runs out of its node budget."""
 
 
+class _Exhausted(Exception):
+    """A fill tried more values than its node budget allows."""
+
+
 @dataclass(frozen=True)
 class EnumSpec:
     """What slice of the structure space to walk."""
@@ -69,92 +78,94 @@ class EnumSpec:
 
 # table generation
 
-def _cell_ok(t: list, pre: list, n: int, k: int, g: int, a: int, b: int) -> bool:
+def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int) -> bool:
     """Associativity constraints that the cell (g, a, b) just completed.
 
-    Sound on partial tables (only fully determined constraints fire) and
-    complete over a whole fill: each constraint is checked the moment its
-    last participating cell gets a value.  `pre[m][v]` lists the filled
-    cells (x, y) with x m y == v, so the two outer-product checks visit
-    only the cells whose product is a or b.
+    `t` is the padded fill state (see `_fill`): an unfilled cell holds n,
+    and so does every product with an unfilled factor, so a constraint
+    with an unfilled cell compares against n and does not fire.  Each
+    constraint is checked the moment its last participating cell gets a
+    value.  `pre[m][v]` lists filled cells (x, y) with x m y == v, so the
+    two outer-product checks visit only the cells whose product is a or b;
+    whether it lists the new cell does not matter, as the constraints that
+    would read it there are inner-product ones too.  The family that
+    rejects most often goes first.
     """
-    v = t[g][a][b]
     tg = t[g]
-    # the new cell is the inner product of the left side: (a g b) m z
-    for m in range(k):
-        tm = t[m]
-        row_v = tm[v]
-        row_b = tm[b]
-        for z in range(n):
-            lhs = row_v[z]
-            if lhs < 0:
-                continue
-            w = row_b[z]
-            if w < 0:
-                continue
-            rhs = tg[a][w]
-            if rhs >= 0 and lhs != rhs:
-                return False
-    # the new cell is the inner product of the right side: x m (a g b)
-    for m in range(k):
-        tm = t[m]
-        for x in range(n):
-            rhs = tm[x][v]
-            if rhs < 0:
-                continue
-            p = tm[x][a]
-            if p < 0:
-                continue
-            lhs = tg[p][b]
-            if lhs >= 0 and lhs != rhs:
-                return False
-    # the new cell is the outer product of the left side: (x m y) g b, x m y == a
-    for m in range(k):
-        tm = t[m]
-        for x, y in pre[m][a]:
-            w = tg[y][b]
-            if w < 0:
-                continue
-            rhs = tm[x][w]
-            if rhs >= 0 and rhs != v:
-                return False
-    # the new cell is the outer product of the right side: a g (y m z), y m z == b
     row_a = tg[a]
-    for m in range(k):
-        tm = t[m]
-        for y, z in pre[m][b]:
-            p = row_a[y]
-            if p < 0:
-                continue
-            lhs = tm[p][z]
-            if lhs >= 0 and lhs != v:
+    v = row_a[b]
+    for tm in t:
+        # the new cell is the inner product of the right side: x m (a g b)
+        for row in tm:
+            rhs = row[v]
+            if rhs != n:
+                lhs = tg[row[a]][b]
+                if lhs != rhs and lhs != n:
+                    return False
+    for tm, pre_m in zip(t, pre):
+        # the new cell is the inner product of the left side: (a g b) m z
+        for lhs, w in zip(tm[v], tm[b]):
+            if lhs != n:
+                rhs = row_a[w]
+                if lhs != rhs and rhs != n:
+                    return False
+        # the new cell is the outer product of the left side: (x m y) g b, x m y == a
+        for x, y in pre_m[a]:
+            rhs = tm[x][tg[y][b]]
+            if rhs != v and rhs != n:
+                return False
+        # the new cell is the outer product of the right side: a g (y m z), y m z == b
+        for y, z in pre_m[b]:
+            lhs = tm[row_a[y]][z]
+            if lhs != v and lhs != n:
                 return False
     return True
 
 
-def _fill(n: int, k: int, values: Callable[[], Iterable[int]]) -> Iterator[tuple]:
+def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
+          max_nodes: int | None = None) -> Iterator[tuple]:
     """Backtracking fill over the cells in fill order, trying the values
     `values()` gives, in its order, at each cell; yields every complete
-    k-tuple of tables satisfying mixed associativity."""
-    cells = [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
-    t = [[[-1] * n for _ in range(n)] for _ in range(k)]
+    k-tuple of n x n tables satisfying mixed associativity.
+
+    The state is padded: each table has an extra row n and column n, and
+    an unfilled cell holds n, so a product with an unfilled factor is n.
+    The search is one loop over depths, each with its own value iterator;
+    a cell enters the preimage lists once its value is accepted.  With
+    `max_nodes`, trying value number max_nodes + 1 raises _Exhausted.
+    """
+    t = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]
-
-    def rec(i: int) -> Iterator[tuple]:
-        if i == len(cells):
-            yield tuple(tuple(tuple(row) for row in tg) for tg in t)
-            return
-        g, a, b = cells[i]
-        row, cell, pre_g = t[g][a], (a, b), pre[g]
-        for v in values():
-            row[b] = v
-            pre_g[v].append(cell)
-            if _cell_ok(t, pre, n, k, g, a, b):
-                yield from rec(i + 1)
+    # per depth: the row holding the cell, its preimage lists, the cell
+    slots = [(t[g][a], pre[g], g, a, b, (a, b))
+             for a in range(n) for b in range(n) for g in range(k)]
+    last = len(slots) - 1
+    left = -1 if max_nodes is None else max(max_nodes, 0)  # -1 never reaches 0
+    its = [None] * len(slots)
+    its[0] = iter(values())
+    i = 0
+    while i >= 0:
+        row, pre_g, g, a, b, cell = slots[i]
+        v = row[b]
+        if v != n:  # retreat from the value accepted last at this depth
             pre_g[v].pop()
-        row[b] = -1
-
-    yield from rec(0)
+        for v in its[i]:
+            if not left:
+                raise _Exhausted
+            left -= 1
+            row[b] = v
+            if _cell_ok(t, pre, n, g, a, b):
+                pre_g[v].append(cell)
+                break
+        else:
+            row[b] = n
+            i -= 1
+            continue
+        if i == last:
+            yield tuple(tuple(tuple(r[:n]) for r in tg[:n]) for tg in t)
+        else:
+            i += 1
+            its[i] = iter(values())
 
 
 def _associative_tables(n: int, k: int) -> Iterator[tuple]:
@@ -358,10 +369,6 @@ _NODE_BUDGET = 25_000
 _ATTEMPTS = 40
 
 
-class _Exhausted(Exception):
-    pass
-
-
 def _random_tables(n: int, k: int, rng: random.Random,
                    max_nodes: int, attempts: int) -> tuple:
     """Randomized fill with restarts.
@@ -370,21 +377,14 @@ def _random_tables(n: int, k: int, rng: random.Random,
     region, so each attempt gets its own node budget and a fresh shuffle;
     the median attempt finishes in well under a thousand nodes.
     """
+    def values() -> list[int]:
+        vals = list(range(n))
+        rng.shuffle(vals)
+        return vals
+
     for _ in range(attempts):
-        nodes = 0
-
-        def values() -> Iterator[int]:
-            nonlocal nodes
-            vals = list(range(n))
-            rng.shuffle(vals)
-            for v in vals:
-                nodes += 1
-                if nodes > max_nodes:
-                    raise _Exhausted
-                yield v
-
         try:
-            tables = next(_fill(n, k, values), None)
+            tables = next(_fill(n, k, values, max_nodes), None)
         except _Exhausted:
             continue
         if tables is not None:

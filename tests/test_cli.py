@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from gpw import cli
+from gpw import cli, harness
 from gpw.cli import main
+from gpw.explore import EnumSpec, enumerate_structures
 from gpw.gpsjson import digest, dump, to_obj
 
 
@@ -189,6 +191,36 @@ def test_campaign_jobs_determinism(capsys):
     code2, out2, _ = _run(capsys, ["campaign", "--n", "2", "--k", "2", "--jobs", "2"])
     assert code1 == code2 == 0
     assert _strip_timings(_report(out1)) == _strip_timings(_report(out2))
+
+
+def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch):
+    """One check made to disagree on one structure: the campaign stops at
+    it with exit 1 and the same first_failure for every --jobs value."""
+    target = list(enumerate_structures(EnumSpec(2, 1)))[13]
+    real = harness._CHECKS["Lemma4"]
+
+    def faulty(s):
+        verdict = real(s)
+        if digest(s) == digest(target):
+            return dataclasses.replace(verdict, equivalent=False, witness={"injected": 13})
+        return verdict
+
+    # pool workers are forked, so they see the patched catalogue too
+    monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1", "--jobs", jobs])
+        assert code == 1
+        reports.append(_strip_timings(_report(out)))
+    assert reports[0] == reports[1]
+    sec = reports[0]["sections"]
+    assert sec["structures"] == 14
+    assert sec["all_equivalent"] is False
+    failure = sec["first_failure"]
+    assert failure["structure"] == to_obj(target)
+    assert failure["digest"] == digest(target)
+    assert [(v["theorem"], v["equivalent"], v["witness"]) for v in failure["verdicts"]] == \
+        [("Lemma4", False, {"injected": 13})]
 
 
 def test_campaign_limit(capsys):

@@ -37,9 +37,10 @@ def test_table_counts_k2():
 
 
 def test_partial_order_counts():
+    # OEIS A001035 (labeled posets); total orders are the n! permutations
     assert [len(partial_orders(n)) for n in (1, 2, 3, 4)] == [1, 3, 19, 219]
-    assert [len(partial_orders(n, "total")) for n in (1, 2, 3)] == [1, 2, 6]
-    assert len(partial_orders(3, "trivial")) == 1
+    assert [len(partial_orders(n, "total")) for n in (1, 2, 3, 4)] == [1, 2, 6, 24]
+    assert [len(partial_orders(n, "trivial")) for n in (1, 2, 3, 4)] == [1, 1, 1, 1]
     with pytest.raises(InputError):
         partial_orders(2, "chaotic")
 

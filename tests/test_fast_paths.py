@@ -1,8 +1,9 @@
 """Brute-force oracles for the fast paths: the mask tables behind
 product_bits / downset_bits / upset_bits, the ok(a)-meet form of
 Stmt1to2, the shared semilattice-congruence sweep, and the enumeration
-kernels (preimage-indexed fill check, mask compatibility join,
-automorphism-only iso filter).
+kernels (the padded, preimage-indexed fill check and the iterative fill
+with its node budget, mask compatibility join, automorphism-only iso
+filter).
 
 The oracles are the plain loops over elements and subsets that the fast
 paths replaced; they share nothing with the code under test but the
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from gpw import explore, harness
 from gpw.core import (Structure, bit_indices, downset_bits, product_bits, subset_masks,
                       upset_bits)
-from gpw.explore import EnumSpec, enumerate_structures, random_structure
+from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
+                         random_structure)
 from gpw.gpsjson import dumps
 from gpw.relations import (all_partitions, is_semilattice_congruence,
                            semilattice_congruences)
@@ -250,6 +252,47 @@ def test_fill_matches_plain_fill():
         assert list(explore._associative_tables(n, k)) == list(ref_tables(n, k)), (n, k)
 
 
+def _counting(fn, calls):
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_fill_makes_as_many_cell_checks_as_plain_fill(monkeypatch):
+    """Equal check counts on equal output: the search tree is unchanged."""
+    calls, ref_calls = [0], [0]
+    monkeypatch.setattr(explore, "_cell_ok", _counting(explore._cell_ok, calls))
+    monkeypatch.setitem(globals(), "ref_cell_ok", _counting(ref_cell_ok, ref_calls))
+    for n, k in SMALL_SLICES:
+        calls[0] = ref_calls[0] = 0
+        assert sum(1 for _ in explore._associative_tables(n, k)) == \
+            sum(1 for _ in ref_tables(n, k))
+        assert calls[0] == ref_calls[0] > 0, (n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_padded_cell_ok_matches_table_scan(data):
+    """On any partial table, padded or not, with or without the new cell
+    among the preimages, the fill check agrees with the whole-table scan."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 2))
+    cells = st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)
+    t = [data.draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(k)]
+    g, a, b = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1)),
+               data.draw(st.integers(0, n - 1)))
+    t[g][a][b] = data.draw(st.integers(0, n - 1))
+    expected = ref_cell_ok(t, n, k, g, a, b)
+    padded = [[[n if x < 0 else x for x in row] + [n] for row in tm] + [[n] * (n + 1)]
+              for tm in t]
+    pre = [[[(x, y) for x in range(n) for y in range(n) if tm[x][y] == v]
+            for v in range(n)] for tm in t]
+    assert explore._cell_ok(padded, pre, n, g, a, b) == expected
+    pre[g][t[g][a][b]].remove((a, b))
+    assert explore._cell_ok(padded, pre, n, g, a, b) == expected
+
+
 def test_compatible_and_canonical_match_loops_on_every_pair():
     compatible = canonical = nontrivial = non_least = 0
     for n, k in SMALL_SLICES:
@@ -289,12 +332,12 @@ def test_orbit_stabilizer():
         assert total == labeled, (n, k)
 
 
-def ref_random_structure(n, k, seed):
+def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40):
     """The sampler with plain loops: the same RNG draws in the same order."""
     rng = random.Random(f"{n}:{k}:{seed}")
     cells = [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
     tables = None
-    for _ in range(40):
+    for _ in range(attempts):
         t = [[[-1] * n for _ in range(n)] for _ in range(k)]
         nodes = 0
 
@@ -307,7 +350,7 @@ def ref_random_structure(n, k, seed):
             rng.shuffle(vals)
             for v in vals:
                 nodes += 1
-                if nodes > 25_000:
+                if nodes > max_nodes:
                     raise OverflowError
                 t[g][a][b] = v
                 if ref_cell_ok(t, n, k, g, a, b) and rec(i + 1):
@@ -321,6 +364,8 @@ def ref_random_structure(n, k, seed):
                 break
         except OverflowError:
             continue
+    if tables is None:
+        raise SamplingBudgetError("no fill within the budget")
     leq = [[a == b for b in range(n)] for a in range(n)]
     for _ in range(20):
         perm = list(range(n))
@@ -346,3 +391,24 @@ def test_sampler_matches_plain_loops():
     for i in range(50):
         seed = f"fast:{i}"
         assert dumps(random_structure(4, 2, seed)) == dumps(ref_random_structure(4, 2, seed))
+
+
+def _sampled(sampler, *args):
+    try:
+        return dumps(sampler(4, 2, *args))
+    except SamplingBudgetError:
+        return None
+
+
+def test_sampler_budget_matches_plain_loops():
+    """Small budgets: the budget runs out on the same node, so the same
+    seeds give the same structure or the same SamplingBudgetError."""
+    outcomes = []
+    for i in range(8):
+        for max_nodes in (50, 200, 1000):
+            for attempts in (1, 3):
+                args = (f"budget:{i}", max_nodes, attempts)
+                got = _sampled(random_structure, *args)
+                assert got == _sampled(ref_random_structure, *args), args
+                outcomes.append(got is None)
+    assert any(outcomes) and not all(outcomes)

@@ -10,11 +10,11 @@ the converse is a search target, not a theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Iterator
 
 from .core import (PreconditionError, Structure, Subset, _owned,
-                   downset_bits, product_bits, subset_masks)
+                   downset_bits, product_bits, subset_masks, table_cache)
 from .ideals import IdealKind, _all_ideal_bits, _ideal_bits
 from .relations import Partition, is_semilattice_congruence, relation_partition
 
@@ -123,13 +123,19 @@ def is_subsemigroup(s: Structure, t: Subset) -> bool:
     return _subsemigroup_bits(s, _owned(s, t))
 
 
-def all_subsemigroups(s: Structure) -> list[Subset]:
-    key = ("all_subsemigroups",)
-    hit = s._cache.get(key)
+def _subsemigroup_masks(s: Structure) -> tuple[int, ...]:
+    """Masks of every subsemigroup in `subset_masks` order, once per
+    `table_cache`: closure depends on the tables alone."""
+    shared = table_cache(s)
+    hit = shared.get("all_subsemigroups")
     if hit is None:
         hit = tuple(m for m in subset_masks(s.n) if _subsemigroup_bits(s, m))
-        s._cache[key] = hit
-    return [Subset(s, b) for b in hit]
+        shared["all_subsemigroups"] = hit
+    return hit
+
+
+def all_subsemigroups(s: Structure) -> list[Subset]:
+    return [Subset(s, b) for b in _subsemigroup_masks(s)]
 
 
 def _relative_ideal_bits(s: Structure, tbits: int, abits: int, kind: IdealKind) -> bool:
@@ -156,7 +162,8 @@ def is_relative_ideal(s: Structure, t: Subset, a: Subset,
     return _relative_ideal_bits(s, tbits, _owned(s, a), kind)
 
 
-def _masks_within(tbits: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _masks_within(tbits: int) -> tuple[int, ...]:
     # nonempty submasks of tbits, ascending by popcount then value
     subs = []
     sub = tbits
@@ -164,7 +171,7 @@ def _masks_within(tbits: int) -> list[int]:
         subs.append(sub)
         sub = (sub - 1) & tbits
     subs.sort(key=lambda m: (m.bit_count(), m))
-    return subs
+    return tuple(subs)
 
 
 def relative_ideals(s: Structure, t: Subset,
@@ -177,10 +184,13 @@ def relative_ideals(s: Structure, t: Subset,
 
 
 def _simple_bits(s: Structure, tbits: int, kind: IdealKind) -> bool:
-    for a in _masks_within(tbits):
-        if a != tbits and _relative_ideal_bits(s, tbits, a, kind):
-            return False
-    return True
+    key = ("simple", tbits, kind)
+    hit = s._cache.get(key)
+    if hit is None:
+        hit = s._cache[key] = not any(
+            a != tbits and _relative_ideal_bits(s, tbits, a, kind)
+            for a in _masks_within(tbits))
+    return hit
 
 
 def is_simple(s: Structure, t: Subset) -> bool:
@@ -304,8 +314,8 @@ def maximal_simple_subsemigroups(s: Structure) -> list[Subset]:
     key = ("maximal_simple",)
     hit = s._cache.get(key)
     if hit is None:
-        simple = [m for m in subset_masks(s.n)
-                  if _subsemigroup_bits(s, m) and _simple_bits(s, m, IdealKind.TWO_SIDED)]
+        simple = [m for m in _subsemigroup_masks(s)
+                  if _simple_bits(s, m, IdealKind.TWO_SIDED)]
         hit = tuple(m for m in simple
                     if not any(c != m and c & m == m for c in simple))
         s._cache[key] = hit

@@ -263,6 +263,8 @@ def _campaign_unit(job) -> tuple:
 
 def _campaign_jobs(spec: EnumSpec, tids, limit):
     # a Structure pickles as its raw tables, so pool workers rebuild it once
+    # and start with an empty table cache; at --jobs 1 the structures of
+    # one table share the walk's table cache
     return ((s, tids) for s in enumerate_structures(spec, limit=limit))
 
 

@@ -21,6 +21,15 @@ a single element is a DP over B, and any other row is the OR of the rows
 of A minus its lowest bit and of that bit.  Only rows that are asked for
 get built, so memory grows with the rows used (at most 2^n rows of 2^n
 entries); a structure that is never multiplied pays nothing.
+
+Results that depend on the tables alone, not on the order, live in a
+second dict, `table_cache(s)`, that every structure on the same tables
+may share: the enumeration walk hands one dict to all the structures it
+builds on one table, and drops it when it moves to the next table.  Any
+other structure (sampled, loaded, or built by hand) gets a dict of its
+own on first use.  The product rows live there, and `s._cache` keeps a
+reference to them so the hot path reads one dict.  A pickled structure
+carries its raw tables only, so it arrives with both dicts empty.
 """
 
 from __future__ import annotations
@@ -62,13 +71,16 @@ class Structure:
     elements below / above a, `full` is the whole-carrier mask.  Instances
     are immutable; derived results are memoised on `_cache` keyed by the
     computation, which is safe because nothing here ever mutates.
+    `table_cache`, when given, is the dict of table-only results (see
+    `table_cache()`) of other structures on equal tables.
     """
 
     __slots__ = ("n", "gamma_names", "tables", "leq", "full", "down", "up",
-                 "_gamma_index", "_cache")
+                 "_gamma_index", "_cache", "_table_cache")
 
     def __init__(self, n: int, gamma_names: Sequence[str],
-                 tables: Sequence, leq: Sequence) -> None:
+                 tables: Sequence, leq: Sequence,
+                 table_cache: dict | None = None) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InputError(f"carrier size must be an integer >= 1, got {n!r}")
         names = tuple(gamma_names)
@@ -109,6 +121,7 @@ class Structure:
         self.up = tuple(up)
         self._gamma_index = {g: i for i, g in enumerate(names)}
         self._cache = {}
+        self._table_cache = table_cache
 
     def __reduce__(self):
         return (Structure, (self.n, self.gamma_names, self.tables, self.leq))
@@ -196,6 +209,16 @@ def _owned(s: Structure, a: Subset) -> int:
     return a.bits
 
 
+def table_cache(s: Structure) -> dict:
+    """The memo dict for results that depend on the tables of s alone,
+    shared with the structures it was built alongside (see the module
+    docstring); created on first use."""
+    shared = s._table_cache
+    if shared is None:
+        shared = s._table_cache = {}
+    return shared
+
+
 # raw mask layer
 
 def _union_table(n: int, gens) -> list[int]:
@@ -243,9 +266,18 @@ def product_bits(s: Structure, abits: int, bbits: int) -> int:
     """Mask of {a g b : a in A, b in B, g any operation}."""
     rows = s._cache.get("product_rows")
     if rows is None:
-        rows = s._cache["product_rows"] = [None] * (1 << s.n)
-        rows[0] = [0] * (1 << s.n)
+        rows = s._cache["product_rows"] = _product_rows(s)
     return (rows[abits] or _product_row(s, rows, abits))[bbits]
+
+
+def _product_rows(s: Structure) -> list:
+    """The product rows built so far, one list per table."""
+    shared = table_cache(s)
+    rows = shared.get("product_rows")
+    if rows is None:
+        rows = shared["product_rows"] = [None] * (1 << s.n)
+        rows[0] = [0] * (1 << s.n)
+    return rows
 
 
 def downset(s: Structure, a: Subset) -> Subset:

@@ -14,7 +14,9 @@ partial orders.  A structure is emitted only when every operation
 respects the order on both sides.
 
 Every (table, order) pair is tested, but the work that depends on the
-table alone is done once per table.  The compatibility join keeps, per
+table alone is done once per table, and the structures of one table
+share one `core.table_cache` dict, so the checks, too, compute their
+table-only results once per table.  The compatibility join keeps, per
 pair a != b, the mask of order pairs that a <= b forces; an order passes
 when none of its pairs forces a pair outside it.  The isomorphism filter
 (`dedup="iso"`) first asks whether some relabeling makes the table
@@ -355,12 +357,13 @@ def _walk(spec: EnumSpec) -> Iterator[Structure]:
     for tables in _associative_tables(n, k):
         req = _requirements(tables, n)
         automorphisms = _automorphisms(tables, n, k) if iso else None
+        shared = {}  # the table-only results of every structure on this table
         for leq, order in orders:
             if not _compatible(req, order):
                 continue
             if iso and not _is_canonical(automorphisms, order):
                 continue
-            yield Structure(n, names, tables, leq)
+            yield Structure(n, names, tables, leq, table_cache=shared)
 
 
 # sampling

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (_chain_failure, _simple_bits, _subsemigroup_bits,
-                       all_subsemigroups, decompose, is_intra_regular,
-                       is_left_duo, is_left_regular, is_right_duo,
-                       is_right_regular, maximal_simple_subsemigroups)
-from .core import InputError, Structure, downset_bits, product_bits, subset_masks
-from .ideals import (IdealKind, _all_ideal_bits, _filter_gen_bits, _ideal_bits,
-                     _prime_bits, _principal_bits, _semiprime_bits,
+from .analysis import (_chain_failure, _relative_ideal_bits, _simple_bits,
+                       _subsemigroup_bits, _subsemigroup_masks, decompose,
+                       intra_regular_failure, is_intra_regular, is_left_duo,
+                       is_left_regular, is_right_duo, is_right_regular,
+                       maximal_simple_subsemigroups)
+from .core import (InputError, Structure, bit_indices, downset_bits, product_bits,
+                   subset_masks, table_cache)
+from .ideals import (IdealKind, _all_ideal_bits, _chain_break_bits, _filter_gen_bits,
+                     _ideal_bits, _prime_bits, _principal_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
 from .relations import relation_partition, semilattice_congruences
 
@@ -80,6 +82,29 @@ def _n_formula_holds(s: Structure, side: str) -> bool:
         if formula != _filter_gen_bits(s, x):
             return False
     return True
+
+
+def _first_ideal(s: Structure, bad) -> int | None:
+    """The first two-sided ideal, in enumeration order, that `bad` flags."""
+    return next((b for b in _all_ideal_bits(s, IdealKind.TWO_SIDED) if bad(b)), None)
+
+
+def _closed_square(s: Structure, bits: int) -> int:
+    return downset_bits(s, product_bits(s, bits, bits))
+
+
+# witnesses of the side that fails; None when that side holds
+
+def _ideal_witness(bits: int | None) -> dict | None:
+    return None if bits is None else {"ideal": _bits_list(bits)}
+
+
+def _pair_witness(pair: tuple[int, int] | None) -> dict | None:
+    return None if pair is None else {"ideals": [_bits_list(b) for b in pair]}
+
+
+def _intra_witness(fail: tuple | None) -> dict | None:
+    return None if fail is None else {"x": fail[0], "gamma": fail[1]}
 
 
 def _union_of_blocks(s: Structure, bits: int, p) -> bool:
@@ -159,12 +184,14 @@ def check_lemma4(s: Structure) -> TheoremVerdict:
 
 def check_lemma5(s: Structure) -> TheoremVerdict:
     """Intra-regularity holds exactly when every two-sided ideal is semiprime."""
-    intra = is_intra_regular(s)
-    semi = all(_semiprime_bits(s, b) for b in _all_ideal_bits(s, IdealKind.TWO_SIDED))
+    fail = intra_regular_failure(s)
+    bad = _first_ideal(s, lambda b: not _semiprime_bits(s, b))
+    intra, semi = fail is None, bad is None
+    ok = intra == semi
     return TheoremVerdict(
         "Lemma5", "equivalence",
         {"intra_regular": intra, "two_sided_ideals_semiprime": semi},
-        intra == semi)
+        ok, None if ok else _ideal_witness(bad) or _intra_witness(fail))
 
 
 def check_lemma6(s: Structure) -> TheoremVerdict:
@@ -212,25 +239,29 @@ def check_theorem8(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
 def check_lemma9(s: Structure) -> TheoremVerdict:
     """All two-sided ideals idempotent iff intersections equal closed products."""
     ideals = _all_ideal_bits(s, IdealKind.TWO_SIDED)
-    idem = all(b == downset_bits(s, product_bits(s, b, b)) for b in ideals)
-    inter = all((a & b) == downset_bits(s, product_bits(s, a, b))
-                for a in ideals for b in ideals)
+    not_idem = _first_ideal(s, lambda b: b != _closed_square(s, b))
+    pair = next(((a, b) for a in ideals for b in ideals
+                 if (a & b) != downset_bits(s, product_bits(s, a, b))), None)
+    idem, inter = not_idem is None, pair is None
+    ok = idem == inter
     return TheoremVerdict(
         "Lemma9", "equivalence",
         {"ideals_idempotent": idem, "intersections_are_closed_products": inter},
-        idem == inter)
+        ok, None if ok else _ideal_witness(not_idem) or _pair_witness(pair))
 
 
 def check_theorem10(s: Structure) -> TheoremVerdict:
     """Every ideal weakly prime iff every ideal idempotent and a chain."""
-    ideals = _all_ideal_bits(s, IdealKind.TWO_SIDED)
-    weak = all(_weakly_prime_bits(s, b) for b in ideals)
-    idem = all(b == downset_bits(s, product_bits(s, b, b)) for b in ideals)
-    chain = ideals_form_chain(s, IdealKind.TWO_SIDED)
+    not_weak = _first_ideal(s, lambda b: not _weakly_prime_bits(s, b))
+    not_idem = _first_ideal(s, lambda b: b != _closed_square(s, b))
+    pair = _chain_break_bits(s, IdealKind.TWO_SIDED)
+    weak, rhs = not_weak is None, not_idem is None and pair is None
+    ok = weak == rhs
     return TheoremVerdict(
         "Thm10", "equivalence",
-        {"ideals_weakly_prime": weak, "ideals_idempotent_and_chain": idem and chain},
-        weak == (idem and chain))
+        {"ideals_weakly_prime": weak, "ideals_idempotent_and_chain": rhs},
+        ok, None if ok else (_ideal_witness(not_weak) or _ideal_witness(not_idem)
+                             or _pair_witness(pair)))
 
 
 def check_lemma11(s: Structure) -> TheoremVerdict:
@@ -274,12 +305,16 @@ def check_lemma12(s: Structure) -> TheoremVerdict:
 
 def check_theorem13(s: Structure) -> TheoremVerdict:
     """Every ideal prime iff the ideals chain and the structure is intra-regular."""
-    prime = all(_prime_bits(s, b) for b in _all_ideal_bits(s, IdealKind.TWO_SIDED))
-    rhs = ideals_form_chain(s, IdealKind.TWO_SIDED) and is_intra_regular(s)
+    not_prime = _first_ideal(s, lambda b: not _prime_bits(s, b))
+    pair = _chain_break_bits(s, IdealKind.TWO_SIDED)
+    fail = intra_regular_failure(s) if pair is None else None
+    prime, rhs = not_prime is None, pair is None and fail is None
+    ok = prime == rhs
     return TheoremVerdict(
         "Thm13", "equivalence",
         {"ideals_prime": prime, "chain_and_intra_regular": rhs},
-        prime == rhs)
+        ok, None if ok else (_ideal_witness(not_prime) or _pair_witness(pair)
+                             or _intra_witness(fail)))
 
 
 def check_prop14(s: Structure) -> TheoremVerdict:
@@ -319,14 +354,12 @@ def check_theorem16(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
 def check_lemma17(s: Structure) -> TheoremVerdict:
     """Inside any subsemigroup, the trace of a closed sandwich of a member
     is a relative two-sided ideal."""
-    from .analysis import _relative_ideal_bits  # local: avoids a wide import list
     ok, wit = True, None
-    for t in all_subsemigroups(s):
-        tb = t.bits
-        for x in t.elements():
+    for tb in _subsemigroup_masks(s):
+        for x in bit_indices(tb):
             trace = _closed_sandwich(s, 1 << x) & tb
             if not _relative_ideal_bits(s, tb, trace, IdealKind.TWO_SIDED):
-                ok, wit = False, {"subsemigroup": t.elements(), "element": x}
+                ok, wit = False, {"subsemigroup": _bits_list(tb), "element": x}
                 break
         if not ok:
             break
@@ -405,6 +438,16 @@ def check_theorem21(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
     return TheoremVerdict("Thm21", "equivalence", cl | cr, ok)
 
 
+def _per_table(s: Structure, key: str, compute) -> tuple[bool, dict | None]:
+    """`compute(s)`, an (ok, witness) pair that depends on the tables of s
+    alone, once per `table_cache`; each caller gets its own witness."""
+    shared = table_cache(s)
+    if key not in shared:
+        shared[key] = compute(s)
+    ok, wit = shared[key]
+    return ok, None if wit is None else {k: list(v) for k, v in wit.items()}
+
+
 def check_stmt_1to2(s: Structure) -> TheoremVerdict:
     """A prime subset splits set products: A*B inside forces a factor inside.
 
@@ -412,11 +455,17 @@ def check_stmt_1to2(s: Structure) -> TheoremVerdict:
     ok(a) = {b : every a g b in T}.  Subsets go by popcount and then
     value, so the first offending B for a given A is the singleton of the
     least element of that meet outside T: the witness is the one the
-    loop over every A and every B would find first.
+    loop over every A and every B would find first.  Primeness and the
+    products read the tables only, so the verdict is one per table.
     """
+    ok, wit = _per_table(s, "Stmt1to2", _stmt_1to2)
+    return TheoremVerdict(
+        "Stmt1to2", "implication", {"prime_splits_products": ok}, ok, wit)
+
+
+def _stmt_1to2(s: Structure) -> tuple[bool, dict | None]:
     masks = subset_masks(s.n)
     pairs = [[product_bits(s, 1 << a, 1 << b) for b in range(s.n)] for a in range(s.n)]
-    ok, wit = True, None
     for tb in range(s.full + 1):
         if not _prime_bits(s, tb):
             continue
@@ -432,25 +481,24 @@ def check_stmt_1to2(s: Structure) -> TheoremVerdict:
         for ab in masks:
             bad = inside[ab] & ~tb
             if ab & ~tb and bad:
-                ok = False
-                wit = {"T": _bits_list(tb), "A": _bits_list(ab),
-                       "B": _bits_list(bad & -bad)}
-                break
-        if not ok:
-            break
-    return TheoremVerdict(
-        "Stmt1to2", "implication", {"prime_splits_products": ok}, ok, wit)
+                return False, {"T": _bits_list(tb), "A": _bits_list(ab),
+                               "B": _bits_list(bad & -bad)}
+    return True, None
 
 
 def check_stmt_a(s: Structure) -> TheoremVerdict:
-    """Prime subsets are semiprime."""
-    ok, wit = True, None
-    for tb in range(s.full + 1):
-        if _prime_bits(s, tb) and not _semiprime_bits(s, tb):
-            ok, wit = False, {"T": _bits_list(tb)}
-            break
+    """Prime subsets are semiprime; both read the tables only, so the
+    verdict is one per table."""
+    ok, wit = _per_table(s, "StmtA", _stmt_a)
     return TheoremVerdict(
         "StmtA", "implication", {"prime_implies_semiprime": ok}, ok, wit)
+
+
+def _stmt_a(s: Structure) -> tuple[bool, dict | None]:
+    for tb in range(s.full + 1):
+        if _prime_bits(s, tb) and not _semiprime_bits(s, tb):
+            return False, {"T": _bits_list(tb)}
+    return True, None
 
 
 def check_stmt_b(s: Structure) -> TheoremVerdict:

@@ -195,9 +195,14 @@ def is_idempotent_subset(s: Structure, a: Subset) -> bool:
 
 def ideals_form_chain(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> bool:
     """All ideals of the given kind are pairwise comparable by inclusion."""
+    return _chain_break_bits(s, kind) is None
+
+
+def _chain_break_bits(s: Structure, kind: IdealKind) -> tuple[int, int] | None:
+    """The first pair of ideals, in enumeration order, neither inside the other."""
     masks = _all_ideal_bits(s, kind)
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
             if a & ~b and b & ~a:
-                return False
-    return True
+                return a, b
+    return None

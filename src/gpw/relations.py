@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import InputError, OwnerError, Structure, Subset
+from .core import InputError, OwnerError, Structure, Subset, table_cache
 from .ideals import IdealKind, _filter_gen_bits, _principal_bits
 
 _KINDS = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}
@@ -201,11 +201,20 @@ def all_partitions(s: Structure) -> Iterator[Partition]:
 
 
 def semilattice_congruences(s: Structure) -> tuple[Partition, ...]:
-    """Every semilattice congruence, in `all_partitions` order; one sweep
-    per structure, memoised."""
+    """Every semilattice congruence, in `all_partitions` order, memoised.
+
+    Being one depends on the tables alone, so the sweep runs once per
+    `table_cache` and keeps the block lists; the other structures on the
+    same tables build Partitions for the congruences only."""
     key = ("semilattice_congruences",)
     hit = s._cache.get(key)
     if hit is None:
-        hit = tuple(p for p in all_partitions(s) if is_semilattice_congruence(s, p))
+        shared = table_cache(s)
+        blocks = shared.get(key)
+        if blocks is None:
+            hit = tuple(p for p in all_partitions(s) if is_semilattice_congruence(s, p))
+            shared[key] = tuple(p.as_lists() for p in hit)
+        else:
+            hit = tuple(Partition(s, b) for b in blocks)
         s._cache[key] = hit
     return hit

@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gpw
 from gpw import cli, harness
 from gpw.cli import main
 from gpw.explore import EnumSpec, enumerate_structures
@@ -221,6 +224,28 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
     assert failure["digest"] == digest(target)
     assert [(v["theorem"], v["equivalent"], v["witness"]) for v in failure["verdicts"]] == \
         [("Lemma4", False, {"injected": 13})]
+
+
+_CAMPAIGN_N3K1 = """
+import sys
+from gpw.cli import main
+if sys.flags.optimize != int(sys.argv[1]):
+    sys.exit(9)
+sys.exit(main(["campaign", "--n", "3", "--k", "1"]))
+"""
+
+
+def test_campaign_sections_identical_under_optimize():
+    """No cache path may rest on assert: -O must not change a report."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gpw.__file__)))
+    sections = []
+    for flags, optimize in (([], "0"), (["-O"], "1")):
+        proc = subprocess.run([sys.executable, *flags, "-c", _CAMPAIGN_N3K1, optimize],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        sections.append(json.loads(proc.stdout)["sections"])
+    assert sections[0] == sections[1]
+    assert sections[0]["structures"] == 971 and sections[0]["all_equivalent"]
 
 
 def test_campaign_limit(capsys):

@@ -3,7 +3,8 @@ product_bits / downset_bits / upset_bits, the ok(a)-meet form of
 Stmt1to2, the shared semilattice-congruence sweep, and the enumeration
 kernels (the padded, preimage-indexed fill check and the iterative fill
 with its node budget, mask compatibility join, automorphism-only iso
-filter).
+filter), and the per-table sharing of table-only results, checked
+against structures built fresh from the same raw tables.
 
 The oracles are the plain loops over elements and subsets that the fast
 paths replaced; they share nothing with the code under test but the
@@ -11,15 +12,17 @@ Structure's raw tables and order."""
 
 from __future__ import annotations
 
+import pickle
 import random
 from functools import lru_cache
+from itertools import islice
 from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
 from gpw import explore, harness
 from gpw.core import (Structure, bit_indices, downset_bits, product_bits, subset_masks,
-                      upset_bits)
+                      table_cache, upset_bits)
 from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
                          random_structure)
 from gpw.gpsjson import dumps
@@ -412,3 +415,83 @@ def test_sampler_budget_matches_plain_loops():
                 assert got == _sampled(ref_random_structure, *args), args
                 outcomes.append(got is None)
     assert any(outcomes) and not all(outcomes)
+
+
+# per-table sharing: walk structures against fresh ones
+
+def walk_corpus() -> list:
+    """A new walk of the exhaustive corpus plus the first 2,000 n4k1
+    structures; every call builds new structures and new table caches."""
+    out = []
+    for n, k in ((1, 1), (2, 1), (3, 1), (2, 2)):
+        out.extend(enumerate_structures(EnumSpec(n, k)))
+    out.extend(enumerate_structures(EnumSpec(4, 1), limit=2000))
+    return out
+
+
+def _fresh(s) -> Structure:
+    return Structure(s.n, s.gamma_names, s.tables, s.leq)
+
+
+def _results(s) -> tuple:
+    return ([v.as_dict() for v in harness.check_all(s)],
+            {name: fn(s) for name, fn in explore.PREDICATES.items()})
+
+
+def test_shared_table_results_match_fresh_structures():
+    """Whichever structure of a table computes its table-only results
+    first, in walk order or in reverse, every verdict and predicate equals
+    that of a structure with a cache of its own."""
+    expected = [_results(_fresh(s)) for s in walk_corpus()]
+    assert len(expected) == 1026 + 2000
+    assert [_results(s) for s in walk_corpus()] == expected
+    assert [_results(s) for s in reversed(walk_corpus())] == expected[::-1]
+
+
+def test_table_cache_is_shared_per_table():
+    corpus = walk_corpus()
+    ids: dict[tuple, set] = {}
+    for s in corpus:
+        ids.setdefault((s.n, s.tables), set()).add(id(table_cache(s)))
+    assert all(len(v) == 1 for v in ids.values())
+    assert len(set().union(*ids.values())) == len(ids)
+    assert len(ids) < len(corpus)
+    s = corpus[-1]
+    assert table_cache(_fresh(s)) is not table_cache(s)
+
+
+def test_pickled_walk_structure_arrives_cold():
+    s = list(islice(enumerate_structures(EnumSpec(4, 1)), 3))[-1]
+    before = _results(s)
+    assert s._cache and table_cache(s)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy._cache == {} and table_cache(copy) == {}
+    assert table_cache(copy) is not table_cache(s)
+    assert _results(copy) == before
+
+
+def _stmt_verdicts(spec) -> list:
+    return [(v.equivalent, v.witness) for s in enumerate_structures(spec)
+            for v in (harness.check_stmt_1to2(s), harness.check_stmt_a(s))]
+
+
+def test_patched_walk_does_not_leak_into_the_next(monkeypatch):
+    """Table caches die with their walk: a walk run with every subset
+    taken as prime leaves nothing behind for a later walk of the slice."""
+    spec = EnumSpec(3, 1)
+    expected = _stmt_verdicts(spec)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_prime_bits", lambda s, tb: True)
+        assert _stmt_verdicts(spec) != expected
+    assert _stmt_verdicts(spec) == expected
+
+
+def test_table_verdicts_give_each_structure_its_own_witness(monkeypatch):
+    monkeypatch.setattr(harness, "_prime_bits", lambda s, tb: True)
+    first, second = list(islice(enumerate_structures(EnumSpec(2, 1)), 2))
+    assert first.tables == second.tables
+    for check in (harness.check_stmt_1to2, harness.check_stmt_a):
+        v, w = check(first), check(second)
+        assert not v.equivalent and v.witness == w.witness
+        v.witness["T"].append(-1)
+        assert v.witness != w.witness == check(second).witness

@@ -6,8 +6,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw.core import InputError, Structure
-from gpw.explore import random_structure
+from gpw import harness
+from gpw.core import InputError, Structure, validate
+from gpw.explore import PREDICATES, random_structure
+from gpw.gpsjson import digest
 from gpw.harness import THEOREM_IDS, TheoremVerdict, check, check_all
 
 
@@ -88,6 +90,58 @@ def test_witness_on_broken_structure():
     assert v.witness == {"element": 0, "kind": "left"}
 
 
+def _meet_semilattice() -> Structure:
+    """0 below the incomparable 1 and 2: x*x = x, any other product 0,
+    trivial order; its ideals {0, 1} and {0, 2} do not form a chain."""
+    return Structure(3, ("g0",), (((0, 0, 0), (0, 1, 0), (0, 0, 2)),),
+                     [[a == b for b in range(3)] for a in range(3)])
+
+
+def _forced(monkeypatch, s, tid, name, value):
+    """Verdict of `tid` on s with harness.<name> forced to return value."""
+    monkeypatch.setattr(harness, name, lambda *args: value)
+    return check(s, tid)
+
+
+@pytest.mark.parametrize("tid, fixture, name, value, false_side, witness", [
+    # the ideal side fails: the first offending ideal
+    ("Lemma5", "min_sl", "_semiprime_bits", False, "two_sided_ideals_semiprime",
+     {"ideal": [0]}),
+    ("Lemma9", "min_sl", "_closed_square", 0, "ideals_idempotent", {"ideal": [0]}),
+    ("Thm10", "min_sl", "_weakly_prime_bits", False, "ideals_weakly_prime",
+     {"ideal": [0]}),
+    ("Thm13", "min_sl", "_prime_bits", False, "ideals_prime", {"ideal": [0]}),
+    # the other side fails: its first ideal, ideal pair or intra-regularity failure
+    ("Lemma5", "cz", "_semiprime_bits", True, "intra_regular", {"x": 1, "gamma": "g0"}),
+    ("Thm10", "cz", "_weakly_prime_bits", True, "ideals_idempotent_and_chain",
+     {"ideal": [0, 1]}),
+    ("Thm10", "meet", "_weakly_prime_bits", True, "ideals_idempotent_and_chain",
+     {"ideals": [[0, 1], [0, 2]]}),
+    ("Thm13", "meet", "_prime_bits", True, "chain_and_intra_regular",
+     {"ideals": [[0, 1], [0, 2]]}),
+    ("Thm13", "cz", "_prime_bits", True, "chain_and_intra_regular",
+     {"x": 1, "gamma": "g0"}),
+])
+def test_forced_disagreement_witness(monkeypatch, request, tid, fixture, name, value,
+                                     false_side, witness):
+    s = _meet_semilattice() if fixture == "meet" else request.getfixturevalue(fixture)
+    assert check(s, tid).equivalent and check(s, tid).witness is None
+    v = _forced(monkeypatch, s, tid, name, value)
+    assert not v.equivalent
+    assert [c for c, held in v.condition_values.items() if not held] == [false_side]
+    assert v.witness == witness
+
+
+def test_lemma9_pair_witness(monkeypatch, cz):
+    """Idempotence forced true: the first pair whose meet is not the
+    closed product, here {0, 1} with itself."""
+    monkeypatch.setattr(harness, "_closed_square", lambda s, b: b)
+    v = check(cz, "Lemma9")
+    assert v.condition_values == {"ideals_idempotent": True,
+                                  "intersections_are_closed_products": False}
+    assert v.witness == {"ideals": [[0, 1], [0, 1]]}
+
+
 def test_verdict_as_dict(min_sl):
     d = check(min_sl, "Lemma4").as_dict()
     assert d == {
@@ -125,3 +179,38 @@ def structures(draw):
 def test_random_structures_all_equivalent(s):
     for v in check_all(s):
         assert v.equivalent, (v.theorem_id, v.condition_values, v.witness)
+
+
+def _relabel(s: Structure, pi, rho) -> Structure:
+    """Element a becomes pi[a]; operation g takes the table of rho[g]."""
+    n = s.n
+    inv = [0] * n
+    for a, p in enumerate(pi):
+        inv[p] = a
+    tables = [[[pi[s.tables[r][inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+              for r in rho]
+    leq = [[s.leq[inv[a]][inv[b]] for b in range(n)] for a in range(n)]
+    return Structure(n, s.gamma_names, tables, leq)
+
+
+def _invariants(s: Structure) -> tuple:
+    return ([(v.theorem_id, v.equivalent, v.condition_values) for v in check_all(s)],
+            {name: fn(s) for name, fn in PREDICATES.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_relabeling_keeps_verdicts_and_predicates(data):
+    """Carrier and operation relabelings are isomorphisms: every verdict,
+    condition value and predicate stays; the digest moves unless the
+    relabeling is an automorphism."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 2))
+    s = random_structure(n, k, data.draw(st.integers(0, 10_000)))
+    pi = data.draw(st.permutations(range(n)))
+    rho = data.draw(st.permutations(range(k)))
+    t = _relabel(s, pi, rho)
+    assert validate(t).ok
+    assert _invariants(t) == _invariants(s)
+    automorphism = (t.tables, t.leq) == (s.tables, s.leq)
+    assert (digest(t) == digest(s)) == automorphism

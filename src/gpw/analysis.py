@@ -4,7 +4,9 @@ and decomposition of the carrier along a semilattice congruence.
 The pinned regularity predicates quantify over every operation g and ask
 for membership with the inner product x g x fixed; the legacy variants
 let every operation position range independently.  Pinned implies legacy;
-the converse is a search target, not a theorem.
+the converse is a search target, not a theorem.  The pinned predicates
+read the element closures of `ideals._element_closures`, and
+intra-regularity, a premise of most claims, is memoised per structure.
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Iterator
 
-from .core import (PreconditionError, Structure, Subset, _owned,
+from .core import (PreconditionError, Structure, Subset, _owned, down_table,
                    downset_bits, product_bits, subset_masks, table_cache)
-from .ideals import IdealKind, _all_ideal_bits, _ideal_bits
+from .ideals import (IdealKind, _absorbs, _all_ideal_bits, _element_closures,
+                     _ideal_bits)
 from .relations import Partition, is_semilattice_congruence, relation_partition
-
-
-def _sandwich_bits(s: Structure, mid: int) -> int:
-    """Mask of M G mid G M (no order closure)."""
-    return product_bits(s, product_bits(s, s.full, mid), s.full)
 
 
 def is_intra_regular(s: Structure) -> bool:
@@ -29,14 +27,21 @@ def is_intra_regular(s: Structure) -> bool:
     return intra_regular_failure(s) is None
 
 
-def intra_regular_failure(s: Structure):
-    """First (x, label) breaking pinned intra-regularity, or None."""
+def _pinned_failure(s: Structure, closed: list[int]):
+    """First (x, label) with x outside closed[x g x], or None."""
     for x in range(s.n):
         for g, t in zip(s.gamma_names, s.tables):
-            mid = 1 << t[x][x]
-            if not (downset_bits(s, _sandwich_bits(s, mid)) >> x) & 1:
+            if not (closed[t[x][x]] >> x) & 1:
                 return (x, g)
     return None
+
+
+def intra_regular_failure(s: Structure):
+    """First (x, label) breaking pinned intra-regularity, or None."""
+    cache = s._cache
+    if "intra_regular_failure" not in cache:
+        cache["intra_regular_failure"] = _pinned_failure(s, _element_closures(s)[2])
+    return cache["intra_regular_failure"]
 
 
 def is_intra_regular_legacy(s: Structure) -> bool:
@@ -60,12 +65,7 @@ def is_left_regular(s: Structure) -> bool:
 
 
 def left_regular_failure(s: Structure):
-    for x in range(s.n):
-        for g, t in zip(s.gamma_names, s.tables):
-            mid = 1 << t[x][x]
-            if not (downset_bits(s, product_bits(s, s.full, mid)) >> x) & 1:
-                return (x, g)
-    return None
+    return _pinned_failure(s, _element_closures(s)[0])
 
 
 def is_right_regular(s: Structure) -> bool:
@@ -74,12 +74,7 @@ def is_right_regular(s: Structure) -> bool:
 
 
 def right_regular_failure(s: Structure):
-    for x in range(s.n):
-        for g, t in zip(s.gamma_names, s.tables):
-            mid = 1 << t[x][x]
-            if not (downset_bits(s, product_bits(s, mid, s.full)) >> x) & 1:
-                return (x, g)
-    return None
+    return _pinned_failure(s, _element_closures(s)[1])
 
 
 def is_left_regular_legacy(s: Structure) -> bool:
@@ -139,14 +134,9 @@ def all_subsemigroups(s: Structure) -> list[Subset]:
 
 
 def _relative_ideal_bits(s: Structure, tbits: int, abits: int, kind: IdealKind) -> bool:
-    if not abits or abits & ~tbits:
-        return False
-    if kind is not IdealKind.RIGHT and product_bits(s, tbits, abits) & ~abits:
-        return False
-    if kind is not IdealKind.LEFT and product_bits(s, abits, tbits) & ~abits:
-        return False
     # downward closure relative to T under the ambient order
-    return not downset_bits(s, abits) & tbits & ~abits
+    return (abits in _absorbing_within(s, tbits, kind)
+            and not downset_bits(s, abits) & tbits & ~abits)
 
 
 def _require_subsemigroup(s: Structure, tbits: int) -> None:
@@ -174,22 +164,39 @@ def _masks_within(tbits: int) -> tuple[int, ...]:
     return tuple(subs)
 
 
+def _absorbing_within(s: Structure, tbits: int, kind: IdealKind) -> tuple[int, ...]:
+    """The nonempty submasks A of T, in `_masks_within` order, that absorb
+    T on the kind's sides: the relative ideals of T before the order has
+    its say.  They read the tables alone, so once per `table_cache`."""
+    key = ("absorbing", tbits, kind._value_)
+    shared = table_cache(s)
+    hit = shared.get(key)
+    if hit is None:
+        hit = shared[key] = tuple(
+            a for a in _masks_within(tbits) if _absorbs(s, tbits, a, kind))
+    return hit
+
+
 def relative_ideals(s: Structure, t: Subset,
                     kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subset]:
     """Every ideal of the subsemigroup T, brute force over subsets of T."""
     tbits = _owned(s, t)
     _require_subsemigroup(s, tbits)
-    return [Subset(s, a) for a in _masks_within(tbits)
-            if _relative_ideal_bits(s, tbits, a, kind)]
+    return [Subset(s, a) for a in _absorbing_within(s, tbits, kind)
+            if not downset_bits(s, a) & tbits & ~a]
 
 
 def _simple_bits(s: Structure, tbits: int, kind: IdealKind) -> bool:
-    key = ("simple", tbits, kind)
+    """T has no relative ideal of the kind but itself: no proper member
+    of `_absorbing_within` is down-closed inside T under this
+    structure's order."""
+    key = ("simple", tbits, kind._value_)
     hit = s._cache.get(key)
     if hit is None:
-        hit = s._cache[key] = not any(
-            a != tbits and _relative_ideal_bits(s, tbits, a, kind)
-            for a in _masks_within(tbits))
+        down = down_table(s)
+        hit = s._cache[key] = all(down[a] & tbits & ~a
+                                  for a in _absorbing_within(s, tbits, kind)
+                                  if a != tbits)
     return hit
 
 

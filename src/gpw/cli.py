@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from multiprocessing import Pool
 
 from . import __version__
 from .analysis import (decompose, intra_regular_failure,
@@ -281,6 +280,7 @@ def cmd_campaign(args) -> int:
     combos: dict[str, int] = {}
     failure = None
     if args.jobs > 1:
+        from multiprocessing import Pool  # only here: its import costs every run
         pool = Pool(processes=args.jobs)
         stream = pool.imap(_campaign_unit, jobs, chunksize=8)
     else:

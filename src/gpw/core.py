@@ -29,7 +29,9 @@ builds on one table, and drops it when it moves to the next table.  Any
 other structure (sampled, loaded, or built by hand) gets a dict of its
 own on first use.  The product rows live there, and `s._cache` keeps a
 reference to them so the hot path reads one dict.  A pickled structure
-carries its raw tables only, so it arrives with both dicts empty.
+carries its raw tables only, so it arrives with both dicts empty.  The
+other layers keep their per-element lists (see `ideals`) in `s._cache`,
+and the order-free halves of them in `table_cache(s)`.
 """
 
 from __future__ import annotations
@@ -230,18 +232,28 @@ def _union_table(n: int, gens) -> list[int]:
     return tab
 
 
-def downset_bits(s: Structure, bits: int) -> int:
+def down_table(s: Structure) -> list[int]:
+    """Entry m is the down-closure of mask m, built on first use."""
     tab = s._cache.get("down_table")
     if tab is None:
         tab = s._cache["down_table"] = _union_table(s.n, s.down)
-    return tab[bits]
+    return tab
 
 
-def upset_bits(s: Structure, bits: int) -> int:
+def up_table(s: Structure) -> list[int]:
+    """Entry m is the up-closure of mask m, built on first use."""
     tab = s._cache.get("up_table")
     if tab is None:
         tab = s._cache["up_table"] = _union_table(s.n, s.up)
-    return tab[bits]
+    return tab
+
+
+def downset_bits(s: Structure, bits: int) -> int:
+    return (s._cache.get("down_table") or down_table(s))[bits]
+
+
+def upset_bits(s: Structure, bits: int) -> int:
+    return (s._cache.get("up_table") or up_table(s))[bits]
 
 
 def _product_row(s: Structure, rows: list, abits: int) -> list[int]:

@@ -9,8 +9,9 @@ unfilled cell, so a product with an unfilled factor is n and the check
 needs no separate test for it.  The fill also keeps, per operation and
 value, the list of filled cells with that product, so a new cell's check
 visits only the cells it can meet.
-Orders come from a cached mask enumeration filtered down to genuine
-partial orders.  A structure is emitted only when every operation
+Orders come from a cached enumeration that adds one element at a time,
+choosing the elements below and above it, sorted by the pair mask that
+fixes their order.  A structure is emitted only when every operation
 respects the order on both sides.
 
 Every (table, order) pair is tested, but the work that depends on the
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
                        is_right_regular, _simple_bits)
-from .core import InputError, Structure, validate
+from .core import InputError, Structure, bit_indices, validate
 from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
 
@@ -193,36 +194,46 @@ def partial_orders(n: int, mode: str = "all") -> tuple:
             out.append(tuple(tuple(pos[a] <= pos[b] for b in range(n))
                              for a in range(n)))
         return tuple(out)
+    # ascending by the mask whose bit i stands for the i-th pair a != b in
+    # row-major order; the walk order, and so every report, depends on it
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out = []
-    for mask in range(1 << len(pairs)):
-        leq = [[a == b for b in range(n)] for a in range(n)]
-        for i, (a, b) in enumerate(pairs):
-            if (mask >> i) & 1:
-                leq[a][b] = True
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if a != b and leq[a][b] and leq[b][a]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for a in range(n):
-                for b in range(n):
-                    if leq[a][b]:
-                        for c in range(n):
-                            if leq[b][c] and not leq[a][c]:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.append(tuple(tuple(row) for row in leq))
-    return tuple(out)
+    keyed = []
+    for below in _posets(n):
+        leq = tuple(tuple(a == b or (below[b] >> a) & 1 == 1 for b in range(n))
+                    for a in range(n))
+        keyed.append((sum(1 << i for i, (a, b) in enumerate(pairs) if leq[a][b]), leq))
+    keyed.sort()
+    return tuple(leq for _, leq in keyed)
+
+
+def _posets(n: int) -> Iterator[list[int]]:
+    """Every partial order on 0..n-1, as the masks of the elements
+    strictly below each element.  Element k = n - 1 joins each order on
+    0..k-1 above a down-closed set D and below an up-closed set U, with
+    every member of D below every member of U (so D and U are disjoint);
+    each order on 0..n-1 comes from exactly one such choice."""
+    if n == 0:
+        yield []
+        return
+    k = n - 1
+    every = (1 << k) - 1
+    for below in _posets(k):
+        above = [0] * k
+        for b, mask in enumerate(below):
+            for a in bit_indices(mask):
+                above[a] |= 1 << b
+        downs = [d for d in range(every + 1)
+                 if all(not below[x] & ~d for x in bit_indices(d))]
+        ups = [u for u in range(every + 1)
+               if all(not above[x] & ~u for x in bit_indices(u))]
+        for d in downs:
+            allowed = every & ~d  # above every member of d, and outside it
+            for x in bit_indices(d):
+                allowed &= above[x]
+            for u in ups:
+                if not u & ~allowed:
+                    yield ([m | (1 << k) if (u >> b) & 1 else m
+                            for b, m in enumerate(below)] + [d])
 
 
 def _pair_bit(n: int, a: int, b: int) -> int:

@@ -25,9 +25,9 @@ from .analysis import (_chain_failure, _relative_ideal_bits, _simple_bits,
                        maximal_simple_subsemigroups)
 from .core import (InputError, Structure, bit_indices, downset_bits, product_bits,
                    subset_masks, table_cache)
-from .ideals import (IdealKind, _all_ideal_bits, _chain_break_bits, _filter_gen_bits,
-                     _ideal_bits, _prime_bits, _principal_bits, _semiprime_bits,
-                     _weakly_prime_bits, ideals_form_chain)
+from .ideals import (IdealKind, _all_ideal_bits, _chain_break_bits, _element_closures,
+                     _filter_gens, _ideal_bits, _prime_bits, _principals,
+                     _semiprime_bits, _weakly_prime_bits, ideals_form_chain)
 from .relations import relation_partition, semilattice_congruences
 
 THEOREM_IDS = (
@@ -57,31 +57,20 @@ class TheoremVerdict:
 
 # shared pieces
 
-def _closed_sandwich(s: Structure, mid: int) -> int:
-    return downset_bits(s, product_bits(s, product_bits(s, s.full, mid), s.full))
+_SIDES = {"left": 0, "right": 1, "two": 2}  # index into `_element_closures`
 
 
 def _n_formula_holds(s: Structure, side: str) -> bool:
-    """filter_gen(x) == {y : x below some product around y}, for every x."""
-    n, m = s.n, s.full
-    closed = []
-    for y in range(n):
-        yb = 1 << y
-        if side == "two":
-            w = product_bits(s, product_bits(s, m, yb), m)
-        elif side == "left":
-            w = product_bits(s, m, yb)
-        else:
-            w = product_bits(s, yb, m)
-        closed.append(downset_bits(s, w))
-    for x in range(n):
-        formula = 0
-        for y in range(n):
-            if (closed[y] >> x) & 1:
-                formula |= 1 << y
-        if formula != _filter_gen_bits(s, x):
-            return False
-    return True
+    """filter_gen(x) == {y : x below some product around y}, for every x;
+    memoised per structure and side."""
+    key = ("n_formula", side)
+    hit = s._cache.get(key)
+    if hit is None:
+        closed = _element_closures(s)[_SIDES[side]]
+        hit = s._cache[key] = all(
+            sum(1 << y for y, c in enumerate(closed) if (c >> x) & 1) == f
+            for x, f in enumerate(_filter_gens(s)))
+    return hit
 
 
 def _first_ideal(s: Structure, bad) -> int | None:
@@ -132,13 +121,12 @@ def check_prop2(s: Structure) -> TheoremVerdict:
     """Intra-regularity forces the two pinned-product closures of any pair
     to coincide: (M (x g y) M] == (M (y g x) M]."""
     intra = is_intra_regular(s)
+    closed = _element_closures(s)[2]
     concl, wit = True, None
     for x in range(s.n):
         for y in range(s.n):
             for g, t in zip(s.gamma_names, s.tables):
-                a = _closed_sandwich(s, 1 << t[x][y])
-                b = _closed_sandwich(s, 1 << t[y][x])
-                if a != b:
+                if closed[t[x][y]] != closed[t[y][x]]:
                     concl, wit = False, {"x": x, "y": y, "gamma": g}
                     break
             if not concl:
@@ -196,18 +184,15 @@ def check_lemma5(s: Structure) -> TheoremVerdict:
 
 def check_lemma6(s: Structure) -> TheoremVerdict:
     """Closed one-element products are ideals of the matching kind."""
-    m = s.full
+    lefts, rights, sandwiches = _element_closures(s)
     two = left = right = True
     wit = None
     for a in range(s.n):
-        ab = 1 << a
-        if two and not _ideal_bits(s, _closed_sandwich(s, ab), IdealKind.TWO_SIDED):
+        if two and not _ideal_bits(s, sandwiches[a], IdealKind.TWO_SIDED):
             two, wit = False, wit or {"element": a, "kind": "two_sided"}
-        if left and not _ideal_bits(
-                s, downset_bits(s, product_bits(s, m, ab)), IdealKind.LEFT):
+        if left and not _ideal_bits(s, lefts[a], IdealKind.LEFT):
             left, wit = False, wit or {"element": a, "kind": "left"}
-        if right and not _ideal_bits(
-                s, downset_bits(s, product_bits(s, ab, m)), IdealKind.RIGHT):
+        if right and not _ideal_bits(s, rights[a], IdealKind.RIGHT):
             right, wit = False, wit or {"element": a, "kind": "right"}
     ok = two and left and right
     return TheoremVerdict(
@@ -268,8 +253,9 @@ def check_lemma11(s: Structure) -> TheoremVerdict:
     """Under intra-regularity the principal two-sided ideal is the closed sandwich."""
     intra = is_intra_regular(s)
     ok, wit = True, None
-    for x in range(s.n):
-        if _principal_bits(s, x, IdealKind.TWO_SIDED) != _closed_sandwich(s, 1 << x):
+    pairs = zip(_principals(s, IdealKind.TWO_SIDED), _element_closures(s)[2])
+    for x, (ideal, closed) in enumerate(pairs):
+        if ideal != closed:
             ok, wit = False, {"element": x}
             break
     return TheoremVerdict(
@@ -282,14 +268,15 @@ def check_lemma12(s: Structure) -> TheoremVerdict:
     """Principal ideals of products sit inside both factors' principal
     ideals, with equality under intra-regularity."""
     intra = is_intra_regular(s)
+    ideals = _principals(s, IdealKind.TWO_SIDED)
     contained = equal = True
     wit = None
     for x in range(s.n):
-        ix = _principal_bits(s, x, IdealKind.TWO_SIDED)
+        ix = ideals[x]
         for y in range(s.n):
-            meet = ix & _principal_bits(s, y, IdealKind.TWO_SIDED)
+            meet = ix & ideals[y]
             for g, t in zip(s.gamma_names, s.tables):
-                ip = _principal_bits(s, t[x][y], IdealKind.TWO_SIDED)
+                ip = ideals[t[x][y]]
                 if ip & ~meet:
                     contained = False
                     wit = wit or {"x": x, "y": y, "gamma": g}
@@ -320,11 +307,12 @@ def check_theorem13(s: Structure) -> TheoremVerdict:
 def check_prop14(s: Structure) -> TheoremVerdict:
     """Intra-regular chain structures: each pinned pair product catches a factor."""
     hyp = is_intra_regular(s) and ideals_form_chain(s, IdealKind.TWO_SIDED)
+    closed = _element_closures(s)[2]
     concl, wit = True, None
     for x in range(s.n):
         for y in range(s.n):
             for g, t in zip(s.gamma_names, s.tables):
-                d = _closed_sandwich(s, 1 << t[x][y])
+                d = closed[t[x][y]]
                 if not ((d >> x) & 1 or (d >> y) & 1):
                     concl, wit = False, {"x": x, "y": y, "gamma": g}
                     break
@@ -354,10 +342,11 @@ def check_theorem16(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
 def check_lemma17(s: Structure) -> TheoremVerdict:
     """Inside any subsemigroup, the trace of a closed sandwich of a member
     is a relative two-sided ideal."""
+    closed = _element_closures(s)[2]
     ok, wit = True, None
     for tb in _subsemigroup_masks(s):
         for x in bit_indices(tb):
-            trace = _closed_sandwich(s, 1 << x) & tb
+            trace = closed[x] & tb
             if not _relative_ideal_bits(s, tb, trace, IdealKind.TWO_SIDED):
                 ok, wit = False, {"subsemigroup": _bits_list(tb), "element": x}
                 break

@@ -3,6 +3,19 @@
 Conventions: ideals and filters are nonempty by definition, so the empty
 subset is never one.  Enumerations list subsets ascending by popcount and
 then by mask value, which fixes a deterministic order everywhere.
+
+Element tables.  The per-element quantities that the checks read again
+and again are built once per structure as n-entry lists, on first use:
+the closures (M e], (e M] and (M e M] (`_element_closures`), the
+principal ideals of each kind (`_principals`) and the generated filters
+(`_filter_gens`).  Their product halves read the tables alone and are
+built once per `core.table_cache`, as are the masks that absorb products
+on an ideal kind's sides (`_all_ideal_bits`); a structure only applies
+its own order to them.
+
+In CPython 3.11 an Enum's hash and a member's lookup on its class are
+Python-level calls, so memo keys name a kind by its `_value_` string and
+the hot tests compare against module-level aliases of the members.
 """
 
 from __future__ import annotations
@@ -10,8 +23,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import (InputError, PreconditionError, Structure, Subset,
-                   _owned, downset_bits, product_bits, subset_masks,
-                   upset_bits)
+                   _owned, _union_table, down_table, downset_bits,
+                   product_bits, subset_masks, table_cache, up_table)
 
 
 class IdealKind(Enum):
@@ -20,16 +33,19 @@ class IdealKind(Enum):
     TWO_SIDED = "two_sided"
 
 
+_LEFT, _RIGHT, _TWO_SIDED = IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED
+
+
+def _absorbs(s: Structure, tbits: int, abits: int, kind: IdealKind) -> bool:
+    """T A inside A unless kind is RIGHT, and A T inside A unless it is LEFT."""
+    if kind is not _RIGHT and product_bits(s, tbits, abits) & ~abits:
+        return False
+    return kind is _LEFT or not product_bits(s, abits, tbits) & ~abits
+
+
 def _ideal_bits(s: Structure, bits: int, kind: IdealKind) -> bool:
-    if not bits:
-        return False
-    if downset_bits(s, bits) != bits:
-        return False
-    if kind is not IdealKind.RIGHT and product_bits(s, s.full, bits) & ~bits:
-        return False
-    if kind is not IdealKind.LEFT and product_bits(s, bits, s.full) & ~bits:
-        return False
-    return True
+    return (bits != 0 and downset_bits(s, bits) == bits
+            and _absorbs(s, s.full, bits, kind))
 
 
 def is_ideal(s: Structure, a: Subset, kind: IdealKind = IdealKind.TWO_SIDED) -> bool:
@@ -37,38 +53,68 @@ def is_ideal(s: Structure, a: Subset, kind: IdealKind = IdealKind.TWO_SIDED) -> 
     return _ideal_bits(s, _owned(s, a), kind)
 
 
-def _principal_bits(s: Structure, a: int, kind: IdealKind) -> int:
-    key = ("principal", kind, a)
-    hit = s._cache.get(key)
-    if hit is not None:
-        return hit
-    ab = 1 << a
-    m = s.full
-    if kind is IdealKind.LEFT:
-        seed = ab | product_bits(s, m, ab)
-    elif kind is IdealKind.RIGHT:
-        seed = ab | product_bits(s, ab, m)
-    else:
-        ma = product_bits(s, m, ab)
-        seed = ab | ma | product_bits(s, ab, m) | product_bits(s, ma, m)
-    out = downset_bits(s, seed)
-    s._cache[key] = out
-    return out
+def _side_products(s: Structure) -> tuple[list[int], list[int], list[int]]:
+    """For each element e the masks of M e, e M and M e M, no order
+    closure; they read the tables alone, so once per `table_cache`."""
+    shared = table_cache(s)
+    hit = shared.get("side_products")
+    if hit is None:
+        m, elems = s.full, range(s.n)
+        left = [product_bits(s, m, 1 << e) for e in elems]
+        hit = shared["side_products"] = (
+            left, [product_bits(s, 1 << e, m) for e in elems],
+            [product_bits(s, p, m) for p in left])
+    return hit
+
+
+def _element_closures(s: Structure) -> tuple[list[int], list[int], list[int]]:
+    """For each element e the down-closures (M e], (e M] and (M e M]."""
+    hit = s._cache.get("element_closures")
+    if hit is None:
+        down = down_table(s)
+        hit = s._cache["element_closures"] = tuple(
+            [down[p] for p in products] for products in _side_products(s))
+    return hit
+
+
+def _principals(s: Structure, kind: IdealKind) -> list[int]:
+    """The principal ideal of the given kind of every element: the
+    down-closure of e with M e (left), with e M (right), or with M e,
+    e M and M e M (two-sided), as one list per kind."""
+    hit = s._cache.get("principals")
+    if hit is None:
+        left, right, sandwich = _element_closures(s)
+        below = s.down  # (e]
+        hit = s._cache["principals"] = (
+            [d | x for d, x in zip(below, left)],
+            [d | x for d, x in zip(below, right)],
+            [d | x | y | z for d, x, y, z in zip(below, left, right, sandwich)])
+    if kind is _TWO_SIDED:
+        return hit[2]
+    return hit[0] if kind is _LEFT else hit[1]
 
 
 def principal(s: Structure, a: int, kind: IdealKind = IdealKind.TWO_SIDED) -> Subset:
     """Least ideal of the given kind containing element a."""
     if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < s.n:
         raise InputError(f"element {a!r} outside 0..{s.n - 1}")
-    return Subset(s, _principal_bits(s, a, kind))
+    return Subset(s, _principals(s, kind)[a])
 
 
 def _all_ideal_bits(s: Structure, kind: IdealKind) -> tuple[int, ...]:
-    key = ("all_ideals", kind)
+    """Every ideal of the given kind in `subset_masks` order: of the masks
+    that absorb products on the kind's sides, found once per
+    `table_cache`, the ones this structure's order leaves down-closed."""
+    key = ("all_ideals", kind._value_)
     hit = s._cache.get(key)
     if hit is None:
-        hit = tuple(m for m in subset_masks(s.n) if _ideal_bits(s, m, kind))
-        s._cache[key] = hit
+        shared = table_cache(s)
+        absorbing = shared.get(key)
+        if absorbing is None:
+            absorbing = shared[key] = tuple(
+                m for m in subset_masks(s.n) if _absorbs(s, s.full, m, kind))
+        down = down_table(s)
+        hit = s._cache[key] = tuple(m for m in absorbing if down[m] == m)
     return hit
 
 
@@ -77,20 +123,25 @@ def all_ideals(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subs
     return [Subset(s, b) for b in _all_ideal_bits(s, kind)]
 
 
+def _factor_table(s: Structure) -> list[int]:
+    """Entry m is the mask of every factor a, b of a product a g b in m;
+    it reads the tables alone, so once per `table_cache`."""
+    shared = table_cache(s)
+    hit = shared.get("factor_table")
+    if hit is None:
+        factors = [0] * s.n
+        for t in s.tables:
+            for a, row in enumerate(t):
+                for b, v in enumerate(row):
+                    factors[v] |= (1 << a) | (1 << b)
+        hit = shared["factor_table"] = _union_table(s.n, factors)
+    return hit
+
+
 def _filter_bits(s: Structure, bits: int) -> bool:
-    if not bits:
-        return False
-    if product_bits(s, bits, bits) & ~bits:
-        return False
-    if upset_bits(s, bits) != bits:
-        return False
-    for t in s.tables:  # division: a g b inside forces both factors inside
-        for a in range(s.n):
-            row = t[a]
-            for b in range(s.n):
-                if (bits >> row[b]) & 1 and not ((bits >> a) & 1 and (bits >> b) & 1):
-                    return False
-    return True
+    # division: a g b inside forces both factors inside
+    return (bits != 0 and not product_bits(s, bits, bits) & ~bits
+            and up_table(s)[bits] == bits and not _factor_table(s)[bits] & ~bits)
 
 
 def is_filter(s: Structure, f: Subset) -> bool:
@@ -108,26 +159,27 @@ def all_filters(s: Structure) -> list[Subset]:
     return [Subset(s, b) for b in hit]
 
 
+def _filter_gens(s: Structure) -> list[int]:
+    """The filter generated by each element: the least fixed point above
+    it of X -> X, X X, [X) and the factors of the members of X."""
+    hit = s._cache.get("filter_gens")
+    if hit is None:
+        up, factors = up_table(s), _factor_table(s)
+        hit = []
+        for x in range(s.n):
+            bits = 1 << x
+            while True:
+                new = bits | product_bits(s, bits, bits) | up[bits] | factors[bits]
+                if new == bits:
+                    break
+                bits = new
+            hit.append(bits)
+        s._cache["filter_gens"] = hit
+    return hit
+
+
 def _filter_gen_bits(s: Structure, x: int) -> int:
-    key = ("filter_gen", x)
-    hit = s._cache.get(key)
-    if hit is not None:
-        return hit
-    bits = 1 << x
-    n = s.n
-    while True:
-        new = bits | product_bits(s, bits, bits) | upset_bits(s, bits)
-        for t in s.tables:
-            for a in range(n):
-                row = t[a]
-                for b in range(n):
-                    if (bits >> row[b]) & 1:
-                        new |= (1 << a) | (1 << b)
-        if new == bits:
-            break
-        bits = new
-    s._cache[key] = bits
-    return bits
+    return _filter_gens(s)[x]
 
 
 def filter_gen(s: Structure, x: int) -> Subset:

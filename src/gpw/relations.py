@@ -3,15 +3,17 @@
 The four named equivalences identify elements whose principal left /
 right / two-sided ideals (L, R, I) or generated filters (N) coincide.
 Partitions are canonical: blocks are sorted by least element, so equal
-partitions compare and hash equal.
+partitions compare and hash equal.  A Partition built from caller-given
+blocks validates them; the partitions this module builds itself come
+from class labels that are valid by construction and skip that.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import InputError, OwnerError, Structure, Subset, table_cache
-from .ideals import IdealKind, _filter_gen_bits, _principal_bits
+from .ideals import IdealKind, _filter_gens, _principals
 
 _KINDS = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}
 
@@ -49,6 +51,20 @@ class Partition:
         self.structure = structure
         self.blocks = tuple(Subset(structure, b) for b in masks)
         self.class_of = tuple(class_of)
+
+    @classmethod
+    def _from_classes(cls, s: Structure, class_of: Sequence[int]) -> "Partition":
+        """The partition putting element e in block class_of[e], unchecked:
+        class_of must be a restricted growth string (block i first appears
+        after blocks 0..i-1), so blocks come out sorted by least element."""
+        masks = [0] * (max(class_of) + 1)
+        for e, c in enumerate(class_of):
+            masks[c] |= 1 << e
+        p = cls.__new__(cls)
+        p.structure = s
+        p.blocks = tuple(Subset(s, b) for b in masks)
+        p.class_of = tuple(class_of)
+        return p
 
     @classmethod
     def identity(cls, s: Structure) -> "Partition":
@@ -104,17 +120,14 @@ def relation_partition(s: Structure, which: str) -> Partition:
     if hit is not None:
         return hit
     if which == "N":
-        keyfn = lambda x: _filter_gen_bits(s, x)
+        keys = _filter_gens(s)
     elif which in _KINDS:
-        kind = _KINDS[which]
-        keyfn = lambda x: _principal_bits(s, x, kind)
+        keys = _principals(s, _KINDS[which])
     else:
         raise InputError(f"unknown relation {which!r}, expected one of L R I N")
-    groups: dict[int, list[int]] = {}
-    for x in range(s.n):
-        groups.setdefault(keyfn(x), []).append(x)
-    part = Partition(s, groups.values())
-    s._cache[key] = part
+    first: dict[int, int] = {}  # block number by key, in order of least element
+    part = s._cache[key] = Partition._from_classes(
+        s, [first.setdefault(k, len(first)) for k in keys])
     return part
 
 
@@ -194,27 +207,24 @@ def all_partitions(s: Structure) -> Iterator[Partition]:
     Bell(n) many; meant for exhaustive congruence searches at n <= 5.
     """
     for rgs in _growth_strings(s.n):
-        groups: dict[int, list[int]] = {}
-        for e, c in enumerate(rgs):
-            groups.setdefault(c, []).append(e)
-        yield Partition(s, groups.values())
+        yield Partition._from_classes(s, rgs)
 
 
 def semilattice_congruences(s: Structure) -> tuple[Partition, ...]:
     """Every semilattice congruence, in `all_partitions` order, memoised.
 
     Being one depends on the tables alone, so the sweep runs once per
-    `table_cache` and keeps the block lists; the other structures on the
+    `table_cache` and keeps the class labels; the other structures on the
     same tables build Partitions for the congruences only."""
-    key = ("semilattice_congruences",)
+    key = "semilattice_congruences"
     hit = s._cache.get(key)
     if hit is None:
         shared = table_cache(s)
-        blocks = shared.get(key)
-        if blocks is None:
+        labels = shared.get(key)
+        if labels is None:
             hit = tuple(p for p in all_partitions(s) if is_semilattice_congruence(s, p))
-            shared[key] = tuple(p.as_lists() for p in hit)
+            shared[key] = tuple(p.class_of for p in hit)
         else:
-            hit = tuple(Partition(s, b) for b in blocks)
+            hit = tuple(Partition._from_classes(s, c) for c in labels)
         s._cache[key] = hit
     return hit

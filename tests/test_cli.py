@@ -362,3 +362,15 @@ def test_usage_error(capsys):
 
 def test_no_command(capsys):
     assert main([]) == 2
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """Only `campaign --jobs N` with N > 1 imports multiprocessing, so
+    every other command, `--version` included, skips its import time."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gpw.__file__)))
+    code = ("import sys\nfrom gpw.cli import main\n"
+            "main(['--version'])\nprint('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["gpw", gpw.__version__, "False"]

@@ -45,6 +45,10 @@ def test_partial_order_counts():
         partial_orders(2, "chaotic")
 
 
+def test_partial_order_count_n5():
+    assert len(partial_orders(5)) == 4231  # OEIS A001035(5)
+
+
 def test_structure_counts():
     assert _count(EnumSpec(2, 1)) == 20
     assert _count(EnumSpec(3, 1)) == 971

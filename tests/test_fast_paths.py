@@ -3,12 +3,18 @@ product_bits / downset_bits / upset_bits, the ok(a)-meet form of
 Stmt1to2, the shared semilattice-congruence sweep, and the enumeration
 kernels (the padded, preimage-indexed fill check and the iterative fill
 with its node budget, mask compatibility join, automorphism-only iso
-filter), and the per-table sharing of table-only results, checked
-against structures built fresh from the same raw tables.
+filter, generative partial orders), the per-table sharing of table-only
+results, checked against structures built fresh from the same raw
+tables, and the element tables (per-element closures, principal ideals
+and generated filters, per-table ideal and relative-ideal families,
+memoised faces and unchecked internal partitions).
 
 The oracles are the plain loops over elements and subsets that the fast
 paths replaced; they share nothing with the code under test but the
-Structure's raw tables and order."""
+Structure's raw tables and order.  The element-table oracles are the
+per-call helpers that the tables replaced; they read products and
+closures through product_bits / downset_bits, which the mask-table
+oracles cover."""
 
 from __future__ import annotations
 
@@ -18,16 +24,20 @@ from functools import lru_cache
 from itertools import islice
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw import explore, harness
-from gpw.core import (Structure, bit_indices, downset_bits, product_bits, subset_masks,
-                      table_cache, upset_bits)
+from gpw import explore, harness, ideals
+from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
+                          left_regular_failure, relative_ideals, right_regular_failure)
+from gpw.core import (InputError, Structure, bit_indices, downset_bits, product_bits,
+                      subset_masks, table_cache, upset_bits)
 from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
                          random_structure)
 from gpw.gpsjson import dumps
-from gpw.relations import (all_partitions, is_semilattice_congruence,
-                           semilattice_congruences)
+from gpw.ideals import IdealKind
+from gpw.relations import (Partition, all_partitions, is_semilattice_congruence,
+                           relation_partition, semilattice_congruences)
 
 
 # reference loops
@@ -495,3 +505,289 @@ def test_table_verdicts_give_each_structure_its_own_witness(monkeypatch):
         assert not v.equivalent and v.witness == w.witness
         v.witness["T"].append(-1)
         assert v.witness != w.witness == check(second).witness
+
+
+# generative partial orders: the mask filter they replaced
+
+def ref_partial_orders(n: int) -> tuple:
+    """Every 0/1 matrix over the off-diagonal pairs, in mask order, kept
+    when antisymmetric and transitive."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    out = []
+    for mask in range(1 << len(pairs)):
+        leq = [[a == b for b in range(n)] for a in range(n)]
+        for i, (a, b) in enumerate(pairs):
+            if (mask >> i) & 1:
+                leq[a][b] = True
+        if any(a != b and leq[a][b] and leq[b][a] for a in range(n) for b in range(n)):
+            continue
+        if any(leq[a][b] and leq[b][c] and not leq[a][c]
+               for a in range(n) for b in range(n) for c in range(n)):
+            continue
+        out.append(tuple(tuple(row) for row in leq))
+    return tuple(out)
+
+
+def test_partial_orders_match_mask_filter():
+    for n in range(5):
+        assert explore.partial_orders(n) == ref_partial_orders(n), n
+
+
+# element tables: the per-call helpers they replaced
+
+KINDS = (IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED)
+
+
+def ref_ideal_bits(s, bits: int, kind) -> bool:
+    if not bits or downset_bits(s, bits) != bits:
+        return False
+    if kind is not IdealKind.RIGHT and product_bits(s, s.full, bits) & ~bits:
+        return False
+    return kind is IdealKind.LEFT or not product_bits(s, bits, s.full) & ~bits
+
+
+def ref_principal_bits(s, a: int, kind) -> int:
+    ab, m = 1 << a, s.full
+    if kind is IdealKind.LEFT:
+        seed = ab | product_bits(s, m, ab)
+    elif kind is IdealKind.RIGHT:
+        seed = ab | product_bits(s, ab, m)
+    else:
+        ma = product_bits(s, m, ab)
+        seed = ab | ma | product_bits(s, ab, m) | product_bits(s, ma, m)
+    return downset_bits(s, seed)
+
+
+def ref_all_ideal_bits(s, kind) -> tuple:
+    return tuple(m for m in subset_masks(s.n) if ref_ideal_bits(s, m, kind))
+
+
+def ref_closed_sandwich(s, mid: int) -> int:
+    return downset_bits(s, product_bits(s, product_bits(s, s.full, mid), s.full))
+
+
+def ref_pinned_failure(s, closure):
+    for x in range(s.n):
+        for g, t in zip(s.gamma_names, s.tables):
+            if not (closure(1 << t[x][x]) >> x) & 1:
+                return (x, g)
+    return None
+
+
+def ref_left_closure(s, mid: int) -> int:
+    return downset_bits(s, product_bits(s, s.full, mid))
+
+
+def ref_right_closure(s, mid: int) -> int:
+    return downset_bits(s, product_bits(s, mid, s.full))
+
+
+def ref_filter_gen_bits(s, x: int) -> int:
+    bits = 1 << x
+    while True:
+        new = bits | product_bits(s, bits, bits) | upset_bits(s, bits)
+        for t in s.tables:
+            for a in range(s.n):
+                for b in range(s.n):
+                    if (bits >> t[a][b]) & 1:
+                        new |= (1 << a) | (1 << b)
+        if new == bits:
+            return bits
+        bits = new
+
+
+def ref_n_formula_holds(s, side: str) -> bool:
+    closure = {"two": lambda b: ref_closed_sandwich(s, b),
+               "left": lambda b: ref_left_closure(s, b),
+               "right": lambda b: ref_right_closure(s, b)}[side]
+    closed = [closure(1 << y) for y in range(s.n)]
+    for x in range(s.n):
+        formula = 0
+        for y in range(s.n):
+            if (closed[y] >> x) & 1:
+                formula |= 1 << y
+        if formula != ref_filter_gen_bits(s, x):
+            return False
+    return True
+
+
+def ref_relative_ideal_bits(s, tbits: int, abits: int, kind) -> bool:
+    if not abits or abits & ~tbits:
+        return False
+    if kind is not IdealKind.RIGHT and product_bits(s, tbits, abits) & ~abits:
+        return False
+    if kind is not IdealKind.LEFT and product_bits(s, abits, tbits) & ~abits:
+        return False
+    return not downset_bits(s, abits) & tbits & ~abits
+
+
+def ref_submasks(tbits: int) -> list:
+    return sorted((a for a in range(1, tbits + 1) if not a & ~tbits),
+                  key=lambda m: (m.bit_count(), m))
+
+
+def ref_simple_bits(s, tbits: int, kind) -> bool:
+    return not any(a != tbits and ref_relative_ideal_bits(s, tbits, a, kind)
+                   for a in ref_submasks(tbits))
+
+
+def ref_relation_partition(s, which: str) -> Partition:
+    if which == "N":
+        key = lambda x: ref_filter_gen_bits(s, x)
+    else:
+        kind = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}[which]
+        key = lambda x: ref_principal_bits(s, x, kind)
+    groups: dict = {}
+    for x in range(s.n):
+        groups.setdefault(key(x), []).append(x)
+    return Partition(s, groups.values())
+
+
+def element_tables(s) -> dict:
+    """Everything the element tables answer for s, in a fixed layout."""
+    closures = ideals._element_closures(s)
+    masks = sorted(set(_subsemigroup_masks(s)) | {s.full})
+    return {
+        "closures": [list(c) for c in closures],
+        "principals": [list(ideals._principals(s, kind)) for kind in KINDS],
+        "ideals": [ideals._all_ideal_bits(s, kind) for kind in KINDS],
+        "filters": list(ideals._filter_gens(s)),
+        "failures": [intra_regular_failure(s), left_regular_failure(s),
+                     right_regular_failure(s)],
+        "n_formula": [harness._n_formula_holds(s, side) for side in ("two", "left", "right")],
+        "simple": [[_simple_bits(s, m, kind) for m in masks] for kind in KINDS],
+        "partitions": [relation_partition(s, w) for w in "LRIN"],
+    }
+
+
+def ref_element_tables(s) -> dict:
+    masks = sorted(set(_subsemigroup_masks(s)) | {s.full})
+    elems = range(s.n)
+    return {
+        "closures": [[ref_left_closure(s, 1 << e) for e in elems],
+                     [ref_right_closure(s, 1 << e) for e in elems],
+                     [ref_closed_sandwich(s, 1 << e) for e in elems]],
+        "principals": [[ref_principal_bits(s, e, kind) for e in elems] for kind in KINDS],
+        "ideals": [ref_all_ideal_bits(s, kind) for kind in KINDS],
+        "filters": [ref_filter_gen_bits(s, x) for x in elems],
+        "failures": [ref_pinned_failure(s, lambda b: ref_closed_sandwich(s, b)),
+                     ref_pinned_failure(s, lambda b: ref_left_closure(s, b)),
+                     ref_pinned_failure(s, lambda b: ref_right_closure(s, b))],
+        "n_formula": [ref_n_formula_holds(s, side) for side in ("two", "left", "right")],
+        "simple": [[ref_simple_bits(s, m, kind) for m in masks] for kind in KINDS],
+        "partitions": [ref_relation_partition(s, w) for w in "LRIN"],
+    }
+
+
+def _assert_element_tables_agree(s) -> None:
+    got = element_tables(s)
+    assert got == ref_element_tables(s)
+    for p, ref in zip(got["partitions"], ref_element_tables(s)["partitions"]):
+        assert p.blocks == ref.blocks and p.class_of == ref.class_of
+
+
+def test_element_tables_match_per_call_helpers_on_walk_corpus():
+    """The exhaustive corpus plus the first 2,000 n4k1 structures, walked
+    with shared table caches, so the per-table families are reused."""
+    corpus = walk_corpus()
+    for s in corpus:
+        _assert_element_tables_agree(s)
+    for s in exhaustive_corpus():
+        for tb in _subsemigroup_masks(s):
+            t = s.subset(bit_indices(tb))
+            for kind in KINDS:
+                assert [a.bits for a in relative_ideals(s, t, kind)] == \
+                    [a for a in ref_submasks(tb) if ref_relative_ideal_bits(s, tb, a, kind)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=10_000))
+def test_element_tables_match_per_call_helpers_on_samples(n, k, seed):
+    _assert_element_tables_agree(random_structure(n, k, seed))
+
+
+def test_element_tables_on_a_nilpotent_structure():
+    """A structure where the two-sided principal ideal of e needs its
+    M e M term, which none of the walk corpus needs: 0 is a zero,
+    a e = ae, e b = eb and ae b = a eb = aeb, every other product is 0,
+    and aeb lies in M e M only."""
+    zero, a, e, b, ae, eb, aeb = range(7)
+    table = [[zero] * 7 for _ in range(7)]
+    table[a][e], table[e][b], table[ae][b], table[a][eb] = ae, eb, aeb, aeb
+    s = Structure(7, ("g",), [table], [[x == y for y in range(7)] for x in range(7)])
+    _assert_element_tables_agree(s)
+    assert ideals._principals(s, IdealKind.TWO_SIDED)[e] == sum(
+        1 << x for x in (zero, e, ae, eb, aeb))
+
+
+def _table_families(s) -> dict:
+    """The per-table families in the table cache of s, product rows aside."""
+    return {key: val for key, val in table_cache(s).items() if key != "product_rows"}
+
+
+def test_table_families_never_cross_tables():
+    """Every family kept per table equals the one a structure with a cache
+    of its own builds from the same tables, so none leaks from another
+    table of the walk."""
+    checked = set()
+    for s in walk_corpus():
+        element_tables(s)
+        fresh = _fresh(s)
+        element_tables(fresh)
+        shared, own = _table_families(s), _table_families(fresh)
+        assert shared.keys() == own.keys()
+        assert shared == own
+        checked.update(k if isinstance(k, str) else k[0] for k in shared)
+    assert checked == {"side_products", "factor_table", "all_ideals", "absorbing",
+                       "all_subsemigroups"}
+
+
+def test_pickled_structure_rebuilds_element_tables():
+    s = list(islice(enumerate_structures(EnumSpec(4, 1)), 5))[-1]
+    before = element_tables(s)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy._cache == {} and table_cache(copy) == {}
+    assert element_tables(copy) == ref_element_tables(copy)
+    assert [list(p.class_of) for p in element_tables(copy)["partitions"]] == \
+        [list(p.class_of) for p in before["partitions"]]
+
+
+def test_faces_are_memoised_per_structure():
+    s = list(islice(enumerate_structures(EnumSpec(4, 1)), 7))[-1]
+    assert intra_regular_failure(s) is intra_regular_failure(s)
+    assert ideals._principals(s, IdealKind.LEFT) is ideals._principals(s, IdealKind.LEFT)
+    assert ideals._filter_gens(s) is ideals._filter_gens(s)
+    assert "intra_regular_failure" in s._cache
+    assert ("n_formula", "two") not in s._cache
+    harness.check_lemma3(s)
+    assert ("n_formula", "two") in s._cache
+
+
+# unchecked internal partitions against validated ones
+
+def test_internal_partitions_equal_validated_ones():
+    for s in exhaustive_corpus():
+        built = ([relation_partition(s, w) for w in "LRIN"]
+                 + list(semilattice_congruences(s)) + list(all_partitions(s)))
+        for p in built:
+            q = Partition(s, reversed(p.as_lists()))
+            assert p == q and p.blocks == q.blocks and p.class_of == q.class_of
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [1, 2, 3]],        # overlap
+    [[0, 1], [], [2, 3]],       # empty block
+    [[0, 1], [2, 3, 4]],        # out of range
+    [[0, 1], [2, -1, 3]],       # negative element
+    [[0, 1], [2]],              # 3 uncovered
+    [[0, 1], [2, True, 3]],     # not an int
+])
+def test_public_partitions_still_validate(blocks):
+    """The internal fast path leaves caller-given blocks checked, also on
+    a structure whose partitions and congruences are already built."""
+    s = list(islice(enumerate_structures(EnumSpec(4, 1)), 11))[-1]
+    element_tables(s)
+    semilattice_congruences(s)
+    with pytest.raises(InputError):
+        Partition(s, blocks)

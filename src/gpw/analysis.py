@@ -18,7 +18,7 @@ from typing import Iterator
 from .core import (PreconditionError, Structure, Subset, _owned, down_table,
                    downset_bits, product_bits, subset_masks, table_cache)
 from .ideals import (IdealKind, _absorbs, _all_ideal_bits, _element_closures,
-                     _ideal_bits)
+                     _two_sided_absorbing)
 from .relations import Partition, is_semilattice_congruence, relation_partition
 
 
@@ -99,14 +99,14 @@ def is_right_regular_legacy(s: Structure) -> bool:
 
 def is_left_duo(s: Structure) -> bool:
     """Every left ideal is two-sided."""
-    return all(_ideal_bits(s, b, IdealKind.TWO_SIDED)
-               for b in _all_ideal_bits(s, IdealKind.LEFT))
+    two = _two_sided_absorbing(s)
+    return all(b in two for b in _all_ideal_bits(s, IdealKind.LEFT))
 
 
 def is_right_duo(s: Structure) -> bool:
     """Every right ideal is two-sided."""
-    return all(_ideal_bits(s, b, IdealKind.TWO_SIDED)
-               for b in _all_ideal_bits(s, IdealKind.RIGHT))
+    two = _two_sided_absorbing(s)
+    return all(b in two for b in _all_ideal_bits(s, IdealKind.RIGHT))
 
 
 def _subsemigroup_bits(s: Structure, bits: int) -> bool:

@@ -28,7 +28,12 @@ few mask operations per order.
 Sampling reuses the same backtracking with shuffled value order and a
 node budget, counted by the fill itself: each value tried is a node.  The
 generator is seeded from (n, k, seed) so repeated calls agree byte for
-byte across runs and platforms.
+byte across runs and platforms.  The draw contract: every shuffle of
+range(n), one per depth the fill enters and one per candidate order, is
+the permutation `Random.shuffle` gives, drawn with the same
+`getrandbits` calls (`_shuffler` makes them directly), so the values
+tried, the nodes counted and the generator state at every exhausted
+attempt are those of a loop that calls `rng.shuffle`.
 """
 
 from __future__ import annotations
@@ -383,19 +388,43 @@ _NODE_BUDGET = 25_000
 _ATTEMPTS = 40
 
 
+def _shuffler(rng: random.Random, n: int) -> Callable[[], list[int]]:
+    """A function returning a new shuffle of range(n) at each call, the
+    one `rng.shuffle(list(range(n)))` would give, from the same draws.
+
+    CPython's `Random.shuffle` swaps position i with j = `_randbelow(i + 1)`
+    for i from n - 1 down to 1, and `_randbelow(m)` draws
+    `getrandbits(m.bit_length())` until the draw is below m; this makes
+    those `getrandbits` calls itself and skips the per-swap method calls.
+    """
+    getrandbits = rng.getrandbits
+    base = list(range(n))
+    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+    def shuffled() -> list[int]:
+        vals = base[:]
+        for i, bits in steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            vals[i], vals[j] = vals[j], vals[i]
+        return vals
+
+    return shuffled
+
+
 def _random_tables(n: int, k: int, rng: random.Random,
                    max_nodes: int, attempts: int) -> tuple:
     """Randomized fill with restarts.
 
     A single randomized descent occasionally commits to a refutation-heavy
     region, so each attempt gets its own node budget and a fresh shuffle;
-    the median attempt finishes in well under a thousand nodes.
+    the median attempt finishes in well under a thousand nodes.  Each
+    depth the fill enters tries the values in the order of a fresh
+    `_shuffler` draw, the permutation and RNG state that
+    `rng.shuffle(list(range(n)))` would give there.
     """
-    def values() -> list[int]:
-        vals = list(range(n))
-        rng.shuffle(vals)
-        return vals
-
+    values = _shuffler(rng, n)
     for _ in range(attempts):
         try:
             tables = next(_fill(n, k, values, max_nodes), None)
@@ -412,9 +441,9 @@ def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
     """A compatible order: thinned random linear extensions, with the
     trivial order as the always-compatible fallback."""
     req = _requirements(tables, n)
+    shuffled = _shuffler(rng, n)
     for _ in range(20):
-        perm = list(range(n))
-        rng.shuffle(perm)
+        perm = shuffled()
         leq = [[a == b for b in range(n)] for a in range(n)]
         for i in range(n):
             for j in range(i + 1, n):

@@ -27,7 +27,8 @@ from .core import (InputError, Structure, bit_indices, downset_bits, product_bit
                    subset_masks, table_cache)
 from .ideals import (IdealKind, _all_ideal_bits, _chain_break_bits, _element_closures,
                      _filter_gens, _ideal_bits, _prime_bits, _principals,
-                     _semiprime_bits, _weakly_prime_bits, ideals_form_chain)
+                     _semiprime_bits, _two_sided_absorbing, _weakly_prime_bits,
+                     ideals_form_chain)
 from .relations import relation_partition, semilattice_congruences
 
 THEOREM_IDS = (
@@ -394,6 +395,7 @@ def _theorem21_side(s: Structure, side: str, partition_cap: int) -> dict:
     pn = relation_partition(s, "N")
     dec = decompose(s)
     ideals = _all_ideal_bits(s, kind)
+    two = _two_sided_absorbing(s)
     if left:
         regular_duo = is_left_regular(s) and is_left_duo(s)
         simple_classes = all(v.is_left_simple for v in dec.class_verdicts)
@@ -410,8 +412,7 @@ def _theorem21_side(s: Structure, side: str, partition_cap: int) -> dict:
         tag + "4": all(_union_of_blocks(s, b, pn) for b in ideals),
         tag + "5": simple_classes,
         tag + "6": dec.is_semilattice_congruence and simple_classes,
-        tag + "7": all(_semiprime_bits(s, b)
-                       and _ideal_bits(s, b, IdealKind.TWO_SIDED) for b in ideals),
+        tag + "7": all(_semiprime_bits(s, b) and b in two for b in ideals),
     }
     if s.n <= partition_cap:
         c[tag + "6e"] = _exists_semilattice_all_simple(s, kind, chain=False)

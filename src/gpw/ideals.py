@@ -108,13 +108,32 @@ def _all_ideal_bits(s: Structure, kind: IdealKind) -> tuple[int, ...]:
     key = ("all_ideals", kind._value_)
     hit = s._cache.get(key)
     if hit is None:
-        shared = table_cache(s)
-        absorbing = shared.get(key)
-        if absorbing is None:
-            absorbing = shared[key] = tuple(
-                m for m in subset_masks(s.n) if _absorbs(s, s.full, m, kind))
         down = down_table(s)
-        hit = s._cache[key] = tuple(m for m in absorbing if down[m] == m)
+        hit = s._cache[key] = tuple(m for m in _absorbing(s, kind) if down[m] == m)
+    return hit
+
+
+def _absorbing(s: Structure, kind: IdealKind) -> tuple[int, ...]:
+    """The nonempty masks that absorb products on the kind's sides, in
+    `subset_masks` order; they read the tables alone, so once per
+    `table_cache`."""
+    shared = table_cache(s)
+    key = ("all_ideals", kind._value_)
+    hit = shared.get(key)
+    if hit is None:
+        hit = shared[key] = tuple(
+            m for m in subset_masks(s.n) if _absorbs(s, s.full, m, kind))
+    return hit
+
+
+def _two_sided_absorbing(s: Structure) -> frozenset[int]:
+    """`_absorbing(s, TWO_SIDED)` as a set, once per `table_cache`: a left
+    or right ideal, already nonempty and down-closed, is two-sided exactly
+    when it is a member."""
+    shared = table_cache(s)
+    hit = shared.get("two_sided_absorbing")
+    if hit is None:
+        hit = shared["two_sided_absorbing"] = frozenset(_absorbing(s, _TWO_SIDED))
     return hit
 
 

@@ -3,6 +3,7 @@ and the pinned-versus-legacy separation facts."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from gpw.core import InputError, validate
 from gpw.explore import (And, EnumSpec, Not, Or, Pred, PREDICATES,
                          SamplingBudgetError, enumerate_structures, eval_expr,
                          parse_expr, partial_orders, random_structure, search)
-from gpw.gpsjson import digest, to_obj
+from gpw.gpsjson import digest, dumps, to_obj
 
 
 def _count(spec: EnumSpec) -> int:
@@ -119,6 +120,44 @@ def test_random_structure_seed_env(monkeypatch):
     assert to_obj(random_structure(3, 1)) == to_obj(random_structure(3, 1, seed=7))
     monkeypatch.delenv("GPW_SEED")
     assert to_obj(random_structure(3, 1)) == to_obj(random_structure(3, 1, seed=0))
+
+
+# SHA-256 of dumps(random_structure(n, k, seed)) for seeds 0..9, recorded
+# before the sampler drew its shuffles itself; they hold on every CPython
+# whose Random.shuffle makes the draws that `explore._shuffler` replays
+SAMPLED_DIGESTS = {
+    (3, 1): (
+        "6eee2cf71e40b72f7fafe28ec87c418f699f90316a69984ef743244a185c274f",
+        "f799c477830d791a2ce3a50a06cc8c251a9f19fd5d31aae48816ddfb980bc2e2",
+        "650aec7474b27b5541354e0fed645930fadc4ab42ff2ce690dd62e033a2159a0",
+        "f0bd85e76389a0c61c4e4f92606b00b167daeb384e69c8d28d36a49a85e4c04c",
+        "a422640b98d09a90b3fcbd5cf22d83d838774e7f25a1826bb412afb0cf0e02c3",
+        "640a29f6cd7d0178efc85af66564e2d485127a2490df454c0b940fd6e93392b3",
+        "51072d65d31418ba1fbee2d956aed90c6d5952e00f4665cd772cc1a8188eeab7",
+        "4f703da4a7f63d04b9c0f1dff6e24febaf3731efe8e56a7be6571a517375ce55",
+        "3741359e32d904810a3eb19c1fcd19069b590399789f8d19e4ea6ce5ecde06e3",
+        "75e52d9e4706874a1060b278d76320c380d9121d6b6de379b9ec014fb0b79f28",
+    ),
+    (4, 2): (
+        "69891805a28816b315ee64577463f369d7799f10d77f83f0883ee490abaa0630",
+        "6c1892e2c1fab49800f198fb55fd7b9ba49f0195d01132d0e6c01dabf6917f9b",
+        "1eaf6a8c9c0d525e5dacaf1d770e1a0aeb03e30e4e46802a5e9b7bf67a3bb9ab",
+        "6669a27b8525cf1708d91444efd8d8e56eb14456cae6b95eef69462ad0401591",
+        "7c337081a80584075f0d9f47bbb8b11fa0b61e34f6f44cbe2b43cef697d8d7ae",
+        "99c66f5c5179ff80444b870f0d4c935e3a4f1423d3ed063b6528d5d7c2c26d7c",
+        "b1a77a19a8be4bda5e84c9c40bee5824485a5ada3a0b8a6ef153f8367f5d6081",
+        "2f7c3e2abebdcdf105e02ed5c8875085d60df785a10bc4ee09402b15e338d292",
+        "2b59becc28c3a80d2615be264ece8b0594cab8ee57ca6a2d4cb7fd83bad494ac",
+        "a4ae666dc370aefb23ab5a20c1766b8aa246c64b89fc748cbd7b1acc70257109",
+    ),
+}
+
+
+def test_random_structure_digests_pinned():
+    for (n, k), expected in SAMPLED_DIGESTS.items():
+        got = tuple(hashlib.sha256(dumps(random_structure(n, k, seed)).encode()).hexdigest()
+                    for seed in range(10))
+        assert got == expected, (n, k)
 
 
 def test_random_structure_seeds_spread():

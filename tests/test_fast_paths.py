@@ -29,7 +29,8 @@ from hypothesis import given, settings, strategies as st
 
 from gpw import explore, harness, ideals
 from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
-                          left_regular_failure, relative_ideals, right_regular_failure)
+                          is_left_duo, is_right_duo, left_regular_failure,
+                          relative_ideals, right_regular_failure)
 from gpw.core import (InputError, Structure, bit_indices, downset_bits, product_bits,
                       subset_masks, table_cache, upset_bits)
 from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
@@ -427,6 +428,35 @@ def test_sampler_budget_matches_plain_loops():
     assert any(outcomes) and not all(outcomes)
 
 
+def test_shuffler_replays_random_shuffle():
+    """The sampler's draw is `Random.shuffle` of range(n): the same
+    permutation, and the generator left in the same state."""
+    for n in range(1, 9):
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            expected = list(range(n))
+            ref.shuffle(expected)
+            assert explore._shuffler(rng, n)() == expected, (n, seed)
+            assert rng.getstate() == ref.getstate(), (n, seed)
+    rng = random.Random(0)
+    explore._shuffler(rng, 1)()
+    assert rng.getstate() == random.Random(0).getstate()  # n = 1 draws nothing
+
+
+def test_sampler_makes_as_many_cell_checks_as_plain_loops(monkeypatch):
+    """Equal check counts on the seeds of test_sampler_matches_plain_loops:
+    the sampler walks the plain loops' search tree, not only its output."""
+    calls, ref_calls = [0], [0]
+    monkeypatch.setattr(explore, "_cell_ok", _counting(explore._cell_ok, calls))
+    monkeypatch.setitem(globals(), "ref_cell_ok", _counting(ref_cell_ok, ref_calls))
+    for i in range(50):
+        seed = f"fast:{i}"
+        calls[0] = ref_calls[0] = 0
+        random_structure(4, 2, seed)
+        ref_random_structure(4, 2, seed)
+        assert calls[0] == ref_calls[0] > 0, seed
+
+
 # per-table sharing: walk structures against fresh ones
 
 def walk_corpus() -> list:
@@ -719,6 +749,23 @@ def test_element_tables_on_a_nilpotent_structure():
     _assert_element_tables_agree(s)
     assert ideals._principals(s, IdealKind.TWO_SIDED)[e] == sum(
         1 << x for x in (zero, e, ae, eb, aeb))
+
+
+def test_duo_and_thm21_face7_match_ideal_bits_form():
+    """The two-sided test by membership in the table's absorbing masks
+    agrees with `_ideal_bits` on every one-sided ideal."""
+    seen = set()
+    for s in walk_corpus():
+        for kind, is_duo, tag in ((IdealKind.LEFT, is_left_duo, "L"),
+                                  (IdealKind.RIGHT, is_right_duo, "R")):
+            one_sided = ideals._all_ideal_bits(s, kind)
+            duo = all(ideals._ideal_bits(s, b, IdealKind.TWO_SIDED) for b in one_sided)
+            assert is_duo(s) == duo
+            face7 = all(ideals._semiprime_bits(s, b)
+                        and ideals._ideal_bits(s, b, IdealKind.TWO_SIDED) for b in one_sided)
+            assert harness.check_theorem21(s).condition_values[tag + "7"] == face7
+            seen.add((duo, face7))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def _table_families(s) -> dict:

@@ -203,6 +203,15 @@ class Subset:
         return f"Subset({self.elements()})"
 
 
+def _unchecked_subset(s: Structure, bits: int) -> Subset:
+    """The Subset of `bits`, which the caller guarantees lies within the
+    carrier of s, built without `__post_init__`'s range check."""
+    sub = object.__new__(Subset)
+    object.__setattr__(sub, "structure", s)
+    object.__setattr__(sub, "bits", bits)
+    return sub
+
+
 def _owned(s: Structure, a: Subset) -> int:
     if not isinstance(a, Subset):
         raise InputError(f"expected a Subset, got {a!r}")

@@ -8,7 +8,12 @@ Its tables are padded: an extra row n and column n, and n in every
 unfilled cell, so a product with an unfilled factor is n and the check
 needs no separate test for it.  The fill also keeps, per operation and
 value, the list of filled cells with that product, so a new cell's check
-visits only the cells it can meet.
+visits only the cells it can meet.  Since cells are filled in a fixed
+order, every cell after the current one holds n; a liveness plan,
+computed once per (n, k), lists for each cell the rows and columns whose
+statically named cell comes no later, and the check scans only those.
+It skips only constraints that cannot fire, so the values tried, the
+nodes counted and the tables found are those of a full scan.
 Orders come from a cached enumeration that adds one element at a time,
 choosing the elements below and above it, sorted by the pair mask that
 fixes their order.  A structure is emitted only when every operation
@@ -86,14 +91,20 @@ class EnumSpec:
 
 # table generation
 
-def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int) -> bool:
+def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int,
+             rows: list, cols: list) -> bool:
     """Associativity constraints that the cell (g, a, b) just completed.
 
     `t` is the padded fill state (see `_fill`): an unfilled cell holds n,
     and so does every product with an unfilled factor, so a constraint
     with an unfilled cell compares against n and does not fire.  Each
     constraint is checked the moment its last participating cell gets a
-    value.  `pre[m][v]` lists filled cells (x, y) with x m y == v, so the
+    value.  The two inner-product families each name one cell statically:
+    x m (a g b) reads (m, x, a), and (a g b) m z reads (m, b, z).  `rows`
+    lists the rows t[m][x] and `cols` the triples (t[m], t[m][b], z) to
+    scan for them; the fill passes only those whose named cell can be
+    filled (`_fill_plan`), and passing every row and column gives the same
+    answer.  `pre[m][v]` lists filled cells (x, y) with x m y == v, so the
     two outer-product checks visit only the cells whose product is a or b;
     whether it lists the new cell does not matter, as the constraints that
     would read it there are inner-product ones too.  The family that
@@ -102,21 +113,21 @@ def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int) -> bool:
     tg = t[g]
     row_a = tg[a]
     v = row_a[b]
-    for tm in t:
+    for row in rows:
         # the new cell is the inner product of the right side: x m (a g b)
-        for row in tm:
-            rhs = row[v]
-            if rhs != n:
-                lhs = tg[row[a]][b]
-                if lhs != rhs and lhs != n:
-                    return False
-    for tm, pre_m in zip(t, pre):
+        rhs = row[v]
+        if rhs != n:
+            lhs = tg[row[a]][b]
+            if lhs != rhs and lhs != n:
+                return False
+    for tm, row_b, z in cols:
         # the new cell is the inner product of the left side: (a g b) m z
-        for lhs, w in zip(tm[v], tm[b]):
-            if lhs != n:
-                rhs = row_a[w]
-                if lhs != rhs and rhs != n:
-                    return False
+        lhs = tm[v][z]
+        if lhs != n:
+            rhs = row_a[row_b[z]]
+            if lhs != rhs and rhs != n:
+                return False
+    for tm, pre_m in zip(t, pre):
         # the new cell is the outer product of the left side: (x m y) g b, x m y == a
         for x, y in pre_m[a]:
             rhs = tm[x][tg[y][b]]
@@ -130,6 +141,30 @@ def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _fill_plan(n: int, k: int) -> tuple:
+    """The fill order with the liveness plan of each cell's check.
+
+    Cells (g, a, b) go by a, then b, then g.  Each entry is (g, a, b,
+    rows, cols): `rows` holds the (m, x) whose cell (m, x, a) comes no
+    later than (g, a, b), and `cols` the (m, z) whose cell (m, b, z) does.
+    Only those can be filled when the check at (g, a, b) runs; any other
+    holds n, so the constraint that names it cannot fire.
+    """
+    plan = []
+    filled = set()
+    for a in range(n):
+        for b in range(n):
+            for g in range(k):
+                filled.add((g, a, b))
+                plan.append((g, a, b,
+                             tuple((m, x) for m in range(k) for x in range(n)
+                                   if (m, x, a) in filled),
+                             tuple((m, z) for m in range(k) for z in range(n)
+                                   if (m, b, z) in filled)))
+    return tuple(plan)
+
+
 def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
           max_nodes: int | None = None) -> Iterator[tuple]:
     """Backtracking fill over the cells in fill order, trying the values
@@ -138,22 +173,28 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
 
     The state is padded: each table has an extra row n and column n, and
     an unfilled cell holds n, so a product with an unfilled factor is n.
-    The search is one loop over depths, each with its own value iterator;
-    a cell enters the preimage lists once its value is accepted.  With
+    The cells are filled in `_fill_plan` order, so at depth i every cell
+    before slot i holds a value and every cell after it holds n; each
+    slot's check scans only the rows and columns its plan names, bound to
+    this fill's tables once.  The search is one loop over depths, each
+    with its own value iterator; a cell enters the preimage lists once its
+    value is accepted, so each preimage list is in fill order.  With
     `max_nodes`, trying value number max_nodes + 1 raises _Exhausted.
     """
     t = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]
-    # per depth: the row holding the cell, its preimage lists, the cell
-    slots = [(t[g][a], pre[g], g, a, b, (a, b))
-             for a in range(n) for b in range(n) for g in range(k)]
+    # per depth: the row holding the cell, its preimage lists, the cell,
+    # and the live rows and columns of its check (see `_cell_ok`)
+    slots = [(t[g][a], pre[g], g, a, b, (a, b),
+              [t[m][x] for m, x in rows], [(t[m], t[m][b], z) for m, z in cols])
+             for g, a, b, rows, cols in _fill_plan(n, k)]
     last = len(slots) - 1
     left = -1 if max_nodes is None else max(max_nodes, 0)  # -1 never reaches 0
     its = [None] * len(slots)
     its[0] = iter(values())
     i = 0
     while i >= 0:
-        row, pre_g, g, a, b, cell = slots[i]
+        row, pre_g, g, a, b, cell, rows, cols = slots[i]
         v = row[b]
         if v != n:  # retreat from the value accepted last at this depth
             pre_g[v].pop()
@@ -162,7 +203,7 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
                 raise _Exhausted
             left -= 1
             row[b] = v
-            if _cell_ok(t, pre, n, g, a, b):
+            if _cell_ok(t, pre, n, g, a, b, rows, cols):
                 pre_g[v].append(cell)
                 break
         else:

@@ -5,14 +5,17 @@ right / two-sided ideals (L, R, I) or generated filters (N) coincide.
 Partitions are canonical: blocks are sorted by least element, so equal
 partitions compare and hash equal.  A Partition built from caller-given
 blocks validates them; the partitions this module builds itself come
-from class labels that are valid by construction and skip that.
+from class labels that are valid by construction and skip that.  Either
+way the block Subsets skip their own range check, as the blocks are
+already known to lie within the carrier.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import InputError, OwnerError, Structure, Subset, table_cache
+from .core import (InputError, OwnerError, Structure, Subset, _unchecked_subset,
+                   table_cache)
 from .ideals import IdealKind, _filter_gens, _principals
 
 _KINDS = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}
@@ -49,7 +52,7 @@ class Partition:
                 if (bits >> e) & 1:
                     class_of[e] = i
         self.structure = structure
-        self.blocks = tuple(Subset(structure, b) for b in masks)
+        self.blocks = tuple(_unchecked_subset(structure, b) for b in masks)
         self.class_of = tuple(class_of)
 
     @classmethod
@@ -62,7 +65,7 @@ class Partition:
             masks[c] |= 1 << e
         p = cls.__new__(cls)
         p.structure = s
-        p.blocks = tuple(Subset(s, b) for b in masks)
+        p.blocks = tuple(_unchecked_subset(s, b) for b in masks)
         p.class_of = tuple(class_of)
         return p
 

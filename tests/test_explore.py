@@ -150,6 +150,31 @@ SAMPLED_DIGESTS = {
         "2b59becc28c3a80d2615be264ece8b0594cab8ee57ca6a2d4cb7fd83bad494ac",
         "a4ae666dc370aefb23ab5a20c1766b8aa246c64b89fc748cbd7b1acc70257109",
     ),
+    # recorded before the fill's liveness plan
+    (5, 1): (
+        "fff435280bee2b3b84b6286cccecb2c77599058ff827785059828c80e02bb374",
+        "6caa91c9c43782a775c052eb2ff90fbf370b2ef434ee6185781b7afa40251d6d",
+        "0482cd600892e1f7a907cda8581cc181e7b79efbeefdb18b8c68c171e9ef654b",
+        "d2ee83eb885e13e2f7271a3a595fb06f8e0edc734e422de08031d801b186732f",
+        "eee97e10af5317c4a3466fbfe248aa4ef465601f32861f59c7252523abd7d14a",
+        "44414d4a4fca506746c2cf1a9539d12466445aecd0f70334d55c40581a6d9b1a",
+        "229b13d8f4a04e97b143ab24fc7e78a6fb55f8140917f04aa834e77411fb2c68",
+        "1c598bafd6c82ae7eb03c18c687fe3407107ac824eba69cc43dc96b9f010d1ed",
+        "9b4c161ae2da86d77aab98a6c1aef5e5e2138d378afbeb950e7bf96e1a3b489f",
+        "815b3e40994a89ffbe22e136a86a2d6cc8d5d769dd23bedaa23f85bb93e39981",
+    ),
+    (3, 3): (
+        "f62e482ad376f80c0416b2f9a3048a3e489fd34df636a19df7c1493465000084",
+        "0b087a6f833b7c1944d14507b97332127d75ba5bddd8a058c374aab6dc2bfed4",
+        "39bc092b81789cc0094294ebfd8d926a0821f01acf91326c4f1c1e37971c43cf",
+        "0960d2bed72aeeca92ce25ef7dd8fa824971696d1645b08b16ee1d635effa178",
+        "414b66aefb8abe17d18215756e404cb8e1ae5cbfa77439b2402bdceeb332f430",
+        "8114e97f25f6ea3dab6944925a338474ebc59a9c9a5e1dcda4200fff8fa34198",
+        "c2a735e41010b4cea689273d05598d8e04ab4f896a5d2939d6a386b2f33c046d",
+        "aeb66a00d9d4c93ed0090b7810e5f5f20b3c6040c0ab38ba1fa02a3da6b1809a",
+        "30cf3b7b0828caea7408350d6b590d4f697f4bb5df34aaf02023064ff8889ee3",
+        "343f224cec2ff4e5570df9598921dde443e57dc8188da0d2142bf5e7c3563497",
+    ),
 }
 
 

@@ -1,13 +1,14 @@
 """Brute-force oracles for the fast paths: the mask tables behind
 product_bits / downset_bits / upset_bits, the ok(a)-meet form of
 Stmt1to2, the shared semilattice-congruence sweep, and the enumeration
-kernels (the padded, preimage-indexed fill check and the iterative fill
-with its node budget, mask compatibility join, automorphism-only iso
-filter, generative partial orders), the per-table sharing of table-only
-results, checked against structures built fresh from the same raw
-tables, and the element tables (per-element closures, principal ideals
-and generated filters, per-table ideal and relative-ideal families,
-memoised faces and unchecked internal partitions).
+kernels (the padded, preimage-indexed fill check and its liveness plan,
+the iterative fill with its node budget, mask compatibility join,
+automorphism-only iso filter, generative partial orders), the per-table
+sharing of table-only results, checked against structures built fresh
+from the same raw tables, and the element tables (per-element
+closures, principal ideals and generated filters, per-table ideal and
+relative-ideal families, memoised faces and unchecked internal
+partitions).
 
 The oracles are the plain loops over elements and subsets that the fast
 paths replaced; they share nothing with the code under test but the
@@ -31,8 +32,8 @@ from gpw import explore, harness, ideals
 from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
                           is_left_duo, is_right_duo, left_regular_failure,
                           relative_ideals, right_regular_failure)
-from gpw.core import (InputError, Structure, bit_indices, downset_bits, product_bits,
-                      subset_masks, table_cache, upset_bits)
+from gpw.core import (InputError, Structure, Subset, bit_indices, downset_bits,
+                      product_bits, subset_masks, table_cache, upset_bits)
 from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
                          random_structure)
 from gpw.gpsjson import dumps
@@ -302,9 +303,123 @@ def test_padded_cell_ok_matches_table_scan(data):
               for tm in t]
     pre = [[[(x, y) for x in range(n) for y in range(n) if tm[x][y] == v]
             for v in range(n)] for tm in t]
-    assert explore._cell_ok(padded, pre, n, g, a, b) == expected
+    rows, cols = _all_rows_and_cols(padded, n, b)
+    assert explore._cell_ok(padded, pre, n, g, a, b, rows, cols) == expected
     pre[g][t[g][a][b]].remove((a, b))
-    assert explore._cell_ok(padded, pre, n, g, a, b) == expected
+    assert explore._cell_ok(padded, pre, n, g, a, b, rows, cols) == expected
+
+
+def _all_rows_and_cols(padded, n, b):
+    """Every row and column of the two inner-product scans, unpruned."""
+    return ([tm[x] for tm in padded for x in range(n)],
+            [(tm, tm[b], z) for tm in padded for z in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_live_plan_matches_table_scan_on_fill_states(data):
+    """On the states the fill reaches (every cell before (g, a, b) in fill
+    order filled, every cell after it unfilled, preimage lists in fill
+    order), the check over the plan's live rows and columns agrees with
+    the whole-table scan.  Filled cells come from a sampled complete
+    table, each possibly replaced, so both verdicts occur."""
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    base = random_structure(n, k, data.draw(st.integers(0, 9))).tables
+    plan = explore._fill_plan(n, k)
+    depth = data.draw(st.integers(0, len(plan) - 1))
+    t = [[[-1] * n for _ in range(n)] for _ in range(k)]
+    pre = [[[] for _ in range(n)] for _ in range(k)]
+    for g, a, b, _, _ in plan[:depth + 1]:
+        t[g][a][b] = data.draw(st.one_of(st.just(base[g][a][b]), st.integers(0, n - 1)))
+    for g, a, b, _, _ in plan[:depth]:
+        pre[g][t[g][a][b]].append((a, b))
+    g, a, b, rows, cols = plan[depth]
+    padded = [[[n if x < 0 else x for x in row] + [n] for row in tm] + [[n] * (n + 1)]
+              for tm in t]
+    live_rows = [padded[m][x] for m, x in rows]
+    live_cols = [(padded[m], padded[m][b], z) for m, z in cols]
+    expected = ref_cell_ok(t, n, k, g, a, b)
+    assert explore._cell_ok(padded, pre, n, g, a, b, live_rows, live_cols) == expected
+    assert explore._cell_ok(padded, pre, n, g, a, b,
+                            *_all_rows_and_cols(padded, n, b)) == expected
+
+
+def test_live_plan_prunes_what_the_fill_order_leaves_unfilled():
+    """The plan of (g, a, b): rows x < a, and x == a when (m, a, a) comes
+    first (a < b, or a == b and m <= g); for b < a every column, for
+    b == a the columns z < a and z == a for m <= g, for b > a none."""
+    for n, k in ((1, 1), (3, 1), (2, 3), (4, 2)):
+        for g, a, b, rows, cols in explore._fill_plan(n, k):
+            assert rows == tuple((m, x) for m in range(k) for x in range(n)
+                                 if x < a or (x == a and (a < b or (a == b and m <= g))))
+            assert cols == tuple((m, z) for m in range(k) for z in range(n)
+                                 if b < a or (b == a and (z < a or (z == a and m <= g))))
+
+
+def ref_padded_cell_ok(t, pre, n, g, a, b) -> bool:
+    """The padded, preimage-indexed check as it was before the liveness
+    plan: every row and column of both inner-product families."""
+    tg = t[g]
+    row_a = tg[a]
+    v = row_a[b]
+    for tm in t:
+        for row in tm:
+            rhs = row[v]
+            if rhs != n:
+                lhs = tg[row[a]][b]
+                if lhs != rhs and lhs != n:
+                    return False
+    for tm, pre_m in zip(t, pre):
+        for lhs, w in zip(tm[v], tm[b]):
+            if lhs != n:
+                rhs = row_a[w]
+                if lhs != rhs and rhs != n:
+                    return False
+        for x, y in pre_m[a]:
+            rhs = tm[x][tg[y][b]]
+            if rhs != v and rhs != n:
+                return False
+        for y, z in pre_m[b]:
+            lhs = tm[row_a[y]][z]
+            if lhs != v and lhs != n:
+                return False
+    return True
+
+
+def ref_padded_tables(n, k):
+    """A recursive padded fill in the same cell and value order, checking
+    with `ref_padded_cell_ok`."""
+    cells = [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
+    t = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(k)]
+    pre = [[[] for _ in range(n)] for _ in range(k)]
+
+    def rec(i):
+        if i == len(cells):
+            yield tuple(tuple(tuple(r[:n]) for r in tg[:n]) for tg in t)
+            return
+        g, a, b = cells[i]
+        for v in range(n):
+            t[g][a][b] = v
+            if ref_padded_cell_ok(t, pre, n, g, a, b):
+                pre[g][v].append((a, b))
+                yield from rec(i + 1)
+                pre[g][v].pop()
+        t[g][a][b] = n
+
+    yield from rec(0)
+
+
+def test_fill_matches_padded_fill_without_plan(monkeypatch):
+    """Slices beyond SMALL_SLICES, the three-operation ones among them:
+    the same tables from the same number of checks as the full scan."""
+    calls, ref_calls = [0], [0]
+    monkeypatch.setattr(explore, "_cell_ok", _counting(explore._cell_ok, calls))
+    monkeypatch.setitem(globals(), "ref_padded_cell_ok",
+                        _counting(ref_padded_cell_ok, ref_calls))
+    for n, k in ((4, 1), (1, 3), (2, 3)):
+        calls[0] = ref_calls[0] = 0
+        assert list(explore._associative_tables(n, k)) == list(ref_padded_tables(n, k))
+        assert calls[0] == ref_calls[0] > 0, (n, k)
 
 
 def test_compatible_and_canonical_match_loops_on_every_pair():
@@ -820,6 +935,21 @@ def test_internal_partitions_equal_validated_ones():
         for p in built:
             q = Partition(s, reversed(p.as_lists()))
             assert p == q and p.blocks == q.blocks and p.class_of == q.class_of
+
+
+def test_partition_blocks_are_plain_subsets():
+    """Blocks built without the range check are Subsets like any other:
+    same type, fields, equality and hash; Subset itself still checks."""
+    s = list(islice(enumerate_structures(EnumSpec(4, 1)), 11))[-1]
+    for p in [Partition(s, [[0, 2], [1], [3]]), relation_partition(s, "L"),
+              *all_partitions(s)]:
+        for blk in p.blocks:
+            checked = Subset(s, blk.bits)
+            assert type(blk) is Subset and vars(blk) == vars(checked)
+            assert blk == checked and hash(blk) == hash(checked)
+    for bits in (-1, s.full + 1, "1"):
+        with pytest.raises(InputError):
+            Subset(s, bits)
 
 
 @pytest.mark.parametrize("blocks", [

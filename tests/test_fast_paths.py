@@ -19,6 +19,8 @@ oracles cover."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 import random
 from functools import lru_cache
@@ -593,14 +595,30 @@ def _results(s) -> tuple:
             {name: fn(s) for name, fn in explore.PREDICATES.items()})
 
 
+def _verdict_digest(verdict_lists) -> str:
+    """SHA-256 over the JSON of each structure's verdict dicts, in order."""
+    h = hashlib.sha256()
+    for verdicts in verdict_lists:
+        h.update(json.dumps(verdicts, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def test_shared_table_results_match_fresh_structures():
     """Whichever structure of a table computes its table-only results
     first, in walk order or in reverse, every verdict and predicate equals
-    that of a structure with a cache of its own."""
+    that of a structure with a cache of its own.  The verdict bytes are
+    pinned, on this corpus and on 100 sampled n4k2 structures."""
     expected = [_results(_fresh(s)) for s in walk_corpus()]
     assert len(expected) == 1026 + 2000
-    assert [_results(s) for s in walk_corpus()] == expected
+    walked = [_results(s) for s in walk_corpus()]
+    assert walked == expected
     assert [_results(s) for s in reversed(walk_corpus())] == expected[::-1]
+    assert _verdict_digest(v for v, _ in walked) == (
+        "ea182f02c16ee02993d65bf394ed5f8f5c05e62e65ec4d67476eddfa2f28e73e")
+    sampled = ([v.as_dict() for v in harness.check_all(random_structure(4, 2, seed=f"7:{i}"))]
+               for i in range(100))
+    assert _verdict_digest(sampled) == (
+        "3aa1ad53d7649f2049884ab234decaa0521c9c7c1860cadb5e8b813dc17aed25")
 
 
 def test_table_cache_is_shared_per_table():

@@ -12,12 +12,11 @@ intra-regularity, a premise of most claims, is memoised per structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
-from typing import Iterator
+from functools import cmp_to_key
 
 from .core import (PreconditionError, Structure, Subset, _owned, down_table,
                    downset_bits, product_bits, subset_masks, table_cache)
-from .ideals import (IdealKind, _absorbs, _all_ideal_bits, _element_closures,
+from .ideals import (IdealKind, _absorbing, _all_ideal_bits, _element_closures,
                      _two_sided_absorbing)
 from .relations import Partition, is_semilattice_congruence, relation_partition
 
@@ -50,10 +49,19 @@ def is_intra_regular_legacy(s: Structure) -> bool:
 
 
 def intra_regular_legacy_failure(s: Structure):
+    return _legacy_failure(s, "MxxM")
+
+
+def _legacy_failure(s: Structure, word: str):
+    """First (x,) with x outside the down-closure of the set product the
+    word spells, "M" the carrier and "x" the singleton {x}, multiplied
+    left to right; or None."""
     m = s.full
     for x in range(s.n):
         xb = 1 << x
-        w = product_bits(s, product_bits(s, product_bits(s, m, xb), xb), m)
+        w = m if word[0] == "M" else xb
+        for c in word[1:]:
+            w = product_bits(s, w, m if c == "M" else xb)
         if not (downset_bits(s, w) >> x) & 1:
             return (x,)
     return None
@@ -78,35 +86,26 @@ def right_regular_failure(s: Structure):
 
 
 def is_left_regular_legacy(s: Structure) -> bool:
-    m = s.full
-    for x in range(s.n):
-        xb = 1 << x
-        w = product_bits(s, product_bits(s, m, xb), xb)
-        if not (downset_bits(s, w) >> x) & 1:
-            return False
-    return True
+    return _legacy_failure(s, "Mxx") is None
 
 
 def is_right_regular_legacy(s: Structure) -> bool:
-    m = s.full
-    for x in range(s.n):
-        xb = 1 << x
-        w = product_bits(s, product_bits(s, xb, xb), m)
-        if not (downset_bits(s, w) >> x) & 1:
-            return False
-    return True
+    return _legacy_failure(s, "xxM") is None
 
 
 def is_left_duo(s: Structure) -> bool:
     """Every left ideal is two-sided."""
-    two = _two_sided_absorbing(s)
-    return all(b in two for b in _all_ideal_bits(s, IdealKind.LEFT))
+    return _duo(s, IdealKind.LEFT)
 
 
 def is_right_duo(s: Structure) -> bool:
     """Every right ideal is two-sided."""
+    return _duo(s, IdealKind.RIGHT)
+
+
+def _duo(s: Structure, kind: IdealKind) -> bool:
     two = _two_sided_absorbing(s)
-    return all(b in two for b in _all_ideal_bits(s, IdealKind.RIGHT))
+    return all(b in two for b in _all_ideal_bits(s, kind))
 
 
 def _subsemigroup_bits(s: Structure, bits: int) -> bool:
@@ -135,7 +134,7 @@ def all_subsemigroups(s: Structure) -> list[Subset]:
 
 def _relative_ideal_bits(s: Structure, tbits: int, abits: int, kind: IdealKind) -> bool:
     # downward closure relative to T under the ambient order
-    return (abits in _absorbing_within(s, tbits, kind)
+    return (abits in _absorbing(s, kind, tbits)
             and not downset_bits(s, abits) & tbits & ~abits)
 
 
@@ -152,71 +151,46 @@ def is_relative_ideal(s: Structure, t: Subset, a: Subset,
     return _relative_ideal_bits(s, tbits, _owned(s, a), kind)
 
 
-@lru_cache(maxsize=None)
-def _masks_within(tbits: int) -> tuple[int, ...]:
-    # nonempty submasks of tbits, ascending by popcount then value
-    subs = []
-    sub = tbits
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & tbits
-    subs.sort(key=lambda m: (m.bit_count(), m))
-    return tuple(subs)
-
-
-def _absorbing_within(s: Structure, tbits: int, kind: IdealKind) -> tuple[int, ...]:
-    """The nonempty submasks A of T, in `_masks_within` order, that absorb
-    T on the kind's sides: the relative ideals of T before the order has
-    its say.  They read the tables alone, so once per `table_cache`."""
-    key = ("absorbing", tbits, kind._value_)
-    shared = table_cache(s)
-    hit = shared.get(key)
-    if hit is None:
-        hit = shared[key] = tuple(
-            a for a in _masks_within(tbits) if _absorbs(s, tbits, a, kind))
-    return hit
-
-
 def relative_ideals(s: Structure, t: Subset,
                     kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subset]:
     """Every ideal of the subsemigroup T, brute force over subsets of T."""
     tbits = _owned(s, t)
     _require_subsemigroup(s, tbits)
-    return [Subset(s, a) for a in _absorbing_within(s, tbits, kind)
+    return [Subset(s, a) for a in _absorbing(s, kind, tbits)
             if not downset_bits(s, a) & tbits & ~a]
 
 
 def _simple_bits(s: Structure, tbits: int, kind: IdealKind) -> bool:
     """T has no relative ideal of the kind but itself: no proper member
-    of `_absorbing_within` is down-closed inside T under this
+    of `_absorbing(s, kind, T)` is down-closed inside T under this
     structure's order."""
     key = ("simple", tbits, kind._value_)
     hit = s._cache.get(key)
     if hit is None:
         down = down_table(s)
         hit = s._cache[key] = all(down[a] & tbits & ~a
-                                  for a in _absorbing_within(s, tbits, kind)
+                                  for a in _absorbing(s, kind, tbits)
                                   if a != tbits)
     return hit
 
 
 def is_simple(s: Structure, t: Subset) -> bool:
     """The subsemigroup T has no relative two-sided ideal besides itself."""
-    tbits = _owned(s, t)
-    _require_subsemigroup(s, tbits)
-    return _simple_bits(s, tbits, IdealKind.TWO_SIDED)
+    return _is_simple_of_kind(s, t, IdealKind.TWO_SIDED)
 
 
 def is_left_simple(s: Structure, t: Subset) -> bool:
-    tbits = _owned(s, t)
-    _require_subsemigroup(s, tbits)
-    return _simple_bits(s, tbits, IdealKind.LEFT)
+    return _is_simple_of_kind(s, t, IdealKind.LEFT)
 
 
 def is_right_simple(s: Structure, t: Subset) -> bool:
+    return _is_simple_of_kind(s, t, IdealKind.RIGHT)
+
+
+def _is_simple_of_kind(s: Structure, t: Subset, kind: IdealKind) -> bool:
     tbits = _owned(s, t)
     _require_subsemigroup(s, tbits)
-    return _simple_bits(s, tbits, IdealKind.RIGHT)
+    return _simple_bits(s, tbits, kind)
 
 
 @dataclass

@@ -6,6 +6,10 @@ are byte-identical across runs and across --jobs values, except for the
 "timings" block, which is volatile by contract and must be ignored when
 comparing runs.
 
+Each `cmd_*` function returns its report sections, its exit code and the
+digest of the structure it read (None when it read none); `main` times
+the command and wraps and emits its report.
+
 Exit codes: 0 success, 1 a checked claim failed, 2 bad input or usage,
 3 a search exhausted its slice without finding a witness.
 """
@@ -119,14 +123,9 @@ def _load_valid(path: str) -> Structure:
     return s
 
 
-def _elements(bits_subset) -> list[int]:
-    return bits_subset.elements()
-
-
 # validate
 
-def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_validate(args) -> tuple[dict, int, str | None]:
     s = load(args.path)
     rep = validate(s)
     sections = {
@@ -135,11 +134,7 @@ def cmd_validate(args) -> int:
         "violations": [[name, list(w)] for name, w in rep.violations[:50]],
         "violation_count": len(rep.violations),
     }
-    report = _report("validate", sections,
-                     {"total_s": round(time.perf_counter() - t0, 6)},
-                     digest(s))
-    _emit(report, args)
-    return 0 if rep.ok else 2
+    return sections, 0 if rep.ok else 2, digest(s)
 
 
 # analyze
@@ -157,20 +152,19 @@ def _predicate_section(s: Structure) -> tuple[dict, dict]:
     return preds, wits
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze(args) -> tuple[dict, int, str | None]:
     s = _load_valid(args.path)
     preds, wits = _predicate_section(s)
     per_element = {}
     for x in range(s.n):
         per_element[str(x)] = {
-            "principal_left": _elements(principal(s, x, IdealKind.LEFT)),
-            "principal_right": _elements(principal(s, x, IdealKind.RIGHT)),
-            "principal_two_sided": _elements(principal(s, x, IdealKind.TWO_SIDED)),
-            "filter": _elements(filter_gen(s, x)),
+            "principal_left": principal(s, x, IdealKind.LEFT).elements(),
+            "principal_right": principal(s, x, IdealKind.RIGHT).elements(),
+            "principal_two_sided": principal(s, x, IdealKind.TWO_SIDED).elements(),
+            "filter": filter_gen(s, x).elements(),
         }
     ideal_lists = {
-        kind.value: [_elements(a) for a in all_ideals(s, kind)]
+        kind.value: [a.elements() for a in all_ideals(s, kind)]
         for kind in (IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED)
     }
     partitions = {which: relation_partition(s, which).as_lists()
@@ -180,7 +174,7 @@ def cmd_analyze(args) -> int:
     decomposition = {
         "blocks": dec.partition.as_lists(),
         "classes": [{
-            "block": _elements(v.block),
+            "block": v.block.elements(),
             "is_subsemigroup": v.is_subsemigroup,
             "is_simple": v.is_simple,
             "is_left_simple": v.is_left_simple,
@@ -200,17 +194,13 @@ def cmd_analyze(args) -> int:
         "predicate_witnesses": wits,
         "elements": per_element,
         "ideals": ideal_lists,
-        "filters": [_elements(f) for f in all_filters(s)],
+        "filters": [f.elements() for f in all_filters(s)],
         "partitions": partitions,
         "decomposition": decomposition,
         "maximal_simple_subsemigroups":
-            [_elements(t) for t in maximal_simple_subsemigroups(s)],
+            [t.elements() for t in maximal_simple_subsemigroups(s)],
     }
-    report = _report("analyze", sections,
-                     {"total_s": round(time.perf_counter() - t0, 6)},
-                     digest(s))
-    _emit(report, args)
-    return 0
+    return sections, 0, digest(s)
 
 
 # check
@@ -228,8 +218,7 @@ def _parse_theorems(text: str) -> tuple[str, ...]:
     return wanted
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_check(args) -> tuple[dict, int, str | None]:
     tids = _parse_theorems(args.theorems)
     s = _load_valid(args.path)
     verdicts = [check(s, tid) for tid in tids]
@@ -239,11 +228,7 @@ def cmd_check(args) -> int:
         "verdicts": [v.as_dict() for v in verdicts],
         "all_equivalent": ok,
     }
-    report = _report("check", sections,
-                     {"total_s": round(time.perf_counter() - t0, 6)},
-                     digest(s))
-    _emit(report, args)
-    return 0 if ok else 1
+    return sections, 0 if ok else 1, digest(s)
 
 
 # campaign
@@ -267,8 +252,7 @@ def _campaign_jobs(spec: EnumSpec, tids, limit):
     return ((s, tids) for s in enumerate_structures(spec, limit=limit))
 
 
-def cmd_campaign(args) -> int:
-    t0 = time.perf_counter()
+def cmd_campaign(args) -> tuple[dict, int, str | None]:
     spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
     tids = _parse_theorems(args.theorems)
     if args.jobs < 1:
@@ -312,16 +296,12 @@ def cmd_campaign(args) -> int:
         "predicate_counts": pred_counts,
         "combination_tally": dict(sorted(combos.items())),
     }
-    report = _report("campaign", sections,
-                     {"total_s": round(time.perf_counter() - t0, 6)})
-    _emit(report, args)
-    return 0 if failure is None else 1
+    return sections, 0 if failure is None else 1, None
 
 
 # search
 
-def cmd_search(args) -> int:
-    t0 = time.perf_counter()
+def cmd_search(args) -> tuple[dict, int, str | None]:
     spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
     expr = parse_expr(args.expr)
     _warn_beyond_envelope(args.n, args.k)
@@ -346,10 +326,7 @@ def cmd_search(args) -> int:
         sections["witnesses"] = [to_obj(h) for h in hits]
         if not hits:
             code = 3
-    report = _report("search", sections,
-                     {"total_s": round(time.perf_counter() - t0, 6)})
-    _emit(report, args)
-    return code
+    return sections, code, None
 
 
 # wiring
@@ -423,11 +400,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        sections, code, structure_digest = args.fn(args)
+        timings = {"total_s": round(time.perf_counter() - t0, 6)}
+        _emit(_report(args.command, sections, timings, structure_digest), args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def run() -> None:

@@ -2,11 +2,18 @@
 
 Each check computes the sides of one catalogued claim independently and
 reports a TheoremVerdict: the named condition values, whether they agree
-the way the claim's shape demands (equivalence: all equal; implication:
-premise forces conclusion; unconditional: all true), and a small witness
-when they do not.  On a validated structure every verdict is expected to
-come back equivalent; a false verdict is a soundness event and campaign
-drivers must stop and serialize the offending structure.
+the way the claim's shape demands, and a small witness when they do not.
+The shape alone decides the verdict.  An equivalence holds when every
+condition has the same value (`_equivalence`); an implication holds when
+every condition holds or its named premise fails, and an unconditional
+fact when every condition holds (`_implication`).  The witness is built
+only for a verdict that fails.  On a validated structure every verdict is
+expected to come back equivalent; a false verdict is a soundness event
+and campaign drivers must stop and serialize the offending structure.
+
+Thm8 is seven faces of intra-regularity, and each side of Thm21 the same
+seven faces of left (right) regularity plus duo; one routine, `_faces`,
+builds them for a side: two-sided, left or right.
 
 Existential conditions (is there a semilattice congruence with simple
 classes?) are decided two ways: through the canonical N-partition witness
@@ -31,12 +38,6 @@ from .ideals import (IdealKind, _all_ideal_bits, _chain_break_bits, _element_clo
                      ideals_form_chain)
 from .relations import relation_partition, semilattice_congruences
 
-THEOREM_IDS = (
-    "Prop2", "Lemma3", "Lemma4", "Lemma5", "Lemma6", "Thm8", "Lemma9",
-    "Thm10", "Lemma11", "Lemma12", "Thm13", "Prop14", "Thm16", "Lemma17",
-    "Thm18", "Cor19", "Thm21", "Stmt1to2", "StmtA", "StmtB",
-)
-
 
 @dataclass
 class TheoremVerdict:
@@ -56,9 +57,34 @@ class TheoremVerdict:
         }
 
 
+# verdicts by shape
+
+def _equivalence(tid: str, conds: dict, witness=None) -> TheoremVerdict:
+    """Holds when every condition has the same value; `witness()` is
+    called only when the verdict fails."""
+    ok = len(set(conds.values())) == 1
+    return TheoremVerdict(tid, "equivalence", conds, ok,
+                          None if ok or witness is None else witness())
+
+
+def _implication(tid: str, premise: str | None, conds: dict, witness=None,
+                 shape: str = "implication") -> TheoremVerdict:
+    """Holds when every condition holds or the condition named `premise`
+    fails; with no premise, when every condition holds.  `witness()` is
+    called only when the verdict fails."""
+    ok = all(conds.values()) or (premise is not None and not conds[premise])
+    return TheoremVerdict(tid, shape, conds, ok,
+                          None if ok or witness is None else witness())
+
+
 # shared pieces
 
-_SIDES = {"left": 0, "right": 1, "two": 2}  # index into `_element_closures`
+# side: its ideal kind, partition letter and index into `_element_closures`
+_SIDES = {
+    "two": (IdealKind.TWO_SIDED, "I", 2),
+    "left": (IdealKind.LEFT, "L", 0),
+    "right": (IdealKind.RIGHT, "R", 1),
+}
 
 
 def _n_formula_holds(s: Structure, side: str) -> bool:
@@ -67,10 +93,23 @@ def _n_formula_holds(s: Structure, side: str) -> bool:
     key = ("n_formula", side)
     hit = s._cache.get(key)
     if hit is None:
-        closed = _element_closures(s)[_SIDES[side]]
+        closed = _element_closures(s)[_SIDES[side][2]]
         hit = s._cache[key] = all(
             sum(1 << y for y, c in enumerate(closed) if (c >> x) & 1) == f
             for x, f in enumerate(_filter_gens(s)))
+    return hit
+
+
+def _product_cells(s: Structure) -> list[tuple[int, int, int, int, int]]:
+    """Every (x, y, g, x g y, y g x), g the index of an operation, by x,
+    then y, then g; they read the tables alone, so once per `table_cache`."""
+    shared = table_cache(s)
+    hit = shared.get("product_cells")
+    if hit is None:
+        elems = range(s.n)
+        hit = shared["product_cells"] = [
+            (x, y, g, t[x][y], t[y][x])
+            for x in elems for y in elems for g, t in enumerate(s.tables)]
     return hit
 
 
@@ -81,6 +120,55 @@ def _first_ideal(s: Structure, bad) -> int | None:
 
 def _closed_square(s: Structure, bits: int) -> int:
     return downset_bits(s, product_bits(s, bits, bits))
+
+
+def _exists_semilattice_all_simple(s: Structure, kind: IdealKind, chain: bool) -> bool:
+    return any(
+        all(_subsemigroup_bits(s, b.bits) and _simple_bits(s, b.bits, kind)
+            for b in p.blocks)
+        and not (chain and _chain_failure(s, p) is not None)
+        for p in semilattice_congruences(s))
+
+
+def _faces(s: Structure, side: str, tag: str, first: bool,
+           partition_cap: int) -> dict:
+    """The seven faces of one side, keyed tag + "1" to tag + "7", face 1
+    given as `first`, plus tag + "6e" at carriers of at most
+    `partition_cap` elements.
+
+    Faces 2 to 7: the side's filter formula, the N partition equal to the
+    side's partition, every ideal of the side's kind a union of N blocks,
+    every N block a simple subsemigroup of that kind, N a semilattice
+    congruence with such blocks, and every ideal of the kind semiprime and
+    two-sided; 6e asks whether any semilattice congruence has such blocks.
+    """
+    kind, letter, _ = _SIDES[side]
+    pn = relation_partition(s, "N")
+    dec = decompose(s)
+    ideals = _all_ideal_bits(s, kind)
+    two = _two_sided_absorbing(s)
+    simple = all(v.is_subsemigroup and _simple_bits(s, v.block.bits, kind)
+                 for v in dec.class_verdicts)
+    c = {
+        tag + "1": first,
+        tag + "2": _n_formula_holds(s, side),
+        tag + "3": pn == relation_partition(s, letter),
+        # no N block both meets an ideal and leaves it
+        tag + "4": not any(b & blk.bits and blk.bits & ~b
+                           for b in ideals for blk in pn.blocks),
+        tag + "5": simple,
+        tag + "6": dec.is_semilattice_congruence and simple,
+        tag + "7": all(_semiprime_bits(s, b) and b in two for b in ideals),
+    }
+    if s.n <= partition_cap:
+        c[tag + "6e"] = _exists_semilattice_all_simple(s, kind, chain=False)
+    return c
+
+
+def _blocks_and_maximal_simple(s: Structure) -> tuple[set[int], set[int]]:
+    """The masks of the N blocks and of the maximal simple subsemigroups."""
+    return ({b.bits for b in relation_partition(s, "N").blocks},
+            {b.bits for b in maximal_simple_subsemigroups(s)})
 
 
 # witnesses of the side that fails; None when that side holds
@@ -97,23 +185,13 @@ def _intra_witness(fail: tuple | None) -> dict | None:
     return None if fail is None else {"x": fail[0], "gamma": fail[1]}
 
 
-def _union_of_blocks(s: Structure, bits: int, p) -> bool:
-    for blk in p.blocks:
-        bb = blk.bits
-        if bits & bb and bb & ~bits:
-            return False
-    return True
+def _cell_witness(s: Structure, cell: tuple | None) -> dict | None:
+    return None if cell is None else {"x": cell[0], "y": cell[1],
+                                      "gamma": s.gamma_names[cell[2]]}
 
 
-def _exists_semilattice_all_simple(s: Structure, kind: IdealKind, chain: bool) -> bool:
-    for p in semilattice_congruences(s):
-        if not all(_subsemigroup_bits(s, b.bits) and _simple_bits(s, b.bits, kind)
-                   for b in p.blocks):
-            continue
-        if chain and _chain_failure(s, p) is not None:
-            continue
-        return True
-    return False
+def _bits_list(bits: int) -> list[int]:
+    return list(bit_indices(bits))
 
 
 # individual checks
@@ -121,35 +199,19 @@ def _exists_semilattice_all_simple(s: Structure, kind: IdealKind, chain: bool) -
 def check_prop2(s: Structure) -> TheoremVerdict:
     """Intra-regularity forces the two pinned-product closures of any pair
     to coincide: (M (x g y) M] == (M (y g x) M]."""
-    intra = is_intra_regular(s)
     closed = _element_closures(s)[2]
-    concl, wit = True, None
-    for x in range(s.n):
-        for y in range(s.n):
-            for g, t in zip(s.gamma_names, s.tables):
-                if closed[t[x][y]] != closed[t[y][x]]:
-                    concl, wit = False, {"x": x, "y": y, "gamma": g}
-                    break
-            if not concl:
-                break
-        if not concl:
-            break
-    return TheoremVerdict(
-        "Prop2", "implication",
-        {"intra_regular": intra, "pair_closures_equal": concl},
-        not intra or concl,
-        None if (not intra or concl) else wit)
+    bad = next((c for c in _product_cells(s) if closed[c[3]] != closed[c[4]]), None)
+    return _implication(
+        "Prop2", "intra_regular",
+        {"intra_regular": is_intra_regular(s), "pair_closures_equal": bad is None},
+        lambda: _cell_witness(s, bad))
 
 
 def check_lemma3(s: Structure) -> TheoremVerdict:
     """Intra-regularity holds exactly when every generated filter is the
     set of elements whose two-sided closed sandwich catches the generator."""
-    intra = is_intra_regular(s)
-    formula = _n_formula_holds(s, "two")
-    return TheoremVerdict(
-        "Lemma3", "equivalence",
-        {"intra_regular": intra, "filter_sandwich_formula": formula},
-        intra == formula)
+    return _equivalence("Lemma3", {"intra_regular": is_intra_regular(s),
+                                   "filter_sandwich_formula": _n_formula_holds(s, "two")})
 
 
 def check_lemma4(s: Structure) -> TheoremVerdict:
@@ -162,64 +224,40 @@ def check_lemma4(s: Structure) -> TheoremVerdict:
     asserts only the directions that hold.
     """
     pi = relation_partition(s, "I")
-    l_ref = relation_partition(s, "L").refines(pi)
-    i_ref = pi.refines(relation_partition(s, "N"))
-    ok = l_ref and i_ref
-    return TheoremVerdict(
-        "Lemma4", "unconditional",
-        {"L_refines_I": l_ref, "I_refines_N": i_ref},
-        ok, None if ok else {"L_refines_I": l_ref, "I_refines_N": i_ref})
+    c = {"L_refines_I": relation_partition(s, "L").refines(pi),
+         "I_refines_N": pi.refines(relation_partition(s, "N"))}
+    return _implication("Lemma4", None, c, lambda: dict(c), "unconditional")
 
 
 def check_lemma5(s: Structure) -> TheoremVerdict:
     """Intra-regularity holds exactly when every two-sided ideal is semiprime."""
     fail = intra_regular_failure(s)
     bad = _first_ideal(s, lambda b: not _semiprime_bits(s, b))
-    intra, semi = fail is None, bad is None
-    ok = intra == semi
-    return TheoremVerdict(
-        "Lemma5", "equivalence",
-        {"intra_regular": intra, "two_sided_ideals_semiprime": semi},
-        ok, None if ok else _ideal_witness(bad) or _intra_witness(fail))
+    return _equivalence(
+        "Lemma5", {"intra_regular": fail is None, "two_sided_ideals_semiprime": bad is None},
+        lambda: _ideal_witness(bad) or _intra_witness(fail))
 
 
 def check_lemma6(s: Structure) -> TheoremVerdict:
-    """Closed one-element products are ideals of the matching kind."""
+    """Closed one-element products are ideals of the matching kind; the
+    witness is the least failing element, two-sided before left before
+    right."""
     lefts, rights, sandwiches = _element_closures(s)
-    two = left = right = True
-    wit = None
-    for a in range(s.n):
-        if two and not _ideal_bits(s, sandwiches[a], IdealKind.TWO_SIDED):
-            two, wit = False, wit or {"element": a, "kind": "two_sided"}
-        if left and not _ideal_bits(s, lefts[a], IdealKind.LEFT):
-            left, wit = False, wit or {"element": a, "kind": "left"}
-        if right and not _ideal_bits(s, rights[a], IdealKind.RIGHT):
-            right, wit = False, wit or {"element": a, "kind": "right"}
-    ok = two and left and right
-    return TheoremVerdict(
-        "Lemma6", "unconditional",
-        {"sandwich_two_sided": two, "left_closure_left_ideal": left,
-         "right_closure_right_ideal": right},
-        ok, None if ok else wit)
+    faces = (("sandwich_two_sided", sandwiches, IdealKind.TWO_SIDED),
+             ("left_closure_left_ideal", lefts, IdealKind.LEFT),
+             ("right_closure_right_ideal", rights, IdealKind.RIGHT))
+    # per face, its first failing element, or n when it holds
+    bad = [next((a for a, b in enumerate(closed) if not _ideal_bits(s, b, kind)), s.n)
+           for _, closed, kind in faces]
+    a = min(bad)
+    return _implication(
+        "Lemma6", None, {face[0]: e == s.n for face, e in zip(faces, bad)},
+        lambda: {"element": a, "kind": faces[bad.index(a)][2].value}, "unconditional")
 
 
 def check_theorem8(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
     """Seven equivalent faces of intra-regularity."""
-    pn = relation_partition(s, "N")
-    dec = decompose(s)
-    ideals = _all_ideal_bits(s, IdealKind.TWO_SIDED)
-    c = {
-        "1": is_intra_regular(s),
-        "2": _n_formula_holds(s, "two"),
-        "3": pn == relation_partition(s, "I"),
-        "4": all(_union_of_blocks(s, b, pn) for b in ideals),
-        "5": all(v.is_simple for v in dec.class_verdicts),
-        "6": dec.is_semilattice_of_simple,
-        "7": all(_semiprime_bits(s, b) for b in ideals),
-    }
-    if s.n <= partition_cap:
-        c["6e"] = _exists_semilattice_all_simple(s, IdealKind.TWO_SIDED, chain=False)
-    return TheoremVerdict("Thm8", "equivalence", c, len(set(c.values())) == 1)
+    return _equivalence("Thm8", _faces(s, "two", "", is_intra_regular(s), partition_cap))
 
 
 def check_lemma9(s: Structure) -> TheoremVerdict:
@@ -228,12 +266,10 @@ def check_lemma9(s: Structure) -> TheoremVerdict:
     not_idem = _first_ideal(s, lambda b: b != _closed_square(s, b))
     pair = next(((a, b) for a in ideals for b in ideals
                  if (a & b) != downset_bits(s, product_bits(s, a, b))), None)
-    idem, inter = not_idem is None, pair is None
-    ok = idem == inter
-    return TheoremVerdict(
-        "Lemma9", "equivalence",
-        {"ideals_idempotent": idem, "intersections_are_closed_products": inter},
-        ok, None if ok else _ideal_witness(not_idem) or _pair_witness(pair))
+    return _equivalence(
+        "Lemma9", {"ideals_idempotent": not_idem is None,
+                   "intersections_are_closed_products": pair is None},
+        lambda: _ideal_witness(not_idem) or _pair_witness(pair))
 
 
 def check_theorem10(s: Structure) -> TheoremVerdict:
@@ -241,54 +277,43 @@ def check_theorem10(s: Structure) -> TheoremVerdict:
     not_weak = _first_ideal(s, lambda b: not _weakly_prime_bits(s, b))
     not_idem = _first_ideal(s, lambda b: b != _closed_square(s, b))
     pair = _chain_break_bits(s, IdealKind.TWO_SIDED)
-    weak, rhs = not_weak is None, not_idem is None and pair is None
-    ok = weak == rhs
-    return TheoremVerdict(
-        "Thm10", "equivalence",
-        {"ideals_weakly_prime": weak, "ideals_idempotent_and_chain": rhs},
-        ok, None if ok else (_ideal_witness(not_weak) or _ideal_witness(not_idem)
-                             or _pair_witness(pair)))
+    return _equivalence(
+        "Thm10", {"ideals_weakly_prime": not_weak is None,
+                  "ideals_idempotent_and_chain": not_idem is None and pair is None},
+        lambda: (_ideal_witness(not_weak) or _ideal_witness(not_idem)
+                 or _pair_witness(pair)))
 
 
 def check_lemma11(s: Structure) -> TheoremVerdict:
     """Under intra-regularity the principal two-sided ideal is the closed sandwich."""
-    intra = is_intra_regular(s)
-    ok, wit = True, None
     pairs = zip(_principals(s, IdealKind.TWO_SIDED), _element_closures(s)[2])
-    for x, (ideal, closed) in enumerate(pairs):
-        if ideal != closed:
-            ok, wit = False, {"element": x}
-            break
-    return TheoremVerdict(
-        "Lemma11", "implication",
-        {"intra_regular": intra, "principal_equals_sandwich": ok},
-        not intra or ok, None if (not intra or ok) else wit)
+    bad = next((x for x, (ideal, closed) in enumerate(pairs) if ideal != closed), None)
+    return _implication(
+        "Lemma11", "intra_regular",
+        {"intra_regular": is_intra_regular(s), "principal_equals_sandwich": bad is None},
+        lambda: {"element": bad})
 
 
 def check_lemma12(s: Structure) -> TheoremVerdict:
     """Principal ideals of products sit inside both factors' principal
-    ideals, with equality under intra-regularity."""
-    intra = is_intra_regular(s)
+    ideals, with equality under intra-regularity; the witness is the
+    first product outside, so a failing equality alone has none."""
     ideals = _principals(s, IdealKind.TWO_SIDED)
-    contained = equal = True
-    wit = None
-    for x in range(s.n):
-        ix = ideals[x]
-        for y in range(s.n):
-            meet = ix & ideals[y]
-            for g, t in zip(s.gamma_names, s.tables):
-                ip = ideals[t[x][y]]
-                if ip & ~meet:
-                    contained = False
-                    wit = wit or {"x": x, "y": y, "gamma": g}
-                if ip != meet:
-                    equal = False
-    ok = contained and (not intra or equal)
+    bad, equal = None, True
+    for cell in _product_cells(s):
+        ip, meet = ideals[cell[3]], ideals[cell[0]] & ideals[cell[1]]
+        if ip != meet:
+            equal = False
+            if ip & ~meet:
+                bad = cell
+                break
+    intra = is_intra_regular(s)
+    ok = bad is None and (not intra or equal)
     return TheoremVerdict(
         "Lemma12", "implication",
-        {"product_principal_contained": contained, "intra_regular": intra,
+        {"product_principal_contained": bad is None, "intra_regular": intra,
          "product_principal_equal": equal},
-        ok, None if ok else wit)
+        ok, None if ok else _cell_witness(s, bad))
 
 
 def check_theorem13(s: Structure) -> TheoremVerdict:
@@ -296,134 +321,75 @@ def check_theorem13(s: Structure) -> TheoremVerdict:
     not_prime = _first_ideal(s, lambda b: not _prime_bits(s, b))
     pair = _chain_break_bits(s, IdealKind.TWO_SIDED)
     fail = intra_regular_failure(s) if pair is None else None
-    prime, rhs = not_prime is None, pair is None and fail is None
-    ok = prime == rhs
-    return TheoremVerdict(
-        "Thm13", "equivalence",
-        {"ideals_prime": prime, "chain_and_intra_regular": rhs},
-        ok, None if ok else (_ideal_witness(not_prime) or _pair_witness(pair)
-                             or _intra_witness(fail)))
+    return _equivalence(
+        "Thm13", {"ideals_prime": not_prime is None,
+                  "chain_and_intra_regular": pair is None and fail is None},
+        lambda: (_ideal_witness(not_prime) or _pair_witness(pair)
+                 or _intra_witness(fail)))
 
 
 def check_prop14(s: Structure) -> TheoremVerdict:
     """Intra-regular chain structures: each pinned pair product catches a factor."""
     hyp = is_intra_regular(s) and ideals_form_chain(s, IdealKind.TWO_SIDED)
     closed = _element_closures(s)[2]
-    concl, wit = True, None
-    for x in range(s.n):
-        for y in range(s.n):
-            for g, t in zip(s.gamma_names, s.tables):
-                d = closed[t[x][y]]
-                if not ((d >> x) & 1 or (d >> y) & 1):
-                    concl, wit = False, {"x": x, "y": y, "gamma": g}
-                    break
-            if not concl:
-                break
-        if not concl:
-            break
-    return TheoremVerdict(
-        "Prop14", "implication",
-        {"intra_and_chain": hyp, "pinned_product_catches_factor": concl},
-        not hyp or concl, None if (not hyp or concl) else wit)
+    bad = next((c for c in _product_cells(s)
+                if not closed[c[3]] & (1 << c[0] | 1 << c[1])), None)
+    return _implication(
+        "Prop14", "intra_and_chain",
+        {"intra_and_chain": hyp, "pinned_product_catches_factor": bad is None},
+        lambda: _cell_witness(s, bad))
 
 
 def check_theorem16(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
     """Intra-regular with chained ideals iff a chain of simple components."""
-    lhs = is_intra_regular(s) and ideals_form_chain(s, IdealKind.TWO_SIDED)
     c = {
-        "intra_and_chain": lhs,
+        "intra_and_chain": (is_intra_regular(s)
+                            and ideals_form_chain(s, IdealKind.TWO_SIDED)),
         "chain_of_simple": decompose(s).is_chain_of_simple,
     }
     if s.n <= partition_cap:
         c["chain_of_simple_exists"] = _exists_semilattice_all_simple(
             s, IdealKind.TWO_SIDED, chain=True)
-    return TheoremVerdict("Thm16", "equivalence", c, len(set(c.values())) == 1)
+    return _equivalence("Thm16", c)
 
 
 def check_lemma17(s: Structure) -> TheoremVerdict:
     """Inside any subsemigroup, the trace of a closed sandwich of a member
     is a relative two-sided ideal."""
     closed = _element_closures(s)[2]
-    ok, wit = True, None
-    for tb in _subsemigroup_masks(s):
-        for x in bit_indices(tb):
-            trace = closed[x] & tb
-            if not _relative_ideal_bits(s, tb, trace, IdealKind.TWO_SIDED):
-                ok, wit = False, {"subsemigroup": _bits_list(tb), "element": x}
-                break
-        if not ok:
-            break
-    return TheoremVerdict(
-        "Lemma17", "unconditional", {"sandwich_trace_relative_ideal": ok}, ok, wit)
+    bad = next(((tb, x) for tb in _subsemigroup_masks(s) for x in bit_indices(tb)
+                if not _relative_ideal_bits(s, tb, closed[x] & tb, IdealKind.TWO_SIDED)),
+               None)
+    return _implication(
+        "Lemma17", None, {"sandwich_trace_relative_ideal": bad is None},
+        lambda: {"subsemigroup": _bits_list(bad[0]), "element": bad[1]}, "unconditional")
 
 
 def check_theorem18(s: Structure) -> TheoremVerdict:
     """Under intra-regularity the N blocks are exactly the maximal simple
     subsemigroups, in both containment directions."""
-    intra = is_intra_regular(s)
-    blocks = {b.bits for b in relation_partition(s, "N").blocks}
-    mss = {b.bits for b in maximal_simple_subsemigroups(s)}
-    fwd = blocks <= mss
-    bwd = mss <= blocks
-    ok = not intra or (fwd and bwd)
-    wit = None
-    if not ok:
-        wit = {"blocks_not_maximal_simple": sorted(blocks - mss),
-               "maximal_simple_not_blocks": sorted(mss - blocks)}
-    return TheoremVerdict(
-        "Thm18", "implication",
-        {"intra_regular": intra, "blocks_are_maximal_simple": fwd,
-         "maximal_simple_are_blocks": bwd},
-        ok, wit)
+    blocks, mss = _blocks_and_maximal_simple(s)
+    return _implication(
+        "Thm18", "intra_regular",
+        {"intra_regular": is_intra_regular(s), "blocks_are_maximal_simple": blocks <= mss,
+         "maximal_simple_are_blocks": mss <= blocks},
+        lambda: {"blocks_not_maximal_simple": sorted(blocks - mss),
+                 "maximal_simple_not_blocks": sorted(mss - blocks)})
 
 
 def check_cor19(s: Structure) -> TheoremVerdict:
     """Set-level restatement: N blocks equal the maximal simple subsemigroups."""
-    intra = is_intra_regular(s)
-    blocks = {b.bits for b in relation_partition(s, "N").blocks}
-    mss = {b.bits for b in maximal_simple_subsemigroups(s)}
-    eq = blocks == mss
-    return TheoremVerdict(
-        "Cor19", "implication",
-        {"intra_regular": intra, "blocks_equal_maximal_simple": eq},
-        not intra or eq)
-
-
-def _theorem21_side(s: Structure, side: str, partition_cap: int) -> dict:
-    left = side == "left"
-    kind = IdealKind.LEFT if left else IdealKind.RIGHT
-    pn = relation_partition(s, "N")
-    dec = decompose(s)
-    ideals = _all_ideal_bits(s, kind)
-    two = _two_sided_absorbing(s)
-    if left:
-        regular_duo = is_left_regular(s) and is_left_duo(s)
-        simple_classes = all(v.is_left_simple for v in dec.class_verdicts)
-    else:
-        regular_duo = is_right_regular(s) and is_right_duo(s)
-        simple_classes = all(
-            v.is_subsemigroup and _simple_bits(s, v.block.bits, IdealKind.RIGHT)
-            for v in dec.class_verdicts)
-    tag = "L" if left else "R"
-    c = {
-        tag + "1": regular_duo,
-        tag + "2": _n_formula_holds(s, side),
-        tag + "3": pn == relation_partition(s, tag),
-        tag + "4": all(_union_of_blocks(s, b, pn) for b in ideals),
-        tag + "5": simple_classes,
-        tag + "6": dec.is_semilattice_congruence and simple_classes,
-        tag + "7": all(_semiprime_bits(s, b) and b in two for b in ideals),
-    }
-    if s.n <= partition_cap:
-        c[tag + "6e"] = _exists_semilattice_all_simple(s, kind, chain=False)
-    return c
+    blocks, mss = _blocks_and_maximal_simple(s)
+    return _implication(
+        "Cor19", "intra_regular",
+        {"intra_regular": is_intra_regular(s), "blocks_equal_maximal_simple": blocks == mss})
 
 
 def check_theorem21(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
     """Seven equivalent faces of left regular + left duo, and the mirrored
-    right-handed run through the same code path."""
-    cl = _theorem21_side(s, "left", partition_cap)
-    cr = _theorem21_side(s, "right", partition_cap)
+    right-handed faces; each side is an equivalence of its own."""
+    cl = _faces(s, "left", "L", is_left_regular(s) and is_left_duo(s), partition_cap)
+    cr = _faces(s, "right", "R", is_right_regular(s) and is_right_duo(s), partition_cap)
     ok = len(set(cl.values())) == 1 and len(set(cr.values())) == 1
     return TheoremVerdict("Thm21", "equivalence", cl | cr, ok)
 
@@ -449,8 +415,7 @@ def check_stmt_1to2(s: Structure) -> TheoremVerdict:
     products read the tables only, so the verdict is one per table.
     """
     ok, wit = _per_table(s, "Stmt1to2", _stmt_1to2)
-    return TheoremVerdict(
-        "Stmt1to2", "implication", {"prime_splits_products": ok}, ok, wit)
+    return _implication("Stmt1to2", None, {"prime_splits_products": ok}, lambda: wit)
 
 
 def _stmt_1to2(s: Structure) -> tuple[bool, dict | None]:
@@ -480,54 +445,34 @@ def check_stmt_a(s: Structure) -> TheoremVerdict:
     """Prime subsets are semiprime; both read the tables only, so the
     verdict is one per table."""
     ok, wit = _per_table(s, "StmtA", _stmt_a)
-    return TheoremVerdict(
-        "StmtA", "implication", {"prime_implies_semiprime": ok}, ok, wit)
+    return _implication("StmtA", None, {"prime_implies_semiprime": ok}, lambda: wit)
 
 
 def _stmt_a(s: Structure) -> tuple[bool, dict | None]:
-    for tb in range(s.full + 1):
-        if _prime_bits(s, tb) and not _semiprime_bits(s, tb):
-            return False, {"T": _bits_list(tb)}
-    return True, None
+    bad = next((tb for tb in range(s.full + 1)
+                if _prime_bits(s, tb) and not _semiprime_bits(s, tb)), None)
+    return bad is None, None if bad is None else {"T": _bits_list(bad)}
 
 
 def check_stmt_b(s: Structure) -> TheoremVerdict:
     """Prime two-sided ideals are weakly prime."""
-    ok, wit = True, None
-    for tb in _all_ideal_bits(s, IdealKind.TWO_SIDED):
-        if _prime_bits(s, tb) and not _weakly_prime_bits(s, tb):
-            ok, wit = False, {"T": _bits_list(tb)}
-            break
-    return TheoremVerdict(
-        "StmtB", "implication", {"prime_ideals_weakly_prime": ok}, ok, wit)
-
-
-def _bits_list(bits: int) -> list[int]:
-    return [e for e in range(bits.bit_length()) if (bits >> e) & 1]
+    bad = next((tb for tb in _all_ideal_bits(s, IdealKind.TWO_SIDED)
+                if _prime_bits(s, tb) and not _weakly_prime_bits(s, tb)), None)
+    return _implication("StmtB", None, {"prime_ideals_weakly_prime": bad is None},
+                        lambda: {"T": _bits_list(bad)})
 
 
 _CHECKS = {
-    "Prop2": check_prop2,
-    "Lemma3": check_lemma3,
-    "Lemma4": check_lemma4,
-    "Lemma5": check_lemma5,
-    "Lemma6": check_lemma6,
-    "Thm8": check_theorem8,
-    "Lemma9": check_lemma9,
-    "Thm10": check_theorem10,
-    "Lemma11": check_lemma11,
-    "Lemma12": check_lemma12,
-    "Thm13": check_theorem13,
-    "Prop14": check_prop14,
-    "Thm16": check_theorem16,
-    "Lemma17": check_lemma17,
-    "Thm18": check_theorem18,
-    "Cor19": check_cor19,
-    "Thm21": check_theorem21,
-    "Stmt1to2": check_stmt_1to2,
-    "StmtA": check_stmt_a,
-    "StmtB": check_stmt_b,
+    "Prop2": check_prop2, "Lemma3": check_lemma3, "Lemma4": check_lemma4,
+    "Lemma5": check_lemma5, "Lemma6": check_lemma6, "Thm8": check_theorem8,
+    "Lemma9": check_lemma9, "Thm10": check_theorem10, "Lemma11": check_lemma11,
+    "Lemma12": check_lemma12, "Thm13": check_theorem13, "Prop14": check_prop14,
+    "Thm16": check_theorem16, "Lemma17": check_lemma17, "Thm18": check_theorem18,
+    "Cor19": check_cor19, "Thm21": check_theorem21, "Stmt1to2": check_stmt_1to2,
+    "StmtA": check_stmt_a, "StmtB": check_stmt_b,
 }
+
+THEOREM_IDS = tuple(_CHECKS)
 
 _CAPPED = {"Thm8", "Thm16", "Thm21"}
 
@@ -538,9 +483,7 @@ def check(s: Structure, theorem_id: str, partition_cap: int = 5) -> TheoremVerdi
         fn = _CHECKS[theorem_id]
     except KeyError:
         raise InputError(f"unknown theorem id {theorem_id!r}") from None
-    if theorem_id in _CAPPED:
-        return fn(s, partition_cap)
-    return fn(s)
+    return fn(s, partition_cap) if theorem_id in _CAPPED else fn(s)
 
 
 def check_all(s: Structure, partition_cap: int = 5) -> list[TheoremVerdict]:

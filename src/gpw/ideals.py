@@ -10,8 +10,8 @@ the closures (M e], (e M] and (M e M] (`_element_closures`), the
 principal ideals of each kind (`_principals`) and the generated filters
 (`_filter_gens`).  Their product halves read the tables alone and are
 built once per `core.table_cache`, as are the masks that absorb products
-on an ideal kind's sides (`_all_ideal_bits`); a structure only applies
-its own order to them.
+on an ideal kind's sides, in the carrier or in a subsemigroup
+(`_absorbing`); a structure only applies its own order to them.
 
 In CPython 3.11 an Enum's hash and a member's lookup on its class are
 Python-level calls, so memo keys name a kind by its `_value_` string and
@@ -21,6 +21,7 @@ the hot tests compare against module-level aliases of the members.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .core import (InputError, PreconditionError, Structure, Subset,
                    _owned, _union_table, down_table, downset_bits,
@@ -113,16 +114,32 @@ def _all_ideal_bits(s: Structure, kind: IdealKind) -> tuple[int, ...]:
     return hit
 
 
-def _absorbing(s: Structure, kind: IdealKind) -> tuple[int, ...]:
-    """The nonempty masks that absorb products on the kind's sides, in
-    `subset_masks` order; they read the tables alone, so once per
-    `table_cache`."""
+@lru_cache(maxsize=None)
+def _masks_within(tbits: int) -> tuple[int, ...]:
+    # nonempty submasks of tbits, ascending by popcount then value
+    subs = []
+    sub = tbits
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & tbits
+    subs.sort(key=lambda m: (m.bit_count(), m))
+    return tuple(subs)
+
+
+def _absorbing(s: Structure, kind: IdealKind, tbits: int | None = None) -> tuple[int, ...]:
+    """The nonempty submasks A of T, the carrier unless given, in
+    `_masks_within` order (`subset_masks` order for the carrier), that
+    absorb T on the kind's sides: the ideals of the kind, and the relative
+    ideals of a subsemigroup T, before the order has its say.  They read
+    the tables alone, so once per `table_cache`."""
+    if tbits is None:
+        tbits = s.full
+    key = ("absorbing", tbits, kind._value_)
     shared = table_cache(s)
-    key = ("all_ideals", kind._value_)
     hit = shared.get(key)
     if hit is None:
         hit = shared[key] = tuple(
-            m for m in subset_masks(s.n) if _absorbs(s, s.full, m, kind))
+            a for a in _masks_within(tbits) if _absorbs(s, tbits, a, kind))
     return hit
 
 

@@ -919,8 +919,7 @@ def test_table_families_never_cross_tables():
         assert shared.keys() == own.keys()
         assert shared == own
         checked.update(k if isinstance(k, str) else k[0] for k in shared)
-    assert checked == {"side_products", "factor_table", "all_ideals", "absorbing",
-                       "all_subsemigroups"}
+    assert checked == {"side_products", "factor_table", "absorbing", "all_subsemigroups"}
 
 
 def test_pickled_structure_rebuilds_element_tables():

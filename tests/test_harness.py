@@ -1,4 +1,5 @@
-"""Claim checks: frozen verdicts on the fixtures plus the agreement
+"""Claim checks: frozen verdicts on the fixtures, forced disagreements,
+left/right duality on the opposite structure, plus the agreement
 property on random structures."""
 
 from __future__ import annotations
@@ -7,10 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpw import harness
+from gpw.analysis import (all_subsemigroups, is_left_duo, is_left_regular,
+                          is_left_regular_legacy, is_left_simple, is_right_duo,
+                          is_right_regular, is_right_regular_legacy, is_right_simple)
 from gpw.core import InputError, Structure, validate
-from gpw.explore import PREDICATES, random_structure
+from gpw.explore import EnumSpec, PREDICATES, enumerate_structures, random_structure
 from gpw.gpsjson import digest
 from gpw.harness import THEOREM_IDS, TheoremVerdict, check, check_all
+from gpw.ideals import IdealKind, principal
+from gpw.relations import relation_partition
 
 
 def test_theorem_id_catalogue():
@@ -140,6 +146,75 @@ def test_lemma9_pair_witness(monkeypatch, cz):
     assert v.condition_values == {"ideals_idempotent": True,
                                   "intersections_are_closed_products": False}
     assert v.witness == {"ideals": [[0, 1], [0, 1]]}
+
+
+def test_forced_intra_regularity_breaks_thm8_and_lemma3(monkeypatch, min_sl):
+    """Face 1 and Lemma3's premise are forced false while every other
+    face holds: the equivalence fails, and these claims carry no witness."""
+    for tid, false_side in (("Thm8", "1"), ("Lemma3", "intra_regular")):
+        v = _forced(monkeypatch, min_sl, tid, "is_intra_regular", False)
+        assert not v.equivalent and v.witness is None
+        assert [c for c, held in v.condition_values.items() if not held] == [false_side]
+
+
+def test_forced_left_regularity_breaks_thm21_left_side_only(monkeypatch, lz):
+    before = check(lz, "Thm21").condition_values
+    v = _forced(monkeypatch, lz, "Thm21", "is_left_regular", False)
+    assert not v.equivalent and v.witness is None
+    assert {c for c in before if v.condition_values[c] != before[c]} == {"L1"}
+
+
+def test_forced_prop2_conclusion(monkeypatch, lz):
+    """Every element its own closed sandwich: x g y and y g x differ on
+    the left zero, so the conclusion fails at its first pair; with the
+    premise forced false too, the implication holds again."""
+    closures = harness._element_closures(lz)
+    monkeypatch.setattr(harness, "_element_closures",
+                        lambda s: (*closures[:2], [1 << e for e in range(s.n)]))
+    v = check(lz, "Prop2")
+    assert v.condition_values == {"intra_regular": True, "pair_closures_equal": False}
+    assert not v.equivalent and v.witness == {"x": 0, "y": 1, "gamma": "g0"}
+    v = _forced(monkeypatch, lz, "Prop2", "is_intra_regular", False)
+    assert v.condition_values == {"intra_regular": False, "pair_closures_equal": False}
+    assert v.equivalent and v.witness is None
+
+
+def _opposite(s: Structure) -> Structure:
+    """Every table transposed, the order kept: x g y becomes y g x."""
+    tables = [[[t[b][a] for b in range(s.n)] for a in range(s.n)] for t in s.tables]
+    return Structure(s.n, s.gamma_names, tables, s.leq)
+
+
+_UNSIDED = ("Thm8", "Lemma3", "Thm16", "Prop2", "Lemma12")
+
+
+def test_left_is_right_on_the_opposite_structure():
+    """Over the exhaustive corpus, each left-handed answer on the opposite
+    structure is the right-handed one on s, and the other way round; the
+    claims without a side keep their conditions."""
+    corpus = [s for n, k in ((1, 1), (2, 1), (3, 1), (2, 2))
+              for s in enumerate_structures(EnumSpec(n, k))]
+    assert len(corpus) == 1026
+    for s in corpus:
+        op = _opposite(s)
+        assert validate(op).ok and _opposite(op).tables == s.tables
+        for a, b in ((s, op), (op, s)):
+            faces_a = check(a, "Thm21").condition_values
+            faces_b = check(b, "Thm21").condition_values
+            assert {c[1:]: v for c, v in faces_a.items() if c[0] == "L"} == \
+                {c[1:]: v for c, v in faces_b.items() if c[0] == "R"}
+            for left, right in ((is_left_regular, is_right_regular),
+                                (is_left_regular_legacy, is_right_regular_legacy),
+                                (is_left_duo, is_right_duo)):
+                assert left(a) == right(b)
+            assert relation_partition(a, "L").as_lists() == \
+                relation_partition(b, "R").as_lists()
+            assert [principal(a, x, IdealKind.LEFT).bits for x in range(s.n)] == \
+                [principal(b, x, IdealKind.RIGHT).bits for x in range(s.n)]
+            for t in all_subsemigroups(a):
+                assert is_left_simple(a, t) == is_right_simple(b, b.subset(t))
+        for tid in _UNSIDED:
+            assert check(op, tid).condition_values == check(s, tid).condition_values
 
 
 def test_verdict_as_dict(min_sl):

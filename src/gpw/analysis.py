@@ -6,7 +6,9 @@ for membership with the inner product x g x fixed; the legacy variants
 let every operation position range independently.  Pinned implies legacy;
 the converse is a search target, not a theorem.  The pinned predicates
 read the element closures of `ideals._element_closures`, and
-intra-regularity, a premise of most claims, is memoised per structure.
+intra-regularity, a premise of most claims, is memoised per structure,
+as are simplicity and the decomposition along the N partition; the
+subsemigroups are found once per table.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .core import (PreconditionError, Structure, Subset, _owned, down_table,
-                   downset_bits, product_bits, subset_masks, table_cache)
+                   downset_bits, per_structure, per_table, product_bits, subset_masks)
 from .ideals import (IdealKind, _absorbing, _all_ideal_bits, _element_closures,
                      _two_sided_absorbing)
 from .relations import Partition, is_semilattice_congruence, relation_partition
@@ -35,12 +37,10 @@ def _pinned_failure(s: Structure, closed: list[int]):
     return None
 
 
+@per_structure
 def intra_regular_failure(s: Structure):
     """First (x, label) breaking pinned intra-regularity, or None."""
-    cache = s._cache
-    if "intra_regular_failure" not in cache:
-        cache["intra_regular_failure"] = _pinned_failure(s, _element_closures(s)[2])
-    return cache["intra_regular_failure"]
+    return _pinned_failure(s, _element_closures(s)[2])
 
 
 def is_intra_regular_legacy(s: Structure) -> bool:
@@ -117,15 +117,10 @@ def is_subsemigroup(s: Structure, t: Subset) -> bool:
     return _subsemigroup_bits(s, _owned(s, t))
 
 
+@per_table
 def _subsemigroup_masks(s: Structure) -> tuple[int, ...]:
-    """Masks of every subsemigroup in `subset_masks` order, once per
-    `table_cache`: closure depends on the tables alone."""
-    shared = table_cache(s)
-    hit = shared.get("all_subsemigroups")
-    if hit is None:
-        hit = tuple(m for m in subset_masks(s.n) if _subsemigroup_bits(s, m))
-        shared["all_subsemigroups"] = hit
-    return hit
+    """Masks of every subsemigroup in `subset_masks` order."""
+    return tuple(m for m in subset_masks(s.n) if _subsemigroup_bits(s, m))
 
 
 def all_subsemigroups(s: Structure) -> list[Subset]:
@@ -160,18 +155,13 @@ def relative_ideals(s: Structure, t: Subset,
             if not downset_bits(s, a) & tbits & ~a]
 
 
+@per_structure
 def _simple_bits(s: Structure, tbits: int, kind: IdealKind) -> bool:
     """T has no relative ideal of the kind but itself: no proper member
     of `_absorbing(s, kind, T)` is down-closed inside T under this
     structure's order."""
-    key = ("simple", tbits, kind._value_)
-    hit = s._cache.get(key)
-    if hit is None:
-        down = down_table(s)
-        hit = s._cache[key] = all(down[a] & tbits & ~a
-                                  for a in _absorbing(s, kind, tbits)
-                                  if a != tbits)
-    return hit
+    down = down_table(s)
+    return all(down[a] & tbits & ~a for a in _absorbing(s, kind, tbits) if a != tbits)
 
 
 def is_simple(s: Structure, t: Subset) -> bool:
@@ -250,24 +240,26 @@ def _chain_failure(s: Structure, p: Partition) -> tuple | None:
     return None
 
 
+@per_structure
+def _n_decomposition(s: Structure) -> DecompositionReport:
+    """`decompose(s)`: the split along the N partition."""
+    return decompose(s, relation_partition(s, "N"))
+
+
 def decompose(s: Structure, sigma: Partition | None = None) -> DecompositionReport:
-    """Split the carrier along sigma (default: the N partition).
+    """Split the carrier along sigma (default: the N partition, whose
+    report is memoised).
 
     Per-class verdicts use relative ideals inside each block; the chain
     condition is evaluated independently of simplicity.
     """
     if sigma is None:
-        hit = s._cache.get(("decompose",))
-        if hit is not None:
-            return hit
-        p = relation_partition(s, "N")
-    else:
-        if sigma.structure is not s:
-            raise PreconditionError("partition does not belong to this structure")
-        p = sigma
-    slc = is_semilattice_congruence(s, p)
+        return _n_decomposition(s)
+    if sigma.structure is not s:
+        raise PreconditionError("partition does not belong to this structure")
+    slc = is_semilattice_congruence(s, sigma)
     verdicts = []
-    for blk in p.blocks:
+    for blk in sigma.blocks:
         sub = _subsemigroup_bits(s, blk.bits)
         verdicts.append(ClassVerdict(
             block=blk,
@@ -276,28 +268,18 @@ def decompose(s: Structure, sigma: Partition | None = None) -> DecompositionRepo
             is_left_simple=sub and _simple_bits(s, blk.bits, IdealKind.LEFT),
         ))
     semi = slc and all(v.is_simple for v in verdicts)
-    fail = _chain_failure(s, p)
-    report = DecompositionReport(
-        partition=p,
+    fail = _chain_failure(s, sigma)
+    return DecompositionReport(
+        partition=sigma,
         class_verdicts=verdicts,
         is_semilattice_congruence=slc,
         is_semilattice_of_simple=semi,
         is_chain_of_simple=semi and fail is None,
         chain_witness_failure=fail,
     )
-    if sigma is None:
-        s._cache[("decompose",)] = report
-    return report
 
 
 def maximal_simple_subsemigroups(s: Structure) -> list[Subset]:
     """Inclusion-maximal simple subsemigroups, by popcount then mask value."""
-    key = ("maximal_simple",)
-    hit = s._cache.get(key)
-    if hit is None:
-        simple = [m for m in _subsemigroup_masks(s)
-                  if _simple_bits(s, m, IdealKind.TWO_SIDED)]
-        hit = tuple(m for m in simple
-                    if not any(c != m and c & m == m for c in simple))
-        s._cache[key] = hit
-    return [Subset(s, b) for b in hit]
+    simple = [m for m in _subsemigroup_masks(s) if _simple_bits(s, m, IdealKind.TWO_SIDED)]
+    return [Subset(s, m) for m in simple if not any(c != m and c & m == m for c in simple)]

@@ -246,9 +246,10 @@ def _campaign_unit(job) -> tuple:
 
 
 def _campaign_jobs(spec: EnumSpec, tids, limit):
-    # a Structure pickles as its raw tables, so pool workers rebuild it once
-    # and start with an empty table cache; at --jobs 1 the structures of
-    # one table share the walk's table cache
+    # a Structure pickles as its raw tables and its table cache, still
+    # empty in the parent, so the structures of one table that travel in
+    # one imap chunk of 128 share one table cache in the worker, as they
+    # share the walk's at --jobs 1
     return ((s, tids) for s in enumerate_structures(spec, limit=limit))
 
 
@@ -266,7 +267,7 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
     if args.jobs > 1:
         from multiprocessing import Pool  # only here: its import costs every run
         pool = Pool(processes=args.jobs)
-        stream = pool.imap(_campaign_unit, jobs, chunksize=8)
+        stream = pool.imap(_campaign_unit, jobs, chunksize=128)
     else:
         pool = None
         stream = map(_campaign_unit, jobs)

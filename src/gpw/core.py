@@ -13,30 +13,34 @@ values belonging to different structures cannot be mixed by accident.
 else is built from; the *_bits functions are the raw mask layer used by
 the hot loops.
 
-The mask layer answers from lookup tables kept in the structure's
-`_cache`, each built on first use.  `downset_bits` / `upset_bits` index a
-2^n-entry closure table built by a DP over the lowest set bit.
-`product_bits(s, A, B)` reads entry B of the product row of A: the row of
-a single element is a DP over B, and any other row is the OR of the rows
-of A minus its lowest bit and of that bit.  Only rows that are asked for
-get built, so memory grows with the rows used (at most 2^n rows of 2^n
-entries); a structure that is never multiplied pays nothing.
+The mask layer answers from lookup tables, each built on first use.
+`downset_bits` / `upset_bits` index a 2^n-entry closure table built by a
+DP over the lowest set bit.  `product_bits(s, A, B)` reads entry [A][B]
+of the product table: the row of a single element is a DP over B, and
+any other row is the OR of the rows of A minus its lowest bit and of
+that bit, 4^n entries in all, built whole on first use.
 
-Results that depend on the tables alone, not on the order, live in a
-second dict, `table_cache(s)`, that every structure on the same tables
-may share: the enumeration walk hands one dict to all the structures it
-builds on one table, and drops it when it moves to the next table.  Any
-other structure (sampled, loaded, or built by hand) gets a dict of its
-own on first use.  The product rows live there, and `s._cache` keeps a
-reference to them so the hot path reads one dict.  A pickled structure
-carries its raw tables only, so it arrives with both dicts empty.  The
-other layers keep their per-element lists (see `ideals`) in `s._cache`,
-and the order-free halves of them in `table_cache(s)`.
+One memo policy holds for every derived result in the package.  A
+function f(s, ...) decorated with `per_structure` keeps its results in
+`s._cache`; one decorated with `per_table`, for a result that depends on
+the tables alone and not on the order, keeps them in `table_cache(s)`, a
+dict that every structure on the same tables may share: the enumeration
+walk hands one dict to all the structures it builds on one table, and
+drops it when it moves to the next table.  Any other structure (sampled,
+loaded, or built by hand) has a dict of its own.  The key is the
+decorated function, or a tuple of it and the other arguments, which are
+positional and hashable.  Only this module reads either dict directly:
+the product table is kept per table, and `product_bits`, `downset_bits`
+and `upset_bits` read their tables from `s._cache` by one lookup.  A
+pickled structure carries its raw tables and its table dict, so the
+structures of one table that travel in one pickle share it again; its
+own `_cache` arrives empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import update_wrapper
 from typing import Iterable, Iterator, Sequence
 
 
@@ -71,8 +75,8 @@ class Structure:
     `tables[g][a][b]` is the product of a and b under the g-th operation,
     `leq[a][b]` means a <= b.  `down[a]` / `up[a]` are masks of the
     elements below / above a, `full` is the whole-carrier mask.  Instances
-    are immutable; derived results are memoised on `_cache` keyed by the
-    computation, which is safe because nothing here ever mutates.
+    are immutable; derived results are memoised (see `per_structure` and
+    `per_table`), which is safe because nothing here ever mutates.
     `table_cache`, when given, is the dict of table-only results (see
     `table_cache()`) of other structures on equal tables.
     """
@@ -123,10 +127,11 @@ class Structure:
         self.up = tuple(up)
         self._gamma_index = {g: i for i, g in enumerate(names)}
         self._cache = {}
-        self._table_cache = table_cache
+        self._table_cache = {} if table_cache is None else table_cache
 
     def __reduce__(self):
-        return (Structure, (self.n, self.gamma_names, self.tables, self.leq))
+        return (Structure, (self.n, self.gamma_names, self.tables, self.leq,
+                            self._table_cache))
 
     def __repr__(self) -> str:
         return f"Structure(n={self.n}, gamma={list(self.gamma_names)})"
@@ -223,11 +228,57 @@ def _owned(s: Structure, a: Subset) -> int:
 def table_cache(s: Structure) -> dict:
     """The memo dict for results that depend on the tables of s alone,
     shared with the structures it was built alongside (see the module
-    docstring); created on first use."""
-    shared = s._table_cache
-    if shared is None:
-        shared = s._table_cache = {}
-    return shared
+    docstring)."""
+    return s._table_cache
+
+
+_MISS = object()
+
+
+def _memo(f, shared: bool):
+    """Memoise f(s, ...) in `table_cache(s)` when shared, else in
+    `s._cache`.  One wrapper per count of extra arguments, so that a hit
+    costs one call, one key and one `dict.get`."""
+    arity = f.__code__.co_argcount - 1
+    if arity == 0:
+        def memo(s):
+            cache = s._table_cache if shared else s._cache
+            hit = cache.get(memo, _MISS)
+            if hit is _MISS:
+                hit = cache[memo] = f(s)
+            return hit
+    elif arity == 1:
+        def memo(s, a):
+            cache = s._table_cache if shared else s._cache
+            key = memo, a
+            hit = cache.get(key, _MISS)
+            if hit is _MISS:
+                hit = cache[key] = f(s, a)
+            return hit
+    elif arity == 2:
+        def memo(s, a, b):
+            cache = s._table_cache if shared else s._cache
+            key = memo, a, b
+            hit = cache.get(key, _MISS)
+            if hit is _MISS:
+                hit = cache[key] = f(s, a, b)
+            return hit
+    else:
+        raise TypeError(f"{f.__name__} takes {arity} arguments after s; at most 2 are memoised")
+    return update_wrapper(memo, f)
+
+
+def per_structure(f):
+    """Decorator: memoise f(s, ...) in `s._cache`, keyed by the decorated
+    function and the other arguments."""
+    return _memo(f, False)
+
+
+def per_table(f):
+    """Decorator: memoise f(s, ...), which must read the tables of s and
+    not its order, in `table_cache(s)`, keyed by the decorated function
+    and the other arguments."""
+    return _memo(f, True)
 
 
 # raw mask layer
@@ -241,64 +292,55 @@ def _union_table(n: int, gens) -> list[int]:
     return tab
 
 
+@per_structure
 def down_table(s: Structure) -> list[int]:
-    """Entry m is the down-closure of mask m, built on first use."""
-    tab = s._cache.get("down_table")
-    if tab is None:
-        tab = s._cache["down_table"] = _union_table(s.n, s.down)
-    return tab
+    """Entry m is the down-closure of mask m."""
+    return _union_table(s.n, s.down)
 
 
+@per_structure
 def up_table(s: Structure) -> list[int]:
-    """Entry m is the up-closure of mask m, built on first use."""
-    tab = s._cache.get("up_table")
-    if tab is None:
-        tab = s._cache["up_table"] = _union_table(s.n, s.up)
-    return tab
+    """Entry m is the up-closure of mask m."""
+    return _union_table(s.n, s.up)
 
 
 def downset_bits(s: Structure, bits: int) -> int:
-    return (s._cache.get("down_table") or down_table(s))[bits]
+    return (s._cache.get(down_table) or down_table(s))[bits]
 
 
 def upset_bits(s: Structure, bits: int) -> int:
-    return (s._cache.get("up_table") or up_table(s))[bits]
+    return (s._cache.get(up_table) or up_table(s))[bits]
 
 
-def _product_row(s: Structure, rows: list, abits: int) -> list[int]:
-    """Row A of the product table: entry B is the mask of A*B."""
-    low = abits & -abits
-    if abits == low:
-        a = low.bit_length() - 1
-        gens = [0] * s.n  # gens[b]: products of a and b over every operation
-        for t in s.tables:
-            for b, p in enumerate(t[a]):
-                gens[b] |= 1 << p
-        row = _union_table(s.n, gens)
-    else:
-        rest = rows[abits ^ low] or _product_row(s, rows, abits ^ low)
-        single = rows[low] or _product_row(s, rows, low)
-        row = [x | y for x, y in zip(rest, single)]
-    rows[abits] = row
-    return row
+@per_table
+def product_table(s: Structure) -> list[list[int]]:
+    """Entry [A][B] is the mask of A*B, for every pair of masks."""
+    n = s.n
+    rows = [[0] * (1 << n)]
+    for m in range(1, 1 << n):
+        low = m & -m
+        if m == low:
+            a = low.bit_length() - 1
+            gens = [0] * n  # gens[b]: products of a and b over every operation
+            for t in s.tables:
+                for b, p in enumerate(t[a]):
+                    gens[b] |= 1 << p
+            rows.append(_union_table(n, gens))
+        else:
+            rows.append([x | y for x, y in zip(rows[m ^ low], rows[low])])
+    return rows
+
+
+@per_structure
+def _product_rows(s: Structure) -> list[list[int]]:
+    """`product_table(s)`, kept in `s._cache` as well, so that
+    `product_bits` reads it by one lookup."""
+    return product_table(s)
 
 
 def product_bits(s: Structure, abits: int, bbits: int) -> int:
     """Mask of {a g b : a in A, b in B, g any operation}."""
-    rows = s._cache.get("product_rows")
-    if rows is None:
-        rows = s._cache["product_rows"] = _product_rows(s)
-    return (rows[abits] or _product_row(s, rows, abits))[bbits]
-
-
-def _product_rows(s: Structure) -> list:
-    """The product rows built so far, one list per table."""
-    shared = table_cache(s)
-    rows = shared.get("product_rows")
-    if rows is None:
-        rows = shared["product_rows"] = [None] * (1 << s.n)
-        rows[0] = [0] * (1 << s.n)
-    return rows
+    return (s._cache.get(_product_rows) or _product_rows(s))[abits][bbits]
 
 
 def downset(s: Structure, a: Subset) -> Subset:

@@ -79,9 +79,9 @@ class EnumSpec:
     dedup: str = "labeled"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= 6:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= 6:
             raise InputError("n must be an integer in 1..6")
-        if not isinstance(self.k, int) or not 1 <= self.k <= 3:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or not 1 <= self.k <= 3:
             raise InputError("k must be an integer in 1..3")
         if self.orders not in _ORDER_MODES:
             raise InputError(f"orders must be one of {_ORDER_MODES}")

@@ -17,7 +17,7 @@ builds them for a side: two-sided, left or right.
 
 Existential conditions (is there a semilattice congruence with simple
 classes?) are decided two ways: through the canonical N-partition witness
-and, at carriers of at most `partition_cap` elements, by exhausting every
+and, at carriers of at most `PARTITION_CAP` elements, by exhausting every
 partition.  Both answers must agree.
 """
 
@@ -30,8 +30,8 @@ from .analysis import (_chain_failure, _relative_ideal_bits, _simple_bits,
                        intra_regular_failure, is_intra_regular, is_left_duo,
                        is_left_regular, is_right_duo, is_right_regular,
                        maximal_simple_subsemigroups)
-from .core import (InputError, Structure, bit_indices, downset_bits, product_bits,
-                   subset_masks, table_cache)
+from .core import (InputError, Structure, bit_indices, downset_bits, per_structure,
+                   per_table, product_bits, subset_masks)
 from .ideals import (IdealKind, _all_ideal_bits, _chain_break_bits, _element_closures,
                      _filter_gens, _ideal_bits, _prime_bits, _principals,
                      _semiprime_bits, _two_sided_absorbing, _weakly_prime_bits,
@@ -79,6 +79,8 @@ def _implication(tid: str, premise: str | None, conds: dict, witness=None,
 
 # shared pieces
 
+PARTITION_CAP = 5  # the largest carrier whose partitions are all searched
+
 # side: its ideal kind, partition letter and index into `_element_closures`
 _SIDES = {
     "two": (IdealKind.TWO_SIDED, "I", 2),
@@ -87,30 +89,21 @@ _SIDES = {
 }
 
 
+@per_structure
 def _n_formula_holds(s: Structure, side: str) -> bool:
-    """filter_gen(x) == {y : x below some product around y}, for every x;
-    memoised per structure and side."""
-    key = ("n_formula", side)
-    hit = s._cache.get(key)
-    if hit is None:
-        closed = _element_closures(s)[_SIDES[side][2]]
-        hit = s._cache[key] = all(
-            sum(1 << y for y, c in enumerate(closed) if (c >> x) & 1) == f
-            for x, f in enumerate(_filter_gens(s)))
-    return hit
+    """filter_gen(x) == {y : x below some product around y}, for every x."""
+    closed = _element_closures(s)[_SIDES[side][2]]
+    return all(sum(1 << y for y, c in enumerate(closed) if (c >> x) & 1) == f
+               for x, f in enumerate(_filter_gens(s)))
 
 
+@per_table
 def _product_cells(s: Structure) -> list[tuple[int, int, int, int, int]]:
     """Every (x, y, g, x g y, y g x), g the index of an operation, by x,
-    then y, then g; they read the tables alone, so once per `table_cache`."""
-    shared = table_cache(s)
-    hit = shared.get("product_cells")
-    if hit is None:
-        elems = range(s.n)
-        hit = shared["product_cells"] = [
-            (x, y, g, t[x][y], t[y][x])
+    then y, then g."""
+    elems = range(s.n)
+    return [(x, y, g, t[x][y], t[y][x])
             for x in elems for y in elems for g, t in enumerate(s.tables)]
-    return hit
 
 
 def _first_ideal(s: Structure, bad) -> int | None:
@@ -130,11 +123,10 @@ def _exists_semilattice_all_simple(s: Structure, kind: IdealKind, chain: bool) -
         for p in semilattice_congruences(s))
 
 
-def _faces(s: Structure, side: str, tag: str, first: bool,
-           partition_cap: int) -> dict:
+def _faces(s: Structure, side: str, tag: str, first: bool) -> dict:
     """The seven faces of one side, keyed tag + "1" to tag + "7", face 1
     given as `first`, plus tag + "6e" at carriers of at most
-    `partition_cap` elements.
+    `PARTITION_CAP` elements.
 
     Faces 2 to 7: the side's filter formula, the N partition equal to the
     side's partition, every ideal of the side's kind a union of N blocks,
@@ -160,15 +152,16 @@ def _faces(s: Structure, side: str, tag: str, first: bool,
         tag + "6": dec.is_semilattice_congruence and simple,
         tag + "7": all(_semiprime_bits(s, b) and b in two for b in ideals),
     }
-    if s.n <= partition_cap:
+    if s.n <= PARTITION_CAP:
         c[tag + "6e"] = _exists_semilattice_all_simple(s, kind, chain=False)
     return c
 
 
-def _blocks_and_maximal_simple(s: Structure) -> tuple[set[int], set[int]]:
+@per_structure
+def _blocks_and_maximal_simple(s: Structure) -> tuple[frozenset[int], frozenset[int]]:
     """The masks of the N blocks and of the maximal simple subsemigroups."""
-    return ({b.bits for b in relation_partition(s, "N").blocks},
-            {b.bits for b in maximal_simple_subsemigroups(s)})
+    return (frozenset(b.bits for b in relation_partition(s, "N").blocks),
+            frozenset(b.bits for b in maximal_simple_subsemigroups(s)))
 
 
 # witnesses of the side that fails; None when that side holds
@@ -255,9 +248,9 @@ def check_lemma6(s: Structure) -> TheoremVerdict:
         lambda: {"element": a, "kind": faces[bad.index(a)][2].value}, "unconditional")
 
 
-def check_theorem8(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
+def check_theorem8(s: Structure) -> TheoremVerdict:
     """Seven equivalent faces of intra-regularity."""
-    return _equivalence("Thm8", _faces(s, "two", "", is_intra_regular(s), partition_cap))
+    return _equivalence("Thm8", _faces(s, "two", "", is_intra_regular(s)))
 
 
 def check_lemma9(s: Structure) -> TheoremVerdict:
@@ -340,14 +333,14 @@ def check_prop14(s: Structure) -> TheoremVerdict:
         lambda: _cell_witness(s, bad))
 
 
-def check_theorem16(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
+def check_theorem16(s: Structure) -> TheoremVerdict:
     """Intra-regular with chained ideals iff a chain of simple components."""
     c = {
         "intra_and_chain": (is_intra_regular(s)
                             and ideals_form_chain(s, IdealKind.TWO_SIDED)),
         "chain_of_simple": decompose(s).is_chain_of_simple,
     }
-    if s.n <= partition_cap:
+    if s.n <= PARTITION_CAP:
         c["chain_of_simple_exists"] = _exists_semilattice_all_simple(
             s, IdealKind.TWO_SIDED, chain=True)
     return _equivalence("Thm16", c)
@@ -385,23 +378,13 @@ def check_cor19(s: Structure) -> TheoremVerdict:
         {"intra_regular": is_intra_regular(s), "blocks_equal_maximal_simple": blocks == mss})
 
 
-def check_theorem21(s: Structure, partition_cap: int = 5) -> TheoremVerdict:
+def check_theorem21(s: Structure) -> TheoremVerdict:
     """Seven equivalent faces of left regular + left duo, and the mirrored
     right-handed faces; each side is an equivalence of its own."""
-    cl = _faces(s, "left", "L", is_left_regular(s) and is_left_duo(s), partition_cap)
-    cr = _faces(s, "right", "R", is_right_regular(s) and is_right_duo(s), partition_cap)
+    cl = _faces(s, "left", "L", is_left_regular(s) and is_left_duo(s))
+    cr = _faces(s, "right", "R", is_right_regular(s) and is_right_duo(s))
     ok = len(set(cl.values())) == 1 and len(set(cr.values())) == 1
     return TheoremVerdict("Thm21", "equivalence", cl | cr, ok)
-
-
-def _per_table(s: Structure, key: str, compute) -> tuple[bool, dict | None]:
-    """`compute(s)`, an (ok, witness) pair that depends on the tables of s
-    alone, once per `table_cache`; each caller gets its own witness."""
-    shared = table_cache(s)
-    if key not in shared:
-        shared[key] = compute(s)
-    ok, wit = shared[key]
-    return ok, None if wit is None else {k: list(v) for k, v in wit.items()}
 
 
 def check_stmt_1to2(s: Structure) -> TheoremVerdict:
@@ -412,13 +395,16 @@ def check_stmt_1to2(s: Structure) -> TheoremVerdict:
     value, so the first offending B for a given A is the singleton of the
     least element of that meet outside T: the witness is the one the
     loop over every A and every B would find first.  Primeness and the
-    products read the tables only, so the verdict is one per table.
+    products read the tables only, so the scan runs once per table.
     """
-    ok, wit = _per_table(s, "Stmt1to2", _stmt_1to2)
-    return _implication("Stmt1to2", None, {"prime_splits_products": ok}, lambda: wit)
+    bad = _stmt_1to2(s)
+    return _implication("Stmt1to2", None, {"prime_splits_products": bad is None},
+                        lambda: dict(zip("TAB", map(_bits_list, bad))))
 
 
-def _stmt_1to2(s: Structure) -> tuple[bool, dict | None]:
+@per_table
+def _stmt_1to2(s: Structure) -> tuple[int, int, int] | None:
+    """The first offending (T, A, B), or None."""
     masks = subset_masks(s.n)
     pairs = [[product_bits(s, 1 << a, 1 << b) for b in range(s.n)] for a in range(s.n)]
     for tb in range(s.full + 1):
@@ -436,22 +422,23 @@ def _stmt_1to2(s: Structure) -> tuple[bool, dict | None]:
         for ab in masks:
             bad = inside[ab] & ~tb
             if ab & ~tb and bad:
-                return False, {"T": _bits_list(tb), "A": _bits_list(ab),
-                               "B": _bits_list(bad & -bad)}
-    return True, None
+                return tb, ab, bad & -bad
+    return None
 
 
 def check_stmt_a(s: Structure) -> TheoremVerdict:
     """Prime subsets are semiprime; both read the tables only, so the
-    verdict is one per table."""
-    ok, wit = _per_table(s, "StmtA", _stmt_a)
-    return _implication("StmtA", None, {"prime_implies_semiprime": ok}, lambda: wit)
+    scan runs once per table."""
+    bad = _stmt_a(s)
+    return _implication("StmtA", None, {"prime_implies_semiprime": bad is None},
+                        lambda: {"T": _bits_list(bad)})
 
 
-def _stmt_a(s: Structure) -> tuple[bool, dict | None]:
-    bad = next((tb for tb in range(s.full + 1)
-                if _prime_bits(s, tb) and not _semiprime_bits(s, tb)), None)
-    return bad is None, None if bad is None else {"T": _bits_list(bad)}
+@per_table
+def _stmt_a(s: Structure) -> int | None:
+    """The first prime subset that is not semiprime, or None."""
+    return next((tb for tb in range(s.full + 1)
+                 if _prime_bits(s, tb) and not _semiprime_bits(s, tb)), None)
 
 
 def check_stmt_b(s: Structure) -> TheoremVerdict:
@@ -474,18 +461,16 @@ _CHECKS = {
 
 THEOREM_IDS = tuple(_CHECKS)
 
-_CAPPED = {"Thm8", "Thm16", "Thm21"}
 
-
-def check(s: Structure, theorem_id: str, partition_cap: int = 5) -> TheoremVerdict:
+def check(s: Structure, theorem_id: str) -> TheoremVerdict:
     """Run one catalogued check by id."""
     try:
         fn = _CHECKS[theorem_id]
     except KeyError:
         raise InputError(f"unknown theorem id {theorem_id!r}") from None
-    return fn(s, partition_cap) if theorem_id in _CAPPED else fn(s)
+    return fn(s)
 
 
-def check_all(s: Structure, partition_cap: int = 5) -> list[TheoremVerdict]:
+def check_all(s: Structure) -> list[TheoremVerdict]:
     """Every catalogued check, in catalogue order."""
-    return [check(s, tid, partition_cap) for tid in THEOREM_IDS]
+    return [check(s, tid) for tid in THEOREM_IDS]

@@ -5,17 +5,18 @@ subset is never one.  Enumerations list subsets ascending by popcount and
 then by mask value, which fixes a deterministic order everywhere.
 
 Element tables.  The per-element quantities that the checks read again
-and again are built once per structure as n-entry lists, on first use:
-the closures (M e], (e M] and (M e M] (`_element_closures`), the
-principal ideals of each kind (`_principals`) and the generated filters
-(`_filter_gens`).  Their product halves read the tables alone and are
-built once per `core.table_cache`, as are the masks that absorb products
-on an ideal kind's sides, in the carrier or in a subsemigroup
-(`_absorbing`); a structure only applies its own order to them.
+and again are built once per structure as n-entry lists, on first use
+(`core.per_structure`): the closures (M e], (e M] and (M e M]
+(`_element_closures`), the principal ideals of a kind (`_principals`)
+and the generated filters (`_filter_gens`).  Their product halves read
+the tables alone and are built once per table (`core.per_table`), as
+are the masks that absorb products on an ideal kind's sides, in the
+carrier or in a subsemigroup (`_absorbing`); a structure only applies
+its own order to them.
 
-In CPython 3.11 an Enum's hash and a member's lookup on its class are
-Python-level calls, so memo keys name a kind by its `_value_` string and
-the hot tests compare against module-level aliases of the members.
+An `IdealKind` enters memo keys, so it hashes by identity: an Enum's own
+hash is a Python-level call.  The hot tests compare against module-level
+aliases of the members, as a member's lookup on its class is one too.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ from enum import Enum
 from functools import lru_cache
 
 from .core import (InputError, PreconditionError, Structure, Subset,
-                   _owned, _union_table, down_table, downset_bits,
-                   product_bits, subset_masks, table_cache, up_table)
+                   _owned, _union_table, down_table, downset_bits, per_structure,
+                   per_table, product_bits, subset_masks, up_table)
 
 
 class IdealKind(Enum):
     LEFT = "left"
     RIGHT = "right"
     TWO_SIDED = "two_sided"
+
+    __hash__ = object.__hash__
 
 
 _LEFT, _RIGHT, _TWO_SIDED = IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED
@@ -54,45 +57,33 @@ def is_ideal(s: Structure, a: Subset, kind: IdealKind = IdealKind.TWO_SIDED) -> 
     return _ideal_bits(s, _owned(s, a), kind)
 
 
+@per_table
 def _side_products(s: Structure) -> tuple[list[int], list[int], list[int]]:
     """For each element e the masks of M e, e M and M e M, no order
-    closure; they read the tables alone, so once per `table_cache`."""
-    shared = table_cache(s)
-    hit = shared.get("side_products")
-    if hit is None:
-        m, elems = s.full, range(s.n)
-        left = [product_bits(s, m, 1 << e) for e in elems]
-        hit = shared["side_products"] = (
-            left, [product_bits(s, 1 << e, m) for e in elems],
+    closure."""
+    m, elems = s.full, range(s.n)
+    left = [product_bits(s, m, 1 << e) for e in elems]
+    return (left, [product_bits(s, 1 << e, m) for e in elems],
             [product_bits(s, p, m) for p in left])
-    return hit
 
 
+@per_structure
 def _element_closures(s: Structure) -> tuple[list[int], list[int], list[int]]:
     """For each element e the down-closures (M e], (e M] and (M e M]."""
-    hit = s._cache.get("element_closures")
-    if hit is None:
-        down = down_table(s)
-        hit = s._cache["element_closures"] = tuple(
-            [down[p] for p in products] for products in _side_products(s))
-    return hit
+    down = down_table(s)
+    return tuple([down[p] for p in products] for products in _side_products(s))
 
 
+@per_structure
 def _principals(s: Structure, kind: IdealKind) -> list[int]:
     """The principal ideal of the given kind of every element: the
     down-closure of e with M e (left), with e M (right), or with M e,
-    e M and M e M (two-sided), as one list per kind."""
-    hit = s._cache.get("principals")
-    if hit is None:
-        left, right, sandwich = _element_closures(s)
-        below = s.down  # (e]
-        hit = s._cache["principals"] = (
-            [d | x for d, x in zip(below, left)],
-            [d | x for d, x in zip(below, right)],
-            [d | x | y | z for d, x, y, z in zip(below, left, right, sandwich)])
+    e M and M e M (two-sided)."""
+    left, right, sandwich = _element_closures(s)
+    below = s.down  # (e]
     if kind is _TWO_SIDED:
-        return hit[2]
-    return hit[0] if kind is _LEFT else hit[1]
+        return [d | x | y | z for d, x, y, z in zip(below, left, right, sandwich)]
+    return [d | x for d, x in zip(below, left if kind is _LEFT else right)]
 
 
 def principal(s: Structure, a: int, kind: IdealKind = IdealKind.TWO_SIDED) -> Subset:
@@ -102,16 +93,13 @@ def principal(s: Structure, a: int, kind: IdealKind = IdealKind.TWO_SIDED) -> Su
     return Subset(s, _principals(s, kind)[a])
 
 
+@per_structure
 def _all_ideal_bits(s: Structure, kind: IdealKind) -> tuple[int, ...]:
     """Every ideal of the given kind in `subset_masks` order: of the masks
-    that absorb products on the kind's sides, found once per
-    `table_cache`, the ones this structure's order leaves down-closed."""
-    key = ("all_ideals", kind._value_)
-    hit = s._cache.get(key)
-    if hit is None:
-        down = down_table(s)
-        hit = s._cache[key] = tuple(m for m in _absorbing(s, kind) if down[m] == m)
-    return hit
+    that absorb products on the kind's sides, found once per table, the
+    ones this structure's order leaves down-closed."""
+    down = down_table(s)
+    return tuple(m for m in _absorbing(s, kind, s.full) if down[m] == m)
 
 
 @lru_cache(maxsize=None)
@@ -126,32 +114,21 @@ def _masks_within(tbits: int) -> tuple[int, ...]:
     return tuple(subs)
 
 
-def _absorbing(s: Structure, kind: IdealKind, tbits: int | None = None) -> tuple[int, ...]:
-    """The nonempty submasks A of T, the carrier unless given, in
-    `_masks_within` order (`subset_masks` order for the carrier), that
-    absorb T on the kind's sides: the ideals of the kind, and the relative
-    ideals of a subsemigroup T, before the order has its say.  They read
-    the tables alone, so once per `table_cache`."""
-    if tbits is None:
-        tbits = s.full
-    key = ("absorbing", tbits, kind._value_)
-    shared = table_cache(s)
-    hit = shared.get(key)
-    if hit is None:
-        hit = shared[key] = tuple(
-            a for a in _masks_within(tbits) if _absorbs(s, tbits, a, kind))
-    return hit
+@per_table
+def _absorbing(s: Structure, kind: IdealKind, tbits: int) -> tuple[int, ...]:
+    """The nonempty submasks A of T in `_masks_within` order
+    (`subset_masks` order for the carrier) that absorb T on the kind's
+    sides: the ideals of the kind, and the relative ideals of a
+    subsemigroup T, before the order has its say."""
+    return tuple(a for a in _masks_within(tbits) if _absorbs(s, tbits, a, kind))
 
 
+@per_table
 def _two_sided_absorbing(s: Structure) -> frozenset[int]:
-    """`_absorbing(s, TWO_SIDED)` as a set, once per `table_cache`: a left
-    or right ideal, already nonempty and down-closed, is two-sided exactly
-    when it is a member."""
-    shared = table_cache(s)
-    hit = shared.get("two_sided_absorbing")
-    if hit is None:
-        hit = shared["two_sided_absorbing"] = frozenset(_absorbing(s, _TWO_SIDED))
-    return hit
+    """`_absorbing(s, TWO_SIDED, s.full)` as a set: a left or right ideal,
+    already nonempty and down-closed, is two-sided exactly when it is a
+    member."""
+    return frozenset(_absorbing(s, _TWO_SIDED, s.full))
 
 
 def all_ideals(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subset]:
@@ -159,19 +136,15 @@ def all_ideals(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subs
     return [Subset(s, b) for b in _all_ideal_bits(s, kind)]
 
 
+@per_table
 def _factor_table(s: Structure) -> list[int]:
-    """Entry m is the mask of every factor a, b of a product a g b in m;
-    it reads the tables alone, so once per `table_cache`."""
-    shared = table_cache(s)
-    hit = shared.get("factor_table")
-    if hit is None:
-        factors = [0] * s.n
-        for t in s.tables:
-            for a, row in enumerate(t):
-                for b, v in enumerate(row):
-                    factors[v] |= (1 << a) | (1 << b)
-        hit = shared["factor_table"] = _union_table(s.n, factors)
-    return hit
+    """Entry m is the mask of every factor a, b of a product a g b in m."""
+    factors = [0] * s.n
+    for t in s.tables:
+        for a, row in enumerate(t):
+            for b, v in enumerate(row):
+                factors[v] |= (1 << a) | (1 << b)
+    return _union_table(s.n, factors)
 
 
 def _filter_bits(s: Structure, bits: int) -> bool:
@@ -187,31 +160,24 @@ def is_filter(s: Structure, f: Subset) -> bool:
 
 def all_filters(s: Structure) -> list[Subset]:
     """Every filter, brute force over all subsets."""
-    key = ("all_filters",)
-    hit = s._cache.get(key)
-    if hit is None:
-        hit = tuple(m for m in subset_masks(s.n) if _filter_bits(s, m))
-        s._cache[key] = hit
-    return [Subset(s, b) for b in hit]
+    return [Subset(s, m) for m in subset_masks(s.n) if _filter_bits(s, m)]
 
 
+@per_structure
 def _filter_gens(s: Structure) -> list[int]:
     """The filter generated by each element: the least fixed point above
     it of X -> X, X X, [X) and the factors of the members of X."""
-    hit = s._cache.get("filter_gens")
-    if hit is None:
-        up, factors = up_table(s), _factor_table(s)
-        hit = []
-        for x in range(s.n):
-            bits = 1 << x
-            while True:
-                new = bits | product_bits(s, bits, bits) | up[bits] | factors[bits]
-                if new == bits:
-                    break
-                bits = new
-            hit.append(bits)
-        s._cache["filter_gens"] = hit
-    return hit
+    up, factors = up_table(s), _factor_table(s)
+    gens = []
+    for x in range(s.n):
+        bits = 1 << x
+        while True:
+            new = bits | product_bits(s, bits, bits) | up[bits] | factors[bits]
+            if new == bits:
+                break
+            bits = new
+        gens.append(bits)
+    return gens
 
 
 def _filter_gen_bits(s: Structure, x: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .core import (InputError, OwnerError, Structure, Subset, _unchecked_subset,
-                   table_cache)
+                   per_structure, per_table)
 from .ideals import IdealKind, _filter_gens, _principals
 
 _KINDS = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}
@@ -116,12 +116,9 @@ class Partition:
         return f"Partition({self.as_lists()})"
 
 
+@per_structure
 def relation_partition(s: Structure, which: str) -> Partition:
     """Partition of the carrier under L, R, I or N equivalence."""
-    key = ("partition", which)
-    hit = s._cache.get(key)
-    if hit is not None:
-        return hit
     if which == "N":
         keys = _filter_gens(s)
     elif which in _KINDS:
@@ -129,9 +126,7 @@ def relation_partition(s: Structure, which: str) -> Partition:
     else:
         raise InputError(f"unknown relation {which!r}, expected one of L R I N")
     first: dict[int, int] = {}  # block number by key, in order of least element
-    part = s._cache[key] = Partition._from_classes(
-        s, [first.setdefault(k, len(first)) for k in keys])
-    return part
+    return Partition._from_classes(s, [first.setdefault(k, len(first)) for k in keys])
 
 
 def _check_owner(s: Structure, p: Partition) -> None:
@@ -213,21 +208,15 @@ def all_partitions(s: Structure) -> Iterator[Partition]:
         yield Partition._from_classes(s, rgs)
 
 
-def semilattice_congruences(s: Structure) -> tuple[Partition, ...]:
-    """Every semilattice congruence, in `all_partitions` order, memoised.
+@per_table
+def _semilattice_classes(s: Structure) -> tuple[tuple[int, ...], ...]:
+    """The class labels of every semilattice congruence, in
+    `all_partitions` order: being one depends on the tables alone."""
+    return tuple(p.class_of for p in all_partitions(s) if is_semilattice_congruence(s, p))
 
-    Being one depends on the tables alone, so the sweep runs once per
-    `table_cache` and keeps the class labels; the other structures on the
-    same tables build Partitions for the congruences only."""
-    key = "semilattice_congruences"
-    hit = s._cache.get(key)
-    if hit is None:
-        shared = table_cache(s)
-        labels = shared.get(key)
-        if labels is None:
-            hit = tuple(p for p in all_partitions(s) if is_semilattice_congruence(s, p))
-            shared[key] = tuple(p.class_of for p in hit)
-        else:
-            hit = tuple(Partition._from_classes(s, c) for c in labels)
-        s._cache[key] = hit
-    return hit
+
+@per_structure
+def semilattice_congruences(s: Structure) -> tuple[Partition, ...]:
+    """Every semilattice congruence, in `all_partitions` order; the sweep
+    runs once per table."""
+    return tuple(Partition._from_classes(s, c) for c in _semilattice_classes(s))

@@ -198,14 +198,18 @@ def test_campaign_jobs_determinism(capsys):
 
 def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch):
     """One check made to disagree on one structure: the campaign stops at
-    it with exit 1 and the same first_failure for every --jobs value."""
-    target = list(enumerate_structures(EnumSpec(2, 1)))[13]
+    it with exit 1 and the same first_failure for every --jobs value.  The
+    structure is the second on its table, so at every --jobs value it
+    reads table results that the first one computed."""
+    structures = list(enumerate_structures(EnumSpec(2, 1)))
+    target = structures[14]
+    assert target.tables == structures[13].tables != structures[12].tables
     real = harness._CHECKS["Lemma4"]
 
     def faulty(s):
         verdict = real(s)
         if digest(s) == digest(target):
-            return dataclasses.replace(verdict, equivalent=False, witness={"injected": 13})
+            return dataclasses.replace(verdict, equivalent=False, witness={"injected": 14})
         return verdict
 
     # pool workers are forked, so they see the patched catalogue too
@@ -217,13 +221,13 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
         reports.append(_strip_timings(_report(out)))
     assert reports[0] == reports[1]
     sec = reports[0]["sections"]
-    assert sec["structures"] == 14
+    assert sec["structures"] == 15
     assert sec["all_equivalent"] is False
     failure = sec["first_failure"]
     assert failure["structure"] == to_obj(target)
     assert failure["digest"] == digest(target)
     assert [(v["theorem"], v["equivalent"], v["witness"]) for v in failure["verdicts"]] == \
-        [("Lemma4", False, {"injected": 13})]
+        [("Lemma4", False, {"injected": 14})]
 
 
 _CAMPAIGN_N3K1 = """

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import gpw
 from gpw.core import (InputError, OwnerError, Structure, Subset, downset,
-                      downset_bits, gamma_product, product_bits, subset_masks,
-                      upset, validate, word_product)
+                      downset_bits, gamma_product, per_structure, per_table,
+                      product_bits, subset_masks, table_cache, upset, validate,
+                      word_product)
 from gpw.explore import random_structure
 from gpw.fixtures import left_zero, min_semilattice
 
@@ -53,6 +54,33 @@ def test_structure_pickle_roundtrip(min_sl):
     assert clone.tables == min_sl.tables
     assert clone.leq == min_sl.leq
     assert clone.gamma_names == min_sl.gamma_names
+
+
+def test_memo_decorators_key_by_function_and_arguments(min_sl):
+    """A memoised result is computed once per key, in the structure's own
+    dict or in the shared table dict; None and False are results too."""
+    calls = []
+
+    @per_structure
+    def own(s, a, b):
+        calls.append((a, b))
+        return None
+
+    @per_table
+    def shared(s, a):
+        calls.append(a)
+        return False
+
+    twin = Structure(min_sl.n, min_sl.gamma_names, min_sl.tables, min_sl.leq,
+                     table_cache=table_cache(min_sl))
+    for s in (min_sl, min_sl, twin):
+        assert own(s, 1, 2) is None and shared(s, 3) is False
+    assert calls == [(1, 2), 3, (1, 2)]
+    assert min_sl._cache[own, 1, 2] is None and table_cache(twin)[shared, 3] is False
+    assert own.__name__ == "own" and own.__wrapped__(min_sl, 1, 2) is None
+
+    with pytest.raises(TypeError):
+        per_structure(lambda s, a, b, c: 0)
 
 
 def test_subset_basics(min_sl):

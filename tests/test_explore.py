@@ -106,6 +106,13 @@ def test_enum_spec_validation():
             EnumSpec(**bad)
 
 
+def test_enum_spec_rejects_booleans():
+    """A bool is an int to isinstance; the spec must not read True as 1."""
+    for bad in (dict(n=True), dict(n=2, k=True), dict(n=True, k=True)):
+        with pytest.raises(InputError, match="must be an integer"):
+            EnumSpec(**bad)
+
+
 # sampling
 
 def test_random_structure_deterministic():

@@ -30,7 +30,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw import explore, harness, ideals
+from gpw import core, explore, harness, ideals
 from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
                           is_left_duo, is_right_duo, left_regular_failure,
                           relative_ideals, right_regular_failure)
@@ -130,12 +130,13 @@ def test_mask_tables_match_loops_on_samples(n, k, seed, raw_queries):
     _assert_masks_agree(s, [(a & s.full, b & s.full) for a, b in raw_queries])
 
 
-def test_product_rows_are_built_on_demand():
-    s = random_structure(4, 1, seed=3)
-    assert "product_rows" not in s._cache
-    product_bits(s, 0b0101, 0b0011)
-    built = [a for a, row in enumerate(s._cache["product_rows"]) if row is not None]
-    assert built == [0, 0b0001, 0b0100, 0b0101]
+def test_product_table_is_built_whole_once_per_table():
+    first, second = list(islice(enumerate_structures(EnumSpec(3, 1)), 2))
+    assert first.tables == second.tables
+    product_bits(first, 0b101, 0b011)
+    table = core.product_table(first)
+    assert len(table) == 8 and all(len(row) == 8 for row in table)
+    assert core.product_table(second) is table
 
 
 # Stmt1to2
@@ -634,13 +635,19 @@ def test_table_cache_is_shared_per_table():
 
 
 def test_pickled_walk_structure_arrives_cold():
+    """A pickle carries the table cache, contents and all, and shares it
+    between the structures of one table pickled together; the
+    per-structure cache arrives empty."""
     s = list(islice(enumerate_structures(EnumSpec(4, 1)), 3))[-1]
     before = _results(s)
     assert s._cache and table_cache(s)
     copy = pickle.loads(pickle.dumps(s))
-    assert copy._cache == {} and table_cache(copy) == {}
+    assert copy._cache == {}
+    assert table_cache(copy) == table_cache(s)
     assert table_cache(copy) is not table_cache(s)
     assert _results(copy) == before
+    a, b = pickle.loads(pickle.dumps(list(islice(enumerate_structures(EnumSpec(4, 1)), 2))))
+    assert table_cache(a) is table_cache(b) == {}
 
 
 def _stmt_verdicts(spec) -> list:
@@ -901,9 +908,9 @@ def test_duo_and_thm21_face7_match_ideal_bits_form():
     assert seen == {(True, True), (True, False), (False, False)}
 
 
-def _table_families(s) -> dict:
-    """The per-table families in the table cache of s, product rows aside."""
-    return {key: val for key, val in table_cache(s).items() if key != "product_rows"}
+def _family_name(key) -> str:
+    """The name of the function a memo key belongs to."""
+    return (key if callable(key) else key[0]).__name__
 
 
 def test_table_families_never_cross_tables():
@@ -915,18 +922,19 @@ def test_table_families_never_cross_tables():
         element_tables(s)
         fresh = _fresh(s)
         element_tables(fresh)
-        shared, own = _table_families(s), _table_families(fresh)
+        shared, own = table_cache(s), table_cache(fresh)
         assert shared.keys() == own.keys()
         assert shared == own
-        checked.update(k if isinstance(k, str) else k[0] for k in shared)
-    assert checked == {"side_products", "factor_table", "absorbing", "all_subsemigroups"}
+        checked.update(map(_family_name, shared))
+    assert checked == {"product_table", "_side_products", "_factor_table", "_absorbing",
+                       "_subsemigroup_masks"}
 
 
 def test_pickled_structure_rebuilds_element_tables():
     s = list(islice(enumerate_structures(EnumSpec(4, 1)), 5))[-1]
     before = element_tables(s)
     copy = pickle.loads(pickle.dumps(s))
-    assert copy._cache == {} and table_cache(copy) == {}
+    assert copy._cache == {} and table_cache(copy) == table_cache(s)
     assert element_tables(copy) == ref_element_tables(copy)
     assert [list(p.class_of) for p in element_tables(copy)["partitions"]] == \
         [list(p.class_of) for p in before["partitions"]]
@@ -937,10 +945,10 @@ def test_faces_are_memoised_per_structure():
     assert intra_regular_failure(s) is intra_regular_failure(s)
     assert ideals._principals(s, IdealKind.LEFT) is ideals._principals(s, IdealKind.LEFT)
     assert ideals._filter_gens(s) is ideals._filter_gens(s)
-    assert "intra_regular_failure" in s._cache
-    assert ("n_formula", "two") not in s._cache
+    assert intra_regular_failure in s._cache
+    assert (harness._n_formula_holds, "two") not in s._cache
     harness.check_lemma3(s)
-    assert ("n_formula", "two") in s._cache
+    assert (harness._n_formula_holds, "two") in s._cache
 
 
 # unchecked internal partitions against validated ones

@@ -16,7 +16,7 @@ from gpw.explore import EnumSpec, PREDICATES, enumerate_structures, random_struc
 from gpw.gpsjson import digest
 from gpw.harness import THEOREM_IDS, TheoremVerdict, check, check_all
 from gpw.ideals import IdealKind, principal
-from gpw.relations import relation_partition
+from gpw.relations import Partition, relation_partition
 
 
 def test_theorem_id_catalogue():
@@ -54,8 +54,9 @@ def test_constant_zero_theorem8(cz):
     assert v.equivalent
 
 
-def test_partition_cap_drops_exhaustive_key(min_sl):
-    v = check(min_sl, "Thm8", partition_cap=1)
+def test_partition_cap_drops_exhaustive_key(min_sl, monkeypatch):
+    monkeypatch.setattr(harness, "PARTITION_CAP", 1)
+    v = check(min_sl, "Thm8")
     assert "6e" not in v.condition_values
     assert set(v.condition_values) == {str(i) for i in range(1, 8)}
     assert v.equivalent
@@ -177,6 +178,60 @@ def test_forced_prop2_conclusion(monkeypatch, lz):
     v = _forced(monkeypatch, lz, "Prop2", "is_intra_regular", False)
     assert v.condition_values == {"intra_regular": False, "pair_closures_equal": False}
     assert v.equivalent and v.witness is None
+
+
+# forced-false sides: each test forces the helper behind one side of a
+# claim on a fresh fixture (a per-table scan, once run, is memoised)
+
+def test_forced_lemma4_refinement(monkeypatch, min_sl):
+    """L forced to one block: it no longer refines I, which on the
+    min-semilattice is the identity; I still refines N."""
+    real = harness.relation_partition
+    monkeypatch.setattr(harness, "relation_partition",
+                        lambda s, w: Partition.single_block(s) if w == "L" else real(s, w))
+    v = check(min_sl, "Lemma4")
+    assert not v.equivalent
+    assert v.condition_values == {"L_refines_I": False, "I_refines_N": True}
+    assert v.witness == {"L_refines_I": False, "I_refines_N": True}
+
+
+def test_forced_lemma12_containment(monkeypatch, lz):
+    """Principal ideals forced to singletons: x g y = x lies outside the
+    meet of (0] and (1], so the containment fails at the pair (0, 1)."""
+    monkeypatch.setattr(harness, "_principals", lambda s, kind: [1 << e for e in range(s.n)])
+    v = check(lz, "Lemma12")
+    assert not v.equivalent
+    assert v.condition_values == {"product_principal_contained": False,
+                                  "intra_regular": True, "product_principal_equal": False}
+    assert v.witness == {"x": 0, "y": 1, "gamma": "g0"}
+
+
+def test_forced_lemma17(monkeypatch, min_sl):
+    """No trace is a relative ideal: the first subsemigroup, {0}, and its
+    first element fail."""
+    monkeypatch.setattr(harness, "_relative_ideal_bits", lambda s, tb, ab, kind: False)
+    v = check(min_sl, "Lemma17")
+    assert not v.equivalent
+    assert v.condition_values == {"sandwich_trace_relative_ideal": False}
+    assert v.witness == {"subsemigroup": [0], "element": 0}
+
+
+def test_forced_stmt_a(monkeypatch, min_sl):
+    """The carrier, which is prime, forced not semiprime."""
+    monkeypatch.setattr(harness, "_semiprime_bits", lambda s, tb: tb != s.full)
+    v = check(min_sl, "StmtA")
+    assert not v.equivalent
+    assert v.condition_values == {"prime_implies_semiprime": False}
+    assert v.witness == {"T": [0, 1]}
+
+
+def test_forced_stmt_b(monkeypatch, min_sl):
+    """No ideal weakly prime: the first prime ideal, {0}, fails."""
+    monkeypatch.setattr(harness, "_weakly_prime_bits", lambda s, tb: False)
+    v = check(min_sl, "StmtB")
+    assert not v.equivalent
+    assert v.condition_values == {"prime_ideals_weakly_prime": False}
+    assert v.witness == {"T": [0]}
 
 
 def _opposite(s: Structure) -> Structure:

@@ -36,9 +36,9 @@ from .relations import relation_partition
 
 
 def _warn_beyond_envelope(n: int, k: int) -> None:
-    if not ((n <= 3 and k <= 2) or (n <= 4 and k == 1)):
+    if not ((n <= 3 and k <= 3) or (n <= 4 and k == 1)):
         print(f"warning: n={n}, k={k} is beyond the supported envelope "
-              "(n <= 3 with k <= 2, or n <= 4 with k = 1); proceeding anyway",
+              "(n <= 3 with k <= 3, or n <= 4 with k = 1); proceeding anyway",
               file=sys.stderr)
 
 

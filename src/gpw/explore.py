@@ -1,19 +1,24 @@
 """Structure space: exhaustive enumeration, seeded sampling, predicate search.
 
-Tables are generated by a backtracking fill over cells in a fixed order
-with an incremental associativity check, so the stream of surviving
-tables is deterministic and lexicographic in the fill order.  The fill
-is one loop over depths, each holding its own iterator of values to try.
-Its tables are padded: an extra row n and column n, and n in every
-unfilled cell, so a product with an unfilled factor is n and the check
-needs no separate test for it.  The fill also keeps, per operation and
-value, the list of filled cells with that product, so a new cell's check
-visits only the cells it can meet.  Since cells are filled in a fixed
-order, every cell after the current one holds n; a liveness plan,
-computed once per (n, k), lists for each cell the rows and columns whose
-statically named cell comes no later, and the check scans only those.
-It skips only constraints that cannot fire, so the values tried, the
-nodes counted and the tables found are those of a full scan.
+Tables are generated by a backtracking fill with an incremental
+associativity check.  It visits the cells (g, a, b) by g, then a, then
+b: one whole operation table after another, so a mixed constraint
+between tables g and m < g fires as soon as its cell of table g is
+filled, rather than once both tables are far along.  The walk hands the
+tables on in (a, b, g)-lexicographic order, which decides the order of
+every report; with one operation that is the fill's own order, and with
+more the filled tables are sorted into it.  The fill is one loop over
+depths, each holding its own iterator of values to try.  Its tables are
+padded: an extra row n and column n, and n in every unfilled cell, so a
+product with an unfilled factor is n and the check needs no separate
+test for it.  The fill also keeps, per operation and value, the list of
+filled cells with that product, so a new cell's check visits only the
+cells it can meet.  Since cells are filled in a fixed order, every cell
+after the current one holds n; a liveness plan, computed once per
+(n, k), lists for each cell the rows and columns whose statically named
+cell comes no later, and the check scans only those.  It skips only
+constraints that cannot fire, so the values tried, the nodes counted and
+the tables found are those of a full scan.
 Orders come from a cached enumeration that adds one element at a time,
 choosing the elements below and above it, sorted by the pair mask that
 fixes their order.  A structure is emitted only when every operation
@@ -30,15 +35,16 @@ smaller, in which case no structure on it is canonical; otherwise only
 the table's automorphisms can make the order smaller, and each costs a
 few mask operations per order.
 
-Sampling reuses the same backtracking with shuffled value order and a
-node budget, counted by the fill itself: each value tried is a node.  The
-generator is seeded from (n, k, seed) so repeated calls agree byte for
-byte across runs and platforms.  The draw contract: every shuffle of
-range(n), one per depth the fill enters and one per candidate order, is
-the permutation `Random.shuffle` gives, drawn with the same
-`getrandbits` calls (`_shuffler` makes them directly), so the values
-tried, the nodes counted and the generator state at every exhausted
-attempt are those of a loop that calls `rng.shuffle`.
+Sampling reuses the same backtracking, in the same (g, a, b) cell
+order, with shuffled value order and a node budget, counted by the fill
+itself: each value tried is a node.  The generator is seeded from
+(n, k, seed) so repeated calls agree byte for byte across runs and
+platforms.  The draw contract: every shuffle of range(n), one per depth
+the fill enters and one per candidate order, is the permutation
+`Random.shuffle` gives, drawn with the same `getrandbits` calls
+(`_shuffler` makes them directly), so the values tried, the nodes
+counted and the generator state at every exhausted attempt are those of
+a loop that calls `rng.shuffle`.
 """
 
 from __future__ import annotations
@@ -103,12 +109,15 @@ def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int,
     x m (a g b) reads (m, x, a), and (a g b) m z reads (m, b, z).  `rows`
     lists the rows t[m][x] and `cols` the triples (t[m], t[m][b], z) to
     scan for them; the fill passes only those whose named cell can be
-    filled (`_fill_plan`), and passing every row and column gives the same
-    answer.  `pre[m][v]` lists filled cells (x, y) with x m y == v, so the
-    two outer-product checks visit only the cells whose product is a or b;
-    whether it lists the new cell does not matter, as the constraints that
-    would read it there are inner-product ones too.  The family that
-    rejects most often goes first.
+    filled (`_fill_plan`): in its (g, a, b) order, every row and column
+    of the complete tables m < g, and those of table g whose named cell
+    comes no later than the new one.  Passing every row and column gives
+    the same answer.  `pre[m][v]` lists filled cells (x, y) with
+    x m y == v, so the two outer-product checks visit only the cells whose
+    product is a or b, and none of the still empty tables m > g; whether
+    it lists the new cell does not matter, as the constraints that would
+    read it there are inner-product ones too.  The family that rejects
+    most often goes first.
     """
     tg = t[g]
     row_a = tg[a]
@@ -145,31 +154,28 @@ def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int,
 def _fill_plan(n: int, k: int) -> tuple:
     """The fill order with the liveness plan of each cell's check.
 
-    Cells (g, a, b) go by a, then b, then g.  Each entry is (g, a, b,
-    rows, cols): `rows` holds the (m, x) whose cell (m, x, a) comes no
-    later than (g, a, b), and `cols` the (m, z) whose cell (m, b, z) does.
-    Only those can be filled when the check at (g, a, b) runs; any other
-    holds n, so the constraint that names it cannot fire.
+    Cells (g, a, b) go in ascending order of the triple, by g, then a,
+    then b, so table g is filled whole before table g + 1 starts and one
+    cell comes no later than another when its triple is no greater.  Each
+    entry is (g, a, b, rows, cols): `rows` holds the (m, x) whose cell
+    (m, x, a) comes no later than (g, a, b), and `cols` the (m, z) whose
+    cell (m, b, z) does.  Only those can be filled when the check at
+    (g, a, b) runs; any other holds n, so the constraint that names it
+    cannot fire.
     """
-    plan = []
-    filled = set()
-    for a in range(n):
-        for b in range(n):
-            for g in range(k):
-                filled.add((g, a, b))
-                plan.append((g, a, b,
-                             tuple((m, x) for m in range(k) for x in range(n)
-                                   if (m, x, a) in filled),
-                             tuple((m, z) for m in range(k) for z in range(n)
-                                   if (m, b, z) in filled)))
-    return tuple(plan)
+    return tuple((g, a, b,
+                  tuple((m, x) for m in range(k) for x in range(n) if (m, x, a) <= (g, a, b)),
+                  tuple((m, z) for m in range(k) for z in range(n) if (m, b, z) <= (g, a, b)))
+                 for g in range(k) for a in range(n) for b in range(n))
 
 
 def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
           max_nodes: int | None = None) -> Iterator[tuple]:
-    """Backtracking fill over the cells in fill order, trying the values
-    `values()` gives, in its order, at each cell; yields every complete
-    k-tuple of n x n tables satisfying mixed associativity.
+    """Backtracking fill over the cells in (g, a, b) order, trying the
+    values `values()` gives, in its order, at each cell; yields every
+    complete k-tuple of n x n tables satisfying mixed associativity, in
+    the order the fill completes them (lexicographic in (g, a, b) when
+    `values()` is always range(n)).
 
     The state is padded: each table has an extra row n and column n, and
     an unfilled cell holds n, so a product with an unfilled factor is n.
@@ -218,8 +224,19 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
 
 
 def _associative_tables(n: int, k: int) -> Iterator[tuple]:
-    """All k-tuples of n x n tables satisfying mixed associativity."""
-    yield from _fill(n, k, lambda: range(n))
+    """All k-tuples of n x n tables satisfying mixed associativity, in
+    (a, b, g)-lexicographic order.
+
+    The fill completes one table before it starts the next, so with
+    k >= 2 its stream is collected and sorted by the cells in (a, b, g)
+    order; with k = 1 the two orders are one, and the tables pass on as
+    they are filled.
+    """
+    tables = _fill(n, k, lambda: range(n))
+    if k > 1:
+        tables = sorted(tables, key=lambda ts: tuple(
+            x for rows in zip(*ts) for cells in zip(*rows) for x in cells))
+    yield from tables
 
 
 # order generation
@@ -340,12 +357,13 @@ def _compatible(req: tuple[int, ...], order: _Order) -> bool:
 # isomorphism filtering
 #
 # A relabeling (pi, rho) of carrier and operation labels maps a structure
-# to the key: its relabeled tables in (g, a, b) order, then its relabeled
-# order row-major.  A structure is canonical when no relabeling gives a
-# smaller key.  The table part decides first, so a table that some
-# relabeling makes smaller has no canonical structure, and on a lex-least
-# table only the relabelings that fix it, its automorphisms, can matter;
-# they compare order keys alone, and those depend on pi only.
+# to the key: its relabeled tables in (g, a, b) order, the fill's cell
+# order, then its relabeled order row-major.  A structure is canonical
+# when no relabeling gives a smaller key.  The table part decides first,
+# so a table that some relabeling makes smaller has no canonical
+# structure, and on a lex-least table only the relabelings that fix it,
+# its automorphisms, can matter; they compare order keys alone, and those
+# depend on pi only.
 
 def _automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
     """None when some relabeling makes the tables smaller; otherwise, for

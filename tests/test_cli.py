@@ -282,7 +282,7 @@ def test_campaign_rejects_bad_n(capsys):
 
 
 _ENVELOPE_WARNING = ("warning: n=4, k=2 is beyond the supported envelope "
-                     "(n <= 3 with k <= 2, or n <= 4 with k = 1); proceeding anyway\n")
+                     "(n <= 3 with k <= 3, or n <= 4 with k = 1); proceeding anyway\n")
 
 
 def test_campaign_envelope_warning(capsys):
@@ -297,6 +297,14 @@ def test_search_envelope_warning(capsys):
                                  "--expr", "simple | !simple"])
     assert code == 0
     assert err == _ENVELOPE_WARNING
+
+
+def test_n3k3_is_inside_the_envelope(capsys):
+    code, out, err = _run(capsys, ["campaign", "--n", "3", "--k", "3", "--dedup", "iso"])
+    assert code == 0
+    assert err == ""
+    sections = _report(out)["sections"]
+    assert sections["structures"] == 634 and sections["all_equivalent"] is True
 
 
 # search

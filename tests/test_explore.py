@@ -14,8 +14,9 @@ import gpw
 from gpw.analysis import is_intra_regular, is_intra_regular_legacy
 from gpw.core import InputError, validate
 from gpw.explore import (And, EnumSpec, Not, Or, Pred, PREDICATES,
-                         SamplingBudgetError, enumerate_structures, eval_expr,
-                         parse_expr, partial_orders, random_structure, search)
+                         SamplingBudgetError, _associative_tables,
+                         enumerate_structures, eval_expr, parse_expr,
+                         partial_orders, random_structure, search)
 from gpw.gpsjson import digest, dumps, to_obj
 
 
@@ -37,6 +38,23 @@ def test_table_counts_k2():
     assert _count(EnumSpec(3, 2, orders="trivial")) == 413
 
 
+# table count and SHA-256 of repr(list(_associative_tables(n, k))), recorded
+# when the fill visited its cells in (a, b, g) order; the fill that completes
+# one table at a time must hand on the same tables in the same order
+TABLE_STREAMS = {
+    (2, 3): (26, "9152b3ca03b75607dd559ea6daa8cb2fc61757d6afa7afc61a98a3380efdfe51"),
+    (4, 2): (26028, "52eac8f74f1e3a1a02c4ccfdb2ed4a3397d1d413d3248e3de10d750691da4d87"),
+    (3, 3): (1397, "eafa9066a44b83b954ece9b0ee9ebfd9b81076a67c109ca53fec68af5b9e4f7d"),
+}
+
+
+def test_table_streams_pinned():
+    for (n, k), (count, expected) in TABLE_STREAMS.items():
+        tables = list(_associative_tables(n, k))
+        assert len(tables) == count, (n, k)
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == expected, (n, k)
+
+
 def test_partial_order_counts():
     # OEIS A001035 (labeled posets); total orders are the n! permutations
     assert [len(partial_orders(n)) for n in (1, 2, 3, 4)] == [1, 3, 19, 219]
@@ -55,6 +73,8 @@ def test_structure_counts():
     assert _count(EnumSpec(3, 1)) == 971
     assert _count(EnumSpec(2, 2)) == 34
     assert _count(EnumSpec(3, 2)) == 3203
+    assert _count(EnumSpec(2, 3)) == 62
+    assert _count(EnumSpec(3, 3)) == 10103
 
 
 def test_structure_counts_iso():
@@ -62,6 +82,8 @@ def test_structure_counts_iso():
     assert _count(EnumSpec(3, 1, dedup="iso")) == 173
     assert _count(EnumSpec(2, 2, dedup="iso")) == 15
     assert _count(EnumSpec(4, 1, dedup="iso")) == 4753
+    assert _count(EnumSpec(2, 3, dedup="iso")) == 18
+    assert _count(EnumSpec(3, 3, dedup="iso")) == 634
 
 
 # external pins: OEIS A027851 counts semigroups up to isomorphism, A023814
@@ -145,18 +167,6 @@ SAMPLED_DIGESTS = {
         "3741359e32d904810a3eb19c1fcd19069b590399789f8d19e4ea6ce5ecde06e3",
         "75e52d9e4706874a1060b278d76320c380d9121d6b6de379b9ec014fb0b79f28",
     ),
-    (4, 2): (
-        "69891805a28816b315ee64577463f369d7799f10d77f83f0883ee490abaa0630",
-        "6c1892e2c1fab49800f198fb55fd7b9ba49f0195d01132d0e6c01dabf6917f9b",
-        "1eaf6a8c9c0d525e5dacaf1d770e1a0aeb03e30e4e46802a5e9b7bf67a3bb9ab",
-        "6669a27b8525cf1708d91444efd8d8e56eb14456cae6b95eef69462ad0401591",
-        "7c337081a80584075f0d9f47bbb8b11fa0b61e34f6f44cbe2b43cef697d8d7ae",
-        "99c66f5c5179ff80444b870f0d4c935e3a4f1423d3ed063b6528d5d7c2c26d7c",
-        "b1a77a19a8be4bda5e84c9c40bee5824485a5ada3a0b8a6ef153f8367f5d6081",
-        "2f7c3e2abebdcdf105e02ed5c8875085d60df785a10bc4ee09402b15e338d292",
-        "2b59becc28c3a80d2615be264ece8b0594cab8ee57ca6a2d4cb7fd83bad494ac",
-        "a4ae666dc370aefb23ab5a20c1766b8aa246c64b89fc748cbd7b1acc70257109",
-    ),
     # recorded before the fill's liveness plan
     (5, 1): (
         "fff435280bee2b3b84b6286cccecb2c77599058ff827785059828c80e02bb374",
@@ -170,17 +180,30 @@ SAMPLED_DIGESTS = {
         "9b4c161ae2da86d77aab98a6c1aef5e5e2138d378afbeb950e7bf96e1a3b489f",
         "815b3e40994a89ffbe22e136a86a2d6cc8d5d769dd23bedaa23f85bb93e39981",
     ),
+    # (4, 2) and (3, 3) recorded after the fill went to (g, a, b) cell order
+    (4, 2): (
+        "f6c3952ea6c59ff907063349e8260380fe0c427e9a60cb7d775c88243b646865",
+        "422dadf9cfd64c04310d02716be6c644bc1dab72c51c0f6b94f6d6de448e4931",
+        "92380cb4628dece5a0a0122714212a6c8d741bde1193aa47ce68ecf40c9f99b2",
+        "dd511039f4e207fda13d4d666ea61bc27ea114123fc065a977e40df0d0f16b17",
+        "f55faf1d953d3fee9e5dd96ee26514a74049a1a5c15c1f32e96cc8fc83f0c459",
+        "1c37155d8f0bd0b46900e1a24c4da4c2ce05e52ad68d614a23b9f64b00aa2aa8",
+        "18cc23550db35a0dd7d76d0727bdaa21292c1182eb25e3d64e97326dbdd83a48",
+        "7569ff79e71896024e3e98b3768729dac6a8c409f60204a824472cecb127f213",
+        "a1bb24cf68f77e12af73454e3bb9bb5a3367411b489207dddff7fb318992a1f2",
+        "b09b447be086f2191314ceea7b7680a438f5973ad5840d48634ac56a87f6d395",
+    ),
     (3, 3): (
-        "f62e482ad376f80c0416b2f9a3048a3e489fd34df636a19df7c1493465000084",
-        "0b087a6f833b7c1944d14507b97332127d75ba5bddd8a058c374aab6dc2bfed4",
-        "39bc092b81789cc0094294ebfd8d926a0821f01acf91326c4f1c1e37971c43cf",
-        "0960d2bed72aeeca92ce25ef7dd8fa824971696d1645b08b16ee1d635effa178",
-        "414b66aefb8abe17d18215756e404cb8e1ae5cbfa77439b2402bdceeb332f430",
-        "8114e97f25f6ea3dab6944925a338474ebc59a9c9a5e1dcda4200fff8fa34198",
-        "c2a735e41010b4cea689273d05598d8e04ab4f896a5d2939d6a386b2f33c046d",
-        "aeb66a00d9d4c93ed0090b7810e5f5f20b3c6040c0ab38ba1fa02a3da6b1809a",
-        "30cf3b7b0828caea7408350d6b590d4f697f4bb5df34aaf02023064ff8889ee3",
-        "343f224cec2ff4e5570df9598921dde443e57dc8188da0d2142bf5e7c3563497",
+        "9a629c38d7aa6e2174e8ee51b9e13d31a9aa1f8d48b6b881e08d79ddac0d380f",
+        "29168eac22b52321d24035d2ab5518e76f0a599587847ed8e04f61114f6c2158",
+        "f6bc929fa684229909d7aff9635d721e7d54bacb570f8bad9ad73c8c4ee9cc4d",
+        "cf2113eac7662a6fa6390548d1e05cebc92d9ec603d69857b85e70886e37e380",
+        "1653b863132e014a4759c8d408a67810514494466c938149c357189612b41724",
+        "4413c31181701fd70f777af33417b0e1821c33f76b4ef74313b88a34f338bdb2",
+        "38365b7691222c6d0e9a9d87b7084a783c82189c53bab2844ab5792638998fa2",
+        "739018828ed1e89b5db4fd88b3d311c1ab782930a0ecc256ee62f26f45584c27",
+        "d89118fc88fbae54ef28d97e707ecdd285c4be5363ce6f884070c04ab0da36bc",
+        "2779a2b8864d44f4ef08e277d419c00df2f337d9ce9b50a4e92553211bc9c2a6",
     ),
 }
 

@@ -210,9 +210,18 @@ def ref_cell_ok(t, n, k, g, a, b) -> bool:
     return True
 
 
-def ref_tables(n, k):
-    """The plain backtracking fill, in the same cell and value order."""
-    cells = [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
+def abg_cells(n, k):
+    """Cells by a, then b, then g: the order of the walk's stream."""
+    return [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
+
+
+def gab_cells(n, k):
+    """Cells by g, then a, then b: the fill's order, one table at a time."""
+    return [(g, a, b) for g in range(k) for a in range(n) for b in range(n)]
+
+
+def ref_tables(n, k, cells):
+    """The plain backtracking fill over `cells`, values in ascending order."""
     t = [[[-1] * n for _ in range(n)] for _ in range(k)]
 
     def rec(i):
@@ -266,8 +275,11 @@ SMALL_SLICES = ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2))
 
 
 def test_fill_matches_plain_fill():
-    for n, k in SMALL_SLICES:
-        assert list(explore._associative_tables(n, k)) == list(ref_tables(n, k)), (n, k)
+    """The walk's tables come in the (a, b, g) order of the plain fill,
+    whichever order the fill visits its cells in."""
+    for n, k in SMALL_SLICES + ((4, 1), (1, 3), (2, 3), (3, 3)):
+        assert list(explore._associative_tables(n, k)) == \
+            list(ref_tables(n, k, abg_cells(n, k))), (n, k)
 
 
 def _counting(fn, calls):
@@ -278,14 +290,15 @@ def _counting(fn, calls):
 
 
 def test_fill_makes_as_many_cell_checks_as_plain_fill(monkeypatch):
-    """Equal check counts on equal output: the search tree is unchanged."""
+    """Equal check counts on equal output: the fill walks the search tree
+    of the plain fill over the same (g, a, b) cell order."""
     calls, ref_calls = [0], [0]
     monkeypatch.setattr(explore, "_cell_ok", _counting(explore._cell_ok, calls))
     monkeypatch.setitem(globals(), "ref_cell_ok", _counting(ref_cell_ok, ref_calls))
     for n, k in SMALL_SLICES:
         calls[0] = ref_calls[0] = 0
-        assert sum(1 for _ in explore._associative_tables(n, k)) == \
-            sum(1 for _ in ref_tables(n, k))
+        assert list(explore._fill(n, k, lambda: range(n))) == \
+            list(ref_tables(n, k, gab_cells(n, k)))
         assert calls[0] == ref_calls[0] > 0, (n, k)
 
 
@@ -348,15 +361,18 @@ def test_live_plan_matches_table_scan_on_fill_states(data):
 
 
 def test_live_plan_prunes_what_the_fill_order_leaves_unfilled():
-    """The plan of (g, a, b): rows x < a, and x == a when (m, a, a) comes
-    first (a < b, or a == b and m <= g); for b < a every column, for
-    b == a the columns z < a and z == a for m <= g, for b > a none."""
+    """The plan of (g, a, b) in the fill's (g, a, b) order: every row and
+    column of the tables m < g, none of the tables m > g, and of table g
+    the rows x < a, with x == a when a <= b, and every column for b < a,
+    the columns z <= a for b == a, none for b > a."""
     for n, k in ((1, 1), (3, 1), (2, 3), (4, 2)):
-        for g, a, b, rows, cols in explore._fill_plan(n, k):
+        plan = explore._fill_plan(n, k)
+        assert [cell[:3] for cell in plan] == gab_cells(n, k)
+        for g, a, b, rows, cols in plan:
             assert rows == tuple((m, x) for m in range(k) for x in range(n)
-                                 if x < a or (x == a and (a < b or (a == b and m <= g))))
+                                 if m < g or (m == g and (x < a or (x == a and a <= b))))
             assert cols == tuple((m, z) for m in range(k) for z in range(n)
-                                 if b < a or (b == a and (z < a or (z == a and m <= g))))
+                                 if m < g or (m == g and (b < a or (b == a and z <= a))))
 
 
 def ref_padded_cell_ok(t, pre, n, g, a, b) -> bool:
@@ -389,10 +405,9 @@ def ref_padded_cell_ok(t, pre, n, g, a, b) -> bool:
     return True
 
 
-def ref_padded_tables(n, k):
-    """A recursive padded fill in the same cell and value order, checking
-    with `ref_padded_cell_ok`."""
-    cells = [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
+def ref_padded_tables(n, k, cells):
+    """A recursive padded fill over `cells`, values in ascending order,
+    checking with `ref_padded_cell_ok`."""
     t = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]
 
@@ -414,14 +429,16 @@ def ref_padded_tables(n, k):
 
 def test_fill_matches_padded_fill_without_plan(monkeypatch):
     """Slices beyond SMALL_SLICES, the three-operation ones among them:
-    the same tables from the same number of checks as the full scan."""
+    the same tables from the same number of checks as the full scan over
+    the same (g, a, b) cell order."""
     calls, ref_calls = [0], [0]
     monkeypatch.setattr(explore, "_cell_ok", _counting(explore._cell_ok, calls))
     monkeypatch.setitem(globals(), "ref_padded_cell_ok",
                         _counting(ref_padded_cell_ok, ref_calls))
     for n, k in ((4, 1), (1, 3), (2, 3)):
         calls[0] = ref_calls[0] = 0
-        assert list(explore._associative_tables(n, k)) == list(ref_padded_tables(n, k))
+        assert list(explore._fill(n, k, lambda: range(n))) == \
+            list(ref_padded_tables(n, k, gab_cells(n, k)))
         assert calls[0] == ref_calls[0] > 0, (n, k)
 
 
@@ -452,7 +469,8 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
 def test_orbit_stabilizer():
     """Each iso representative stands for n! * k! / |Stab| labeled
     structures; summed, they give the labeled count of the slice."""
-    for (n, k), labeled in zip(((2, 1), (3, 1), (2, 2), (3, 2)), (20, 971, 34, 3203)):
+    slices = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3))
+    for (n, k), labeled in zip(slices, (20, 971, 34, 3203, 62, 10103)):
         total = 0
         for s in enumerate_structures(EnumSpec(n, k, dedup="iso")):
             base = ref_iso_key(s.tables, s.leq, n, k, tuple(range(n)), tuple(range(k)))
@@ -464,10 +482,10 @@ def test_orbit_stabilizer():
         assert total == labeled, (n, k)
 
 
-def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40):
-    """The sampler with plain loops: the same RNG draws in the same order."""
+def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40, *, cells):
+    """The sampler with plain loops over `cells`: the same RNG draws in
+    the same order when `cells` is the fill's order."""
     rng = random.Random(f"{n}:{k}:{seed}")
-    cells = [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
     tables = None
     for _ in range(attempts):
         t = [[[-1] * n for _ in range(n)] for _ in range(k)]
@@ -522,12 +540,13 @@ def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40):
 def test_sampler_matches_plain_loops():
     for i in range(50):
         seed = f"fast:{i}"
-        assert dumps(random_structure(4, 2, seed)) == dumps(ref_random_structure(4, 2, seed))
+        assert dumps(random_structure(4, 2, seed)) == \
+            dumps(ref_random_structure(4, 2, seed, cells=gab_cells(4, 2)))
 
 
-def _sampled(sampler, *args):
+def _sampled(sampler, *args, **kwargs):
     try:
-        return dumps(sampler(4, 2, *args))
+        return dumps(sampler(4, 2, *args, **kwargs))
     except SamplingBudgetError:
         return None
 
@@ -541,7 +560,8 @@ def test_sampler_budget_matches_plain_loops():
             for attempts in (1, 3):
                 args = (f"budget:{i}", max_nodes, attempts)
                 got = _sampled(random_structure, *args)
-                assert got == _sampled(ref_random_structure, *args), args
+                assert got == _sampled(ref_random_structure, *args,
+                                       cells=gab_cells(4, 2)), args
                 outcomes.append(got is None)
     assert any(outcomes) and not all(outcomes)
 
@@ -571,7 +591,7 @@ def test_sampler_makes_as_many_cell_checks_as_plain_loops(monkeypatch):
         seed = f"fast:{i}"
         calls[0] = ref_calls[0] = 0
         random_structure(4, 2, seed)
-        ref_random_structure(4, 2, seed)
+        ref_random_structure(4, 2, seed, cells=gab_cells(4, 2))
         assert calls[0] == ref_calls[0] > 0, seed
 
 
@@ -619,7 +639,7 @@ def test_shared_table_results_match_fresh_structures():
     sampled = ([v.as_dict() for v in harness.check_all(random_structure(4, 2, seed=f"7:{i}"))]
                for i in range(100))
     assert _verdict_digest(sampled) == (
-        "3aa1ad53d7649f2049884ab234decaa0521c9c7c1860cadb5e8b813dc17aed25")
+        "5efefde575febde567c566764bd5f4b60bad4a9599288cc0a67a0a48d1a562da")
 
 
 def test_table_cache_is_shared_per_table():

@@ -344,3 +344,23 @@ def test_relabeling_keeps_verdicts_and_predicates(data):
     assert _invariants(t) == _invariants(s)
     automorphism = (t.tables, t.leq) == (s.tables, s.leq)
     assert (digest(t) == digest(s)) == automorphism
+
+
+def _duplicated(s: Structure) -> Structure:
+    """s with one more operation, a copy of its first."""
+    return Structure(s.n, s.gamma_names + (f"g{len(s.tables)}",),
+                     s.tables + (s.tables[0],), s.leq)
+
+
+def test_duplicating_an_operation_keeps_verdicts_and_predicates():
+    """A copy of an operation adds no product, ideal or constraint that the
+    original does not, so every verdict, condition value and predicate
+    stays, over the exhaustive corpus.  This catches per-operation loops
+    that skip or conflate operations, which a relabeling cannot expose."""
+    corpus = [s for n, k in ((1, 1), (2, 1), (3, 1), (2, 2))
+              for s in enumerate_structures(EnumSpec(n, k))]
+    assert len(corpus) == 1026
+    for s in corpus:
+        t = _duplicated(s)
+        assert validate(t).ok and len(t.tables) == len(s.tables) + 1
+        assert _invariants(t) == _invariants(s), s.tables

@@ -8,7 +8,8 @@ the converse is a search target, not a theorem.  The pinned predicates
 read the element closures of `ideals._element_closures`, and
 intra-regularity, a premise of most claims, is memoised per structure,
 as are simplicity and the decomposition along the N partition; the
-subsemigroups are found once per table.
+subsemigroups, and the set products behind the legacy forms
+(`_word_products`), are found once per table.
 """
 
 from __future__ import annotations
@@ -52,17 +53,26 @@ def intra_regular_legacy_failure(s: Structure):
     return _legacy_failure(s, "MxxM")
 
 
-def _legacy_failure(s: Structure, word: str):
-    """First (x,) with x outside the down-closure of the set product the
-    word spells, "M" the carrier and "x" the singleton {x}, multiplied
-    left to right; or None."""
+@per_table
+def _word_products(s: Structure, word: str) -> list[int]:
+    """For each x the mask of the set product the word spells, "M" the
+    carrier and "x" the singleton {x}, multiplied left to right."""
     m = s.full
+    out = []
     for x in range(s.n):
         xb = 1 << x
         w = m if word[0] == "M" else xb
         for c in word[1:]:
             w = product_bits(s, w, m if c == "M" else xb)
-        if not (downset_bits(s, w) >> x) & 1:
+        out.append(w)
+    return out
+
+
+def _legacy_failure(s: Structure, word: str):
+    """First (x,) with x outside the down-closure of its `_word_products`
+    entry, that is, below none of its members; or None."""
+    for x, (above, w) in enumerate(zip(s.up, _word_products(s, word))):
+        if not above & w:
             return (x,)
     return None
 

@@ -7,6 +7,14 @@ associativity across every pair of operations, the partial-order laws,
 and two-sided order compatibility) and reports every violated axiom with
 a concrete witness instead of stopping at the first.
 
+Every structure from outside the package is checked: `Structure(...)`,
+`gpsjson.loads` and `random_structure` all go through `__init__`.  The
+enumeration walk alone builds its structures with
+`Structure._unchecked`, which stores the parts as given: its tables come
+from the fill and its orders from `explore.partial_orders`, both already
+tuples of the right shapes and ranges, and it computes each order's
+`down` / `up` masks once per walk rather than once per structure.
+
 Subsets of the carrier are bit masks tagged with the owning structure, so
 values belonging to different structures cannot be mixed by accident.
 `downset`, `upset` and `gamma_product` form the subset algebra everything
@@ -110,24 +118,31 @@ class Structure:
         order = tuple(tuple(bool(x) for x in row) for row in leq)
         if len(order) != n or any(len(row) != n for row in order):
             raise InputError(f"order matrix is not {n}x{n}")
+        self._store(n, names, tabs, order, *_down_up(order, n),
+                    {} if table_cache is None else table_cache)
 
+    @staticmethod
+    def _unchecked(n: int, names: tuple, tables: tuple, leq: tuple,
+                   down: tuple, up: tuple, table_cache: dict) -> "Structure":
+        """The structure on parts already in the shapes `__init__` makes,
+        with nothing checked: `names` a tuple of distinct strings, `tables`
+        k tuples of n tuples of n ints in 0..n-1, `leq` n tuples of n
+        bools, and `down`, `up` what `_down_up` gives for `leq`."""
+        s = object.__new__(Structure)
+        s._store(n, names, tables, leq, down, up, table_cache)
+        return s
+
+    def _store(self, n, names, tables, leq, down, up, table_cache) -> None:
         self.n = n
         self.gamma_names = names
-        self.tables = tabs
-        self.leq = order
+        self.tables = tables
+        self.leq = leq
         self.full = (1 << n) - 1
-        down = [0] * n
-        up = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if order[a][b]:  # a <= b
-                    down[b] |= 1 << a
-                    up[a] |= 1 << b
-        self.down = tuple(down)
-        self.up = tuple(up)
+        self.down = down
+        self.up = up
         self._gamma_index = {g: i for i, g in enumerate(names)}
         self._cache = {}
-        self._table_cache = {} if table_cache is None else table_cache
+        self._table_cache = table_cache
 
     def __reduce__(self):
         return (Structure, (self.n, self.gamma_names, self.tables, self.leq,
@@ -206,6 +221,19 @@ class Subset:
 
     def __repr__(self) -> str:
         return f"Subset({self.elements()})"
+
+
+def _down_up(leq, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`down` and `up` of the order matrix `leq`: per element, the mask
+    of the elements below it and of those above it."""
+    down = [0] * n
+    up = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if leq[a][b]:  # a <= b
+                down[b] |= 1 << a
+                up[a] |= 1 << b
+    return tuple(down), tuple(up)
 
 
 def _unchecked_subset(s: Structure, bits: int) -> Subset:

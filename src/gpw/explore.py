@@ -25,15 +25,22 @@ fixes their order.  A structure is emitted only when every operation
 respects the order on both sides.
 
 Every (table, order) pair is tested, but the work that depends on the
-table alone is done once per table, and the structures of one table
-share one `core.table_cache` dict, so the checks, too, compute their
-table-only results once per table.  The compatibility join keeps, per
-pair a != b, the mask of order pairs that a <= b forces; an order passes
-when none of its pairs forces a pair outside it.  The isomorphism filter
+table alone is done once per table, and the work that depends on the
+order alone once per walk: its pair masks and its `down` / `up` masks.
+The structures of one table share one `core.table_cache` dict, so the
+checks, too, compute their table-only results once per table.  A
+structure is built by `core.Structure._unchecked`, without the shape
+checks of `Structure(...)`, which the fill and the order generator make
+true by construction.  The compatibility join keeps, per pair a != b,
+the mask of order pairs that a <= b forces; an order passes when none of
+its pairs forces a pair outside it.  The isomorphism filter
 (`dedup="iso"`) first asks whether some relabeling makes the table
 smaller, in which case no structure on it is canonical; otherwise only
 the table's automorphisms can make the order smaller, and each costs a
-few mask operations per order.
+few mask operations per order.  The relabelings come from a table built
+once per (n, k) (`_relabelings`): for each one, the position in the
+table's flat key of the cell each relabeled cell reads, so a comparison
+is a run of list lookups that stops at the first cell that differs.
 
 Sampling reuses the same backtracking, in the same (g, a, b) cell
 order, with shuffled value order and a node budget, counted by the fill
@@ -59,7 +66,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
                        is_right_regular, _simple_bits)
-from .core import InputError, Structure, bit_indices, validate
+from .core import InputError, Structure, _down_up, bit_indices, validate
 from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
 
@@ -365,29 +372,48 @@ def _compatible(req: tuple[int, ...], order: _Order) -> bool:
 # its automorphisms, can matter; they compare order keys alone, and those
 # depend on pi only.
 
-def _automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
-    """None when some relabeling makes the tables smaller; otherwise, for
-    each distinct carrier permutation pi != id of an automorphism, the
-    mask bit that pair a*n + b moves to, indexed by a*n + b."""
-    base = [x for t in tables for row in t for x in row]
+@lru_cache(maxsize=None)
+def _relabelings(n: int, k: int) -> tuple:
+    """Every relabeling (pi, rho) but the identity, pi the outer loop and
+    rho the inner one, each in `permutations` order, as (pi, reads,
+    moved): `reads[i]` is the position in the flat (g, a, b) key of the
+    cell whose value, mapped by pi, the relabeled key holds at position
+    i; `moved` is None when pi is the identity, else the mask bit that
+    pair a*n + b moves to, indexed by a*n + b."""
     identity = tuple(range(n))
-    moves = {}
+    out = []
     for pi in permutations(identity):
         inv = [0] * n
         for i, p in enumerate(pi):
             inv[p] = i
+        moved = None if pi == identity else tuple(
+            _pair_bit(n, pi[a], pi[b]) for a in range(n) for b in range(n))
         for rho in permutations(range(k)):
-            diff = 0
-            relabeled = (pi[tables[r][ia][ib]] for r in rho for ia in inv for ib in inv)
-            for x, y in zip(relabeled, base):
-                if x != y:
-                    diff = x - y
-                    break
-            if diff < 0:
-                return None
-            if diff == 0 and pi != identity and pi not in moves:
-                moves[pi] = tuple(_pair_bit(n, pi[a], pi[b])
-                                  for a in range(n) for b in range(n))
+            if moved is not None or rho != tuple(range(k)):
+                out.append((pi, tuple(r * n * n + ia * n + ib
+                                      for r in rho for ia in inv for ib in inv), moved))
+    return tuple(out)
+
+
+def _automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
+    """None when some relabeling makes the tables smaller; otherwise, for
+    each distinct carrier permutation pi != id of an automorphism, the
+    mask bit that pair a*n + b moves to, indexed by a*n + b.  Each
+    relabeled key is compared with the flat key cell by cell, in
+    `_relabelings` order, up to the first cell that differs."""
+    base = [x for t in tables for row in t for x in row]
+    moves = {}
+    for pi, reads, moved in _relabelings(n, k):
+        diff = 0
+        for p, y in zip(reads, base):
+            x = pi[base[p]]
+            if x != y:
+                diff = x - y
+                break
+        if diff < 0:
+            return None
+        if diff == 0 and moved is not None and pi not in moves:
+            moves[pi] = moved
     return tuple(moves.values())
 
 
@@ -428,17 +454,18 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
 def _walk(spec: EnumSpec) -> Iterator[Structure]:
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
-    orders = [(leq, _order_masks(leq, n)) for leq in partial_orders(n, spec.orders)]
+    orders = [(leq, _order_masks(leq, n), *_down_up(leq, n))
+              for leq in partial_orders(n, spec.orders)]
     for tables in _associative_tables(n, k):
         req = _requirements(tables, n)
         automorphisms = _automorphisms(tables, n, k) if iso else None
         shared = {}  # the table-only results of every structure on this table
-        for leq, order in orders:
+        for leq, order, down, up in orders:
             if not _compatible(req, order):
                 continue
             if iso and not _is_canonical(automorphisms, order):
                 continue
-            yield Structure(n, names, tables, leq, table_cache=shared)
+            yield Structure._unchecked(n, names, tables, leq, down, up, shared)
 
 
 # sampling

@@ -12,7 +12,10 @@ and the generated filters (`_filter_gens`).  Their product halves read
 the tables alone and are built once per table (`core.per_table`), as
 are the masks that absorb products on an ideal kind's sides, in the
 carrier or in a subsemigroup (`_absorbing`); a structure only applies
-its own order to them.
+its own order to them.  Primeness and semiprimeness of a mask T are one
+lookup each: the set product of T's complement with itself, and the
+squares of the complement's members (`_square_table`, once per table),
+must miss T.
 
 An `IdealKind` enters memo keys, so it hashes by identity: an Enum's own
 hash is a Python-level call.  The hot tests compare against module-level
@@ -192,21 +195,25 @@ def filter_gen(s: Structure, x: int) -> Subset:
 
 
 def _prime_bits(s: Structure, tbits: int) -> bool:
+    # no two factors outside T multiply into T
+    outside = s.full & ~tbits
+    return not product_bits(s, outside, outside) & tbits
+
+
+@per_table
+def _square_table(s: Structure) -> list[int]:
+    """Entry m is the mask of every square a g a over the members a of m
+    and every operation g."""
+    squares = [0] * s.n
     for t in s.tables:
         for a in range(s.n):
-            row = t[a]
-            for b in range(s.n):
-                if (tbits >> row[b]) & 1 and not ((tbits >> a) & 1 or (tbits >> b) & 1):
-                    return False
-    return True
+            squares[a] |= 1 << t[a][a]
+    return _union_table(s.n, squares)
 
 
 def _semiprime_bits(s: Structure, tbits: int) -> bool:
-    for t in s.tables:
-        for a in range(s.n):
-            if (tbits >> t[a][a]) & 1 and not (tbits >> a) & 1:
-                return False
-    return True
+    # no element outside T squares into T
+    return not _square_table(s)[s.full & ~tbits] & tbits
 
 
 def is_prime(s: Structure, t: Subset) -> bool:

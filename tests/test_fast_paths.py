@@ -3,12 +3,14 @@ product_bits / downset_bits / upset_bits, the ok(a)-meet form of
 Stmt1to2, the shared semilattice-congruence sweep, and the enumeration
 kernels (the padded, preimage-indexed fill check and its liveness plan,
 the iterative fill with its node budget, mask compatibility join,
-automorphism-only iso filter, generative partial orders), the per-table
+automorphism-only iso filter and its relabeling table, generative
+partial orders, the walk's unchecked structures), the per-table
 sharing of table-only results, checked against structures built fresh
-from the same raw tables, and the element tables (per-element
-closures, principal ideals and generated filters, per-table ideal and
+from the same raw tables, the element tables (per-element closures,
+principal ideals and generated filters, per-table ideal and
 relative-ideal families, memoised faces and unchecked internal
-partitions).
+partitions), and the per-table lookups behind the legacy regularity
+forms and prime / semiprime masks.
 
 The oracles are the plain loops over elements and subsets that the fast
 paths replaced; they share nothing with the code under test but the
@@ -30,7 +32,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw import core, explore, harness, ideals
+from gpw import analysis, core, explore, harness, ideals
 from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
                           is_left_duo, is_right_duo, left_regular_failure,
                           relative_ideals, right_regular_failure)
@@ -480,6 +482,112 @@ def test_orbit_stabilizer():
             assert len(relabel) % stab == 0
             total += len(relabel) // stab
         assert total == labeled, (n, k)
+
+
+def ref_automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
+    """`explore._automorphisms` as it was before the relabeling table: one
+    generator of relabeled cells per (pi, rho)."""
+    base = [x for t in tables for row in t for x in row]
+    identity = tuple(range(n))
+    moves = {}
+    for pi in permutations(identity):
+        inv = [0] * n
+        for i, p in enumerate(pi):
+            inv[p] = i
+        for rho in permutations(range(k)):
+            diff = 0
+            relabeled = (pi[tables[r][ia][ib]] for r in rho for ia in inv for ib in inv)
+            for x, y in zip(relabeled, base):
+                if x != y:
+                    diff = x - y
+                    break
+            if diff < 0:
+                return None
+            if diff == 0 and pi != identity and pi not in moves:
+                moves[pi] = tuple(explore._pair_bit(n, pi[a], pi[b])
+                                  for a in range(n) for b in range(n))
+    return tuple(moves.values())
+
+
+def test_automorphisms_match_generator_form():
+    """The relabeling table gives what one generator per relabeling gave,
+    None included, on every table of each slice."""
+    for n, k in ((4, 1), (3, 2), (2, 3), (3, 3)):
+        results = [(explore._automorphisms(tables, n, k), ref_automorphisms(tables, n, k))
+                   for tables in explore._associative_tables(n, k)]
+        assert all(got == want for got, want in results), (n, k)
+        assert any(got is None for got, _ in results), (n, k)
+        assert any(got for got, _ in results), (n, k)
+
+
+def test_walk_structures_match_checked_construction():
+    """The walk builds its structures without the shape checks; each has
+    the slots, types included, of `Structure(...)` built from its parts,
+    over the exhaustive corpus and the n4k1 iso stream."""
+    def slots(s):
+        return repr((s.n, s.gamma_names, s.tables, s.leq, s.full, s.down, s.up,
+                     s._gamma_index))
+
+    stream = list(enumerate_structures(EnumSpec(4, 1, dedup="iso")))
+    assert len(stream) == 4753
+    for s in exhaustive_corpus() + tuple(stream):
+        assert slots(s) == slots(_fresh(s))
+
+
+@lru_cache(maxsize=None)
+def sampled_n4k2() -> tuple:
+    """The 100 sampled n4k2 structures whose verdict digest is pinned."""
+    return tuple(random_structure(4, 2, seed=f"7:{i}") for i in range(100))
+
+
+def ref_legacy_failure(s, word: str):
+    """The word's set product built one product loop at a time, and its
+    down-closure read off the order matrix."""
+    for x in range(s.n):
+        xb = 1 << x
+        w = s.full if word[0] == "M" else xb
+        for c in word[1:]:
+            w = ref_product_bits(s, w, s.full if c == "M" else xb)
+        if not any(s.leq[x][y] for y in bit_indices(w)):
+            return (x,)
+    return None
+
+
+def test_legacy_failure_matches_product_loop():
+    for s in exhaustive_corpus() + sampled_n4k2():
+        for word in ("MxxM", "Mxx", "xxM"):
+            assert analysis._legacy_failure(s, word) == ref_legacy_failure(s, word), word
+
+
+def ref_prime_bits(s, tbits: int) -> bool:
+    for t in s.tables:
+        for a in range(s.n):
+            row = t[a]
+            for b in range(s.n):
+                if (tbits >> row[b]) & 1 and not ((tbits >> a) & 1 or (tbits >> b) & 1):
+                    return False
+    return True
+
+
+def ref_semiprime_bits(s, tbits: int) -> bool:
+    for t in s.tables:
+        for a in range(s.n):
+            if (tbits >> t[a][a]) & 1 and not (tbits >> a) & 1:
+                return False
+    return True
+
+
+def test_prime_and_semiprime_match_loops_on_every_mask():
+    primes = semiprimes = 0
+    for s in exhaustive_corpus() + sampled_n4k2():
+        for tbits in range(s.full + 1):
+            prime = ideals._prime_bits(s, tbits)
+            semiprime = ideals._semiprime_bits(s, tbits)
+            assert prime == ref_prime_bits(s, tbits), (s.tables, tbits)
+            assert semiprime == ref_semiprime_bits(s, tbits), (s.tables, tbits)
+            primes += prime
+            semiprimes += semiprime
+    assert 0 < primes < semiprimes
 
 
 def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40, *, cells):

@@ -1,6 +1,7 @@
 """Claim checks: frozen verdicts on the fixtures, forced disagreements,
-left/right duality on the opposite structure, plus the agreement
-property on random structures."""
+left/right duality on the opposite structure, the agreement property on
+random structures, and what relabeling, duplicating or dropping an
+operation does to verdicts, predicates and ideal families."""
 
 from __future__ import annotations
 
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpw import harness
-from gpw.analysis import (all_subsemigroups, is_left_duo, is_left_regular,
-                          is_left_regular_legacy, is_left_simple, is_right_duo,
-                          is_right_regular, is_right_regular_legacy, is_right_simple)
+from gpw.analysis import (all_subsemigroups, is_intra_regular_legacy, is_left_duo,
+                          is_left_regular, is_left_regular_legacy, is_left_simple,
+                          is_right_duo, is_right_regular, is_right_regular_legacy,
+                          is_right_simple)
 from gpw.core import InputError, Structure, validate
 from gpw.explore import EnumSpec, PREDICATES, enumerate_structures, random_structure
 from gpw.gpsjson import digest
 from gpw.harness import THEOREM_IDS, TheoremVerdict, check, check_all
-from gpw.ideals import IdealKind, principal
+from gpw.ideals import IdealKind, all_filters, all_ideals, principal
 from gpw.relations import Partition, relation_partition
 
 
@@ -364,3 +366,49 @@ def test_duplicating_an_operation_keeps_verdicts_and_predicates():
         t = _duplicated(s)
         assert validate(t).ok and len(t.tables) == len(s.tables) + 1
         assert _invariants(t) == _invariants(s), s.tables
+
+
+def _without(s: Structure, g: int) -> Structure:
+    """s with its g-th operation dropped."""
+    keep = [i for i in range(len(s.tables)) if i != g]
+    return Structure(s.n, tuple(s.gamma_names[i] for i in keep),
+                     tuple(s.tables[i] for i in keep), s.leq)
+
+
+def _closed_families(s: Structure) -> dict:
+    return {"subsemigroups": {t.bits for t in all_subsemigroups(s)},
+            "filters": {f.bits for f in all_filters(s)},
+            **{kind: {a.bits for a in all_ideals(s, kind)} for kind in IdealKind}}
+
+
+def test_removing_an_operation_only_adds_ideals_and_drops_legacy_regularity():
+    """Dropping an operation removes products, so every ideal, filter and
+    subsemigroup stays one, and a legacy regularity form, which asks for a
+    product over free operations, can only be lost; this is checked with
+    each operation dropped from every n3k2 structure and from 100 sampled
+    n4k2 structures.  The pinned forms quantify over fewer operations but
+    build their closures from fewer products too, so either way is
+    possible in principle.  On these corpora they were never lost, which
+    is observed, not proved, and they were gained 936 times for
+    intra_regular and 984 times each for left_regular and right_regular
+    on n3k2, and 13 times each on the samples."""
+    corpus = list(enumerate_structures(EnumSpec(3, 2)))
+    assert len(corpus) == 3203
+    corpus += [random_structure(4, 2, seed=f"7:{i}") for i in range(100)]
+    legacy = (is_intra_regular_legacy, is_left_regular_legacy, is_right_regular_legacy)
+    pinned = ("intra_regular", "left_regular", "right_regular")
+    gained = dict.fromkeys(pinned, 0)
+    for s in corpus:
+        families = _closed_families(s)
+        for g in range(len(s.tables)):
+            t = _without(s, g)
+            assert validate(t).ok
+            for name, members in _closed_families(t).items():
+                assert families[name] <= members, (name, s.tables, g)
+            for pred in legacy:
+                assert pred(s) or not pred(t), (pred.__name__, s.tables, g)
+            for name in pinned:
+                assert PREDICATES[name](t) or not PREDICATES[name](s), (name, s.tables, g)
+                gained[name] += PREDICATES[name](t) and not PREDICATES[name](s)
+    assert gained == {"intra_regular": 936 + 13, "left_regular": 984 + 13,
+                      "right_regular": 984 + 13}

@@ -27,19 +27,24 @@ from .analysis import (decompose, intra_regular_failure,
                        intra_regular_legacy_failure, left_regular_failure,
                        maximal_simple_subsemigroups, right_regular_failure)
 from .core import InputError, Structure, validate
-from .explore import (EnumSpec, PREDICATES, enumerate_structures, parse_expr,
-                      search as run_search)
+from .explore import (_DEDUP_MODES, _ORDER_MODES, EnumSpec, PREDICATES,
+                      enumerate_structures, parse_expr, search as run_search)
 from .gpsjson import digest, load, to_obj
 from .harness import THEOREM_IDS, check
 from .ideals import IdealKind, all_filters, all_ideals, filter_gen, principal
 from .relations import relation_partition
 
 
-def _warn_beyond_envelope(n: int, k: int) -> None:
+def _slice(args) -> tuple[EnumSpec, dict]:
+    """The slice that `add_slice_flags` names, after one warning on stderr
+    when it lies beyond the supported envelope, and its report keys."""
+    spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
+    n, k = spec.n, spec.k
     if not ((n <= 3 and k <= 3) or (n <= 4 and k == 1)):
         print(f"warning: n={n}, k={k} is beyond the supported envelope "
               "(n <= 3 with k <= 3, or n <= 4 with k = 1); proceeding anyway",
               file=sys.stderr)
+    return spec, {"n": n, "k": k, "orders": spec.orders, "dedup": spec.dedup}
 
 
 def _report(command: str, sections: dict, timings: dict,
@@ -246,7 +251,7 @@ def _campaign_unit(job) -> tuple:
 
 
 def _campaign_jobs(spec: EnumSpec, tids, limit):
-    # a Structure pickles as its raw tables and its table cache, still
+    # a Structure pickles as its raw parts and its table cache, still
     # empty in the parent, so the structures of one table that travel in
     # one imap chunk of 128 share one table cache in the worker, as they
     # share the walk's at --jobs 1
@@ -254,12 +259,11 @@ def _campaign_jobs(spec: EnumSpec, tids, limit):
 
 
 def cmd_campaign(args) -> tuple[dict, int, str | None]:
-    spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
+    spec, corpus = _slice(args)
     tids = _parse_theorems(args.theorems)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = _campaign_jobs(spec, tids, args.limit)
-    _warn_beyond_envelope(args.n, args.k)
     structures = 0
     pred_counts = {name: 0 for name in sorted(PREDICATES)}
     combos: dict[str, int] = {}
@@ -285,12 +289,7 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
             pool.terminate()
             pool.join()
     sections = {
-        "corpus": {
-            "n": spec.n, "k": spec.k, "orders": spec.orders,
-            "dedup": spec.dedup,
-            "limit": args.limit,
-            "theorems": list(tids),
-        },
+        "corpus": {**corpus, "limit": args.limit, "theorems": list(tids)},
         "structures": structures,
         "all_equivalent": failure is None,
         "first_failure": failure,
@@ -303,12 +302,10 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
 # search
 
 def cmd_search(args) -> tuple[dict, int, str | None]:
-    spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
+    spec, corpus = _slice(args)
     expr = parse_expr(args.expr)
-    _warn_beyond_envelope(args.n, args.k)
     sections = {
-        "corpus": {"n": spec.n, "k": spec.k, "orders": spec.orders,
-                   "dedup": spec.dedup},
+        "corpus": corpus,
         "expr": args.expr,
         "mode": args.mode,
     }
@@ -348,6 +345,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
 
+    def add_slice_flags(sp):
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--k", type=int, default=1)
+        sp.add_argument("--orders", default="all", choices=_ORDER_MODES)
+        sp.add_argument("--dedup", default="labeled", choices=_DEDUP_MODES)
+
     sp = sub.add_parser("validate", help="check the axioms of a GPS-JSON file")
     sp.add_argument("path")
     add_output_flags(sp)
@@ -367,11 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("campaign",
                         help="enumerate a slice and run all checks on it")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--orders", default="all",
-                    choices=("all", "trivial", "total"))
-    sp.add_argument("--dedup", default="labeled", choices=("labeled", "iso"))
+    add_slice_flags(sp)
     sp.add_argument("--theorems", default="all")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--limit", type=int, default=None)
@@ -380,11 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search",
                         help="hunt a slice for a predicate expression")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--orders", default="all",
-                    choices=("all", "trivial", "total"))
-    sp.add_argument("--dedup", default="labeled", choices=("labeled", "iso"))
+    add_slice_flags(sp)
     sp.add_argument("--expr", required=True,
                     help="predicate expression, e.g. 'intra_regular & !simple'")
     sp.add_argument("--mode", default="first", choices=("first", "all", "count"))

@@ -9,11 +9,14 @@ a concrete witness instead of stopping at the first.
 
 Every structure from outside the package is checked: `Structure(...)`,
 `gpsjson.loads` and `random_structure` all go through `__init__`.  The
-enumeration walk alone builds its structures with
-`Structure._unchecked`, which stores the parts as given: its tables come
-from the fill and its orders from `explore.partial_orders`, both already
-tuples of the right shapes and ranges, and it computes each order's
-`down` / `up` masks once per walk rather than once per structure.
+enumeration walk builds its structures with `Structure._unchecked`,
+which stores the parts as given: its tables come from the fill and its
+orders from `explore.partial_orders`, both already tuples of the right
+shapes and ranges, and it computes each order's `down` / `up` masks
+once per walk rather than once per structure.  Unpickling goes through
+`_unchecked` too, with the `down` / `up` the pickle carries: pickles
+come only from the walk (to the workers of `campaign --jobs N`), and
+loading a pickle runs code anyway.
 
 Subsets of the carrier are bit masks tagged with the owning structure, so
 values belonging to different structures cannot be mixed by accident.
@@ -40,9 +43,9 @@ decorated function, or a tuple of it and the other arguments, which are
 positional and hashable.  Only this module reads either dict directly:
 the product table is kept per table, and `product_bits`, `downset_bits`
 and `upset_bits` read their tables from `s._cache` by one lookup.  A
-pickled structure carries its raw tables and its table dict, so the
-structures of one table that travel in one pickle share it again; its
-own `_cache` arrives empty.
+pickled structure carries its raw parts, its `down` / `up` masks and its
+table dict, so the structures of one table that travel in one pickle
+share it again; its own `_cache` arrives empty.
 """
 
 from __future__ import annotations
@@ -85,16 +88,13 @@ class Structure:
     elements below / above a, `full` is the whole-carrier mask.  Instances
     are immutable; derived results are memoised (see `per_structure` and
     `per_table`), which is safe because nothing here ever mutates.
-    `table_cache`, when given, is the dict of table-only results (see
-    `table_cache()`) of other structures on equal tables.
     """
 
     __slots__ = ("n", "gamma_names", "tables", "leq", "full", "down", "up",
                  "_gamma_index", "_cache", "_table_cache")
 
     def __init__(self, n: int, gamma_names: Sequence[str],
-                 tables: Sequence, leq: Sequence,
-                 table_cache: dict | None = None) -> None:
+                 tables: Sequence, leq: Sequence) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InputError(f"carrier size must be an integer >= 1, got {n!r}")
         names = tuple(gamma_names)
@@ -118,8 +118,7 @@ class Structure:
         order = tuple(tuple(bool(x) for x in row) for row in leq)
         if len(order) != n or any(len(row) != n for row in order):
             raise InputError(f"order matrix is not {n}x{n}")
-        self._store(n, names, tabs, order, *_down_up(order, n),
-                    {} if table_cache is None else table_cache)
+        self._store(n, names, tabs, order, *_down_up(order, n), {})
 
     @staticmethod
     def _unchecked(n: int, names: tuple, tables: tuple, leq: tuple,
@@ -127,7 +126,9 @@ class Structure:
         """The structure on parts already in the shapes `__init__` makes,
         with nothing checked: `names` a tuple of distinct strings, `tables`
         k tuples of n tuples of n ints in 0..n-1, `leq` n tuples of n
-        bools, and `down`, `up` what `_down_up` gives for `leq`."""
+        bools, `down`, `up` what `_down_up` gives for `leq`, and
+        `table_cache` the dict of table-only results (see `table_cache()`)
+        that it shares with other structures on equal tables."""
         s = object.__new__(Structure)
         s._store(n, names, tables, leq, down, up, table_cache)
         return s
@@ -145,8 +146,8 @@ class Structure:
         self._table_cache = table_cache
 
     def __reduce__(self):
-        return (Structure, (self.n, self.gamma_names, self.tables, self.leq,
-                            self._table_cache))
+        return (Structure._unchecked, (self.n, self.gamma_names, self.tables, self.leq,
+                                       self.down, self.up, self._table_cache))
 
     def __repr__(self) -> str:
         return f"Structure(n={self.n}, gamma={list(self.gamma_names)})"
@@ -234,6 +235,22 @@ def _down_up(leq, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 down[b] |= 1 << a
                 up[a] |= 1 << b
     return tuple(down), tuple(up)
+
+
+def _order_closure(n: int, pairs: Iterable) -> list[list[bool]]:
+    """The reflexive-transitive closure of the pairs (a, b), each meaning
+    a <= b, as an n x n matrix of lists; antisymmetry is not checked."""
+    rel = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in pairs:
+        rel[a][b] = True
+    for m in range(n):
+        rm = rel[m]
+        for ra in rel:
+            if ra[m]:
+                for b in range(n):
+                    if rm[b]:
+                        ra[b] = True
+    return rel
 
 
 def _unchecked_subset(s: Structure, bits: int) -> Subset:

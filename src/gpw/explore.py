@@ -5,20 +5,22 @@ associativity check.  It visits the cells (g, a, b) by g, then a, then
 b: one whole operation table after another, so a mixed constraint
 between tables g and m < g fires as soon as its cell of table g is
 filled, rather than once both tables are far along.  The walk hands the
-tables on in (a, b, g)-lexicographic order, which decides the order of
-every report; with one operation that is the fill's own order, and with
-more the filled tables are sorted into it.  The fill is one loop over
-depths, each holding its own iterator of values to try.  Its tables are
-padded: an extra row n and column n, and n in every unfilled cell, so a
-product with an unfilled factor is n and the check needs no separate
-test for it.  The fill also keeps, per operation and value, the list of
-filled cells with that product, so a new cell's check visits only the
-cells it can meet.  Since cells are filled in a fixed order, every cell
-after the current one holds n; a liveness plan, computed once per
-(n, k), lists for each cell the rows and columns whose statically named
-cell comes no later, and the check scans only those.  It skips only
-constraints that cannot fire, so the values tried, the nodes counted and
-the tables found are those of a full scan.
+tables on as the fill completes them, in ascending order of the tuple
+of tables, which decides the order of every report: the fill, the walk,
+the sampler and the table part of the isomorphism key share this one
+cell order, and the walk streams, its first structure waiting for the
+first table alone.  The fill is one loop over depths, each holding its
+own iterator of values to try.  Its tables are padded: an extra row n
+and column n, and n in every unfilled cell, so a product with an
+unfilled factor is n and the check needs no separate test for it.  The
+fill also keeps, per operation and value, the list of filled cells with
+that product, so a new cell's check visits only the cells it can meet.
+Since cells are filled in a fixed order, every cell after the current
+one holds n; a liveness plan, computed once per (n, k), lists for each
+cell the rows and columns whose statically named cell comes no later,
+and the check scans only those.  It skips only constraints that cannot
+fire, so the values tried, the nodes counted and the tables found are
+those of a full scan.
 Orders come from a cached enumeration that adds one element at a time,
 choosing the elements below and above it, sorted by the pair mask that
 fixes their order.  A structure is emitted only when every operation
@@ -66,7 +68,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
                        is_right_regular, _simple_bits)
-from .core import InputError, Structure, _down_up, bit_indices, validate
+from .core import (InputError, Structure, _down_up, _order_closure, bit_indices,
+                   validate)
 from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
 
@@ -232,18 +235,9 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
 
 def _associative_tables(n: int, k: int) -> Iterator[tuple]:
     """All k-tuples of n x n tables satisfying mixed associativity, in
-    (a, b, g)-lexicographic order.
-
-    The fill completes one table before it starts the next, so with
-    k >= 2 its stream is collected and sorted by the cells in (a, b, g)
-    order; with k = 1 the two orders are one, and the tables pass on as
-    they are filled.
-    """
-    tables = _fill(n, k, lambda: range(n))
-    if k > 1:
-        tables = sorted(tables, key=lambda ts: tuple(
-            x for rows in zip(*ts) for cells in zip(*rows) for x in cells))
-    yield from tables
+    ascending tuple order, which is the fill's (g, a, b) cell order: each
+    tuple is passed on the moment the fill completes it."""
+    yield from _fill(n, k, lambda: range(n))
 
 
 # order generation
@@ -499,18 +493,19 @@ def _shuffler(rng: random.Random, n: int) -> Callable[[], list[int]]:
     return shuffled
 
 
-def _random_tables(n: int, k: int, rng: random.Random,
-                   max_nodes: int, attempts: int) -> tuple:
+def _random_tables(n: int, k: int, rng: random.Random) -> tuple:
     """Randomized fill with restarts.
 
     A single randomized descent occasionally commits to a refutation-heavy
-    region, so each attempt gets its own node budget and a fresh shuffle;
-    the median attempt finishes in well under a thousand nodes.  Each
+    region, so each of `_ATTEMPTS` attempts gets its own budget of
+    `_NODE_BUDGET` nodes and a fresh shuffle; the median attempt finishes
+    in well under a thousand nodes.  Both are read at call time.  Each
     depth the fill enters tries the values in the order of a fresh
     `_shuffler` draw, the permutation and RNG state that
     `rng.shuffle(list(range(n)))` would give there.
     """
     values = _shuffler(rng, n)
+    max_nodes, attempts = _NODE_BUDGET, _ATTEMPTS
     for _ in range(attempts):
         try:
             tables = next(_fill(n, k, values, max_nodes), None)
@@ -530,26 +525,14 @@ def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
     shuffled = _shuffler(rng, n)
     for _ in range(20):
         perm = shuffled()
-        leq = [[a == b for b in range(n)] for a in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.4:
-                    leq[perm[i]][perm[j]] = True
-        for m in range(n):
-            for a in range(n):
-                if leq[a][m]:
-                    row_a, row_m = leq[a], leq[m]
-                    for b in range(n):
-                        if row_m[b]:
-                            row_a[b] = True
+        leq = _order_closure(n, [(perm[i], perm[j]) for i in range(n)
+                                 for j in range(i + 1, n) if rng.random() < 0.4])
         if _compatible(req, _order_masks(leq, n)):
             return tuple(tuple(row) for row in leq)
     return tuple(tuple(a == b for b in range(n)) for a in range(n))
 
 
-def random_structure(n: int, k: int, seed: int | str | None = None,
-                     max_nodes: int = _NODE_BUDGET,
-                     attempts: int = _ATTEMPTS) -> Structure:
+def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure:
     """One pseudo-random validated structure, fully determined by (n, k, seed).
 
     The default seed comes from the GPW_SEED environment variable when it
@@ -563,7 +546,7 @@ def random_structure(n: int, k: int, seed: int | str | None = None,
     if seed is None:
         seed = os.environ.get("GPW_SEED", "0")
     rng = random.Random(f"{n}:{k}:{seed}")
-    tables = _random_tables(n, k, rng, max_nodes, attempts)
+    tables = _random_tables(n, k, rng)
     leq = _random_order(tables, n, rng)
     s = Structure(n, _gamma_names(k), tables, leq)
     report = validate(s)

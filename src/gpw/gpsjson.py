@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .core import InputError, Structure
+from .core import InputError, Structure, _order_closure
 
 _KEYS = {"n", "gamma", "ops", "leq"}
 
@@ -57,7 +57,6 @@ def from_obj(obj) -> Structure:
     leq_pairs = obj["leq"]
     if not isinstance(leq_pairs, list):
         raise InputError("leq must be a list of [a, b] pairs")
-    rel = [[a == b for b in range(n)] for a in range(n)]
     for p in leq_pairs:
         if (not isinstance(p, list) or len(p) != 2
                 or any(not isinstance(x, int) or isinstance(x, bool) for x in p)):
@@ -65,15 +64,7 @@ def from_obj(obj) -> Structure:
         a, b = p
         if not (0 <= a < n and 0 <= b < n):
             raise InputError(f"leq pair {p!r} outside 0..{n - 1}")
-        rel[a][b] = True
-    for m in range(n):  # reflexive-transitive closure
-        rm = rel[m]
-        for a in range(n):
-            if rel[a][m]:
-                ra = rel[a]
-                for b in range(n):
-                    if rm[b]:
-                        ra[b] = True
+    rel = _order_closure(n, leq_pairs)
     for a in range(n):
         for b in range(a + 1, n):
             if rel[a][b] and rel[b][a]:

@@ -71,8 +71,8 @@ def test_memo_decorators_key_by_function_and_arguments(min_sl):
         calls.append(a)
         return False
 
-    twin = Structure(min_sl.n, min_sl.gamma_names, min_sl.tables, min_sl.leq,
-                     table_cache=table_cache(min_sl))
+    twin = Structure._unchecked(min_sl.n, min_sl.gamma_names, min_sl.tables, min_sl.leq,
+                                min_sl.down, min_sl.up, table_cache(min_sl))
     for s in (min_sl, min_sl, twin):
         assert own(s, 1, 2) is None and shared(s, 3) is False
     assert calls == [(1, 2), 3, (1, 2)]

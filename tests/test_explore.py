@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import gpw
+from gpw import explore
 from gpw.analysis import is_intra_regular, is_intra_regular_legacy
 from gpw.core import InputError, validate
 from gpw.explore import (And, EnumSpec, Not, Or, Pred, PREDICATES,
@@ -38,21 +39,55 @@ def test_table_counts_k2():
     assert _count(EnumSpec(3, 2, orders="trivial")) == 413
 
 
-# table count and SHA-256 of repr(list(_associative_tables(n, k))), recorded
-# when the fill visited its cells in (a, b, g) order; the fill that completes
-# one table at a time must hand on the same tables in the same order
+def _sha256(tables) -> str:
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+def _abg_key(tables) -> tuple:
+    """The cells by a, then b, then g."""
+    return tuple(x for rows in zip(*tables) for cells in zip(*rows) for x in cells)
+
+
+# table count, the SHA-256 of repr(list(_associative_tables(n, k))) sorted
+# by the (a, b, g) cell key, recorded when the walk handed its tables on in
+# that order, and the SHA-256 of the stream as it comes: ascending, in the
+# fill's (g, a, b) cell order
 TABLE_STREAMS = {
-    (2, 3): (26, "9152b3ca03b75607dd559ea6daa8cb2fc61757d6afa7afc61a98a3380efdfe51"),
-    (4, 2): (26028, "52eac8f74f1e3a1a02c4ccfdb2ed4a3397d1d413d3248e3de10d750691da4d87"),
-    (3, 3): (1397, "eafa9066a44b83b954ece9b0ee9ebfd9b81076a67c109ca53fec68af5b9e4f7d"),
+    (2, 3): (26, "9152b3ca03b75607dd559ea6daa8cb2fc61757d6afa7afc61a98a3380efdfe51",
+             "0a2a6b43e8bf3204fa7b83ac78c7ff871055c0183b8530eb351d225026c8d649"),
+    (4, 2): (26028, "52eac8f74f1e3a1a02c4ccfdb2ed4a3397d1d413d3248e3de10d750691da4d87",
+             "9aa39684b8e2c23bf5c5f45fc3e87927644ddceabe95354cfc87079e6b6a2ab5"),
+    (3, 3): (1397, "eafa9066a44b83b954ece9b0ee9ebfd9b81076a67c109ca53fec68af5b9e4f7d",
+             "0abffacd64bc70ef0b3aa7577fc06324dc00a7f4b005e2cf52b5084bfaa64bde"),
 }
 
 
 def test_table_streams_pinned():
-    for (n, k), (count, expected) in TABLE_STREAMS.items():
+    for (n, k), (count, abg, own) in TABLE_STREAMS.items():
         tables = list(_associative_tables(n, k))
         assert len(tables) == count, (n, k)
-        assert hashlib.sha256(repr(tables).encode()).hexdigest() == expected, (n, k)
+        assert tables == sorted(tables), (n, k)
+        assert _sha256(sorted(tables, key=_abg_key)) == abg, (n, k)
+        assert _sha256(tables) == own, (n, k)
+
+
+def test_first_structure_costs_one_check_per_cell(monkeypatch):
+    """The walk streams: its first structure waits for the first table
+    alone, whose fill tries value 0 at each of the k * n * n cells and
+    keeps it, as the constant tables 0 satisfy every constraint."""
+    calls = [0]
+    real = explore._cell_ok
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(explore, "_cell_ok", counting)
+    for n, k in ((4, 2), (3, 3)):
+        calls[0] = 0
+        first = next(enumerate_structures(EnumSpec(n, k)))
+        assert calls[0] == k * n * n, (n, k)
+        assert first.tables == ((((0,) * n,) * n,) * k)
 
 
 def test_partial_order_counts():
@@ -75,6 +110,7 @@ def test_structure_counts():
     assert _count(EnumSpec(3, 2)) == 3203
     assert _count(EnumSpec(2, 3)) == 62
     assert _count(EnumSpec(3, 3)) == 10103
+    assert _count(EnumSpec(4, 2)) == 667584
 
 
 def test_structure_counts_iso():
@@ -84,6 +120,7 @@ def test_structure_counts_iso():
     assert _count(EnumSpec(4, 1, dedup="iso")) == 4753
     assert _count(EnumSpec(2, 3, dedup="iso")) == 18
     assert _count(EnumSpec(3, 3, dedup="iso")) == 634
+    assert _count(EnumSpec(4, 2, dedup="iso")) == 16945
 
 
 # external pins: OEIS A027851 counts semigroups up to isomorphism, A023814
@@ -220,9 +257,11 @@ def test_random_structure_seeds_spread():
     assert len(objs) > 1
 
 
-def test_sampling_budget_error():
+def test_sampling_budget_error(monkeypatch):
+    monkeypatch.setattr(explore, "_NODE_BUDGET", 0)
+    monkeypatch.setattr(explore, "_ATTEMPTS", 1)
     with pytest.raises(SamplingBudgetError):
-        random_structure(3, 2, seed=0, max_nodes=0, attempts=1)
+        random_structure(3, 2, seed=0)
 
 
 def test_random_structure_input_errors():

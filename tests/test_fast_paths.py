@@ -212,18 +212,15 @@ def ref_cell_ok(t, n, k, g, a, b) -> bool:
     return True
 
 
-def abg_cells(n, k):
-    """Cells by a, then b, then g: the order of the walk's stream."""
-    return [(g, a, b) for a in range(n) for b in range(n) for g in range(k)]
-
-
 def gab_cells(n, k):
     """Cells by g, then a, then b: the fill's order, one table at a time."""
     return [(g, a, b) for g in range(k) for a in range(n) for b in range(n)]
 
 
-def ref_tables(n, k, cells):
-    """The plain backtracking fill over `cells`, values in ascending order."""
+def ref_tables(n, k):
+    """The plain backtracking fill over the (g, a, b) cells, values in
+    ascending order."""
+    cells = gab_cells(n, k)
     t = [[[-1] * n for _ in range(n)] for _ in range(k)]
 
     def rec(i):
@@ -276,14 +273,6 @@ def ref_is_canonical(tables, leq, n, k) -> bool:
 SMALL_SLICES = ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2))
 
 
-def test_fill_matches_plain_fill():
-    """The walk's tables come in the (a, b, g) order of the plain fill,
-    whichever order the fill visits its cells in."""
-    for n, k in SMALL_SLICES + ((4, 1), (1, 3), (2, 3), (3, 3)):
-        assert list(explore._associative_tables(n, k)) == \
-            list(ref_tables(n, k, abg_cells(n, k))), (n, k)
-
-
 def _counting(fn, calls):
     def wrapper(*args):
         calls[0] += 1
@@ -292,15 +281,15 @@ def _counting(fn, calls):
 
 
 def test_fill_makes_as_many_cell_checks_as_plain_fill(monkeypatch):
-    """Equal check counts on equal output: the fill walks the search tree
-    of the plain fill over the same (g, a, b) cell order."""
+    """The walk's tables are those of the plain fill over the same
+    (g, a, b) cell order, in its order, and equal check counts show that
+    the fill walks the plain fill's search tree."""
     calls, ref_calls = [0], [0]
     monkeypatch.setattr(explore, "_cell_ok", _counting(explore._cell_ok, calls))
     monkeypatch.setitem(globals(), "ref_cell_ok", _counting(ref_cell_ok, ref_calls))
-    for n, k in SMALL_SLICES:
+    for n, k in SMALL_SLICES + ((4, 1), (1, 3), (2, 3), (3, 3)):
         calls[0] = ref_calls[0] = 0
-        assert list(explore._fill(n, k, lambda: range(n))) == \
-            list(ref_tables(n, k, gab_cells(n, k)))
+        assert list(explore._associative_tables(n, k)) == list(ref_tables(n, k)), (n, k)
         assert calls[0] == ref_calls[0] > 0, (n, k)
 
 
@@ -407,9 +396,10 @@ def ref_padded_cell_ok(t, pre, n, g, a, b) -> bool:
     return True
 
 
-def ref_padded_tables(n, k, cells):
-    """A recursive padded fill over `cells`, values in ascending order,
-    checking with `ref_padded_cell_ok`."""
+def ref_padded_tables(n, k):
+    """A recursive padded fill over the (g, a, b) cells, values in
+    ascending order, checking with `ref_padded_cell_ok`."""
+    cells = gab_cells(n, k)
     t = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]
 
@@ -439,8 +429,7 @@ def test_fill_matches_padded_fill_without_plan(monkeypatch):
                         _counting(ref_padded_cell_ok, ref_calls))
     for n, k in ((4, 1), (1, 3), (2, 3)):
         calls[0] = ref_calls[0] = 0
-        assert list(explore._fill(n, k, lambda: range(n))) == \
-            list(ref_padded_tables(n, k, gab_cells(n, k)))
+        assert list(explore._fill(n, k, lambda: range(n))) == list(ref_padded_tables(n, k))
         assert calls[0] == ref_calls[0] > 0, (n, k)
 
 
@@ -521,16 +510,18 @@ def test_automorphisms_match_generator_form():
 
 
 def test_walk_structures_match_checked_construction():
-    """The walk builds its structures without the shape checks; each has
-    the slots, types included, of `Structure(...)` built from its parts,
-    over the exhaustive corpus and the n4k1 iso stream."""
+    """The walk, and unpickling, build structures without the shape
+    checks; each has the slots, types included, of `Structure(...)` built
+    from its parts, over the exhaustive corpus and the n4k1 iso stream,
+    as walked and as pickled copies."""
     def slots(s):
         return repr((s.n, s.gamma_names, s.tables, s.leq, s.full, s.down, s.up,
                      s._gamma_index))
 
     stream = list(enumerate_structures(EnumSpec(4, 1, dedup="iso")))
     assert len(stream) == 4753
-    for s in exhaustive_corpus() + tuple(stream):
+    walked = exhaustive_corpus() + tuple(stream)
+    for s in walked + pickle.loads(pickle.dumps(walked)):
         assert slots(s) == slots(_fresh(s))
 
 
@@ -590,9 +581,10 @@ def test_prime_and_semiprime_match_loops_on_every_mask():
     assert 0 < primes < semiprimes
 
 
-def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40, *, cells):
-    """The sampler with plain loops over `cells`: the same RNG draws in
-    the same order when `cells` is the fill's order."""
+def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40):
+    """The sampler with plain loops over the (g, a, b) cells: the same RNG
+    draws in the same order."""
+    cells = gab_cells(n, k)
     rng = random.Random(f"{n}:{k}:{seed}")
     tables = None
     for _ in range(attempts):
@@ -649,27 +641,29 @@ def test_sampler_matches_plain_loops():
     for i in range(50):
         seed = f"fast:{i}"
         assert dumps(random_structure(4, 2, seed)) == \
-            dumps(ref_random_structure(4, 2, seed, cells=gab_cells(4, 2)))
+            dumps(ref_random_structure(4, 2, seed))
 
 
-def _sampled(sampler, *args, **kwargs):
+def _sampled(sampler, *args):
     try:
-        return dumps(sampler(4, 2, *args, **kwargs))
+        return dumps(sampler(4, 2, *args))
     except SamplingBudgetError:
         return None
 
 
-def test_sampler_budget_matches_plain_loops():
+def test_sampler_budget_matches_plain_loops(monkeypatch):
     """Small budgets: the budget runs out on the same node, so the same
     seeds give the same structure or the same SamplingBudgetError."""
     outcomes = []
     for i in range(8):
         for max_nodes in (50, 200, 1000):
             for attempts in (1, 3):
-                args = (f"budget:{i}", max_nodes, attempts)
-                got = _sampled(random_structure, *args)
-                assert got == _sampled(ref_random_structure, *args,
-                                       cells=gab_cells(4, 2)), args
+                monkeypatch.setattr(explore, "_NODE_BUDGET", max_nodes)
+                monkeypatch.setattr(explore, "_ATTEMPTS", attempts)
+                seed = f"budget:{i}"
+                got = _sampled(random_structure, seed)
+                assert got == _sampled(ref_random_structure, seed, max_nodes, attempts), \
+                    (seed, max_nodes, attempts)
                 outcomes.append(got is None)
     assert any(outcomes) and not all(outcomes)
 
@@ -699,7 +693,7 @@ def test_sampler_makes_as_many_cell_checks_as_plain_loops(monkeypatch):
         seed = f"fast:{i}"
         calls[0] = ref_calls[0] = 0
         random_structure(4, 2, seed)
-        ref_random_structure(4, 2, seed, cells=gab_cells(4, 2))
+        ref_random_structure(4, 2, seed)
         assert calls[0] == ref_calls[0] > 0, seed
 
 
@@ -743,7 +737,7 @@ def test_shared_table_results_match_fresh_structures():
     assert walked == expected
     assert [_results(s) for s in reversed(walk_corpus())] == expected[::-1]
     assert _verdict_digest(v for v, _ in walked) == (
-        "ea182f02c16ee02993d65bf394ed5f8f5c05e62e65ec4d67476eddfa2f28e73e")
+        "7bfec0775584f7dd19ae2ad5ef018ecc159aede90b858b28290ec55ab9bf5f5f")
     sampled = ([v.as_dict() for v in harness.check_all(random_structure(4, 2, seed=f"7:{i}"))]
                for i in range(100))
     assert _verdict_digest(sampled) == (

@@ -33,10 +33,13 @@ The structures of one table share one `core.table_cache` dict, so the
 checks, too, compute their table-only results once per table.  A
 structure is built by `core.Structure._unchecked`, without the shape
 checks of `Structure(...)`, which the fill and the order generator make
-true by construction.  The compatibility join keeps, per pair a != b,
-the mask of order pairs that a <= b forces; an order passes when none of
-its pairs forces a pair outside it.  The isomorphism filter
-(`dedup="iso"`) first asks whether some relabeling makes the table
+true by construction.  The compatibility join is bit-parallel over the
+walk's order list, bit o of a mask standing for order o: built once per
+walk (`_join`), it gives per table one int, the orders that every
+operation respects (`_compatible_orders`), and each (table, order) pair
+is one bit test of it (`_compatible`).  The sampler tests its candidate
+orders through the same join, built over one order.  The isomorphism
+filter (`dedup="iso"`) first asks whether some relabeling makes the table
 smaller, in which case no structure on it is canonical; otherwise only
 the table's automorphisms can make the order smaller, and each costs a
 few mask operations per order.  The relabelings come from a table built
@@ -127,7 +130,12 @@ def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int,
     product is a or b, and none of the still empty tables m > g; whether
     it lists the new cell does not matter, as the constraints that would
     read it there are inner-product ones too.  The family that rejects
-    most often goes first.
+    most often goes first: counting, per call of the (g, a, b) fill, the
+    family that rejects it, in the order above, gave 71,560 / 6,399 /
+    12,648 / 8,016 rejections and 37,529 acceptances over n4k1's 136,152
+    calls, 698,803 / 212,773 / 61,482 / 49,139 / 375,435 at n4k2, and
+    356,717 / 60,419 / 42,707 / 25,052 / 146,240 through the first 20,000
+    n5k1 tables.
     """
     tg = t[g]
     row_a = tg[a]
@@ -307,11 +315,16 @@ def _pair_bit(n: int, a: int, b: int) -> int:
     return 1 << (n * n - 1 - a * n - b)
 
 
+@lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> int:
+    """The mask of every pair a != b."""
+    return sum(_pair_bit(n, a, b) for a in range(n) for b in range(n) if a != b)
+
+
 class _Order(NamedTuple):
     """An order as masks over the pairs (a, b), see `_pair_bit`."""
 
     pairs: tuple[int, ...]  # a*n + b for each pair a != b in the order
-    outside: int  # every pair not in the order
     key: int  # the off-diagonal pairs in the order
 
 
@@ -323,8 +336,7 @@ def _order_masks(leq, n: int) -> _Order:
             if a != b and leq[a][b]:
                 pairs.append(a * n + b)
                 inside |= _pair_bit(n, a, b)
-    diagonal = sum(_pair_bit(n, a, a) for a in range(n))
-    return _Order(tuple(pairs), ((1 << n * n) - 1) ^ inside ^ diagonal, inside)
+    return _Order(tuple(pairs), inside)
 
 
 def _requirements(tables: tuple, n: int) -> tuple[int, ...]:
@@ -345,14 +357,53 @@ def _requirements(tables: tuple, n: int) -> tuple[int, ...]:
     return tuple(req)
 
 
-def _compatible(req: tuple[int, ...], order: _Order) -> bool:
-    """Every operation of the table whose `_requirements` are `req`
-    respects the order on both sides."""
-    outside = order.outside
-    for i in order.pairs:
-        if req[i] & outside:
-            return False
-    return True
+class _Join(NamedTuple):
+    """The compatibility join over a list of orders: bit o of each mask
+    stands for order o of the list."""
+
+    holds: tuple[tuple[int, int], ...]  # (a*n + b, the orders holding it) per pair a != b held
+    held_by: dict[int, int]  # the same masks keyed by the pair's bit (see `_pair_bit`)
+    pairs: int  # every pair a != b
+    every: int  # every order
+
+
+def _join(orders: Iterable[_Order], n: int) -> _Join:
+    """The join over `orders`, orders on 0..n-1."""
+    holds, every = {}, 0
+    for o, order in enumerate(orders):
+        bit = 1 << o
+        every |= bit
+        for i in order.pairs:
+            holds[i] = holds.get(i, 0) | bit
+    return _Join(tuple(holds.items()),
+                 {1 << (n * n - 1 - i): held for i, held in holds.items()},
+                 _off_diagonal(n), every)
+
+
+def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
+    """The mask of the join's orders that every operation of the table
+    whose `_requirements` are `req` respects on both sides.  An order
+    fails when it holds some pair i = a*n + b and lacks a pair of
+    req[i], which a <= b forces, so the failing orders are the union,
+    over the held pairs i, of the orders holding i but not every pair
+    of req[i]."""
+    held_by, pairs, every = join.held_by, join.pairs, join.every
+    bad = 0
+    for i, held in join.holds:
+        forced = req[i] & pairs
+        holding = every  # the orders holding every pair of req[i] seen so far
+        while forced:
+            low = forced & -forced
+            holding &= held_by.get(low, 0)
+            forced ^= low
+        bad |= held & ~holding
+    return every ^ bad
+
+
+def _compatible(compatible: int, bit: int) -> bool:
+    """Whether the order at mask bit `bit` of a join is among the table's
+    `compatible` orders, a mask `_compatible_orders` gave."""
+    return compatible & bit != 0
 
 
 # isomorphism filtering
@@ -448,14 +499,15 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
 def _walk(spec: EnumSpec) -> Iterator[Structure]:
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
-    orders = [(leq, _order_masks(leq, n), *_down_up(leq, n))
-              for leq in partial_orders(n, spec.orders)]
+    orders = [(1 << o, leq, _order_masks(leq, n), *_down_up(leq, n))
+              for o, leq in enumerate(partial_orders(n, spec.orders))]
+    join = _join((order for _, _, order, _, _ in orders), n)
     for tables in _associative_tables(n, k):
-        req = _requirements(tables, n)
+        compatible = _compatible_orders(join, _requirements(tables, n))
         automorphisms = _automorphisms(tables, n, k) if iso else None
         shared = {}  # the table-only results of every structure on this table
-        for leq, order, down, up in orders:
-            if not _compatible(req, order):
+        for bit, leq, order, down, up in orders:
+            if not _compatible(compatible, bit):
                 continue
             if iso and not _is_canonical(automorphisms, order):
                 continue
@@ -527,7 +579,8 @@ def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
         perm = shuffled()
         leq = _order_closure(n, [(perm[i], perm[j]) for i in range(n)
                                  for j in range(i + 1, n) if rng.random() < 0.4])
-        if _compatible(req, _order_masks(leq, n)):
+        join = _join([_order_masks(leq, n)], n)  # bit 1: this candidate
+        if _compatible(_compatible_orders(join, req), 1):
             return tuple(tuple(row) for row in leq)
     return tuple(tuple(a == b for b in range(n)) for a in range(n))
 
@@ -539,9 +592,9 @@ def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure
     is set, else 0.  Not a uniform sampler over the slice; it is a seeded
     randomized fill, documented as such.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError("n must be a positive integer")
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InputError("k must be a positive integer")
     if seed is None:
         seed = os.environ.get("GPW_SEED", "0")

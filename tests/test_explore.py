@@ -123,6 +123,33 @@ def test_structure_counts_iso():
     assert _count(EnumSpec(4, 2, dedup="iso")) == 16945
 
 
+def test_iso_walk_counts_match_the_golden_trace(monkeypatch):
+    """The n4k1 iso walk's calls and acceptances, counted the way
+    perfbench/tracer.py counts them and pinned in perfbench/golden.json:
+    one compatibility test per (table, order) pair and one canonical test
+    per compatible pair."""
+    counts = {"tables": 0}
+    for name in ("_compatible", "_is_canonical"):
+        calls = counts[name] = [0, 0]
+
+        def wrapper(*args, fn=getattr(explore, name), calls=calls):
+            out = fn(*args)
+            calls[0] += 1
+            calls[1] += bool(out)
+            return out
+        monkeypatch.setattr(explore, name, wrapper)
+    fill = explore._associative_tables
+
+    def tables(*args):
+        for t in fill(*args):
+            counts["tables"] += 1
+            yield t
+    monkeypatch.setattr(explore, "_associative_tables", tables)
+    assert _count(EnumSpec(4, 1, dedup="iso")) == 4753
+    assert counts == {"tables": 3492, "_compatible": [764748, 107688],
+                      "_is_canonical": [107688, 4753]}
+
+
 # external pins: OEIS A027851 counts semigroups up to isomorphism, A023814
 # labeled semigroups; with one operation and the trivial order the walk
 # enumerates exactly those
@@ -269,6 +296,14 @@ def test_random_structure_input_errors():
         random_structure(0, 1)
     with pytest.raises(InputError):
         random_structure(2, 0)
+
+
+def test_random_structure_rejects_booleans():
+    """A bool is an int to isinstance; True must not pass for 1, as
+    `EnumSpec` already requires."""
+    for n, k in ((2, True), (True, 1), (True, True), (2, False)):
+        with pytest.raises(InputError, match="must be a positive integer"):
+            random_structure(n, k, seed=0)
 
 
 _FAILING_VALIDATE = """

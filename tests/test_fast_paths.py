@@ -440,19 +440,38 @@ def test_fill_matches_padded_fill_without_plan(monkeypatch):
 
 
 def test_compatible_and_canonical_match_loops_on_every_pair():
+    """The compatibility join against the plain loop on every (table,
+    order) pair: the walk's join over every order, joins over the total
+    and the trivial orders, one over `_order_masks` of list-row matrices,
+    and the one-order join that the sampler builds per candidate."""
     compatible = canonical = nontrivial = non_least = 0
     for n, k in SMALL_SLICES:
-        orders = [(leq, explore._order_masks(leq, n)) for leq in explore.partial_orders(n)]
+        leqs = explore.partial_orders(n)
+        orders = [explore._order_masks(leq, n) for leq in leqs]
+        join = explore._join(orders, n)
+        as_lists = explore._join((explore._order_masks([list(row) for row in leq], n)
+                                  for leq in leqs), n)
+        modes = [(explore.partial_orders(n, mode),
+                  explore._join((explore._order_masks(leq, n)
+                                 for leq in explore.partial_orders(n, mode)), n))
+                 for mode in ("total", "trivial")]
         for tables in explore._associative_tables(n, k):
             req = explore._requirements(tables, n)
+            mask = explore._compatible_orders(join, req)
+            assert mask >> len(orders) == 0
+            assert explore._compatible_orders(as_lists, req) == mask
+            for mode_leqs, mode_join in modes:
+                mode_mask = explore._compatible_orders(mode_join, req)
+                assert [explore._compatible(mode_mask, 1 << o) for o in range(len(mode_leqs))] \
+                    == [ref_compatible(tables, leq) for leq in mode_leqs]
             automorphisms = explore._automorphisms(tables, n, k)
             non_least += automorphisms is None
             nontrivial += bool(automorphisms)
-            for leq, order in orders:
+            for o, (leq, order) in enumerate(zip(leqs, orders)):
                 ok = ref_compatible(tables, leq)
-                assert explore._compatible(req, order) == ok
-                as_lists = explore._order_masks([list(row) for row in leq], n)
-                assert explore._compatible(req, as_lists) == ok
+                assert explore._compatible(mask, 1 << o) == ok
+                one = explore._compatible_orders(explore._join([order], n), req)
+                assert explore._compatible(one, 1) == ok
                 least = ref_is_canonical(tables, leq, n, k)
                 assert explore._is_canonical(automorphisms, order) == least, (tables, leq)
                 compatible += ok

@@ -9,7 +9,7 @@ read the element closures of `ideals._element_closures`, and
 intra-regularity, a premise of most claims, is memoised per structure,
 as are simplicity and the decomposition along the N partition; the
 subsemigroups, and the set products behind the legacy forms
-(`_word_products`), are found once per table.
+(`ideals._word_products`), are found once per table.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from .core import (PreconditionError, Structure, Subset, _owned, down_table,
                    downset_bits, per_structure, per_table, product_bits, subset_masks)
 from .ideals import (IdealKind, _absorbing, _all_ideal_bits, _element_closures,
-                     _two_sided_absorbing)
+                     _two_sided_absorbing, _word_products)
 from .relations import Partition, is_semilattice_congruence, relation_partition
 
 
@@ -51,21 +51,6 @@ def is_intra_regular_legacy(s: Structure) -> bool:
 
 def intra_regular_legacy_failure(s: Structure):
     return _legacy_failure(s, "MxxM")
-
-
-@per_table
-def _word_products(s: Structure, word: str) -> list[int]:
-    """For each x the mask of the set product the word spells, "M" the
-    carrier and "x" the singleton {x}, multiplied left to right."""
-    m = s.full
-    out = []
-    for x in range(s.n):
-        xb = 1 << x
-        w = m if word[0] == "M" else xb
-        for c in word[1:]:
-            w = product_bits(s, w, m if c == "M" else xb)
-        out.append(w)
-    return out
 
 
 def _legacy_failure(s: Structure, word: str):
@@ -130,7 +115,7 @@ def is_subsemigroup(s: Structure, t: Subset) -> bool:
 @per_table
 def _subsemigroup_masks(s: Structure) -> tuple[int, ...]:
     """Masks of every subsemigroup in `subset_masks` order."""
-    return tuple(m for m in subset_masks(s.n) if _subsemigroup_bits(s, m))
+    return tuple(m for m in subset_masks(s.full) if _subsemigroup_bits(s, m))
 
 
 def all_subsemigroups(s: Structure) -> list[Subset]:

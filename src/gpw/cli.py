@@ -250,20 +250,16 @@ def _campaign_unit(job) -> tuple:
     return preds, {"structure": to_obj(s), "digest": digest(s), "verdicts": bad}
 
 
-def _campaign_jobs(spec: EnumSpec, tids, limit):
-    # a Structure pickles as its raw parts and its table cache, still
-    # empty in the parent, so the structures of one table that travel in
-    # one imap chunk of 128 share one table cache in the worker, as they
-    # share the walk's at --jobs 1
-    return ((s, tids) for s in enumerate_structures(spec, limit=limit))
-
-
 def cmd_campaign(args) -> tuple[dict, int, str | None]:
     spec, corpus = _slice(args)
     tids = _parse_theorems(args.theorems)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    jobs = _campaign_jobs(spec, tids, args.limit)
+    # a Structure pickles as its raw parts and its table cache, still
+    # empty in the parent, so the structures of one table that travel in
+    # one imap chunk of 128 share one table cache in the worker, as they
+    # share the walk's at --jobs 1
+    jobs = ((s, tids) for s in enumerate_structures(spec, limit=args.limit))
     structures = 0
     pred_counts = {name: 0 for name in sorted(PREDICATES)}
     combos: dict[str, int] = {}

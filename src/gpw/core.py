@@ -41,17 +41,18 @@ drops it when it moves to the next table.  Any other structure (sampled,
 loaded, or built by hand) has a dict of its own.  The key is the
 decorated function, or a tuple of it and the other arguments, which are
 positional and hashable.  Only this module reads either dict directly:
-the product table is kept per table, and `product_bits`, `downset_bits`
-and `upset_bits` read their tables from `s._cache` by one lookup.  A
-pickled structure carries its raw parts, its `down` / `up` masks and its
-table dict, so the structures of one table that travel in one pickle
-share it again; its own `_cache` arrives empty.
+`product_bits` reads the product table from the table dict, and
+`downset_bits` and `upset_bits` read their closure tables from
+`s._cache`, each by one lookup.  A pickled structure carries its raw
+parts, its `down` / `up` masks and its table dict, so the structures of
+one table that travel in one pickle share it again; its own `_cache`
+arrives empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import update_wrapper
+from functools import lru_cache, update_wrapper
 from typing import Iterable, Iterator, Sequence
 
 
@@ -75,9 +76,17 @@ def bit_indices(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def subset_masks(n: int) -> list[int]:
-    """All nonempty subset masks of an n-element carrier, by popcount then value."""
-    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+@lru_cache(maxsize=None)
+def subset_masks(bits: int) -> tuple[int, ...]:
+    """The nonempty submasks of `bits`, ascending by popcount then value;
+    `subset_masks(s.full)` lists every nonempty subset of the carrier."""
+    subs = []
+    sub = bits
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & bits
+    subs.sort(key=lambda m: (m.bit_count(), m))
+    return tuple(subs)
 
 
 class Structure:
@@ -91,7 +100,7 @@ class Structure:
     """
 
     __slots__ = ("n", "gamma_names", "tables", "leq", "full", "down", "up",
-                 "_gamma_index", "_cache", "_table_cache")
+                 "_cache", "_table_cache")
 
     def __init__(self, n: int, gamma_names: Sequence[str],
                  tables: Sequence, leq: Sequence) -> None:
@@ -141,7 +150,6 @@ class Structure:
         self.full = (1 << n) - 1
         self.down = down
         self.up = up
-        self._gamma_index = {g: i for i, g in enumerate(names)}
         self._cache = {}
         self._table_cache = table_cache
 
@@ -154,8 +162,8 @@ class Structure:
 
     def gamma_index(self, label: str) -> int:
         try:
-            return self._gamma_index[label]
-        except KeyError:
+            return self.gamma_names.index(label)
+        except ValueError:
             raise InputError(f"unknown operation label {label!r}") from None
 
     def subset(self, elems: Iterable[int]) -> "Subset":
@@ -376,16 +384,9 @@ def product_table(s: Structure) -> list[list[int]]:
     return rows
 
 
-@per_structure
-def _product_rows(s: Structure) -> list[list[int]]:
-    """`product_table(s)`, kept in `s._cache` as well, so that
-    `product_bits` reads it by one lookup."""
-    return product_table(s)
-
-
 def product_bits(s: Structure, abits: int, bbits: int) -> int:
     """Mask of {a g b : a in A, b in B, g any operation}."""
-    return (s._cache.get(_product_rows) or _product_rows(s))[abits][bbits]
+    return (s._table_cache.get(product_table) or product_table(s))[abits][bbits]
 
 
 def downset(s: Structure, a: Subset) -> Subset:

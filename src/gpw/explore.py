@@ -57,12 +57,19 @@ the fill enters and one per candidate order, is the permutation
 (`_shuffler` makes them directly), so the values tried, the nodes
 counted and the generator state at every exhausted attempt are those of
 a loop that calls `rng.shuffle`.
+
+A search expression combines `PREDICATES` names with !, &, | and
+parentheses.  Its grammar is Python's for ~, & and | over names, so
+`parse_expr` lets `ast` parse it and only checks the characters before
+and the nodes after.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import random
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
@@ -657,80 +664,39 @@ class Or:
 Expr = Pred | Not | And | Or
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "!&|()":
-            tokens.append(c)
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise InputError(f"unexpected character {c!r} in expression")
-    return tokens
-
-
 def parse_expr(text: str) -> Expr:
     """Parse a predicate expression: names, !, &, | and parentheses,
-    with ! binding tightest and | loosest."""
-    tokens = _tokenize(text)
-    pos = 0
+    with ! binding tightest and | loosest, & and | left associative.
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
+    That is Python's grammar for ~, & and | over names, so `ast` parses
+    it once ! is spelled ~.  Two guards keep it to that language: only
+    ASCII letters, digits, _, !&|() and whitespace get through, and the
+    tree maps onto `Pred` / `Not` / `And` / `Or` node by node, any other
+    node (a number, a call, `not`, ...) being rejected."""
+    for c in text:
+        if not (c.isascii() and (c.isalnum() or c in "_!&|()") or c.isspace()):
+            raise InputError(f"unexpected character {c!r} in expression")
 
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def node(e: ast.expr) -> Expr:
+        if isinstance(e, ast.Name):
+            if e.id not in PREDICATES:
+                raise InputError(f"unknown predicate {e.id!r}; known: "
+                                 + ", ".join(sorted(PREDICATES)))
+            return Pred(e.id)
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.Invert):
+            return Not(node(e.operand))
+        if isinstance(e, ast.BinOp) and isinstance(e.op, (ast.BitAnd, ast.BitOr)):
+            return (And if isinstance(e.op, ast.BitAnd) else Or)(node(e.left), node(e.right))
+        raise InputError(f"malformed expression {text!r}")
 
-    def parse_or() -> Expr:
-        node = parse_and()
-        while peek() == "|":
-            take()
-            node = Or(node, parse_and())
-        return node
-
-    def parse_and() -> Expr:
-        node = parse_unary()
-        while peek() == "&":
-            take()
-            node = And(node, parse_unary())
-        return node
-
-    def parse_unary() -> Expr:
-        tok = peek()
-        if tok == "!":
-            take()
-            return Not(parse_unary())
-        if tok == "(":
-            take()
-            node = parse_or()
-            if peek() != ")":
-                raise InputError("unbalanced parenthesis in expression")
-            take()
-            return node
-        if tok is None or tok in "&|)":
-            raise InputError("expression ends where a predicate was expected")
-        take()
-        if tok not in PREDICATES:
-            raise InputError(f"unknown predicate {tok!r}; known: "
-                             + ", ".join(sorted(PREDICATES)))
-        return Pred(tok)
-
-    node = parse_or()
-    if pos != len(tokens):
-        raise InputError(f"trailing tokens in expression: {tokens[pos:]}")
-    return node
+    try:
+        # eval mode rejects a bare newline; `2x` warns before it fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(" ".join(text.split()).replace("!", "~"), mode="eval")
+        return node(tree.body)
+    except (SyntaxError, RecursionError, MemoryError):  # the last two: nested too deep
+        raise InputError(f"malformed expression {text!r}") from None
 
 
 def eval_expr(s: Structure, expr: Expr) -> bool:

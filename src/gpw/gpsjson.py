@@ -45,7 +45,7 @@ def from_obj(obj) -> Structure:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"n must be an integer >= 1, got {n!r}")
     gamma = obj["gamma"]
-    if not isinstance(gamma, list) or not gamma:
+    if not isinstance(gamma, list) or not gamma or not all(isinstance(g, str) for g in gamma):
         raise InputError("gamma must be a nonempty list of labels")
     ops = obj["ops"]
     if not isinstance(ops, dict):
@@ -53,6 +53,11 @@ def from_obj(obj) -> Structure:
     if set(ops) != set(gamma) or len(set(gamma)) != len(gamma):
         raise InputError("ops keys must match the gamma labels exactly")
     tables = [ops[g] for g in gamma]
+    for g, t in zip(gamma, tables):
+        # before the order closure, which costs n^2 memory and n^3 time
+        if (not isinstance(t, list) or len(t) != n
+                or any(not isinstance(row, list) or len(row) != n for row in t)):
+            raise InputError(f"table {g!r} is not {n}x{n}")
 
     leq_pairs = obj["leq"]
     if not isinstance(leq_pairs, list):

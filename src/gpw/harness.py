@@ -405,7 +405,7 @@ def check_stmt_1to2(s: Structure) -> TheoremVerdict:
 @per_table
 def _stmt_1to2(s: Structure) -> tuple[int, int, int] | None:
     """The first offending (T, A, B), or None."""
-    masks = subset_masks(s.n)
+    masks = subset_masks(s.full)
     pairs = [[product_bits(s, 1 << a, 1 << b) for b in range(s.n)] for a in range(s.n)]
     for tb in range(s.full + 1):
         if not _prime_bits(s, tb):

@@ -12,10 +12,12 @@ and the generated filters (`_filter_gens`).  Their product halves read
 the tables alone and are built once per table (`core.per_table`), as
 are the masks that absorb products on an ideal kind's sides, in the
 carrier or in a subsemigroup (`_absorbing`); a structure only applies
-its own order to them.  Primeness and semiprimeness of a mask T are one
-lookup each: the set product of T's complement with itself, and the
-squares of the complement's members (`_square_table`, once per table),
-must miss T.
+its own order to them.  The closures close the set products of the
+words "Mx", "xM" and "MxM" (`_word_products`), which also spell the
+products behind `analysis`'s legacy forms.  Primeness and
+semiprimeness of a mask T are one lookup each: the set product of T's
+complement with itself, and the squares of the complement's members
+(`_square_table`, once per table), must miss T.
 
 An `IdealKind` enters memo keys, so it hashes by identity: an Enum's own
 hash is a Python-level call.  The hot tests compare against module-level
@@ -25,7 +27,6 @@ aliases of the members, as a member's lookup on its class is one too.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from .core import (InputError, PreconditionError, Structure, Subset,
                    _owned, _union_table, down_table, downset_bits, per_structure,
@@ -61,20 +62,25 @@ def is_ideal(s: Structure, a: Subset, kind: IdealKind = IdealKind.TWO_SIDED) -> 
 
 
 @per_table
-def _side_products(s: Structure) -> tuple[list[int], list[int], list[int]]:
-    """For each element e the masks of M e, e M and M e M, no order
-    closure."""
-    m, elems = s.full, range(s.n)
-    left = [product_bits(s, m, 1 << e) for e in elems]
-    return (left, [product_bits(s, 1 << e, m) for e in elems],
-            [product_bits(s, p, m) for p in left])
+def _word_products(s: Structure, word: str) -> list[int]:
+    """For each x the mask of the set product the word spells, "M" the
+    carrier and "x" the singleton {x}, multiplied left to right."""
+    m = s.full
+    out = []
+    for x in range(s.n):
+        xb = 1 << x
+        w = m if word[0] == "M" else xb
+        for c in word[1:]:
+            w = product_bits(s, w, m if c == "M" else xb)
+        out.append(w)
+    return out
 
 
 @per_structure
 def _element_closures(s: Structure) -> tuple[list[int], list[int], list[int]]:
     """For each element e the down-closures (M e], (e M] and (M e M]."""
     down = down_table(s)
-    return tuple([down[p] for p in products] for products in _side_products(s))
+    return tuple([down[p] for p in _word_products(s, word)] for word in ("Mx", "xM", "MxM"))
 
 
 @per_structure
@@ -105,25 +111,12 @@ def _all_ideal_bits(s: Structure, kind: IdealKind) -> tuple[int, ...]:
     return tuple(m for m in _absorbing(s, kind, s.full) if down[m] == m)
 
 
-@lru_cache(maxsize=None)
-def _masks_within(tbits: int) -> tuple[int, ...]:
-    # nonempty submasks of tbits, ascending by popcount then value
-    subs = []
-    sub = tbits
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & tbits
-    subs.sort(key=lambda m: (m.bit_count(), m))
-    return tuple(subs)
-
-
 @per_table
 def _absorbing(s: Structure, kind: IdealKind, tbits: int) -> tuple[int, ...]:
-    """The nonempty submasks A of T in `_masks_within` order
-    (`subset_masks` order for the carrier) that absorb T on the kind's
-    sides: the ideals of the kind, and the relative ideals of a
-    subsemigroup T, before the order has its say."""
-    return tuple(a for a in _masks_within(tbits) if _absorbs(s, tbits, a, kind))
+    """The nonempty submasks A of T in `subset_masks` order that absorb T
+    on the kind's sides: the ideals of the kind, and the relative ideals
+    of a subsemigroup T, before the order has its say."""
+    return tuple(a for a in subset_masks(tbits) if _absorbs(s, tbits, a, kind))
 
 
 @per_table
@@ -163,7 +156,7 @@ def is_filter(s: Structure, f: Subset) -> bool:
 
 def all_filters(s: Structure) -> list[Subset]:
     """Every filter, brute force over all subsets."""
-    return [Subset(s, m) for m in subset_masks(s.n) if _filter_bits(s, m)]
+    return [Subset(s, m) for m in subset_masks(s.full) if _filter_bits(s, m)]
 
 
 @per_structure

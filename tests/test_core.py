@@ -167,11 +167,13 @@ def test_word_product_bracketing_check_holds_under_optimize():
 
 
 def test_subset_masks_order():
-    assert subset_masks(2) == [1, 2, 3]
-    masks = subset_masks(3)
-    assert masks[:3] == [1, 2, 4]
+    assert subset_masks(3) == (1, 2, 3)
+    masks = subset_masks(7)
+    assert masks[:3] == (1, 2, 4)
     assert masks[-1] == 7
     assert len(masks) == 7
+    assert subset_masks(0b1011) == (1, 2, 8, 3, 9, 10, 11)
+    assert subset_masks(0) == ()
 
 
 def test_validate_ok_on_fixtures(min_sl, lz, rz, cz, one):

@@ -7,8 +7,10 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpw
 from gpw import explore
@@ -355,9 +357,61 @@ def test_parse_precedence():
 
 def test_parse_errors():
     for bad in ("nonsense", "(simple", "simple )", "simple extra", "",
-                "simple &", "& simple", "simple @ left_duo", "!(simple"):
-        with pytest.raises(InputError):
+                "simple &", "& simple", "simple @ left_duo", "!(simple",
+                "~simple", "simple ^ left_duo", "not simple", "simple and left_duo",
+                "2x", "1", "simple.x", "simple()", "'simple'", "simple ) & ( left_duo",
+                "simple !left_duo", "simple && left_duo", "()", "\u00e9", "simple\u00e9",
+                "!" * 5000 + "simple", "!" * 20000 + "simple", "(" * 300 + "simple" + ")" * 300):
+        with pytest.raises(InputError) as err:
             parse_expr(bad)
+        assert "~" in bad or "~" not in str(err.value)
+    with pytest.raises(InputError, match="unknown predicate 'nonsense'; known: "):
+        parse_expr("simple & !nonsense")
+    with pytest.raises(InputError, match="unexpected character '@' in expression"):
+        parse_expr("simple @ left_duo")
+    with pytest.raises(InputError, match=r"malformed expression 'simple &\\n'"):
+        parse_expr("simple &\n")
+
+
+def test_parse_lets_no_warning_escape():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            parse_expr("2x & simple")
+
+
+_NAMES = st.sampled_from(sorted(PREDICATES))
+_TREES = st.recursive(
+    _NAMES.map(Pred),
+    lambda sub: st.one_of(sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=12)
+
+
+def _render(draw, e, context: int) -> str:
+    """`e` as text, with random whitespace around every token and a
+    random share of redundant parentheses; `context` is the binding power
+    the text must have (3 for an operand of !, 2 and 3 for the left and
+    right operands of &, 1 and 2 for those of |)."""
+    def ws():
+        return draw(st.text(" \t\n", max_size=2))
+
+    if isinstance(e, Pred):
+        text, power = e.name, 3
+    elif isinstance(e, Not):
+        text, power = "!" + ws() + _render(draw, e.arg, 3), 3
+    elif isinstance(e, And):
+        text, power = _render(draw, e.left, 2) + "&" + _render(draw, e.right, 3), 2
+    else:
+        text, power = _render(draw, e.left, 1) + "|" + _render(draw, e.right, 2), 1
+    if power < context or draw(st.booleans()):
+        text = "(" + ws() + text + ws() + ")"
+    return ws() + text + ws()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _TREES)
+def test_parse_round_trips_rendered_trees(data, tree):
+    assert parse_expr(_render(data.draw, tree, 0)) == tree
 
 
 def test_eval_on_fixtures(min_sl, lz):

@@ -75,7 +75,7 @@ def ref_product_bits(s, abits: int, bbits: int) -> int:
 
 def ref_stmt_1to2(s) -> tuple[bool, dict | None]:
     """Every prime T, every subset A, every subset B, in subset order."""
-    masks = subset_masks(s.n)
+    masks = subset_masks(s.full)
     for tb in range(s.full + 1):
         if not harness._prime_bits(s, tb):
             continue
@@ -540,8 +540,7 @@ def test_walk_structures_match_checked_construction():
     from its parts, over the exhaustive corpus and the n4k1 iso stream,
     as walked and as pickled copies."""
     def slots(s):
-        return repr((s.n, s.gamma_names, s.tables, s.leq, s.full, s.down, s.up,
-                     s._gamma_index))
+        return repr((s.n, s.gamma_names, s.tables, s.leq, s.full, s.down, s.up))
 
     stream = list(enumerate_structures(EnumSpec(4, 1, dedup="iso")))
     assert len(stream) == 4753
@@ -876,7 +875,7 @@ def ref_principal_bits(s, a: int, kind) -> int:
 
 
 def ref_all_ideal_bits(s, kind) -> tuple:
-    return tuple(m for m in subset_masks(s.n) if ref_ideal_bits(s, m, kind))
+    return tuple(m for m in subset_masks(s.full) if ref_ideal_bits(s, m, kind))
 
 
 def ref_closed_sandwich(s, mid: int) -> int:
@@ -1073,7 +1072,7 @@ def test_table_families_never_cross_tables():
         assert shared.keys() == own.keys()
         assert shared == own
         checked.update(map(_family_name, shared))
-    assert checked == {"product_table", "_side_products", "_factor_table", "_absorbing",
+    assert checked == {"product_table", "_word_products", "_factor_table", "_absorbing",
                        "_subsemigroup_masks"}
 
 

@@ -8,6 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpw import gpsjson
 from gpw.core import InputError
 from gpw.explore import random_structure
 from gpw.fixtures import (constant_zero, left_zero, min_semilattice,
@@ -84,6 +85,27 @@ def test_ops_keys_must_match_gamma():
         from_obj({"n": 1, "gamma": ["g0"], "ops": {"h": [[0]]}, "leq": []})
     with pytest.raises(InputError):
         from_obj({"n": 1, "gamma": ["g0", "g1"], "ops": {"g0": [[0]]}, "leq": []})
+
+
+def test_gamma_labels_must_be_strings():
+    for gamma in ([["g0"]], [0], [None]):
+        with pytest.raises(InputError, match="gamma must be"):
+            from_obj({"n": 1, "gamma": gamma, "ops": {"g0": [[0]]}, "leq": []})
+
+
+def test_table_shape_is_checked_before_the_order_closure(monkeypatch):
+    """The closure costs n^2 memory and n^3 time, so a tiny file naming a
+    huge n must fail on its table's shape without reaching it."""
+    def closure(n, pairs):
+        raise AssertionError("the order closure ran")
+
+    monkeypatch.setattr(gpsjson, "_order_closure", closure)
+    for table in ([[0]], [[0]] * 3, "ab", 5):
+        with pytest.raises(InputError, match=r"table 'g' is not 1000000x1000000"):
+            loads(json.dumps({"n": 10**6, "gamma": ["g"], "ops": {"g": table},
+                              "leq": [[0, 1]]}))
+    with pytest.raises(InputError, match=r"table 'g' is not 2x2"):
+        from_obj({"n": 2, "gamma": ["g"], "ops": {"g": [[0, 0], [0]]}, "leq": []})
 
 
 def test_bad_leq_pairs():

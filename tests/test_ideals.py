@@ -65,14 +65,14 @@ def test_all_ideals_matches_brute_force():
     for s in small_corpus():
         for kind in IdealKind:
             got = {a.bits for a in all_ideals(s, kind)}
-            want = {m for m in subset_masks(s.n) if brute_is_ideal(s, m, kind)}
+            want = {m for m in subset_masks(s.full) if brute_is_ideal(s, m, kind)}
             assert got == want
 
 
 def test_all_filters_matches_brute_force():
     for s in small_corpus():
         got = {f.bits for f in all_filters(s)}
-        want = {m for m in subset_masks(s.n) if brute_is_filter(s, m)}
+        want = {m for m in subset_masks(s.full) if brute_is_filter(s, m)}
         assert got == want
 
 

@@ -21,6 +21,18 @@ cell the rows and columns whose statically named cell comes no later,
 and the check scans only those.  It skips only constraints that cannot
 fire, so the values tried, the nodes counted and the tables found are
 those of a full scan.
+
+The walk does not fill every labeled table.  With the lex-leader cut
+(Crawford, Ginsberg, Luks and Roy, KR 1996), the fill compares, at each
+row end, the filled prefix with its image under every relabeling of
+elements and operations, and rejects the value just accepted when an
+image is smaller; it then yields exactly the tables that are least in
+their orbit, in ascending order.  `_associative_tables` relabels each
+into its orbit and merges the orbits back into ascending order through
+a heap of `bytes` keys, so the walk sees the plain fill's tables in the
+plain fill's order after a fraction of its cell checks.  The sampler
+runs the fill without the cut.
+
 Orders come from a cached enumeration that adds one element at a time,
 choosing the elements below and above it, sorted by the pair mask that
 fixes their order.  A structure is emitted only when every operation
@@ -137,7 +149,7 @@ def _cell_ok(t: list, pre: list, n: int, g: int, a: int, b: int,
     product is a or b, and none of the still empty tables m > g; whether
     it lists the new cell does not matter, as the constraints that would
     read it there are inner-product ones too.  The family that rejects
-    most often goes first: counting, per call of the (g, a, b) fill, the
+    most often goes first: counting, per call of the plain (g, a, b) fill, the
     family that rejects it, in the order above, gave 71,560 / 6,399 /
     12,648 / 8,016 rejections and 37,529 acceptances over n4k1's 136,152
     calls, 698,803 / 212,773 / 61,482 / 49,139 / 375,435 at n4k2, and
@@ -195,7 +207,7 @@ def _fill_plan(n: int, k: int) -> tuple:
 
 
 def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
-          max_nodes: int | None = None) -> Iterator[tuple]:
+          max_nodes: int | None = None, canonical: bool = False) -> Iterator[tuple]:
     """Backtracking fill over the cells in (g, a, b) order, trying the
     values `values()` gives, in its order, at each cell; yields every
     complete k-tuple of n x n tables satisfying mixed associativity, in
@@ -211,21 +223,29 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
     with its own value iterator; a cell enters the preimage lists once its
     value is accepted, so each preimage list is in fill order.  With
     `max_nodes`, trying value number max_nodes + 1 raises _Exhausted.
+
+    With `canonical`, the lex-leader cut (`_leads`) also tests each value
+    `_cell_ok` accepts at a row end, and the fill yields only the tables
+    that are the least of their orbit, those `_automorphisms` keeps.
     """
     t = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]
+    plan = _fill_plan(n, k)
+    cuts = _leader_plan(n, k) if canonical else (None,) * len(plan)
+    key = [0] * len(plan)  # the flat key of the filled rows, kept for the cut
     # per depth: the row holding the cell, its preimage lists, the cell,
-    # and the live rows and columns of its check (see `_cell_ok`)
+    # the live rows and columns of its check (see `_cell_ok`), and the
+    # relabelings the cut compares at a row end (None elsewhere)
     slots = [(t[g][a], pre[g], g, a, b, (a, b),
-              [t[m][x] for m, x in rows], [(t[m], t[m][b], z) for m, z in cols])
-             for g, a, b, rows, cols in _fill_plan(n, k)]
+              [t[m][x] for m, x in rows], [(t[m], t[m][b], z) for m, z in cols], cut)
+             for (g, a, b, rows, cols), cut in zip(plan, cuts)]
     last = len(slots) - 1
     left = -1 if max_nodes is None else max(max_nodes, 0)  # -1 never reaches 0
     its = [None] * len(slots)
     its[0] = iter(values())
     i = 0
     while i >= 0:
-        row, pre_g, g, a, b, cell, rows, cols = slots[i]
+        row, pre_g, g, a, b, cell, rows, cols, cut = slots[i]
         v = row[b]
         if v != n:  # retreat from the value accepted last at this depth
             pre_g[v].pop()
@@ -235,6 +255,10 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
             left -= 1
             row[b] = v
             if _cell_ok(t, pre, n, g, a, b, rows, cols):
+                if cut is not None:
+                    key[i - b:i + 1] = row[:n]
+                    if not _leads(key, cut):
+                        continue
                 pre_g[v].append(cell)
                 break
         else:
@@ -250,9 +274,36 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
 
 def _associative_tables(n: int, k: int) -> Iterator[tuple]:
     """All k-tuples of n x n tables satisfying mixed associativity, in
-    ascending tuple order, which is the fill's (g, a, b) cell order: each
-    tuple is passed on the moment the fill completes it."""
-    yield from _fill(n, k, lambda: range(n))
+    ascending tuple order, which is the fill's (g, a, b) cell order.
+
+    The canonical fill gives the least table of each orbit, in ascending
+    order; each is passed on at once and its orbit, one relabeled flat key
+    per relabeling, waits in a heap of `bytes` keys (they sort as the
+    tuples do).  Every table of a later orbit is at least that orbit's
+    least table, so a pending table leaves the heap as soon as the next
+    least table is larger, and the stream is the plain fill's, in its
+    order, while the fill tries a small part of its cells."""
+    from heapq import heappop, heappush  # only here: its import costs every run
+
+    relabelings = _relabelings(n, k)
+    size = n * n
+
+    def tables(key: bytes) -> tuple:
+        return tuple(tuple(tuple(key[o:o + n]) for o in range(g, g + size, n))
+                     for g in range(0, k * size, size))
+
+    pending = []
+    for least in _fill(n, k, lambda: range(n), canonical=True):
+        key = bytes(x for t in least for row in t for x in row)
+        while pending and pending[0] < key:
+            yield tables(heappop(pending))
+        yield least
+        orbit = {bytes([pi[key[r]] for r in reads]) for pi, reads, _ in relabelings}
+        orbit.discard(key)
+        for other in orbit:
+            heappush(pending, other)
+    while pending:
+        yield tables(heappop(pending))
 
 
 # order generation
@@ -346,11 +397,17 @@ def _order_masks(leq, n: int) -> _Order:
     return _Order(tuple(pairs), inside)
 
 
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """`_pair_bit(n, a, b)` at [a][b]."""
+    return tuple(tuple(_pair_bit(n, a, b) for b in range(n)) for a in range(n))
+
+
 def _requirements(tables: tuple, n: int) -> tuple[int, ...]:
     """Per pair a*n + b with a != b, the mask of the pairs (a g c, b g c)
     and (c g a, c g b) over every c and g: what a <= b forces into an
     order for every operation to respect it on both sides."""
-    bit = [[_pair_bit(n, x, y) for y in range(n)] for x in range(n)]
+    bit = _pair_bits(n)
     req = [0] * (n * n)
     for a in range(n):
         for b in range(n):
@@ -445,6 +502,47 @@ def _relabelings(n: int, k: int) -> tuple:
                 out.append((pi, tuple(r * n * n + ia * n + ib
                                       for r in rho for ia in inv for ib in inv), moved))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _leader_plan(n: int, k: int) -> tuple:
+    """Per fill depth i, None unless the cell ends a row; at a row end,
+    (pi, reads) for each relabeling in `_relabelings`, `reads` cut before
+    the first position that lies past i or reads a cell past i: the
+    positions whose comparison the filled prefix decides.  A relabeling
+    left with no position decides nothing at i and is left out."""
+    size = k * n * n
+    out = [None] * size
+    for i in range(n - 1, size, n):
+        cut = []
+        for pi, reads, _ in _relabelings(n, k):
+            p = 0
+            while p <= i and reads[p] <= i:
+                p += 1
+            if p:
+                cut.append((pi, reads[:p]))
+        out[i] = tuple(cut)
+    return tuple(out)
+
+
+def _leads(key: list, cut: tuple) -> bool:
+    """The lex-leader cut (Crawford, Ginsberg, Luks and Roy, KR 1996):
+    False when some relabeling of `cut` (a `_leader_plan` entry) maps the
+    filled prefix of the flat `key` to a smaller one, so that no
+    completion is the least of its orbit.  Each relabeled key is compared
+    with the key position by position: a smaller value rejects, a larger
+    one clears the relabeling, and an equal prefix up to the first
+    unfilled read decides nothing."""
+    for pi, reads in cut:
+        p = 0
+        for r in reads:
+            x, y = pi[key[r]], key[p]
+            if x != y:
+                if x < y:
+                    return False
+                break
+            p += 1
+    return True
 
 
 def _automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
@@ -677,38 +775,68 @@ def parse_expr(text: str) -> Expr:
         if not (c.isascii() and (c.isalnum() or c in "_!&|()") or c.isspace()):
             raise InputError(f"unexpected character {c!r} in expression")
 
-    def node(e: ast.expr) -> Expr:
-        if isinstance(e, ast.Name):
-            if e.id not in PREDICATES:
-                raise InputError(f"unknown predicate {e.id!r}; known: "
-                                 + ", ".join(sorted(PREDICATES)))
-            return Pred(e.id)
-        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.Invert):
-            return Not(node(e.operand))
-        if isinstance(e, ast.BinOp) and isinstance(e.op, (ast.BitAnd, ast.BitOr)):
-            return (And if isinstance(e.op, ast.BitAnd) else Or)(node(e.left), node(e.right))
-        raise InputError(f"malformed expression {text!r}")
+    def build(root: ast.expr) -> Expr:
+        # the nodes in the recursive order, left operand first, but from an
+        # explicit stack: a chain as long as `ast` accepts nests deeper
+        # than Python's recursion limit
+        built, todo = [], [(root, False)]
+        while todo:
+            e, operands_built = todo.pop()
+            if isinstance(e, ast.Name):
+                if e.id not in PREDICATES:
+                    raise InputError(f"unknown predicate {e.id!r}; known: "
+                                     + ", ".join(sorted(PREDICATES)))
+                built.append(Pred(e.id))
+            elif isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.Invert):
+                if operands_built:
+                    built.append(Not(built.pop()))
+                else:
+                    todo += [(e, True), (e.operand, False)]
+            elif isinstance(e, ast.BinOp) and isinstance(e.op, (ast.BitAnd, ast.BitOr)):
+                if operands_built:
+                    right, left = built.pop(), built.pop()
+                    built.append((And if isinstance(e.op, ast.BitAnd) else Or)(left, right))
+                else:
+                    todo += [(e, True), (e.right, False), (e.left, False)]
+            else:
+                raise InputError(f"malformed expression {text!r}")
+        return built[0]
 
     try:
         # eval mode rejects a bare newline; `2x` warns before it fails
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tree = ast.parse(" ".join(text.split()).replace("!", "~"), mode="eval")
-        return node(tree.body)
+        return build(tree.body)
     except (SyntaxError, RecursionError, MemoryError):  # the last two: nested too deep
         raise InputError(f"malformed expression {text!r}") from None
 
 
 def eval_expr(s: Structure, expr: Expr) -> bool:
-    if isinstance(expr, Pred):
-        return PREDICATES[expr.name](s)
-    if isinstance(expr, Not):
-        return not eval_expr(s, expr.arg)
-    if isinstance(expr, And):
-        return eval_expr(s, expr.left) and eval_expr(s, expr.right)
-    if isinstance(expr, Or):
-        return eval_expr(s, expr.left) or eval_expr(s, expr.right)
-    raise InputError(f"not an expression node: {expr!r}")
+    """The expression's value on `s`, operands left to right, `&` and `|`
+    short-circuiting.  An explicit stack of the nodes waiting on an
+    operand replaces recursion, so a chain as long as the parser accepts
+    does not overflow Python's stack."""
+    waiting = []  # (node, whether its right operand is the one evaluated)
+    node = expr
+    while True:
+        while not isinstance(node, Pred):
+            if not isinstance(node, (Not, And, Or)):
+                raise InputError(f"not an expression node: {node!r}")
+            waiting.append((node, False))
+            node = node.arg if isinstance(node, Not) else node.left
+        value = PREDICATES[node.name](s)
+        while waiting:
+            parent, right = waiting.pop()
+            if isinstance(parent, Not):
+                value = not value
+            elif not right and bool(value) != isinstance(parent, Or):
+                # a true left operand of & or a false one of |: the right decides
+                waiting.append((parent, True))
+                node = parent.right
+                break
+        else:
+            return value
 
 
 def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):

@@ -349,6 +349,17 @@ def test_search_bad_expression(capsys):
     assert "unknown predicate" in err
 
 
+def test_search_long_chain_evaluates_without_recursion(capsys):
+    """A chain the parser accepts is evaluated, not stopped by Python's
+    recursion limit: 990 `simple` joined by `|` find what `simple` finds."""
+    code, out, err = _run(capsys, ["search", "--n", "2", "--expr",
+                                   " | ".join(["simple"] * 990)])
+    assert code == 0
+    assert err == ""
+    _, plain, _ = _run(capsys, ["search", "--n", "2", "--expr", "simple"])
+    assert _report(out)["sections"]["witness"] == _report(plain)["sections"]["witness"]
+
+
 def test_search_determinism(capsys):
     argv = ["search", "--n", "2", "--k", "2", "--expr",
             "intra_regular_legacy & !intra_regular"]

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,12 @@ def test_iso_walk_counts_match_the_golden_trace(monkeypatch):
 def test_semigroups_up_to_isomorphism_a027851():
     assert [_count(EnumSpec(n, 1, orders="trivial", dedup="iso"))
             for n in (1, 2, 3, 4)] == [1, 5, 24, 188]
+
+
+def test_canonical_fill_a027851():
+    """The lex-leader cut fill alone, through n = 5."""
+    assert [sum(1 for _ in explore._fill(n, 1, lambda: range(n), canonical=True))
+            for n in (1, 2, 3, 4, 5)] == [1, 5, 24, 188, 1915]
 
 
 def test_labeled_semigroups_a023814_at_n4():
@@ -412,6 +419,36 @@ def _render(draw, e, context: int) -> str:
 @given(st.data(), _TREES)
 def test_parse_round_trips_rendered_trees(data, tree):
     assert parse_expr(_render(data.draw, tree, 0)) == tree
+
+
+def ref_eval(truth, expr, calls) -> bool:
+    """The recursive evaluation, noting each predicate it asks in `calls`."""
+    if isinstance(expr, Pred):
+        calls.append(expr.name)
+        return truth[expr.name]
+    if isinstance(expr, Not):
+        return not ref_eval(truth, expr.arg, calls)
+    if isinstance(expr, And):
+        return ref_eval(truth, expr.left, calls) and ref_eval(truth, expr.right, calls)
+    return ref_eval(truth, expr.left, calls) or ref_eval(truth, expr.right, calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({name: st.booleans() for name in PREDICATES}), _TREES)
+def test_eval_asks_predicates_in_the_recursive_order(truth, tree):
+    """Same value, same predicates asked in the same order, short circuits
+    included, as the recursive form."""
+    calls, expected = [], []
+
+    def asker(name):
+        def ask(s):
+            calls.append(name)
+            return truth[name]
+        return ask
+
+    with mock.patch.dict(PREDICATES, {name: asker(name) for name in truth}):
+        assert eval_expr(None, tree) == ref_eval(truth, tree, expected)
+    assert calls == expected
 
 
 def test_eval_on_fixtures(min_sl, lz):

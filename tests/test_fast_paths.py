@@ -295,8 +295,31 @@ def test_fill_makes_as_many_cell_checks_as_plain_fill(monkeypatch):
     monkeypatch.setitem(globals(), "ref_cell_ok", _counting(ref_cell_ok, ref_calls))
     for n, k in SMALL_SLICES:
         calls[0] = ref_calls[0] = 0
-        assert list(explore._associative_tables(n, k)) == list(ref_tables(n, k)), (n, k)
+        assert list(explore._fill(n, k, lambda: range(n))) == list(ref_tables(n, k)), (n, k)
         assert calls[0] == ref_calls[0] > 0, (n, k)
+
+
+def test_orbit_stream_matches_plain_fill():
+    """The canonical fill keeps exactly the tables `_automorphisms` keeps,
+    in the plain fill's order, and their orbits, merged, are the plain
+    fill's stream, list for list."""
+    for n, k in SMALL_SLICES + ((4, 1), (4, 2), (1, 3), (2, 3), (3, 3)):
+        plain = list(explore._fill(n, k, lambda: range(n)))
+        assert (list(explore._fill(n, k, lambda: range(n), canonical=True))
+                == [t for t in plain if explore._automorphisms(t, n, k) is not None]), (n, k)
+        assert list(explore._associative_tables(n, k)) == plain, (n, k)
+
+
+def test_orbit_stream_cell_checks_pinned(monkeypatch):
+    """The n4k1 stream asks `_cell_ok` 8,968 times, against 136,152 for
+    the plain fill: the cut fill's search tree, fixed by the rule."""
+    calls = [0]
+    monkeypatch.setattr(explore, "_cell_ok", _counting(explore._cell_ok, calls))
+    assert sum(1 for _ in explore._associative_tables(4, 1)) == 3492
+    assert calls[0] == 8968
+    calls[0] = 0
+    assert sum(1 for _ in explore._fill(4, 1, lambda: range(4))) == 3492
+    assert calls[0] == 136152
 
 
 @settings(max_examples=300, deadline=None)

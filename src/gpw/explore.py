@@ -30,8 +30,9 @@ image is smaller; it then yields exactly the tables that are least in
 their orbit, in ascending order.  `_associative_tables` relabels each
 into its orbit and merges the orbits back into ascending order through
 a heap of `bytes` keys, so the walk sees the plain fill's tables in the
-plain fill's order after a fraction of its cell checks.  The sampler
-runs the fill without the cut.
+plain fill's order after a fraction of its cell checks, each with its
+orbit's least table and a relabeling that maps that table to it.  The
+sampler runs the fill without the cut.
 
 Orders come from a cached enumeration that adds one element at a time,
 choosing the elements below and above it, sorted by the pair mask that
@@ -39,25 +40,27 @@ fixes their order.  A structure is emitted only when every operation
 respects the order on both sides.
 
 Every (table, order) pair is tested, but the work that depends on the
-table alone is done once per table, and the work that depends on the
-order alone once per walk: its pair masks and its `down` / `up` masks.
-The structures of one table share one `core.table_cache` dict, so the
-checks, too, compute their table-only results once per table.  A
-structure is built by `core.Structure._unchecked`, without the shape
-checks of `Structure(...)`, which the fill and the order generator make
-true by construction.  The compatibility join is bit-parallel over the
-walk's order list, bit o of a mask standing for order o: built once per
-walk (`_join`), it gives per table one int, the orders that every
-operation respects (`_compatible_orders`), and each (table, order) pair
-is one bit test of it (`_compatible`).  The sampler tests its candidate
-orders through the same join, built over one order.  The isomorphism
-filter (`dedup="iso"`) first asks whether some relabeling makes the table
-smaller, in which case no structure on it is canonical; otherwise only
-the table's automorphisms can make the order smaller, and each costs a
-few mask operations per order.  The relabelings come from a table built
-once per (n, k) (`_relabelings`): for each one, the position in the
-table's flat key of the cell each relabeled cell reads, so a comparison
-is a run of list lookups that stops at the first cell that differs.
+table alone is done once per orbit, on its least table, and the work
+that depends on the order alone once per walk: its pair masks and its
+`down` / `up` masks.  The structures of one table share one
+`core.table_cache` dict, so the checks compute their table-only results
+once per table.  A structure is built by `core.Structure._unchecked`,
+without the shape checks of `Structure(...)`, which the fill and the
+order generator make true by construction.  The compatibility join is
+bit-parallel over the walk's order list, bit o of a mask standing for
+order o: built once per walk (`_join`), it gives per least table one
+int, the orders that every operation respects (`_compatible_orders`);
+every other table of the orbit gets that int with each order moved by
+the relabeling (`_orbit_masks`), and each (table, order) pair is one bit
+test of it (`_compatible`).  The sampler tests its candidate orders
+through the same join, built over one order.  Under the isomorphism
+filter (`dedup="iso"`) no structure on a table that is not least in its
+orbit is canonical; on a least table only its automorphisms can make the
+order smaller, and each costs a few mask operations per order.  The
+relabelings come from a table built once per (n, k) (`_relabelings`):
+for each one, the position in the table's flat key of the cell each
+relabeled cell reads, so a comparison is a run of list lookups that
+stops at the first cell that differs.
 
 Sampling reuses the same backtracking, in the same (g, a, b) cell
 order, with shuffled value order and a node budget, counted by the fill
@@ -274,36 +277,47 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
 
 def _associative_tables(n: int, k: int) -> Iterator[tuple]:
     """All k-tuples of n x n tables satisfying mixed associativity, in
-    ascending tuple order, which is the fill's (g, a, b) cell order.
+    ascending tuple order, which is the fill's (g, a, b) cell order, as
+    (tables, c, pi): c is the index of the orbit's least table in the
+    canonical fill, and pi the carrier permutation (shared from
+    `_relabelings`) of a relabeling that maps that least table to these
+    tables, None for the least table itself.
 
     The canonical fill gives the least table of each orbit, in ascending
     order; each is passed on at once and its orbit, one relabeled flat key
     per relabeling, waits in a heap of `bytes` keys (they sort as the
-    tuples do).  Every table of a later orbit is at least that orbit's
-    least table, so a pending table leaves the heap as soon as the next
-    least table is larger, and the stream is the plain fill's, in its
+    tuples do), each followed by c * len(relabelings) + r in 5 bytes, r
+    the index of the relabeling, which never decides a comparison as no
+    two keys are equal.  Every table of a later orbit is at least that
+    orbit's least table, so a pending table leaves the heap as soon as the
+    next least table is larger, and the stream is the plain fill's, in its
     order, while the fill tries a small part of its cells."""
     from heapq import heappop, heappush  # only here: its import costs every run
 
     relabelings = _relabelings(n, k)
+    count = len(relabelings)
     size = n * n
+    end = k * size
 
-    def tables(key: bytes) -> tuple:
-        return tuple(tuple(tuple(key[o:o + n]) for o in range(g, g + size, n))
-                     for g in range(0, k * size, size))
+    def item(entry: bytes) -> tuple:
+        c, r = divmod(int.from_bytes(entry[end:], "big"), count)
+        return (tuple(tuple(tuple(entry[o:o + n]) for o in range(g, g + size, n))
+                      for g in range(0, end, size)), c, relabelings[r][0])
 
     pending = []
-    for least in _fill(n, k, lambda: range(n), canonical=True):
+    for c, least in enumerate(_fill(n, k, lambda: range(n), canonical=True)):
         key = bytes(x for t in least for row in t for x in row)
         while pending and pending[0] < key:
-            yield tables(heappop(pending))
-        yield least
-        orbit = {bytes([pi[key[r]] for r in reads]) for pi, reads, _ in relabelings}
-        orbit.discard(key)
-        for other in orbit:
-            heappush(pending, other)
+            yield item(heappop(pending))
+        yield least, c, None
+        # each relabeled key, with the last relabeling that gives it
+        orbit = {bytes([pi[key[p]] for p in reads]): r
+                 for r, (pi, reads, _) in enumerate(relabelings)}
+        orbit.pop(key, None)
+        for other, r in orbit.items():
+            heappush(pending, other + (c * count + r).to_bytes(5, "big"))
     while pending:
-        yield tables(heappop(pending))
+        yield item(heappop(pending))
 
 
 # order generation
@@ -601,19 +615,66 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
     return islice(_walk(spec), limit)
 
 
+def _orbit_masks(n: int, k: int, orders: list[_Order], iso: bool) -> Iterator[tuple]:
+    """(tables, compatible, automorphisms) for each item of
+    `_associative_tables(n, k)`, in its order: `compatible` is the
+    `_compatible_orders` mask of the tables over `orders`, and
+    `automorphisms` what `_automorphisms` gives under `iso`, else None.
+
+    The join runs once per orbit, on its least table L, and skips
+    `_requirements` when no order holds a pair a != b.  Any other table of
+    the orbit is pi L, and order o is compatible with L exactly when pi o
+    is compatible with pi L, so its mask is L's with each bit o moved to
+    pi o's; every order mode is closed under relabeling.  The key of pi o
+    is the OR of `moved[i]` over o's pairs; its index is built on demand,
+    once per (pi, o).  Such a table is not least, so its automorphisms are
+    None without the relabeling scan."""
+    join = _join(orders, n)
+    index = {order.key: o for o, order in enumerate(orders)}
+    moves = {pi: (moved, {}) for pi, _, moved in _relabelings(n, k)}
+    kept = []  # per orbit c, the mask of its least table
+    for tables, c, pi in _associative_tables(n, k):
+        if pi is None:
+            compatible = (_compatible_orders(join, _requirements(tables, n))
+                          if join.holds else join.every)
+            kept.append(compatible)
+            yield tables, compatible, _automorphisms(tables, n, k) if iso else None
+            continue
+        compatible = kept[c]
+        moved, image = moves[pi]
+        if moved is not None:
+            out = 0
+            while compatible:
+                low = compatible & -compatible
+                compatible ^= low
+                o = low.bit_length() - 1
+                bit = image.get(o)
+                if bit is None:
+                    m = 0
+                    for i in orders[o].pairs:
+                        m |= moved[i]
+                    bit = image[o] = 1 << index[m]
+                out |= bit
+            compatible = out
+        yield tables, compatible, None
+
+
 def _walk(spec: EnumSpec) -> Iterator[Structure]:
+    """The structures of `enumerate_structures`: per table of
+    `_orbit_masks`, every order of the list tested by `_compatible`
+    against the table's mask and, under iso, every compatible one by
+    `_is_canonical`."""
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
     orders = [(1 << o, leq, _order_masks(leq, n), *_down_up(leq, n))
               for o, leq in enumerate(partial_orders(n, spec.orders))]
-    join = _join((order for _, _, order, _, _ in orders), n)
-    for tables in _associative_tables(n, k):
-        compatible = _compatible_orders(join, _requirements(tables, n))
-        automorphisms = _automorphisms(tables, n, k) if iso else None
+    masks = _orbit_masks(n, k, [order for _, _, order, _, _ in orders], iso)
+    for tables, compatible, automorphisms in masks:
         shared = {}  # the table-only results of every structure on this table
-        for bit, leq, order, down, up in orders:
-            if not _compatible(compatible, bit):
+        for entry in orders:
+            if not _compatible(compatible, entry[0]):
                 continue
+            _, leq, order, down, up = entry
             if iso and not _is_canonical(automorphisms, order):
                 continue
             yield Structure._unchecked(n, names, tables, leq, down, up, shared)

@@ -11,7 +11,6 @@ structures serialize to identical bytes; `digest` hashes that form.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .core import InputError, Structure, _order_closure
@@ -103,4 +102,5 @@ def load(path) -> Structure:
 
 def digest(s: Structure) -> str:
     """Hex digest of the canonical serialization; stable across runs."""
+    import hashlib  # only here: its import costs every run
     return hashlib.sha256(dumps(s).encode("utf-8")).hexdigest()

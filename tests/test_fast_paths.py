@@ -273,11 +273,16 @@ def ref_is_canonical(tables, leq, n, k) -> bool:
 SMALL_SLICES = ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2))
 
 
+def _stream(n: int, k: int) -> list:
+    """The tables of `explore._associative_tables(n, k)`, in its order."""
+    return [tables for tables, _, _ in explore._associative_tables(n, k)]
+
+
 def test_fill_matches_plain_fill():
     """The walk's tables come in the (g, a, b) order of the plain fill
     over the same cell order."""
     for n, k in SMALL_SLICES + ((4, 1), (1, 3), (2, 3), (3, 3)):
-        assert list(explore._associative_tables(n, k)) == list(ref_tables(n, k)), (n, k)
+        assert _stream(n, k) == list(ref_tables(n, k)), (n, k)
 
 
 def _counting(fn, calls):
@@ -307,7 +312,7 @@ def test_orbit_stream_matches_plain_fill():
         plain = list(explore._fill(n, k, lambda: range(n)))
         assert (list(explore._fill(n, k, lambda: range(n), canonical=True))
                 == [t for t in plain if explore._automorphisms(t, n, k) is not None]), (n, k)
-        assert list(explore._associative_tables(n, k)) == plain, (n, k)
+        assert _stream(n, k) == plain, (n, k)
 
 
 def test_orbit_stream_cell_checks_pinned(monkeypatch):
@@ -320,6 +325,56 @@ def test_orbit_stream_cell_checks_pinned(monkeypatch):
     calls[0] = 0
     assert sum(1 for _ in explore._fill(4, 1, lambda: range(4))) == 3492
     assert calls[0] == 136152
+
+
+def test_orbit_items_name_their_least_table():
+    """Each item's c indexes its orbit's least table in the canonical
+    fill, pi is None exactly on that table, and elsewhere some relabeling
+    with carrier permutation pi maps that table to the item's."""
+    for n, k in SMALL_SLICES + ((4, 1), (1, 3), (2, 3), (3, 3)):
+        least = list(explore._fill(n, k, lambda: range(n), canonical=True))
+        no_leq = ((False,) * n,) * n
+        for tables, c, pi in explore._associative_tables(n, k):
+            assert (pi is None) == (tables == least[c]), (n, k, tables)
+            if pi is not None:
+                flat = ref_iso_key(tables, no_leq, n, k, tuple(range(n)), tuple(range(k)))
+                assert any(ref_iso_key(least[c], no_leq, n, k, pi, rho) == flat
+                           for rho in permutations(range(k))), (n, k, tables)
+
+
+def test_orbit_masks_match_the_join_on_every_table():
+    """The mask `_orbit_masks` carries to each table from its orbit's
+    least table is the one the join computes from the table itself, under
+    every order mode, and only the least table gets its automorphisms."""
+    for n, k in SMALL_SLICES + ((4, 1), (4, 2), (2, 3), (3, 3)):
+        joins, walks = [], []
+        for mode in ("all", "total", "trivial"):
+            orders = [explore._order_masks(leq, n) for leq in explore.partial_orders(n, mode)]
+            joins.append(explore._join(orders, n))
+            walks.append(explore._orbit_masks(n, k, orders, True))
+        for (tables, _, pi), *items in zip(explore._associative_tables(n, k), *walks,
+                                           strict=True):
+            req = explore._requirements(tables, n)
+            least = explore._automorphisms(tables, n, k) if pi is None else None
+            for join, (got, compatible, automorphisms) in zip(joins, items):
+                assert got == tables
+                assert compatible == explore._compatible_orders(join, req), (n, k, tables)
+                assert automorphisms == least, (n, k, tables)
+
+
+def test_requirements_once_per_orbit(monkeypatch):
+    """The walk reads `_requirements` once per canonical table, 188 times
+    at n4k1 (A027851(4)) and 742 at n4k2, with or without the iso filter,
+    and never when no order holds a pair a != b."""
+    calls = [0]
+    monkeypatch.setattr(explore, "_requirements", _counting(explore._requirements, calls))
+    for spec, want in ((EnumSpec(4, 1), 188), (EnumSpec(4, 1, dedup="iso"), 188),
+                       (EnumSpec(4, 2, dedup="iso"), 742),
+                       (EnumSpec(4, 2, orders="trivial"), 0)):
+        calls[0] = 0
+        for _ in enumerate_structures(spec):
+            pass
+        assert calls[0] == want, spec
 
 
 @settings(max_examples=300, deadline=None)
@@ -478,7 +533,7 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
                   explore._join((explore._order_masks(leq, n)
                                  for leq in explore.partial_orders(n, mode)), n))
                  for mode in ("total", "trivial")]
-        for tables in explore._associative_tables(n, k):
+        for tables in _stream(n, k):
             req = explore._requirements(tables, n)
             mask = explore._compatible_orders(join, req)
             assert mask >> len(orders) == 0
@@ -551,7 +606,7 @@ def test_automorphisms_match_generator_form():
     None included, on every table of each slice."""
     for n, k in ((4, 1), (3, 2), (2, 3), (3, 3)):
         results = [(explore._automorphisms(tables, n, k), ref_automorphisms(tables, n, k))
-                   for tables in explore._associative_tables(n, k)]
+                   for tables in _stream(n, k)]
         assert all(got == want for got, want in results), (n, k)
         assert any(got is None for got, _ in results), (n, k)
         assert any(got for got, _ in results), (n, k)

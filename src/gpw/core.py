@@ -189,7 +189,8 @@ class Subset:
     bits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or not 0 <= self.bits <= self.structure.full:
+        if (not isinstance(self.bits, int) or isinstance(self.bits, bool)
+                or not 0 <= self.bits <= self.structure.full):
             raise InputError(f"subset mask {self.bits!r} outside the carrier")
 
     def _peer(self, other: "Subset") -> "Subset":

@@ -28,8 +28,9 @@ row end, the filled prefix with its image under every relabeling of
 elements and operations, and rejects the value just accepted when an
 image is smaller; it then yields exactly the tables that are least in
 their orbit, in ascending order.  `_associative_tables` relabels each
-into its orbit and merges the orbits back into ascending order through
-a heap of `bytes` keys, so the walk sees the plain fill's tables in the
+once by every relabeling: the images equal to it give its automorphisms,
+and the others, its orbit, merge back into ascending order through a
+heap of `bytes` keys, so the walk sees the plain fill's tables in the
 plain fill's order after a fraction of its cell checks, each with its
 orbit's least table and a relabeling that maps that table to it.  The
 sampler runs the fill without the cut.
@@ -55,12 +56,12 @@ the relabeling (`_orbit_masks`), and each (table, order) pair is one bit
 test of it (`_compatible`).  The sampler tests its candidate orders
 through the same join, built over one order.  Under the isomorphism
 filter (`dedup="iso"`) no structure on a table that is not least in its
-orbit is canonical; on a least table only its automorphisms can make the
-order smaller, and each costs a few mask operations per order.  The
-relabelings come from a table built once per (n, k) (`_relabelings`):
-for each one, the position in the table's flat key of the cell each
-relabeled cell reads, so a comparison is a run of list lookups that
-stops at the first cell that differs.
+orbit is canonical; on a least table only its automorphisms, found by
+the orbit pass, can make the order smaller, and each costs a few mask
+operations per order.  The relabelings come from a table built once per
+(n, k) (`_relabelings`): for each one, the position in the table's flat
+key of the cell each relabeled cell reads, so an image is a run of list
+lookups, and a comparison stops at the first cell that differs.
 
 Sampling reuses the same backtracking, in the same (g, a, b) cell
 order, with shuffled value order and a node budget, counted by the fill
@@ -229,7 +230,7 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
 
     With `canonical`, the lex-leader cut (`_leads`) also tests each value
     `_cell_ok` accepts at a row end, and the fill yields only the tables
-    that are the least of their orbit, those `_automorphisms` keeps.
+    that are the least of their orbit, those no relabeling makes smaller.
     """
     t = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(k)]
     pre = [[[] for _ in range(n)] for _ in range(k)]
@@ -278,20 +279,25 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
 def _associative_tables(n: int, k: int) -> Iterator[tuple]:
     """All k-tuples of n x n tables satisfying mixed associativity, in
     ascending tuple order, which is the fill's (g, a, b) cell order, as
-    (tables, c, pi): c is the index of the orbit's least table in the
-    canonical fill, and pi the carrier permutation (shared from
-    `_relabelings`) of a relabeling that maps that least table to these
-    tables, None for the least table itself.
+    (tables, c, pi, automorphisms): c is the index of the orbit's least
+    table in the canonical fill, and pi the carrier permutation (shared
+    from `_relabelings`) of a relabeling that maps that least table to
+    these tables, None for the least table itself.  On the least table,
+    `automorphisms` holds, for each distinct carrier permutation pi != id
+    of a relabeling that fixes it, in `_relabelings` order, its `moved`:
+    the mask bit that pair a*n + b moves to, indexed by a*n + b.  On every
+    other table it is None.
 
     The canonical fill gives the least table of each orbit, in ascending
-    order; each is passed on at once and its orbit, one relabeled flat key
-    per relabeling, waits in a heap of `bytes` keys (they sort as the
-    tuples do), each followed by c * len(relabelings) + r in 5 bytes, r
-    the index of the relabeling, which never decides a comparison as no
-    two keys are equal.  Every table of a later orbit is at least that
-    orbit's least table, so a pending table leaves the heap as soon as the
-    next least table is larger, and the stream is the plain fill's, in its
-    order, while the fill tries a small part of its cells."""
+    order; each is relabeled once by every relabeling.  The images equal
+    to it give its automorphisms, and it is passed on at once; the others,
+    its orbit, wait in a heap of `bytes` keys (they sort as the tuples
+    do), each followed by c * len(relabelings) + r in 5 bytes, r the index
+    of the relabeling, which never decides a comparison as no two keys are
+    equal.  Every table of a later orbit is at least that orbit's least
+    table, so a pending table leaves the heap as soon as the next least
+    table is larger, and the stream is the plain fill's, in its order,
+    while the fill tries a small part of its cells."""
     from heapq import heappop, heappush  # only here: its import costs every run
 
     relabelings = _relabelings(n, k)
@@ -302,17 +308,20 @@ def _associative_tables(n: int, k: int) -> Iterator[tuple]:
     def item(entry: bytes) -> tuple:
         c, r = divmod(int.from_bytes(entry[end:], "big"), count)
         return (tuple(tuple(tuple(entry[o:o + n]) for o in range(g, g + size, n))
-                      for g in range(0, end, size)), c, relabelings[r][0])
+                      for g in range(0, end, size)), c, relabelings[r][0], None)
 
     pending = []
     for c, least in enumerate(_fill(n, k, lambda: range(n), canonical=True)):
         key = bytes(x for t in least for row in t for x in row)
         while pending and pending[0] < key:
             yield item(heappop(pending))
-        yield least, c, None
+        images = [bytes([pi[key[p]] for p in reads]) for pi, reads, _ in relabelings]
+        # one `moved` per carrier permutation pi != id of an automorphism
+        yield least, c, None, tuple(dict.fromkeys(
+            moved for (_, _, moved), image in zip(relabelings, images)
+            if image == key and moved is not None))
         # each relabeled key, with the last relabeling that gives it
-        orbit = {bytes([pi[key[p]] for p in reads]): r
-                 for r, (pi, reads, _) in enumerate(relabelings)}
+        orbit = dict(zip(images, range(count)))
         orbit.pop(key, None)
         for other, r in orbit.items():
             heappush(pending, other + (c * count + r).to_bytes(5, "big"))
@@ -387,12 +396,6 @@ def _pair_bit(n: int, a: int, b: int) -> int:
     return 1 << (n * n - 1 - a * n - b)
 
 
-@lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> int:
-    """The mask of every pair a != b."""
-    return sum(_pair_bit(n, a, b) for a in range(n) for b in range(n) if a != b)
-
-
 class _Order(NamedTuple):
     """An order as masks over the pairs (a, b), see `_pair_bit`."""
 
@@ -413,14 +416,17 @@ def _order_masks(leq, n: int) -> _Order:
 
 @lru_cache(maxsize=None)
 def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """`_pair_bit(n, a, b)` at [a][b]."""
-    return tuple(tuple(_pair_bit(n, a, b) for b in range(n)) for a in range(n))
+    """`_pair_bit(n, a, b)` at [a][b] for a != b, 0 on the diagonal: every
+    order holds each pair (a, a), so none is ever required."""
+    return tuple(tuple(_pair_bit(n, a, b) if a != b else 0 for b in range(n))
+                 for a in range(n))
 
 
 def _requirements(tables: tuple, n: int) -> tuple[int, ...]:
     """Per pair a*n + b with a != b, the mask of the pairs (a g c, b g c)
-    and (c g a, c g b) over every c and g: what a <= b forces into an
-    order for every operation to respect it on both sides."""
+    and (c g a, c g b) over every c and g with the two elements distinct:
+    what a <= b forces into an order for every operation to respect it on
+    both sides."""
     bit = _pair_bits(n)
     req = [0] * (n * n)
     for a in range(n):
@@ -441,7 +447,6 @@ class _Join(NamedTuple):
 
     holds: tuple[tuple[int, int], ...]  # (a*n + b, the orders holding it) per pair a != b held
     held_by: dict[int, int]  # the same masks keyed by the pair's bit (see `_pair_bit`)
-    pairs: int  # every pair a != b
     every: int  # every order
 
 
@@ -454,8 +459,7 @@ def _join(orders: Iterable[_Order], n: int) -> _Join:
         for i in order.pairs:
             holds[i] = holds.get(i, 0) | bit
     return _Join(tuple(holds.items()),
-                 {1 << (n * n - 1 - i): held for i, held in holds.items()},
-                 _off_diagonal(n), every)
+                 {1 << (n * n - 1 - i): held for i, held in holds.items()}, every)
 
 
 def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
@@ -465,10 +469,10 @@ def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
     req[i], which a <= b forces, so the failing orders are the union,
     over the held pairs i, of the orders holding i but not every pair
     of req[i]."""
-    held_by, pairs, every = join.held_by, join.pairs, join.every
+    held_by, every = join.held_by, join.every
     bad = 0
     for i, held in join.holds:
-        forced = req[i] & pairs
+        forced = req[i]
         holding = every  # the orders holding every pair of req[i] seen so far
         while forced:
             low = forced & -forced
@@ -559,33 +563,11 @@ def _leads(key: list, cut: tuple) -> bool:
     return True
 
 
-def _automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
-    """None when some relabeling makes the tables smaller; otherwise, for
-    each distinct carrier permutation pi != id of an automorphism, the
-    mask bit that pair a*n + b moves to, indexed by a*n + b.  Each
-    relabeled key is compared with the flat key cell by cell, in
-    `_relabelings` order, up to the first cell that differs."""
-    base = [x for t in tables for row in t for x in row]
-    moves = {}
-    for pi, reads, moved in _relabelings(n, k):
-        diff = 0
-        for p, y in zip(reads, base):
-            x = pi[base[p]]
-            if x != y:
-                diff = x - y
-                break
-        if diff < 0:
-            return None
-        if diff == 0 and moved is not None and pi not in moves:
-            moves[pi] = moved
-    return tuple(moves.values())
-
-
 def _is_canonical(automorphisms: tuple | None, order: _Order) -> bool:
     """True when (tables, order) is the least member of its isomorphism
     class under carrier relabelings crossed with operation-label
-    relabelings; `automorphisms` is what `_automorphisms` gave for the
-    tables."""
+    relabelings; `automorphisms` is what `_associative_tables` gives
+    with the tables."""
     if automorphisms is None:
         return False
     key = order.key
@@ -615,11 +597,11 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
     return islice(_walk(spec), limit)
 
 
-def _orbit_masks(n: int, k: int, orders: list[_Order], iso: bool) -> Iterator[tuple]:
-    """(tables, compatible, automorphisms) for each item of
-    `_associative_tables(n, k)`, in its order: `compatible` is the
-    `_compatible_orders` mask of the tables over `orders`, and
-    `automorphisms` what `_automorphisms` gives under `iso`, else None.
+def _orbit_masks(n: int, k: int, orders: list[_Order]) -> Iterator[tuple]:
+    """(tables, compatible, automorphisms) for each item (tables, c, pi,
+    automorphisms) of `_associative_tables(n, k)`, in its order:
+    `compatible` is the `_compatible_orders` mask of the tables over
+    `orders`.
 
     The join runs once per orbit, on its least table L, and skips
     `_requirements` when no order holds a pair a != b.  Any other table of
@@ -627,36 +609,34 @@ def _orbit_masks(n: int, k: int, orders: list[_Order], iso: bool) -> Iterator[tu
     is compatible with pi L, so its mask is L's with each bit o moved to
     pi o's; every order mode is closed under relabeling.  The key of pi o
     is the OR of `moved[i]` over o's pairs; its index is built on demand,
-    once per (pi, o).  Such a table is not least, so its automorphisms are
-    None without the relabeling scan."""
+    once per (pi, o)."""
     join = _join(orders, n)
     index = {order.key: o for o, order in enumerate(orders)}
     moves = {pi: (moved, {}) for pi, _, moved in _relabelings(n, k)}
     kept = []  # per orbit c, the mask of its least table
-    for tables, c, pi in _associative_tables(n, k):
+    for tables, c, pi, automorphisms in _associative_tables(n, k):
         if pi is None:
             compatible = (_compatible_orders(join, _requirements(tables, n))
                           if join.holds else join.every)
             kept.append(compatible)
-            yield tables, compatible, _automorphisms(tables, n, k) if iso else None
-            continue
-        compatible = kept[c]
-        moved, image = moves[pi]
-        if moved is not None:
-            out = 0
-            while compatible:
-                low = compatible & -compatible
-                compatible ^= low
-                o = low.bit_length() - 1
-                bit = image.get(o)
-                if bit is None:
-                    m = 0
-                    for i in orders[o].pairs:
-                        m |= moved[i]
-                    bit = image[o] = 1 << index[m]
-                out |= bit
-            compatible = out
-        yield tables, compatible, None
+        else:
+            compatible = kept[c]
+            moved, image = moves[pi]
+            if moved is not None:
+                out = 0
+                while compatible:
+                    low = compatible & -compatible
+                    compatible ^= low
+                    o = low.bit_length() - 1
+                    bit = image.get(o)
+                    if bit is None:
+                        m = 0
+                        for i in orders[o].pairs:
+                            m |= moved[i]
+                        bit = image[o] = 1 << index[m]
+                    out |= bit
+                compatible = out
+        yield tables, compatible, automorphisms
 
 
 def _walk(spec: EnumSpec) -> Iterator[Structure]:
@@ -668,7 +648,7 @@ def _walk(spec: EnumSpec) -> Iterator[Structure]:
     names = _gamma_names(k)
     orders = [(1 << o, leq, _order_masks(leq, n), *_down_up(leq, n))
               for o, leq in enumerate(partial_orders(n, spec.orders))]
-    masks = _orbit_masks(n, k, [order for _, _, order, _, _ in orders], iso)
+    masks = _orbit_masks(n, k, [order for _, _, order, _, _ in orders])
     for tables, compatible, automorphisms in masks:
         shared = {}  # the table-only results of every structure on this table
         for entry in orders:

@@ -164,6 +164,12 @@ def _blocks_and_maximal_simple(s: Structure) -> tuple[frozenset[int], frozenset[
             frozenset(b.bits for b in maximal_simple_subsemigroups(s)))
 
 
+def _blocks_witness(blocks: frozenset[int], mss: frozenset[int]) -> dict:
+    """The masks on one side of `_blocks_and_maximal_simple` only."""
+    return {"blocks_not_maximal_simple": sorted(blocks - mss),
+            "maximal_simple_not_blocks": sorted(mss - blocks)}
+
+
 # witnesses of the side that fails; None when that side holds
 
 def _ideal_witness(bits: int | None) -> dict | None:
@@ -366,8 +372,7 @@ def check_theorem18(s: Structure) -> TheoremVerdict:
         "Thm18", "intra_regular",
         {"intra_regular": is_intra_regular(s), "blocks_are_maximal_simple": blocks <= mss,
          "maximal_simple_are_blocks": mss <= blocks},
-        lambda: {"blocks_not_maximal_simple": sorted(blocks - mss),
-                 "maximal_simple_not_blocks": sorted(mss - blocks)})
+        lambda: _blocks_witness(blocks, mss))
 
 
 def check_cor19(s: Structure) -> TheoremVerdict:
@@ -375,7 +380,8 @@ def check_cor19(s: Structure) -> TheoremVerdict:
     blocks, mss = _blocks_and_maximal_simple(s)
     return _implication(
         "Cor19", "intra_regular",
-        {"intra_regular": is_intra_regular(s), "blocks_equal_maximal_simple": blocks == mss})
+        {"intra_regular": is_intra_regular(s), "blocks_equal_maximal_simple": blocks == mss},
+        lambda: _blocks_witness(blocks, mss))
 
 
 def check_theorem21(s: Structure) -> TheoremVerdict:

@@ -107,6 +107,15 @@ def test_subset_range_and_owner_errors(min_sl, lz):
         a | b
 
 
+def test_subset_rejects_bool_masks(min_sl):
+    """A bool is an int, but no mask: like every other integer input,
+    Subset rejects it rather than store True as bits."""
+    for mask in (True, False):
+        with pytest.raises(InputError):
+            Subset(min_sl, mask)
+    assert Subset(min_sl, 1).bits == 1
+
+
 def test_downset_upset(min_sl):
     top = min_sl.subset([1])
     assert downset(min_sl, top).elements() == [0, 1]

@@ -67,7 +67,7 @@ TABLE_STREAMS = {
 
 def test_table_streams_pinned():
     for (n, k), (count, abg, own) in TABLE_STREAMS.items():
-        tables = [t for t, _, _ in _associative_tables(n, k)]
+        tables = [t for t, _, _, _ in _associative_tables(n, k)]
         assert len(tables) == count, (n, k)
         assert tables == sorted(tables), (n, k)
         assert _sha256(sorted(tables, key=_abg_key)) == abg, (n, k)

@@ -275,7 +275,7 @@ SMALL_SLICES = ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2))
 
 def _stream(n: int, k: int) -> list:
     """The tables of `explore._associative_tables(n, k)`, in its order."""
-    return [tables for tables, _, _ in explore._associative_tables(n, k)]
+    return [tables for tables, _, _, _ in explore._associative_tables(n, k)]
 
 
 def test_fill_matches_plain_fill():
@@ -305,13 +305,14 @@ def test_fill_makes_as_many_cell_checks_as_plain_fill(monkeypatch):
 
 
 def test_orbit_stream_matches_plain_fill():
-    """The canonical fill keeps exactly the tables `_automorphisms` keeps,
-    in the plain fill's order, and their orbits, merged, are the plain
-    fill's stream, list for list."""
+    """The canonical fill keeps exactly the tables that no relabeling
+    makes smaller (`ref_automorphisms` is not None), in the plain fill's
+    order, and their orbits, merged, are the plain fill's stream, list
+    for list."""
     for n, k in SMALL_SLICES + ((4, 1), (4, 2), (1, 3), (2, 3), (3, 3)):
         plain = list(explore._fill(n, k, lambda: range(n)))
         assert (list(explore._fill(n, k, lambda: range(n), canonical=True))
-                == [t for t in plain if explore._automorphisms(t, n, k) is not None]), (n, k)
+                == [t for t in plain if ref_automorphisms(t, n, k) is not None]), (n, k)
         assert _stream(n, k) == plain, (n, k)
 
 
@@ -334,7 +335,7 @@ def test_orbit_items_name_their_least_table():
     for n, k in SMALL_SLICES + ((4, 1), (1, 3), (2, 3), (3, 3)):
         least = list(explore._fill(n, k, lambda: range(n), canonical=True))
         no_leq = ((False,) * n,) * n
-        for tables, c, pi in explore._associative_tables(n, k):
+        for tables, c, pi, _ in explore._associative_tables(n, k):
             assert (pi is None) == (tables == least[c]), (n, k, tables)
             if pi is not None:
                 flat = ref_iso_key(tables, no_leq, n, k, tuple(range(n)), tuple(range(k)))
@@ -351,11 +352,11 @@ def test_orbit_masks_match_the_join_on_every_table():
         for mode in ("all", "total", "trivial"):
             orders = [explore._order_masks(leq, n) for leq in explore.partial_orders(n, mode)]
             joins.append(explore._join(orders, n))
-            walks.append(explore._orbit_masks(n, k, orders, True))
-        for (tables, _, pi), *items in zip(explore._associative_tables(n, k), *walks,
-                                           strict=True):
+            walks.append(explore._orbit_masks(n, k, orders))
+        for (tables, _, pi, _), *items in zip(explore._associative_tables(n, k), *walks,
+                                              strict=True):
             req = explore._requirements(tables, n)
-            least = explore._automorphisms(tables, n, k) if pi is None else None
+            least = ref_automorphisms(tables, n, k) if pi is None else None
             for join, (got, compatible, automorphisms) in zip(joins, items):
                 assert got == tables
                 assert compatible == explore._compatible_orders(join, req), (n, k, tables)
@@ -535,6 +536,8 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
                  for mode in ("total", "trivial")]
         for tables in _stream(n, k):
             req = explore._requirements(tables, n)
+            assert not any(req[i] & explore._pair_bit(n, a, a)
+                           for i in range(n * n) for a in range(n)), tables
             mask = explore._compatible_orders(join, req)
             assert mask >> len(orders) == 0
             assert explore._compatible_orders(as_lists, req) == mask
@@ -542,7 +545,7 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
                 mode_mask = explore._compatible_orders(mode_join, req)
                 assert [explore._compatible(mode_mask, 1 << o) for o in range(len(mode_leqs))] \
                     == [ref_compatible(tables, leq) for leq in mode_leqs]
-            automorphisms = explore._automorphisms(tables, n, k)
+            automorphisms = ref_automorphisms(tables, n, k)
             non_least += automorphisms is None
             nontrivial += bool(automorphisms)
             for o, (leq, order) in enumerate(zip(leqs, orders)):
@@ -577,8 +580,10 @@ def test_orbit_stabilizer():
 
 
 def ref_automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
-    """`explore._automorphisms` as it was before the relabeling table: one
-    generator of relabeled cells per (pi, rho)."""
+    """None when some relabeling makes the tables smaller; otherwise, for
+    each distinct carrier permutation pi != id of an automorphism, in
+    `permutations` order, the mask bit that pair a*n + b moves to, indexed
+    by a*n + b.  One generator of relabeled cells per (pi, rho)."""
     base = [x for t in tables for row in t for x in row]
     identity = tuple(range(n))
     moves = {}
@@ -602,14 +607,16 @@ def ref_automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
 
 
 def test_automorphisms_match_generator_form():
-    """The relabeling table gives what one generator per relabeling gave,
-    None included, on every table of each slice."""
+    """The automorphisms the orbit stream gives with each least table are
+    what one generator per relabeling gives, and every other table gets
+    None, which the generator form gives it too."""
     for n, k in ((4, 1), (3, 2), (2, 3), (3, 3)):
-        results = [(explore._automorphisms(tables, n, k), ref_automorphisms(tables, n, k))
-                   for tables in _stream(n, k)]
-        assert all(got == want for got, want in results), (n, k)
-        assert any(got is None for got, _ in results), (n, k)
-        assert any(got for got, _ in results), (n, k)
+        results = [(got, ref_automorphisms(tables, n, k), pi is None)
+                   for tables, _, pi, got in explore._associative_tables(n, k)]
+        assert all(got == want for got, want, _ in results), (n, k)
+        assert all((got is None) != least for got, _, least in results), (n, k)
+        assert any(got is None for got, _, _ in results), (n, k)
+        assert any(got for got, _, _ in results), (n, k)
 
 
 def test_walk_structures_match_checked_construction():

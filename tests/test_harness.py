@@ -197,6 +197,24 @@ def test_forced_lemma4_refinement(monkeypatch, min_sl):
     assert v.witness == {"L_refines_I": False, "I_refines_N": True}
 
 
+def test_forced_blocks_witness_thm18_and_cor19(monkeypatch, min_sl):
+    """The N blocks of the min-semilattice, {0} and {1}, forced to the one
+    block {0, 1} (mask 3) against the maximal simple subsemigroups {0}
+    and {1} (masks 1 and 2): both claims read the same pair of mask sets
+    and fail with the same witness, the masks on one side only."""
+    monkeypatch.setattr(harness, "_blocks_and_maximal_simple",
+                        lambda s: (frozenset({3}), frozenset({1, 2})))
+    witness = {"blocks_not_maximal_simple": [3], "maximal_simple_not_blocks": [1, 2]}
+    v = check(min_sl, "Thm18")
+    assert v.condition_values == {"intra_regular": True, "blocks_are_maximal_simple": False,
+                                  "maximal_simple_are_blocks": False}
+    assert not v.equivalent and v.witness == witness
+    v = check(min_sl, "Cor19")
+    assert v.condition_values == {"intra_regular": True,
+                                  "blocks_equal_maximal_simple": False}
+    assert not v.equivalent and v.witness == witness
+
+
 def test_forced_lemma12_containment(monkeypatch, lz):
     """Principal ideals forced to singletons: x g y = x lies outside the
     meet of (0] and (1], so the containment fails at the pair (0, 1)."""

@@ -8,8 +8,9 @@ the converse is a search target, not a theorem.  The pinned predicates
 read the element closures of `ideals._element_closures`, and
 intra-regularity, a premise of most claims, is memoised per structure,
 as are simplicity and the decomposition along the N partition; the
-subsemigroups, and the set products behind the legacy forms
-(`ideals._word_products`), are found once per table.
+subsemigroups, the set products behind the legacy forms
+(`ideals._word_products`), and a partition's semilattice test and chain
+scan (`relations._partition_facts`) are found once per table.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .core import (PreconditionError, Structure, Subset, _owned, down_table,
-                   downset_bits, per_structure, per_table, product_bits, subset_masks)
-from .ideals import (IdealKind, _absorbing, _all_ideal_bits, _element_closures,
-                     _two_sided_absorbing, _word_products)
-from .relations import Partition, is_semilattice_congruence, relation_partition
+from .core import (PreconditionError, Structure, Subset, _owned, _unchecked_subset,
+                   down_table, downset_bits, per_structure, per_table, product_bits,
+                   subset_masks)
+from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits,
+                     _element_closures, _word_products)
+from .relations import Partition, _partition_facts, relation_partition
 
 
 def is_intra_regular(s: Structure) -> bool:
@@ -67,6 +69,7 @@ def is_left_regular(s: Structure) -> bool:
     return left_regular_failure(s) is None
 
 
+@per_structure
 def left_regular_failure(s: Structure):
     return _pinned_failure(s, _element_closures(s)[0])
 
@@ -76,6 +79,7 @@ def is_right_regular(s: Structure) -> bool:
     return right_regular_failure(s) is None
 
 
+@per_structure
 def right_regular_failure(s: Structure):
     return _pinned_failure(s, _element_closures(s)[1])
 
@@ -98,8 +102,9 @@ def is_right_duo(s: Structure) -> bool:
     return _duo(s, IdealKind.RIGHT)
 
 
+@per_structure
 def _duo(s: Structure, kind: IdealKind) -> bool:
-    two = _two_sided_absorbing(s)
+    two = _absorbing_set(s, IdealKind.TWO_SIDED, s.full)
     return all(b in two for b in _all_ideal_bits(s, kind))
 
 
@@ -124,7 +129,7 @@ def all_subsemigroups(s: Structure) -> list[Subset]:
 
 def _relative_ideal_bits(s: Structure, tbits: int, abits: int, kind: IdealKind) -> bool:
     # downward closure relative to T under the ambient order
-    return (abits in _absorbing(s, kind, tbits)
+    return (abits in _absorbing_set(s, kind, tbits)
             and not downset_bits(s, abits) & tbits & ~abits)
 
 
@@ -224,17 +229,6 @@ class DecompositionReport:
         return sorted(range(len(reps)), key=cmp_to_key(cmp))
 
 
-def _chain_failure(s: Structure, p: Partition) -> tuple | None:
-    cls = p.class_of
-    for x in range(s.n):
-        for y in range(s.n):
-            for g, t in zip(s.gamma_names, s.tables):
-                c = cls[t[x][y]]
-                if c != cls[x] and c != cls[y]:
-                    return (x, y, g)
-    return None
-
-
 @per_structure
 def _n_decomposition(s: Structure) -> DecompositionReport:
     """`decompose(s)`: the split along the N partition."""
@@ -252,7 +246,7 @@ def decompose(s: Structure, sigma: Partition | None = None) -> DecompositionRepo
         return _n_decomposition(s)
     if sigma.structure is not s:
         raise PreconditionError("partition does not belong to this structure")
-    slc = is_semilattice_congruence(s, sigma)
+    slc, fail = _partition_facts(s, sigma.class_of)
     verdicts = []
     for blk in sigma.blocks:
         sub = _subsemigroup_bits(s, blk.bits)
@@ -263,7 +257,7 @@ def decompose(s: Structure, sigma: Partition | None = None) -> DecompositionRepo
             is_left_simple=sub and _simple_bits(s, blk.bits, IdealKind.LEFT),
         ))
     semi = slc and all(v.is_simple for v in verdicts)
-    fail = _chain_failure(s, sigma)
+    fail = fail and (fail[0], fail[1], s.gamma_names[fail[2]])  # the operation's label
     return DecompositionReport(
         partition=sigma,
         class_verdicts=verdicts,
@@ -275,6 +269,13 @@ def decompose(s: Structure, sigma: Partition | None = None) -> DecompositionRepo
 
 
 def maximal_simple_subsemigroups(s: Structure) -> list[Subset]:
-    """Inclusion-maximal simple subsemigroups, by popcount then mask value."""
-    simple = [m for m in _subsemigroup_masks(s) if _simple_bits(s, m, IdealKind.TWO_SIDED)]
-    return [Subset(s, m) for m in simple if not any(c != m and c & m == m for c in simple)]
+    """Inclusion-maximal simple subsemigroups, by popcount then mask value.
+    The subsemigroups go from the largest down, and one inside a simple
+    subsemigroup already found is not maximal: its simplicity is not asked."""
+    found: list[int] = []
+    inside: set[int] = set()  # every submask of a mask found
+    for m in reversed(_subsemigroup_masks(s)):
+        if m not in inside and _simple_bits(s, m, IdealKind.TWO_SIDED):
+            found.append(m)
+            inside.update(subset_masks(m))
+    return [_unchecked_subset(s, m) for m in reversed(found)]

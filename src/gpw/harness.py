@@ -13,7 +13,8 @@ and campaign drivers must stop and serialize the offending structure.
 
 Thm8 is seven faces of intra-regularity, and each side of Thm21 the same
 seven faces of left (right) regularity plus duo; one routine, `_faces`,
-builds them for a side: two-sided, left or right.
+builds them for a side: two-sided, left or right.  A failing side names
+the faces in its minority (`_odd_faces`).
 
 Existential conditions (is there a semilattice congruence with simple
 classes?) are decided two ways: through the canonical N-partition witness
@@ -25,18 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (_chain_failure, _relative_ideal_bits, _simple_bits,
-                       _subsemigroup_bits, _subsemigroup_masks, decompose,
+from .analysis import (_simple_bits, _subsemigroup_masks, decompose,
                        intra_regular_failure, is_intra_regular, is_left_duo,
                        is_left_regular, is_right_duo, is_right_regular,
                        maximal_simple_subsemigroups)
-from .core import (InputError, Structure, bit_indices, downset_bits, per_structure,
-                   per_table, product_bits, subset_masks)
-from .ideals import (IdealKind, _all_ideal_bits, _chain_break_bits, _element_closures,
-                     _filter_gens, _ideal_bits, _prime_bits, _principals,
-                     _semiprime_bits, _two_sided_absorbing, _weakly_prime_bits,
-                     ideals_form_chain)
-from .relations import relation_partition, semilattice_congruences
+from .core import (InputError, Structure, bit_indices, down_table, downset_bits,
+                   per_structure, per_table, product_bits, subset_masks)
+from .ideals import (IdealKind, _absorbing_set, _all_ideal_bits, _chain_break_bits,
+                     _element_closures, _filter_gens, _prime_bits, _principals,
+                     _semiprime_bits, _weakly_prime_bits, ideals_form_chain)
+from .relations import _block_masks, _semilattice_classes, relation_partition
 
 
 @dataclass
@@ -91,10 +90,16 @@ _SIDES = {
 
 @per_structure
 def _n_formula_holds(s: Structure, side: str) -> bool:
-    """filter_gen(x) == {y : x below some product around y}, for every x."""
-    closed = _element_closures(s)[_SIDES[side][2]]
-    return all(sum(1 << y for y, c in enumerate(closed) if (c >> x) & 1) == f
-               for x, f in enumerate(_filter_gens(s)))
+    """filter_gen(x) == {y : x below some product around y}, for every x:
+    the closure around each y holds exactly the x whose filter holds y."""
+    return _element_closures(s)[_SIDES[side][2]] == _filter_holders(s)
+
+
+@per_structure
+def _filter_holders(s: Structure) -> list[int]:
+    """For each y, the mask of the x whose generated filter holds y."""
+    gens = _filter_gens(s)
+    return [sum(1 << x for x, f in enumerate(gens) if f >> y & 1) for y in range(s.n)]
 
 
 @per_table
@@ -116,11 +121,10 @@ def _closed_square(s: Structure, bits: int) -> int:
 
 
 def _exists_semilattice_all_simple(s: Structure, kind: IdealKind, chain: bool) -> bool:
-    return any(
-        all(_subsemigroup_bits(s, b.bits) and _simple_bits(s, b.bits, kind)
-            for b in p.blocks)
-        and not (chain and _chain_failure(s, p) is not None)
-        for p in semilattice_congruences(s))
+    """Some semilattice congruence, passing the chain condition too when
+    `chain`, has blocks that are all simple subsemigroups of the kind."""
+    return any(sub and not (chain and fails) and all(_simple_bits(s, b, kind) for b in masks)
+               for _, masks, sub, fails in _semilattice_classes(s))
 
 
 def _faces(s: Structure, side: str, tag: str, first: bool) -> dict:
@@ -136,18 +140,18 @@ def _faces(s: Structure, side: str, tag: str, first: bool) -> dict:
     """
     kind, letter, _ = _SIDES[side]
     pn = relation_partition(s, "N")
+    masks = _block_masks(pn.class_of)
     dec = decompose(s)
     ideals = _all_ideal_bits(s, kind)
-    two = _two_sided_absorbing(s)
-    simple = all(v.is_subsemigroup and _simple_bits(s, v.block.bits, kind)
-                 for v in dec.class_verdicts)
+    two = _absorbing_set(s, IdealKind.TWO_SIDED, s.full)
+    simple = all(v.is_subsemigroup and _simple_bits(s, m, kind)
+                 for m, v in zip(masks, dec.class_verdicts))
     c = {
         tag + "1": first,
         tag + "2": _n_formula_holds(s, side),
         tag + "3": pn == relation_partition(s, letter),
         # no N block both meets an ideal and leaves it
-        tag + "4": not any(b & blk.bits and blk.bits & ~b
-                           for b in ideals for blk in pn.blocks),
+        tag + "4": not any(b & m and m & ~b for b in ideals for m in masks),
         tag + "5": simple,
         tag + "6": dec.is_semilattice_congruence and simple,
         tag + "7": all(_semiprime_bits(s, b) and b in two for b in ideals),
@@ -160,7 +164,7 @@ def _faces(s: Structure, side: str, tag: str, first: bool) -> dict:
 @per_structure
 def _blocks_and_maximal_simple(s: Structure) -> tuple[frozenset[int], frozenset[int]]:
     """The masks of the N blocks and of the maximal simple subsemigroups."""
-    return (frozenset(b.bits for b in relation_partition(s, "N").blocks),
+    return (frozenset(_block_masks(relation_partition(s, "N").class_of)),
             frozenset(b.bits for b in maximal_simple_subsemigroups(s)))
 
 
@@ -171,6 +175,15 @@ def _blocks_witness(blocks: frozenset[int], mss: frozenset[int]) -> dict:
 
 
 # witnesses of the side that fails; None when that side holds
+
+def _odd_faces(faces: dict, first: str) -> list[str]:
+    """The faces in the minority, sorted, or on a tie those that differ
+    from face `first`; none when every face agrees."""
+    held, failed = (sorted(f for f, v in faces.items() if v == want) for want in (True, False))
+    if len(held) == len(failed):
+        return failed if faces[first] else held
+    return min(held, failed, key=len)
+
 
 def _ideal_witness(bits: int | None) -> dict | None:
     return None if bits is None else {"ideal": _bits_list(bits)}
@@ -245,9 +258,11 @@ def check_lemma6(s: Structure) -> TheoremVerdict:
     faces = (("sandwich_two_sided", sandwiches, IdealKind.TWO_SIDED),
              ("left_closure_left_ideal", lefts, IdealKind.LEFT),
              ("right_closure_right_ideal", rights, IdealKind.RIGHT))
-    # per face, its first failing element, or n when it holds
-    bad = [next((a for a, b in enumerate(closed) if not _ideal_bits(s, b, kind)), s.n)
-           for _, closed, kind in faces]
+    down = down_table(s)
+    # per face, its first element whose closure is not a down-closed member
+    # of the kind's absorbing masks, or n when it holds
+    bad = [next((a for a, b in enumerate(closed) if down[b] != b or b not in absorbing), s.n)
+           for _, closed, kind in faces for absorbing in [_absorbing_set(s, kind, s.full)]]
     a = min(bad)
     return _implication(
         "Lemma6", None, {face[0]: e == s.n for face, e in zip(faces, bad)},
@@ -256,7 +271,8 @@ def check_lemma6(s: Structure) -> TheoremVerdict:
 
 def check_theorem8(s: Structure) -> TheoremVerdict:
     """Seven equivalent faces of intra-regularity."""
-    return _equivalence("Thm8", _faces(s, "two", "", is_intra_regular(s)))
+    c = _faces(s, "two", "", is_intra_regular(s))
+    return _equivalence("Thm8", c, lambda: {"faces": _odd_faces(c, "1")})
 
 
 def check_lemma9(s: Structure) -> TheoremVerdict:
@@ -354,14 +370,22 @@ def check_theorem16(s: Structure) -> TheoremVerdict:
 
 def check_lemma17(s: Structure) -> TheoremVerdict:
     """Inside any subsemigroup, the trace of a closed sandwich of a member
-    is a relative two-sided ideal."""
+    is a relative two-sided ideal: one of the masks absorbing the
+    subsemigroup, and down-closed in it."""
     closed = _element_closures(s)[2]
-    bad = next(((tb, x) for tb in _subsemigroup_masks(s) for x in bit_indices(tb)
-                if not _relative_ideal_bits(s, tb, closed[x] & tb, IdealKind.TWO_SIDED)),
-               None)
+    down = down_table(s)
+    bad = next(((tb, x) for tb, members, ideals in _subsemigroup_ideals(s) for x in members
+                if (a := closed[x] & tb) not in ideals or down[a] & tb & ~a), None)
     return _implication(
         "Lemma17", None, {"sandwich_trace_relative_ideal": bad is None},
         lambda: {"subsemigroup": _bits_list(bad[0]), "element": bad[1]}, "unconditional")
+
+
+@per_table
+def _subsemigroup_ideals(s: Structure) -> tuple[tuple[int, tuple[int, ...], frozenset[int]], ...]:
+    """Each subsemigroup, its members, and the masks absorbing it on both sides."""
+    return tuple((tb, tuple(bit_indices(tb)), _absorbing_set(s, IdealKind.TWO_SIDED, tb))
+                 for tb in _subsemigroup_masks(s))
 
 
 def check_theorem18(s: Structure) -> TheoremVerdict:
@@ -390,7 +414,8 @@ def check_theorem21(s: Structure) -> TheoremVerdict:
     cl = _faces(s, "left", "L", is_left_regular(s) and is_left_duo(s))
     cr = _faces(s, "right", "R", is_right_regular(s) and is_right_duo(s))
     ok = len(set(cl.values())) == 1 and len(set(cr.values())) == 1
-    return TheoremVerdict("Thm21", "equivalence", cl | cr, ok)
+    return TheoremVerdict("Thm21", "equivalence", cl | cr, ok,
+                          None if ok else {"faces": _odd_faces(cl, "L1") + _odd_faces(cr, "R1")})
 
 
 def check_stmt_1to2(s: Structure) -> TheoremVerdict:

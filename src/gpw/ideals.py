@@ -11,10 +11,12 @@ and again are built once per structure as n-entry lists, on first use
 and the generated filters (`_filter_gens`).  Their product halves read
 the tables alone and are built once per table (`core.per_table`), as
 are the masks that absorb products on an ideal kind's sides, in the
-carrier or in a subsemigroup (`_absorbing`); a structure only applies
-its own order to them.  The closures close the set products of the
-words "Mx", "xM" and "MxM" (`_word_products`), which also spell the
-products behind `analysis`'s legacy forms.  Primeness and
+carrier or in a subsemigroup (`_absorbing`, as a set `_absorbing_set`);
+a structure only applies its own order to them.  Weak primeness reads
+the tables and the two-sided ideals alone, so it is kept once per table
+and ideal family (`_weakly_prime_among`).  The closures close the set
+products of the words "Mx", "xM" and "MxM" (`_word_products`), which
+also spell the products behind `analysis`'s legacy forms.  Primeness and
 semiprimeness of a mask T are one lookup each: the set product of T's
 complement with itself, and the squares of the complement's members
 (`_square_table`, once per table), must miss T.
@@ -120,11 +122,11 @@ def _absorbing(s: Structure, kind: IdealKind, tbits: int) -> tuple[int, ...]:
 
 
 @per_table
-def _two_sided_absorbing(s: Structure) -> frozenset[int]:
-    """`_absorbing(s, TWO_SIDED, s.full)` as a set: a left or right ideal,
-    already nonempty and down-closed, is two-sided exactly when it is a
-    member."""
-    return frozenset(_absorbing(s, _TWO_SIDED, s.full))
+def _absorbing_set(s: Structure, kind: IdealKind, tbits: int) -> frozenset[int]:
+    """`_absorbing(s, kind, T)` as a set: a nonempty mask of T is an
+    ideal of the kind, or a relative ideal of the subsemigroup T, exactly
+    when it is a member and is down-closed (in T)."""
+    return frozenset(_absorbing(s, kind, tbits))
 
 
 def all_ideals(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subset]:
@@ -220,7 +222,13 @@ def is_semiprime(s: Structure, t: Subset) -> bool:
 
 
 def _weakly_prime_bits(s: Structure, tbits: int) -> bool:
-    ideals = _all_ideal_bits(s, IdealKind.TWO_SIDED)
+    return _weakly_prime_among(s, _all_ideal_bits(s, IdealKind.TWO_SIDED), tbits)
+
+
+@per_table
+def _weakly_prime_among(s: Structure, ideals: tuple[int, ...], tbits: int) -> bool:
+    """No two of the masks `ideals`, both leaving T, multiply into T; the
+    structures of a table that share their two-sided ideals share this."""
     for ab in ideals:
         for bb in ideals:
             if product_bits(s, ab, bb) & ~tbits:
@@ -252,6 +260,7 @@ def ideals_form_chain(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> bo
     return _chain_break_bits(s, kind) is None
 
 
+@per_structure
 def _chain_break_bits(s: Structure, kind: IdealKind) -> tuple[int, int] | None:
     """The first pair of ideals, in enumeration order, neither inside the other."""
     masks = _all_ideal_bits(s, kind)

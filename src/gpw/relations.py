@@ -3,19 +3,27 @@
 The four named equivalences identify elements whose principal left /
 right / two-sided ideals (L, R, I) or generated filters (N) coincide.
 Partitions are canonical: blocks are sorted by least element, so equal
-partitions compare and hash equal.  A Partition built from caller-given
-blocks validates them; the partitions this module builds itself come
-from class labels that are valid by construction and skip that.  Either
-way the block Subsets skip their own range check, as the blocks are
-already known to lie within the carrier.
+partitions compare and hash equal, and a partition is its class labels,
+a restricted growth string; its block Subsets are built on first use,
+without their own range check.  A Partition built from caller-given
+blocks validates them; the partitions this module builds come from
+class labels that are valid by construction.
+
+What reads only the tables and a partition's labels is kept once per
+table (`core.per_table`): whether the partition is a semilattice
+congruence and its first chain failure (`_partition_facts`), and the
+sweep of every partition for the semilattice congruences, with their
+block masks, whether every block is a subsemigroup and whether the
+chain condition fails (`_semilattice_classes`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .core import (InputError, OwnerError, Structure, Subset, _unchecked_subset,
-                   per_structure, per_table)
+                   per_structure, per_table, product_bits)
 from .ideals import IdealKind, _filter_gens, _principals
 
 _KINDS = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}
@@ -24,20 +32,13 @@ _KINDS = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}
 class Partition:
     """A partition of one structure's carrier into nonempty blocks."""
 
-    __slots__ = ("structure", "blocks", "class_of")
+    __slots__ = ("structure", "class_of", "_blocks")
 
     def __init__(self, structure: Structure, blocks: Iterable[Iterable[int]]) -> None:
-        n = structure.n
-        masks = []
-        for blk in blocks:
-            bits = 0
-            for e in blk:
-                if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
-                    raise InputError(f"element {e!r} outside 0..{n - 1}")
-                bits |= 1 << e
-            if bits == 0:
-                raise InputError("empty block in partition")
-            masks.append(bits)
+        masks = sorted((structure.subset(blk).bits for blk in blocks),
+                       key=lambda b: (b & -b))  # by least element
+        if 0 in masks:
+            raise InputError("empty block in partition")
         covered = 0
         for bits in masks:
             if covered & bits:
@@ -45,29 +46,29 @@ class Partition:
             covered |= bits
         if covered != structure.full:
             raise InputError("partition does not cover the carrier")
-        masks.sort(key=lambda b: (b & -b))  # by least element
-        class_of = [0] * n
-        for i, bits in enumerate(masks):
-            for e in range(n):
-                if (bits >> e) & 1:
-                    class_of[e] = i
         self.structure = structure
-        self.blocks = tuple(_unchecked_subset(structure, b) for b in masks)
-        self.class_of = tuple(class_of)
+        self.class_of = tuple(next(i for i, b in enumerate(masks) if b >> e & 1)
+                              for e in range(structure.n))
+        self._blocks = None
 
     @classmethod
-    def _from_classes(cls, s: Structure, class_of: Sequence[int]) -> "Partition":
+    def _from_classes(cls, s: Structure, class_of: tuple[int, ...]) -> "Partition":
         """The partition putting element e in block class_of[e], unchecked:
         class_of must be a restricted growth string (block i first appears
         after blocks 0..i-1), so blocks come out sorted by least element."""
-        masks = [0] * (max(class_of) + 1)
-        for e, c in enumerate(class_of):
-            masks[c] |= 1 << e
         p = cls.__new__(cls)
         p.structure = s
-        p.blocks = tuple(_unchecked_subset(s, b) for b in masks)
-        p.class_of = tuple(class_of)
+        p.class_of = class_of
+        p._blocks = None
         return p
+
+    @property
+    def blocks(self) -> tuple[Subset, ...]:
+        """The blocks as Subsets, sorted by least element, built on first use."""
+        if self._blocks is None:
+            self._blocks = tuple(_unchecked_subset(self.structure, b)
+                                 for b in _block_masks(self.class_of))
+        return self._blocks
 
     @classmethod
     def identity(cls, s: Structure) -> "Partition":
@@ -87,16 +88,12 @@ class Partition:
         return [b.elements() for b in self.blocks]
 
     def refines(self, other: "Partition") -> bool:
-        """Every block of self sits inside a single block of other."""
+        """Every block of self sits inside a single block of other: each
+        class label of self goes with one class label of other, so the
+        pairs of labels are as many as self's labels."""
         if other.structure is not self.structure:
             raise OwnerError("partitions belong to different structures")
-        oc = other.class_of
-        for blk in self.blocks:
-            members = blk.elements()
-            target = oc[members[0]]
-            if any(oc[e] != target for e in members[1:]):
-                return False
-        return True
+        return len(set(zip(self.class_of, other.class_of))) == len(set(self.class_of))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -126,7 +123,7 @@ def relation_partition(s: Structure, which: str) -> Partition:
     else:
         raise InputError(f"unknown relation {which!r}, expected one of L R I N")
     first: dict[int, int] = {}  # block number by key, in order of least element
-    return Partition._from_classes(s, [first.setdefault(k, len(first)) for k in keys])
+    return Partition._from_classes(s, tuple([first.setdefault(k, len(first)) for k in keys]))
 
 
 def _check_owner(s: Structure, p: Partition) -> None:
@@ -184,19 +181,20 @@ def is_complete_semilattice_congruence(s: Structure, p: Partition) -> bool:
     return True
 
 
-def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    # restricted growth strings: a[0]=0, a[i] <= max(a[:i]) + 1
-    a = [0] * n
+@lru_cache(maxsize=None)
+def _growth_strings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Restricted growth strings of length n, lexicographic: a[0] = 0, a[i] <= max(a[:i]) + 1."""
+    out = [(0,)]
+    for _ in range(n - 1):
+        out = [a + (v,) for a in out for v in range(max(a) + 2)]
+    return tuple(out)
 
-    def rec(i: int, blocks: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(blocks + 1):
-            a[i] = v
-            yield from rec(i + 1, blocks + 1 if v == blocks else blocks)
 
-    yield from rec(1, 1)
+@lru_cache(maxsize=None)
+def _block_masks(class_of: tuple[int, ...]) -> tuple[int, ...]:
+    """The mask of each block of a restricted growth string, in block order."""
+    return tuple(sum(1 << e for e, d in enumerate(class_of) if d == c)
+                 for c in range(max(class_of) + 1))
 
 
 def all_partitions(s: Structure) -> Iterator[Partition]:
@@ -209,14 +207,40 @@ def all_partitions(s: Structure) -> Iterator[Partition]:
 
 
 @per_table
-def _semilattice_classes(s: Structure) -> tuple[tuple[int, ...], ...]:
-    """The class labels of every semilattice congruence, in
-    `all_partitions` order: being one depends on the tables alone."""
-    return tuple(p.class_of for p in all_partitions(s) if is_semilattice_congruence(s, p))
+def _partition_facts(s: Structure, class_of: tuple[int, ...]) -> tuple[bool, tuple | None]:
+    """Whether the partition with these labels is a semilattice congruence,
+    and its first chain failure: the first (x, y, g), g an operation's
+    index, with x g y in neither x's class nor y's.  With lab(x, y) the
+    label of x g y, it is one when lab(x, x) is x's label and lab(x, y) =
+    lab(y, x) = lab(r, y) for r the least member of x's class: then
+    lab(x, y) = lab(r, y) = lab(y, r) = lab(r', r), a well-defined quotient."""
+    rep = [class_of.index(c) for c in class_of]
+    slc = all(class_of[t[x][x]] == cx
+              and all(class_of[p] == class_of[q] == class_of[u]
+                      for p, q, u in zip(t[x], [row[x] for row in t], t[r]))
+              for t in s.tables for x, (r, cx) in enumerate(zip(rep, class_of)))
+    fail = next(((x, y, g) for x, cx in enumerate(class_of) for y, cy in enumerate(class_of)
+                 for g, t in enumerate(s.tables) if cx != class_of[t[x][y]] != cy), None)
+    return slc, fail
+
+
+@per_table
+def _semilattice_classes(s: Structure) -> tuple[tuple, ...]:
+    """Every semilattice congruence, in `all_partitions` order, as its
+    labels, its block masks, whether every block is a subsemigroup and
+    whether the chain condition fails."""
+    out = []
+    for rgs in _growth_strings(s.n):
+        slc, fail = _partition_facts(s, rgs)
+        if slc:
+            masks = _block_masks(rgs)
+            out.append((rgs, masks, not any(product_bits(s, b, b) & ~b for b in masks),
+                        fail is not None))
+    return tuple(out)
 
 
 @per_structure
 def semilattice_congruences(s: Structure) -> tuple[Partition, ...]:
     """Every semilattice congruence, in `all_partitions` order; the sweep
     runs once per table."""
-    return tuple(Partition._from_classes(s, c) for c in _semilattice_classes(s))
+    return tuple(Partition._from_classes(s, c[0]) for c in _semilattice_classes(s))

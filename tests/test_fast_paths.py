@@ -32,7 +32,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw import analysis, core, explore, harness, ideals
+from gpw import analysis, core, explore, harness, ideals, relations
 from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
                           is_left_duo, is_right_duo, left_regular_failure,
                           relative_ideals, right_regular_failure)
@@ -1224,3 +1224,115 @@ def test_public_partitions_still_validate(blocks):
     semilattice_congruences(s)
     with pytest.raises(InputError):
         Partition(s, blocks)
+
+
+# per-table partition facts: the per-partition scans they replaced
+
+@lru_cache(maxsize=None)
+def label_corpus() -> tuple:
+    """Every structure of the n <= 3, k <= 2 slices, n3k3 up to
+    isomorphism and the first 1,000 n4k1 structures, walked with shared
+    table caches."""
+    out = []
+    for n, k in SMALL_SLICES:
+        out.extend(enumerate_structures(EnumSpec(n, k)))
+    out.extend(enumerate_structures(EnumSpec(3, 3, dedup="iso")))
+    out.extend(enumerate_structures(EnumSpec(4, 1), limit=1000))
+    return tuple(out)
+
+
+def ref_chain_failure(s, p):
+    """The first (x, y, label) whose product leaves both factors' blocks."""
+    cls = p.class_of
+    for x in range(s.n):
+        for y in range(s.n):
+            for g, t in zip(s.gamma_names, s.tables):
+                c = cls[t[x][y]]
+                if c != cls[x] and c != cls[y]:
+                    return (x, y, g)
+    return None
+
+
+def ref_refines(p, q) -> bool:
+    return all(len({q.class_of[e] for e in blk}) == 1 for blk in p.blocks)
+
+
+def test_partition_facts_match_partition_scans():
+    """Per table and class labels, the semilattice test and the chain scan
+    agree with `is_semilattice_congruence` on a caller-built Partition and
+    with the chain scan over a Partition, for every partition."""
+    corpus = label_corpus()
+    assert len(corpus) == 1 + 20 + 971 + 1 + 34 + 3203 + 634 + 1000
+    seen = set()
+    for s in corpus:
+        for p in all_partitions(s):
+            slc, fail = relations._partition_facts(s, p.class_of)
+            ref_fail = ref_chain_failure(s, p)
+            assert slc == is_semilattice_congruence(s, Partition(s, p.as_lists()))
+            assert (fail and (fail[0], fail[1], s.gamma_names[fail[2]])) == ref_fail
+            assert analysis.decompose(s, p).chain_witness_failure == ref_fail
+            seen.add((slc, fail is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_label_sweep_matches_partition_sweep():
+    """The semilattice congruences of the label sweep, with their block
+    masks, subsemigroup and chain flags, against the sweep over
+    `all_partitions`."""
+    for s in label_corpus():
+        expected = [p for p in all_partitions(s) if is_semilattice_congruence(s, p)]
+        assert list(semilattice_congruences(s)) == expected
+        assert list(relations._semilattice_classes(s)) == [
+            (p.class_of, tuple(b.bits for b in p.blocks),
+             all(analysis.is_subsemigroup(s, b) for b in p.blocks),
+             ref_chain_failure(s, p) is not None) for p in expected]
+
+
+def test_refines_matches_block_scan():
+    """`refines` on class labels against block by block: every pair of
+    partitions of each carrier, and L, I and N of every structure."""
+    for s in (walk_corpus()[i] for i in (0, 1, 3, -1)):
+        parts = list(all_partitions(s))
+        for p in parts:
+            for q in parts:
+                assert p.refines(q) == ref_refines(p, q)
+    for s in label_corpus():
+        pl, pi, pn = (relation_partition(s, w) for w in "LIN")
+        for p, q in ((pl, pi), (pi, pl), (pi, pn), (pn, pi), (pl, pn)):
+            assert p.refines(q) == ref_refines(p, q)
+
+
+def ref_weakly_prime(s, tbits: int) -> bool:
+    ideals = ref_all_ideal_bits(s, IdealKind.TWO_SIDED)
+    return not any(not ref_product_bits(s, a, b) & ~tbits and a & ~tbits and b & ~tbits
+                   for a in ideals for b in ideals)
+
+
+def test_weak_primeness_per_ideal_family_matches_pair_scan():
+    for s in label_corpus():
+        for tb in ideals._all_ideal_bits(s, IdealKind.TWO_SIDED):
+            assert ideals._weakly_prime_bits(s, tb) == ref_weakly_prime(s, tb)
+
+
+def _table_groups(spec, limit=None) -> list:
+    """A new walk's structures, grouped by table, in walk order."""
+    groups: dict = {}
+    for s in enumerate_structures(spec, limit=limit):
+        groups.setdefault(s.tables, []).append(s)
+    return list(groups.values())
+
+
+def test_check_all_does_not_depend_on_which_structure_of_a_table_comes_first():
+    """Within each table, `check_all` gives the same verdict dicts in walk
+    order, in reverse order, and with a table cache per structure: a
+    per-table memo keyed by too little shows as a difference."""
+    def verdicts(s):
+        return [v.as_dict() for v in harness.check_all(s)]
+
+    for spec, limit in ((EnumSpec(3, 2), None), (EnumSpec(4, 1), 500)):
+        forward = [[verdicts(s) for s in g] for g in _table_groups(spec, limit)]
+        backward = [[verdicts(s) for s in reversed(g)][::-1]
+                    for g in _table_groups(spec, limit)]
+        fresh = [[verdicts(_fresh(s)) for s in g] for g in _table_groups(spec, limit)]
+        assert forward == backward == fresh
+        assert max(map(len, forward)) > 1

@@ -153,18 +153,31 @@ def test_lemma9_pair_witness(monkeypatch, cz):
 
 def test_forced_intra_regularity_breaks_thm8_and_lemma3(monkeypatch, min_sl):
     """Face 1 and Lemma3's premise are forced false while every other
-    face holds: the equivalence fails, and these claims carry no witness."""
-    for tid, false_side in (("Thm8", "1"), ("Lemma3", "intra_regular")):
+    face holds: the equivalence fails; Thm8 names face 1, the face in the
+    minority, and Lemma3 carries no witness."""
+    for tid, false_side, witness in (("Thm8", "1", {"faces": ["1"]}),
+                                     ("Lemma3", "intra_regular", None)):
         v = _forced(monkeypatch, min_sl, tid, "is_intra_regular", False)
-        assert not v.equivalent and v.witness is None
+        assert not v.equivalent and v.witness == witness
         assert [c for c, held in v.condition_values.items() if not held] == [false_side]
 
 
 def test_forced_left_regularity_breaks_thm21_left_side_only(monkeypatch, lz):
     before = check(lz, "Thm21").condition_values
     v = _forced(monkeypatch, lz, "Thm21", "is_left_regular", False)
-    assert not v.equivalent and v.witness is None
+    assert not v.equivalent and v.witness == {"faces": ["L1"]}
     assert {c for c in before if v.condition_values[c] != before[c]} == {"L1"}
+
+
+def test_odd_faces_minority_and_tie():
+    """The minority's faces, sorted; on a tie, those that differ from the
+    first face; none when all agree."""
+    assert harness._odd_faces({"1": True, "2": False, "3": True, "6e": False,
+                               "4": False, "5": False}, "1") == ["1", "3"]
+    assert harness._odd_faces({"L1": True, "L3": False, "L2": False, "L4": True}, "L1") == \
+        ["L2", "L3"]
+    assert harness._odd_faces({"1": False, "3": True, "2": False, "4": True}, "1") == ["3", "4"]
+    assert harness._odd_faces({"R1": False, "R2": False}, "R1") == []
 
 
 def test_forced_prop2_conclusion(monkeypatch, lz):
@@ -229,7 +242,7 @@ def test_forced_lemma12_containment(monkeypatch, lz):
 def test_forced_lemma17(monkeypatch, min_sl):
     """No trace is a relative ideal: the first subsemigroup, {0}, and its
     first element fail."""
-    monkeypatch.setattr(harness, "_relative_ideal_bits", lambda s, tb, ab, kind: False)
+    monkeypatch.setattr(harness, "_absorbing_set", lambda s, kind, tb: frozenset())
     v = check(min_sl, "Lemma17")
     assert not v.equivalent
     assert v.condition_values == {"sandwich_trace_relative_ideal": False}

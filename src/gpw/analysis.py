@@ -10,7 +10,8 @@ intra-regularity, a premise of most claims, is memoised per structure,
 as are simplicity and the decomposition along the N partition; the
 subsemigroups, the set products behind the legacy forms
 (`ideals._word_products`), and a partition's semilattice test and chain
-scan (`relations._partition_facts`) are found once per table.
+scan (`relations._semilattice_labels`, `relations._chain_failure`) are
+found once per table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import (PreconditionError, Structure, Subset, _owned, _unchecked_subs
                    subset_masks)
 from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits,
                      _element_closures, _word_products)
-from .relations import Partition, _partition_facts, relation_partition
+from .relations import Partition, _chain_failure, _semilattice_labels, relation_partition
 
 
 def is_intra_regular(s: Structure) -> bool:
@@ -246,7 +247,8 @@ def decompose(s: Structure, sigma: Partition | None = None) -> DecompositionRepo
         return _n_decomposition(s)
     if sigma.structure is not s:
         raise PreconditionError("partition does not belong to this structure")
-    slc, fail = _partition_facts(s, sigma.class_of)
+    slc = _semilattice_labels(s, sigma.class_of)
+    fail = _chain_failure(s, sigma.class_of)
     verdicts = []
     for blk in sigma.blocks:
         sub = _subsemigroup_bits(s, blk.bits)

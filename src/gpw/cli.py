@@ -62,32 +62,21 @@ def _report(command: str, sections: dict, timings: dict,
 
 
 def _render_text(node, indent: int = 0) -> list[str]:
+    """The lines of a dict or list node, one per item: its head, `key:`
+    or `-`, then the value as JSON, or the head alone and the value's own
+    lines one level deeper when the value nests."""
     pad = "  " * indent
+    items = (((f"{key}:", val) for key, val in node.items()) if isinstance(node, dict)
+             else (("-", item) for item in node))
     lines = []
-    if isinstance(node, dict):
-        for key in node:
-            val = node[key]
-            if isinstance(val, (dict, list)) and val and not _is_flat(val):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_flat(val)}")
-    elif isinstance(node, list):
-        for item in node:
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_flat(item)}")
-    else:
-        lines.append(f"{pad}{_flat(node)}")
+    for head, val in items:
+        nested = isinstance(val, list) and any(isinstance(x, (dict, list)) for x in val)
+        if nested or isinstance(val, dict) and val:
+            lines.append(pad + head)
+            lines.extend(_render_text(val, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_flat(val)}")
     return lines
-
-
-def _is_flat(val) -> bool:
-    if isinstance(val, list):
-        return all(not isinstance(x, (dict, list)) for x in val)
-    return not isinstance(val, (dict, list))
 
 
 def _flat(val) -> str:
@@ -266,7 +255,7 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
     failure = None
     if args.jobs > 1:
         from multiprocessing import Pool  # only here: its import costs every run
-        pool = Pool(processes=args.jobs)
+        pool = Pool(processes=min(args.jobs, os.cpu_count() or 1))
         stream = pool.imap(_campaign_unit, jobs, chunksize=128)
     else:
         pool = None
@@ -299,28 +288,18 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
 
 def cmd_search(args) -> tuple[dict, int, str | None]:
     spec, corpus = _slice(args)
-    expr = parse_expr(args.expr)
-    sections = {
-        "corpus": corpus,
-        "expr": args.expr,
-        "mode": args.mode,
-    }
-    code = 0
+    # the first hit or None, the list of hits, or their count
+    found = run_search(spec, parse_expr(args.expr), args.mode)
+    sections = {"corpus": corpus, "expr": args.expr, "mode": args.mode}
     if args.mode == "count":
-        sections["count"] = run_search(spec, expr, "count")
-    elif args.mode == "first":
-        hit = run_search(spec, expr, "first")
-        sections["found"] = hit is not None
-        sections["witness"] = None if hit is None else to_obj(hit)
-        if hit is None:
-            code = 3
+        sections["count"] = found
+        return sections, 0, None
+    sections["found"] = bool(found)
+    if args.mode == "first":
+        sections["witness"] = None if found is None else to_obj(found)
     else:
-        hits = run_search(spec, expr, "all")
-        sections["found"] = bool(hits)
-        sections["witnesses"] = [to_obj(h) for h in hits]
-        if not hits:
-            code = 3
-    return sections, code, None
+        sections["witnesses"] = [to_obj(s) for s in found]
+    return sections, 0 if found else 3, None
 
 
 # wiring

@@ -193,13 +193,6 @@ class Subset:
                 or not 0 <= self.bits <= self.structure.full):
             raise InputError(f"subset mask {self.bits!r} outside the carrier")
 
-    def _peer(self, other: "Subset") -> "Subset":
-        if not isinstance(other, Subset):
-            raise InputError(f"expected a Subset, got {other!r}")
-        if other.structure is not self.structure:
-            raise OwnerError("subsets belong to different structures")
-        return other
-
     def elements(self) -> list[int]:
         return list(bit_indices(self.bits))
 
@@ -216,16 +209,16 @@ class Subset:
         return isinstance(e, int) and 0 <= e < self.structure.n and (self.bits >> e) & 1 == 1
 
     def __or__(self, other: "Subset") -> "Subset":
-        return Subset(self.structure, self.bits | self._peer(other).bits)
+        return Subset(self.structure, self.bits | _owned(self.structure, other))
 
     def __and__(self, other: "Subset") -> "Subset":
-        return Subset(self.structure, self.bits & self._peer(other).bits)
+        return Subset(self.structure, self.bits & _owned(self.structure, other))
 
     def __sub__(self, other: "Subset") -> "Subset":
-        return Subset(self.structure, self.bits & ~self._peer(other).bits)
+        return Subset(self.structure, self.bits & ~_owned(self.structure, other))
 
     def issubset(self, other: "Subset") -> bool:
-        return self.bits & ~self._peer(other).bits == 0
+        return self.bits & ~_owned(self.structure, other) == 0
 
     __le__ = issubset
 

@@ -53,15 +53,16 @@ order o: built once per walk (`_join`), it gives per least table one
 int, the orders that every operation respects (`_compatible_orders`);
 every other table of the orbit gets that int with each order moved by
 the relabeling (`_orbit_masks`), and each (table, order) pair is one bit
-test of it (`_compatible`).  The sampler tests its candidate orders
-through the same join, built over one order.  Under the isomorphism
-filter (`dedup="iso"`) no structure on a table that is not least in its
-orbit is canonical; on a least table only its automorphisms, found by
-the orbit pass, can make the order smaller, and each costs a few mask
-operations per order.  The relabelings come from a table built once per
-(n, k) (`_relabelings`): for each one, the position in the table's flat
-key of the cell each relabeled cell reads, so an image is a run of list
-lookups, and a comparison stops at the first cell that differs.
+test of it (`_compatible`).  The join serves the walk alone: the
+sampler tests its one candidate order directly against the table's
+`_requirements`.  Under the isomorphism filter (`dedup="iso"`) no
+structure on a table that is not least in its orbit is canonical; on a
+least table only its automorphisms, found by the orbit pass, can make
+the order smaller, and each costs a few mask operations per order.  The
+relabelings come from a table built once per (n, k) (`_relabelings`):
+for each one, the position in the table's flat key of the cell each
+relabeled cell reads, so an image is a run of list lookups, and a
+comparison stops at the first cell that differs.
 
 Sampling reuses the same backtracking, in the same (g, a, b) cell
 order, with shuffled value order and a node budget, counted by the fill
@@ -718,15 +719,17 @@ def _random_tables(n: int, k: int, rng: random.Random) -> tuple:
 
 def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
     """A compatible order: thinned random linear extensions, with the
-    trivial order as the always-compatible fallback."""
+    trivial order as the always-compatible fallback.  A candidate is
+    compatible when, with each pair i = a*n + b it holds, it holds every
+    pair of req[i], which a <= b forces (`_requirements`)."""
     req = _requirements(tables, n)
     shuffled = _shuffler(rng, n)
     for _ in range(20):
         perm = shuffled()
         leq = _order_closure(n, [(perm[i], perm[j]) for i in range(n)
                                  for j in range(i + 1, n) if rng.random() < 0.4])
-        join = _join([_order_masks(leq, n)], n)  # bit 1: this candidate
-        if _compatible(_compatible_orders(join, req), 1):
+        order = _order_masks(leq, n)
+        if not any(req[i] & ~order.key for i in order.pairs):
             return tuple(tuple(row) for row in leq)
     return tuple(tuple(a == b for b in range(n)) for a in range(n))
 
@@ -891,17 +894,7 @@ def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):
         expr = parse_expr(expr)
     if mode not in ("first", "all", "count"):
         raise InputError("mode must be first, all or count")
-    hits = []
-    count = 0
-    for s in enumerate_structures(spec):
-        if eval_expr(s, expr):
-            if mode == "first":
-                return s
-            if mode == "all":
-                hits.append(s)
-            count += 1
+    hits = (s for s in enumerate_structures(spec) if eval_expr(s, expr))
     if mode == "first":
-        return None
-    if mode == "all":
-        return hits
-    return count
+        return next(hits, None)
+    return list(hits) if mode == "all" else sum(1 for _ in hits)

@@ -11,10 +11,12 @@ class labels that are valid by construction.
 
 What reads only the tables and a partition's labels is kept once per
 table (`core.per_table`): whether the partition is a semilattice
-congruence and its first chain failure (`_partition_facts`), and the
-sweep of every partition for the semilattice congruences, with their
-block masks, whether every block is a subsemigroup and whether the
-chain condition fails (`_semilattice_classes`).
+congruence (`_semilattice_labels`), its first chain failure
+(`_chain_failure`), and the sweep of every partition for the semilattice
+congruences, with their block masks, whether every block is a
+subsemigroup and whether the chain condition fails
+(`_semilattice_classes`), which scans for a chain failure only on a
+congruence.
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ class Partition:
         """Every block of self sits inside a single block of other: each
         class label of self goes with one class label of other, so the
         pairs of labels are as many as self's labels."""
-        if other.structure is not self.structure:
-            raise OwnerError("partitions belong to different structures")
+        _check_owner(self.structure, other)
         return len(set(zip(self.class_of, other.class_of))) == len(set(self.class_of))
 
     def __len__(self) -> int:
@@ -207,21 +208,26 @@ def all_partitions(s: Structure) -> Iterator[Partition]:
 
 
 @per_table
-def _partition_facts(s: Structure, class_of: tuple[int, ...]) -> tuple[bool, tuple | None]:
-    """Whether the partition with these labels is a semilattice congruence,
-    and its first chain failure: the first (x, y, g), g an operation's
-    index, with x g y in neither x's class nor y's.  With lab(x, y) the
-    label of x g y, it is one when lab(x, x) is x's label and lab(x, y) =
-    lab(y, x) = lab(r, y) for r the least member of x's class: then
-    lab(x, y) = lab(r, y) = lab(y, r) = lab(r', r), a well-defined quotient."""
+def _semilattice_labels(s: Structure, class_of: tuple[int, ...]) -> bool:
+    """Whether the partition with these labels is a semilattice congruence.
+    With lab(x, y) the label of x g y, it is one when lab(x, x) is x's
+    label and lab(x, y) = lab(y, x) = lab(r, y) for r the least member of
+    x's class: then lab(x, y) = lab(r, y) = lab(y, r) = lab(r', r), a
+    well-defined quotient."""
     rep = [class_of.index(c) for c in class_of]
-    slc = all(class_of[t[x][x]] == cx
-              and all(class_of[p] == class_of[q] == class_of[u]
-                      for p, q, u in zip(t[x], [row[x] for row in t], t[r]))
-              for t in s.tables for x, (r, cx) in enumerate(zip(rep, class_of)))
-    fail = next(((x, y, g) for x, cx in enumerate(class_of) for y, cy in enumerate(class_of)
+    return all(class_of[t[x][x]] == cx
+               and all(class_of[p] == class_of[q] == class_of[u]
+                       for p, q, u in zip(t[x], [row[x] for row in t], t[r]))
+               for t in s.tables for x, (r, cx) in enumerate(zip(rep, class_of)))
+
+
+@per_table
+def _chain_failure(s: Structure, class_of: tuple[int, ...]) -> tuple | None:
+    """The first chain failure of the partition with these labels: the
+    first (x, y, g), g an operation's index, with x g y in neither x's
+    class nor y's; None when there is none."""
+    return next(((x, y, g) for x, cx in enumerate(class_of) for y, cy in enumerate(class_of)
                  for g, t in enumerate(s.tables) if cx != class_of[t[x][y]] != cy), None)
-    return slc, fail
 
 
 @per_table
@@ -231,11 +237,10 @@ def _semilattice_classes(s: Structure) -> tuple[tuple, ...]:
     whether the chain condition fails."""
     out = []
     for rgs in _growth_strings(s.n):
-        slc, fail = _partition_facts(s, rgs)
-        if slc:
+        if _semilattice_labels(s, rgs):
             masks = _block_masks(rgs)
             out.append((rgs, masks, not any(product_bits(s, b, b) & ~b for b in masks),
-                        fail is not None))
+                        _chain_failure(s, rgs) is not None))
     return tuple(out)
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 import gpw
 from gpw import cli, harness
 from gpw.cli import main
-from gpw.explore import EnumSpec, enumerate_structures
+from gpw.explore import EnumSpec, enumerate_structures, random_structure
 from gpw.gpsjson import digest, dump, to_obj
 
 
@@ -230,6 +232,38 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
         [("Lemma4", False, {"injected": 14})]
 
 
+def test_campaign_caps_workers_at_cpu_count(capsys, monkeypatch):
+    """`--jobs` above the CPU count builds one pool of as many workers as
+    CPUs, and one worker when the count is unknown; the sections are
+    those of `--jobs 1`.  The pool is a stand-in that maps in process, so
+    no worker starts."""
+    built = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            built.append(processes)
+
+        def imap(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    argv = ["campaign", "--n", "2", "--k", "1", "--jobs"]
+    code, out, _ = _run(capsys, argv + ["1"])
+    assert code == 0 and built == []
+    for cpus, jobs, workers in ((2, "64", 2), (None, "3", 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        built.clear()
+        code, capped, _ = _run(capsys, argv + [jobs])
+        assert code == 0 and built == [workers]
+        assert _report(capped)["sections"] == _report(out)["sections"]
+
+
 _CAMPAIGN_N3K1 = """
 import sys
 from gpw.cli import main
@@ -358,6 +392,73 @@ def test_search_long_chain_evaluates_without_recursion(capsys):
     assert err == ""
     _, plain, _ = _run(capsys, ["search", "--n", "2", "--expr", "simple"])
     assert _report(out)["sections"]["witness"] == _report(plain)["sections"]["witness"]
+
+
+# whole reports, pinned by SHA-256: a pin changes only with the report
+# format
+
+def _pinned(capsys, argv: list[str]) -> tuple[int, str]:
+    """The exit code and the SHA-256 of what a report pins: the whole
+    `--text` rendering less its tool version and timings lines, or the
+    `sections` of a JSON report as canonical JSON."""
+    code, out, _ = _run(capsys, argv)
+    if "--text" in argv:
+        text = "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith(("tool_version:", "timings:", "  total_s:")))
+    else:
+        text = json.dumps(_report(out)["sections"], sort_keys=True)
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+TEXT_PINS = {
+    ("validate", "min_sl"): (0, "bb828c142dd1b775c5fe5243b185d3b2a78286fa1ca647584668138fffd2506b"),
+    ("analyze", "min_sl"): (0, "a775f023601c9b685dcc1d69de27b213293626170dd863c16466241b6a4f96e1"),
+    ("check", "min_sl"): (0, "8b7e761b10ac1bcb0cfc4845448e497143670eaf596defb5ba54c74afcd70a42"),
+    ("validate", "n4k2"): (0, "f3bb190da2027274a269a445542e3fdc3a72d588a95bef14017b96329a6d0e3a"),
+    ("analyze", "n4k2"): (0, "4a6e9ff3ad26f0266101474c02952e9a9852e264c8138c294350749dc3638dc8"),
+    ("check", "n4k2"): (0, "8244da2d96671f5bfd7bab898747c1b7cabed01a57df122d197788e0aa595a66"),
+    ("validate", "bad"): (2, "6181349334c0d18d7ac36d9c581f332fdc243c40fe3e5b7333be4b1ddbce42ff"),
+}
+
+
+def test_text_reports_are_pinned(capsys, min_sl_path, bad_assoc_path, tmp_path):
+    """The full `--text` reports of the three structure commands, on the
+    min_sl fixture and on one sampled n4k2 structure with a non-trivial
+    order, and of `validate` on a non-associative table, whose witnesses
+    are lists within lists."""
+    sampled = random_structure(4, 2, seed="text:2")
+    assert sum(map(sum, sampled.leq)) == 4 + 3
+    paths = {"min_sl": min_sl_path, "n4k2": str(tmp_path / "n4k2.json"),
+             "bad": bad_assoc_path}
+    dump(sampled, paths["n4k2"])
+    got = {(command, name): _pinned(capsys, [command, "--text", paths[name]])
+           for command, name in TEXT_PINS}
+    assert got == TEXT_PINS
+
+
+SEARCH_PINS = [
+    ("simple", "first", 0, "929b84c011b3196815f177cf2f792ffc0f4415ac80efd2844cc22601b53870e9"),
+    ("simple & !simple", "first", 3,
+     "5fc4a7b6052db31150502a5eea97e566eb13514a7223fa207eed197d25b2431a"),
+    ("simple", "all", 0, "7d110ecad2cb4e2d367f0bd91dafbc599f679e9726ff14798a0bf2425da158f8"),
+    ("simple & !simple", "all", 3,
+     "50280805af52b6405e36936ca619e5907ce32343b33a6b1052f9b827bc3eff8d"),
+    ("simple", "count", 0, "66b78cf244d5ed8510ef175d049fe8333654a9b71a46241a12ed28fbf231a5a4"),
+]
+
+
+def test_search_sections_are_pinned(capsys):
+    """n3k1 search sections for each mode, a hit and an exhaustion: an
+    exhausted `--mode all` exits 3 with no witnesses."""
+    got = [(expr, mode, *_pinned(capsys, ["search", "--n", "3", "--expr", expr,
+                                          "--mode", mode]))
+           for expr, mode, _, _ in SEARCH_PINS]
+    assert got == SEARCH_PINS
+    code, out, _ = _run(capsys, ["search", "--n", "3", "--expr", "simple & !simple",
+                                 "--mode", "all"])
+    assert code == 3
+    assert _report(out)["sections"]["found"] is False
+    assert _report(out)["sections"]["witnesses"] == []
 
 
 def test_search_determinism(capsys):

@@ -522,7 +522,7 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
     """The compatibility join against the plain loop on every (table,
     order) pair: the walk's join over every order, joins over the total
     and the trivial orders, one over `_order_masks` of list-row matrices,
-    and the one-order join that the sampler builds per candidate."""
+    and a join over one order."""
     compatible = canonical = nontrivial = non_least = 0
     for n, k in SMALL_SLICES:
         leqs = explore.partial_orders(n)
@@ -725,7 +725,12 @@ def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40):
             continue
     if tables is None:
         raise SamplingBudgetError("no fill within the budget")
-    leq = [[a == b for b in range(n)] for a in range(n)]
+    return Structure(n, tuple(f"g{i}" for i in range(k)), tables,
+                     ref_random_order(tables, n, rng))
+
+
+def ref_random_order(tables, n, rng):
+    """The sampler's order draw with plain loops and `ref_compatible`."""
     for _ in range(20):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -741,9 +746,28 @@ def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40):
                         if cand[m][b]:
                             cand[a][b] = True
         if ref_compatible(tables, cand):
-            leq = cand
-            break
-    return Structure(n, tuple(f"g{i}" for i in range(k)), tables, leq)
+            return cand
+    return [[a == b for b in range(n)] for a in range(n)]
+
+
+def test_random_order_matches_plain_loops():
+    """The sampler's direct compatibility test against `ref_compatible`:
+    the same draws give the same order, or the same fallback, on every
+    table of the small slices, each under three seeds, and leave the
+    generator in the same state."""
+    fallbacks = drawn = 0
+    for n, k in SMALL_SLICES:
+        trivial = [[a == b for b in range(n)] for a in range(n)]
+        for tables in _stream(n, k):
+            for seed in range(3):
+                rng, ref = random.Random(seed), random.Random(seed)
+                leq = explore._random_order(tables, n, rng)
+                expected = ref_random_order(tables, n, ref)
+                assert [list(row) for row in leq] == expected, (tables, seed)
+                assert rng.getstate() == ref.getstate()
+                fallbacks += expected == trivial
+                drawn += expected != trivial
+    assert fallbacks and drawn
 
 
 def test_sampler_matches_plain_loops():
@@ -1259,20 +1283,37 @@ def ref_refines(p, q) -> bool:
 
 def test_partition_facts_match_partition_scans():
     """Per table and class labels, the semilattice test and the chain scan
-    agree with `is_semilattice_congruence` on a caller-built Partition and
-    with the chain scan over a Partition, for every partition."""
+    (`_semilattice_labels`, `_chain_failure`) agree with
+    `is_semilattice_congruence` on a caller-built Partition and with the
+    chain scan over a Partition, for every partition."""
     corpus = label_corpus()
     assert len(corpus) == 1 + 20 + 971 + 1 + 34 + 3203 + 634 + 1000
     seen = set()
     for s in corpus:
         for p in all_partitions(s):
-            slc, fail = relations._partition_facts(s, p.class_of)
+            slc = relations._semilattice_labels(s, p.class_of)
+            fail = relations._chain_failure(s, p.class_of)
             ref_fail = ref_chain_failure(s, p)
             assert slc == is_semilattice_congruence(s, Partition(s, p.as_lists()))
             assert (fail and (fail[0], fail[1], s.gamma_names[fail[2]])) == ref_fail
             assert analysis.decompose(s, p).chain_witness_failure == ref_fail
             seen.add((slc, fail is None))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_sweep_scans_for_chain_failures_only_on_congruences(monkeypatch):
+    """The sweep asks for a chain failure only on each semilattice
+    congruence it keeps, in sweep order."""
+    asked = []
+    scan = relations._chain_failure
+    monkeypatch.setattr(relations, "_chain_failure",
+                        lambda s, class_of: asked.append(class_of) or scan(s, class_of))
+    for i in range(20):
+        s = random_structure(4, 2, seed=f"chain:{i}")
+        asked.clear()
+        kept = relations._semilattice_classes(s)
+        assert asked == [c[0] for c in kept]
+        assert len(kept) < len(relations._growth_strings(4))
 
 
 def test_label_sweep_matches_partition_sweep():

@@ -28,7 +28,7 @@ from .analysis import (decompose, intra_regular_failure,
                        maximal_simple_subsemigroups, right_regular_failure)
 from .core import InputError, Structure, validate
 from .explore import (_DEDUP_MODES, _ORDER_MODES, EnumSpec, PREDICATES,
-                      enumerate_structures, parse_expr, search as run_search)
+                      _keyed_structures, parse_expr, search as run_search)
 from .gpsjson import digest, load, to_obj
 from .harness import THEOREM_IDS, check
 from .ideals import IdealKind, all_filters, all_ideals, filter_gen, principal
@@ -228,15 +228,51 @@ def cmd_check(args) -> tuple[dict, int, str | None]:
 # campaign
 
 def _campaign_unit(job) -> tuple:
-    """Predicates and checks of one structure: the names of the predicates
-    it satisfies, and its failure record when a check disagrees."""
-    s, tids = job
+    """(key, result) for one job (structure, key, theorem ids) of
+    `_campaign_jobs`: the result is the names of the predicates the
+    structure satisfies and its failure record when a check disagrees.
+    A structure of None stands for a later member of the isomorphism
+    class `key`, whose first member was sent before it; its result is
+    None, and `_class_results` reads the first member's instead."""
+    s, key, tids = job
+    if s is None:
+        return key, None
     preds = tuple(name for name, fn in sorted(PREDICATES.items()) if fn(s))
     verdicts = [check(s, tid) for tid in tids]
     bad = [v.as_dict() for v in verdicts if not v.equivalent]
     if not bad:
-        return preds, None
-    return preds, {"structure": to_obj(s), "digest": digest(s), "verdicts": bad}
+        return key, (preds, None)
+    return key, (preds, {"structure": to_obj(s), "digest": digest(s), "verdicts": bad})
+
+
+def _campaign_jobs(walk, tids: tuple):
+    """One job per (structure, key) of `walk`, a `_keyed_structures`
+    stream: the structure itself for the first member of its isomorphism
+    class, None for every later one.  Every verdict and predicate is
+    invariant under relabeling, so a class is checked once, on its first
+    labeled member; under iso every key is None and every structure is
+    checked."""
+    sent = set()  # the class keys whose first member was sent
+    for s, key in walk:
+        if key is None or key not in sent:
+            sent.add(key)
+            yield s, key, tids
+        else:
+            yield None, key, tids
+
+
+def _class_results(stream):
+    """The (predicates, failure) of each structure, in the order of
+    `stream`, the `_campaign_unit` results of `_campaign_jobs`: a class's
+    first member brings its result, which every later member reads.  The
+    stream keeps the walk's order, so the first member comes back first."""
+    results = {}  # per class key, the result of its first member
+    for key, result in stream:
+        if result is None:
+            result = results[key]
+        elif key is not None:
+            results[key] = result
+        yield result
 
 
 def cmd_campaign(args) -> tuple[dict, int, str | None]:
@@ -247,8 +283,8 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
     # a Structure pickles as its raw parts and its table cache, still
     # empty in the parent, so the structures of one table that travel in
     # one imap chunk of 128 share one table cache in the worker, as they
-    # share the walk's at --jobs 1
-    jobs = ((s, tids) for s in enumerate_structures(spec, limit=args.limit))
+    # share the walk's at --jobs 1; a class's later members travel as None
+    jobs = _campaign_jobs(_keyed_structures(spec, args.limit), tids)
     structures = 0
     pred_counts = {name: 0 for name in sorted(PREDICATES)}
     combos: dict[str, int] = {}
@@ -261,7 +297,7 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
         pool = None
         stream = map(_campaign_unit, jobs)
     try:
-        for preds, failure in stream:
+        for preds, failure in _class_results(stream):
             structures += 1
             for name in preds:
                 pred_counts[name] += 1

@@ -64,6 +64,17 @@ for each one, the position in the table's flat key of the cell each
 relabeled cell reads, so an image is a run of list lookups, and a
 comparison stops at the first cell that differs.
 
+Without the filter (`dedup="labeled"`) the walk gives each structure an
+isomorphism class key, so that a campaign checks one structure per
+class.  The orbit index c and the relabeling pi with pi L = T already
+name the table, and `_orbit_masks` already moves each compatible order
+o of the least table L to T's order pi o; (T, pi o) is isomorphic to
+(L, o), so it gets the key of (L, o): (c, the least order key among the
+images of o under L's automorphisms), the same mask arithmetic as
+`_is_canonical` (`_class_keys`).  Two structures get the same key
+exactly when some relabeling maps one to the other.  Under iso every
+structure is its own class, and the walk computes no key.
+
 Sampling reuses the same backtracking, in the same (g, a, b) cell
 order, with shuffled value order and a node budget, counted by the fill
 itself: each value tried is a node.  The generator is seeded from
@@ -592,17 +603,27 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
     At most `limit` structures when it is given; 0 yields none and a
     negative limit is an InputError.
     """
+    return (s for s, _ in _keyed_structures(spec, limit))
+
+
+def _keyed_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[tuple]:
+    """The structures of `enumerate_structures`, each as (structure, key):
+    under `dedup="labeled"`, key is the structure's isomorphism class key
+    (see `_orbit_masks`); under iso, where every structure is its own
+    class, it is None."""
     if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)
                               or limit < 0):
         raise InputError(f"limit must be an integer >= 0, got {limit!r}")
     return islice(_walk(spec), limit)
 
 
-def _orbit_masks(n: int, k: int, orders: list[_Order]) -> Iterator[tuple]:
-    """(tables, compatible, automorphisms) for each item (tables, c, pi,
-    automorphisms) of `_associative_tables(n, k)`, in its order:
+def _orbit_masks(n: int, k: int, orders: list[_Order], keyed: bool = False) -> Iterator[tuple]:
+    """(tables, compatible, automorphisms, classes) for each item (tables,
+    c, pi, automorphisms) of `_associative_tables(n, k)`, in its order:
     `compatible` is the `_compatible_orders` mask of the tables over
-    `orders`.
+    `orders`.  With `keyed`, `classes` maps the bit 1 << o of each
+    compatible order to the class key of the structure (tables, order o);
+    without, it is None.
 
     The join runs once per orbit, on its least table L, and skips
     `_requirements` when no order holds a pair a != b.  Any other table of
@@ -610,18 +631,22 @@ def _orbit_masks(n: int, k: int, orders: list[_Order]) -> Iterator[tuple]:
     is compatible with pi L, so its mask is L's with each bit o moved to
     pi o's; every order mode is closed under relabeling.  The key of pi o
     is the OR of `moved[i]` over o's pairs; its index is built on demand,
-    once per (pi, o)."""
+    once per (pi, o).  The structure (pi L, pi o) is isomorphic to (L, o),
+    so its class key is that of (L, o), which `_class_keys` gives: two
+    structures have the same key exactly when they are isomorphic."""
     join = _join(orders, n)
     index = {order.key: o for o, order in enumerate(orders)}
     moves = {pi: (moved, {}) for pi, _, moved in _relabelings(n, k)}
-    kept = []  # per orbit c, the mask of its least table
+    kept = []  # per orbit c, the mask and class keys of its least table
     for tables, c, pi, automorphisms in _associative_tables(n, k):
         if pi is None:
             compatible = (_compatible_orders(join, _requirements(tables, n))
                           if join.holds else join.every)
-            kept.append(compatible)
+            classes = _class_keys(c, compatible, automorphisms, orders) if keyed else None
+            kept.append((compatible, classes))
         else:
-            compatible = kept[c]
+            compatible, least = kept[c]
+            classes = least
             moved, image = moves[pi]
             if moved is not None:
                 out = 0
@@ -637,11 +662,34 @@ def _orbit_masks(n: int, k: int, orders: list[_Order]) -> Iterator[tuple]:
                         bit = image[o] = 1 << index[m]
                     out |= bit
                 compatible = out
-        yield tables, compatible, automorphisms
+                if keyed:  # order pi o of these tables came from order o of L
+                    classes = {image[low.bit_length() - 1]: key for low, key in least.items()}
+        yield tables, compatible, automorphisms, classes
 
 
-def _walk(spec: EnumSpec) -> Iterator[Structure]:
-    """The structures of `enumerate_structures`: per table of
+def _class_keys(c: int, compatible: int, automorphisms: tuple, orders: list[_Order]) -> dict:
+    """Per bit 1 << o of `compatible`, the class key (c, r) of the
+    structure (L, order o), L the least table of orbit c: r is the least
+    order key among the order's images under L's automorphisms and the
+    order itself, from the same `moved` bits as `_is_canonical`.  The
+    images are the order's class on L, so r names it."""
+    keys = {}
+    while compatible:
+        low = compatible & -compatible
+        compatible ^= low
+        order = orders[low.bit_length() - 1]
+        least = order.key
+        for moved in automorphisms:
+            m = 0
+            for i in order.pairs:
+                m |= moved[i]
+            least = min(least, m)
+        keys[low] = (c, least)
+    return keys
+
+
+def _walk(spec: EnumSpec) -> Iterator[tuple]:
+    """The (structure, key) pairs of `_keyed_structures`: per table of
     `_orbit_masks`, every order of the list tested by `_compatible`
     against the table's mask and, under iso, every compatible one by
     `_is_canonical`."""
@@ -649,16 +697,17 @@ def _walk(spec: EnumSpec) -> Iterator[Structure]:
     names = _gamma_names(k)
     orders = [(1 << o, leq, _order_masks(leq, n), *_down_up(leq, n))
               for o, leq in enumerate(partial_orders(n, spec.orders))]
-    masks = _orbit_masks(n, k, [order for _, _, order, _, _ in orders])
-    for tables, compatible, automorphisms in masks:
+    masks = _orbit_masks(n, k, [order for _, _, order, _, _ in orders], keyed=not iso)
+    for tables, compatible, automorphisms, classes in masks:
         shared = {}  # the table-only results of every structure on this table
         for entry in orders:
             if not _compatible(compatible, entry[0]):
                 continue
-            _, leq, order, down, up = entry
+            bit, leq, order, down, up = entry
             if iso and not _is_canonical(automorphisms, order):
                 continue
-            yield Structure._unchecked(n, names, tables, leq, down, up, shared)
+            yield (Structure._unchecked(n, names, tables, leq, down, up, shared),
+                   None if iso else classes[bit])
 
 
 # sampling

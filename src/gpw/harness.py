@@ -14,7 +14,7 @@ and campaign drivers must stop and serialize the offending structure.
 Thm8 is seven faces of intra-regularity, and each side of Thm21 the same
 seven faces of left (right) regularity plus duo; one routine, `_faces`,
 builds them for a side: two-sided, left or right.  A failing side names
-the faces in its minority (`_odd_faces`).
+the faces in its minority (`_odd_faces`), and so does a failing Thm16.
 
 Existential conditions (is there a semilattice congruence with simple
 classes?) are decided two ways: through the canonical N-partition witness
@@ -221,9 +221,26 @@ def check_prop2(s: Structure) -> TheoremVerdict:
 
 def check_lemma3(s: Structure) -> TheoremVerdict:
     """Intra-regularity holds exactly when every generated filter is the
-    set of elements whose two-sided closed sandwich catches the generator."""
-    return _equivalence("Lemma3", {"intra_regular": is_intra_regular(s),
-                                   "filter_sandwich_formula": _n_formula_holds(s, "two")})
+    set of elements whose two-sided closed sandwich catches the generator.
+    The witness is the first generator whose filter differs from that
+    set, or else the first intra-regularity failure."""
+    fail = intra_regular_failure(s)
+    return _equivalence(
+        "Lemma3", {"intra_regular": fail is None,
+                   "filter_sandwich_formula": _n_formula_holds(s, "two")},
+        lambda: _filter_sandwich_witness(s) or _intra_witness(fail))
+
+
+def _filter_sandwich_witness(s: Structure) -> dict | None:
+    """The first x whose generated filter is not the set of the y whose
+    closed sandwich holds x, with both sets; None when there is none."""
+    closed = _element_closures(s)[2]
+    for x, bits in enumerate(_filter_gens(s)):
+        sandwich = sum(1 << y for y, c in enumerate(closed) if c >> x & 1)
+        if bits != sandwich:
+            return {"generator": x, "filter": _bits_list(bits),
+                    "sandwich": _bits_list(sandwich)}
+    return None
 
 
 def check_lemma4(s: Structure) -> TheoremVerdict:
@@ -365,7 +382,7 @@ def check_theorem16(s: Structure) -> TheoremVerdict:
     if s.n <= PARTITION_CAP:
         c["chain_of_simple_exists"] = _exists_semilattice_all_simple(
             s, IdealKind.TWO_SIDED, chain=True)
-    return _equivalence("Thm16", c)
+    return _equivalence("Thm16", c, lambda: {"faces": _odd_faces(c, "intra_and_chain")})
 
 
 def check_lemma17(s: Structure) -> TheoremVerdict:

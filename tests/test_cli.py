@@ -9,14 +9,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
 import gpw
-from gpw import cli, harness
+from gpw import cli, explore, harness
 from gpw.cli import main
 from gpw.explore import EnumSpec, enumerate_structures, random_structure
 from gpw.gpsjson import digest, dump, to_obj
+from test_harness import _relabel
 
 
 @pytest.fixture
@@ -201,17 +203,18 @@ def test_campaign_jobs_determinism(capsys):
 def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch):
     """One check made to disagree on one structure: the campaign stops at
     it with exit 1 and the same first_failure for every --jobs value.  The
-    structure is the second on its table, so at every --jobs value it
-    reads table results that the first one computed."""
+    structure is the first of its isomorphism class, so the campaign
+    checks it directly, and the second on its table, so at every --jobs
+    value it reads table results that the first one computed."""
     structures = list(enumerate_structures(EnumSpec(2, 1)))
-    target = structures[14]
-    assert target.tables == structures[13].tables != structures[12].tables
+    target = structures[7]
+    assert target.tables == structures[6].tables != structures[5].tables
     real = harness._CHECKS["Lemma4"]
 
     def faulty(s):
         verdict = real(s)
         if digest(s) == digest(target):
-            return dataclasses.replace(verdict, equivalent=False, witness={"injected": 14})
+            return dataclasses.replace(verdict, equivalent=False, witness={"injected": 7})
         return verdict
 
     # pool workers are forked, so they see the patched catalogue too
@@ -223,13 +226,74 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
         reports.append(_strip_timings(_report(out)))
     assert reports[0] == reports[1]
     sec = reports[0]["sections"]
-    assert sec["structures"] == 15
+    assert sec["structures"] == 8
     assert sec["all_equivalent"] is False
     failure = sec["first_failure"]
     assert failure["structure"] == to_obj(target)
     assert failure["digest"] == digest(target)
     assert [(v["theorem"], v["equivalent"], v["witness"]) for v in failure["verdicts"]] == \
-        [("Lemma4", False, {"injected": 14})]
+        [("Lemma4", False, {"injected": 7})]
+
+
+def _memo_misses(spec: EnumSpec, limit: int | None = None) -> list[int]:
+    """The indices of the structures whose campaign result, read from
+    their class's first member, differs from a direct `_campaign_unit`
+    on the structure itself."""
+    tids = harness.THEOREM_IDS
+    jobs = cli._campaign_jobs(explore._keyed_structures(spec, limit), tids)
+    memo = cli._class_results(map(cli._campaign_unit, jobs))
+    direct = (cli._campaign_unit((s, None, tids))[1] for s in enumerate_structures(spec, limit))
+    return [i for i, (got, want) in enumerate(zip(memo, direct, strict=True)) if got != want]
+
+
+def _relabeling_classes(structures: list) -> list[frozenset]:
+    """The structures' indices grouped by brute force: two are in one
+    class when some carrier and operation relabeling maps one to the
+    other, found as the least (tables, order) over every relabeling."""
+    classes = {}
+    for i, s in enumerate(structures):
+        form = min((t.tables, t.leq) for pi in permutations(range(s.n))
+                   for rho in permutations(range(len(s.tables))) for t in [_relabel(s, pi, rho)])
+        classes.setdefault(form, set()).add(i)
+    return sorted(map(frozenset, classes.values()), key=min)
+
+
+@pytest.mark.parametrize("spec, limit, count", [
+    (EnumSpec(3, 2), None, 371), (EnumSpec(4, 1), 1000, 486)])
+def test_campaign_memo_matches_direct_checks(spec, limit, count):
+    """One check per isomorphism class: on the full n3k2 labeled slice and
+    the n4k1 head, every structure's memoized (predicates, failure) is the
+    direct one, and the class keys split the structures into exactly the
+    brute-force relabeling classes."""
+    assert _memo_misses(spec, limit) == []
+    pairs = list(explore._keyed_structures(spec, limit))
+    by_key = {}
+    for i, (_, key) in enumerate(pairs):
+        by_key.setdefault(key, set()).add(i)
+    classes = _relabeling_classes([s for s, _ in pairs])
+    assert len(classes) == count
+    assert sorted(map(frozenset, by_key.values()), key=min) == classes
+
+
+def test_campaign_memo_misses_a_label_sensitive_fault(capsys, monkeypatch):
+    """The trade of one check per class: a check that fails on one
+    labeled structure only, n2k1 structure 14, a later member of
+    structure 5's class, passes the campaign, which never checks it; the
+    direct comparison flags exactly that structure."""
+    pairs = list(explore._keyed_structures(EnumSpec(2, 1)))
+    keys = [key for _, key in pairs]
+    assert keys.index(keys[14]) == 5
+    target = digest(pairs[14][0])
+    real = harness._CHECKS["Lemma4"]
+
+    def faulty(s):
+        verdict = real(s)
+        return dataclasses.replace(verdict, equivalent=False) if digest(s) == target else verdict
+
+    monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
+    code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1"])
+    assert code == 0 and _report(out)["sections"]["all_equivalent"] is True
+    assert _memo_misses(EnumSpec(2, 1)) == [14]
 
 
 def test_campaign_caps_workers_at_cpu_count(capsys, monkeypatch):
@@ -307,6 +371,17 @@ def test_campaign_rejects_bad_limit_and_jobs(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag.lstrip("-") in err
+
+
+def test_campaign_rejects_bad_limit_before_any_worker_starts(capsys, monkeypatch):
+    """A negative limit with --jobs 2 is an input error, raised before
+    the pool is built rather than inside the thread that feeds it."""
+    def no_pool(processes):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = _run(capsys, ["campaign", "--n", "2", "--jobs", "2", "--limit", "-1"])
+    assert (code, out) == (2, "") and "limit" in err
 
 
 def test_campaign_rejects_bad_n(capsys):

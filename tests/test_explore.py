@@ -126,6 +126,15 @@ def test_structure_counts_iso():
     assert _count(EnumSpec(4, 2, dedup="iso")) == 16945
 
 
+def test_labeled_class_keys_count_the_iso_structures():
+    """The labeled walk's class keys, one per isomorphism class, are as
+    many as the iso walk's structures, under every order mode."""
+    for n, k in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
+        for orders in ("all", "trivial", "total"):
+            keys = {key for _, key in explore._keyed_structures(EnumSpec(n, k, orders))}
+            assert len(keys) == _count(EnumSpec(n, k, orders, "iso")), (n, k, orders)
+
+
 def test_iso_walk_counts_match_the_golden_trace(monkeypatch):
     """The n4k1 iso walk's calls and acceptances, counted the way
     perfbench/tracer.py counts them and pinned in perfbench/golden.json:

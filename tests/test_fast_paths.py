@@ -357,7 +357,7 @@ def test_orbit_masks_match_the_join_on_every_table():
                                               strict=True):
             req = explore._requirements(tables, n)
             least = ref_automorphisms(tables, n, k) if pi is None else None
-            for join, (got, compatible, automorphisms) in zip(joins, items):
+            for join, (got, compatible, automorphisms, _) in zip(joins, items):
                 assert got == tables
                 assert compatible == explore._compatible_orders(join, req), (n, k, tables)
                 assert automorphisms == least, (n, k, tables)

@@ -5,6 +5,8 @@ operation does to verdicts, predicates and ideal families."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +132,14 @@ def _forced(monkeypatch, s, tid, name, value):
      {"ideals": [[0, 1], [0, 2]]}),
     ("Thm13", "cz", "_prime_bits", True, "chain_and_intra_regular",
      {"x": 1, "gamma": "g0"}),
+    # Lemma3: the first generator whose filter is not its sandwich set
+    ("Lemma3", "cz", "intra_regular_failure", None, "filter_sandwich_formula",
+     {"generator": 1, "filter": [0, 1], "sandwich": []}),
+    # Thm16: the faces in the minority
+    ("Thm16", "min_sl", "ideals_form_chain", False, "intra_and_chain",
+     {"faces": ["intra_and_chain"]}),
+    ("Thm16", "min_sl", "decompose", SimpleNamespace(is_chain_of_simple=False),
+     "chain_of_simple", {"faces": ["chain_of_simple"]}),
 ])
 def test_forced_disagreement_witness(monkeypatch, request, tid, fixture, name, value,
                                      false_side, witness):
@@ -154,10 +164,13 @@ def test_lemma9_pair_witness(monkeypatch, cz):
 def test_forced_intra_regularity_breaks_thm8_and_lemma3(monkeypatch, min_sl):
     """Face 1 and Lemma3's premise are forced false while every other
     face holds: the equivalence fails; Thm8 names face 1, the face in the
-    minority, and Lemma3 carries no witness."""
-    for tid, false_side, witness in (("Thm8", "1", {"faces": ["1"]}),
-                                     ("Lemma3", "intra_regular", None)):
-        v = _forced(monkeypatch, min_sl, tid, "is_intra_regular", False)
+    minority, and Lemma3 the forced intra-regularity failure, as no
+    generator breaks its filter formula."""
+    for tid, name, value, false_side, witness in (
+            ("Thm8", "is_intra_regular", False, "1", {"faces": ["1"]}),
+            ("Lemma3", "intra_regular_failure", (1, "g0"), "intra_regular",
+             {"x": 1, "gamma": "g0"})):
+        v = _forced(monkeypatch, min_sl, tid, name, value)
         assert not v.equivalent and v.witness == witness
         assert [c for c, held in v.condition_values.items() if not held] == [false_side]
 

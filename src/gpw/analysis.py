@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .core import (PreconditionError, Structure, Subset, _owned, _unchecked_subset,
-                   down_table, downset_bits, per_structure, per_table, product_bits,
-                   subset_masks)
+from .core import (InputError, PreconditionError, Structure, Subset, _owned,
+                   _unchecked_subset, down_table, downset_bits, per_structure, per_table,
+                   product_bits, subset_masks)
 from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits,
-                     _element_closures, _word_products)
+                     _element_closures, _kind, _word_products)
 from .relations import Partition, _chain_failure, _semilattice_labels, relation_partition
 
 
@@ -142,7 +142,7 @@ def _require_subsemigroup(s: Structure, tbits: int) -> None:
 def is_relative_ideal(s: Structure, t: Subset, a: Subset,
                       kind: IdealKind = IdealKind.TWO_SIDED) -> bool:
     """Ideal of the subsemigroup T, with downward closure taken inside T."""
-    tbits = _owned(s, t)
+    tbits, kind = _owned(s, t), _kind(kind)
     _require_subsemigroup(s, tbits)
     return _relative_ideal_bits(s, tbits, _owned(s, a), kind)
 
@@ -150,7 +150,7 @@ def is_relative_ideal(s: Structure, t: Subset, a: Subset,
 def relative_ideals(s: Structure, t: Subset,
                     kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subset]:
     """Every ideal of the subsemigroup T, brute force over subsets of T."""
-    tbits = _owned(s, t)
+    tbits, kind = _owned(s, t), _kind(kind)
     _require_subsemigroup(s, tbits)
     return [Subset(s, a) for a in _absorbing(s, kind, tbits)
             if not downset_bits(s, a) & tbits & ~a]
@@ -245,6 +245,8 @@ def decompose(s: Structure, sigma: Partition | None = None) -> DecompositionRepo
     """
     if sigma is None:
         return _n_decomposition(s)
+    if not isinstance(sigma, Partition):
+        raise InputError(f"expected a Partition, got {sigma!r}")
     if sigma.structure is not s:
         raise PreconditionError("partition does not belong to this structure")
     slc = _semilattice_labels(s, sigma.class_of)

@@ -49,31 +49,31 @@ once per table.  A structure is built by `core.Structure._unchecked`,
 without the shape checks of `Structure(...)`, which the fill and the
 order generator make true by construction.  The compatibility join is
 bit-parallel over the walk's order list, bit o of a mask standing for
-order o: built once per walk (`_join`), it gives per least table one
-int, the orders that every operation respects (`_compatible_orders`);
-every other table of the orbit gets that int with each order moved by
-the relabeling (`_orbit_masks`), and each (table, order) pair is one bit
-test of it (`_compatible`).  The join serves the walk alone: the
-sampler tests its one candidate order directly against the table's
-`_requirements`.  Under the isomorphism filter (`dedup="iso"`) no
-structure on a table that is not least in its orbit is canonical; on a
-least table only its automorphisms, found by the orbit pass, can make
-the order smaller, and each costs a few mask operations per order.  The
-relabelings come from a table built once per (n, k) (`_relabelings`):
-for each one, the position in the table's flat key of the cell each
-relabeled cell reads, so an image is a run of list lookups, and a
-comparison stops at the first cell that differs.
+order o: built once per walk (`_join`), it gives per least table L one
+int, the orders that every operation respects (`_compatible_orders`).
+Another table of the orbit is pi L, and its order p is compatible
+exactly when the order o of L with pi o = p is, so each (table, order)
+pair is one bit test (`_compatible`) of L's mask at o's bit, which one
+list per carrier permutation pi gives for every p.  The join serves the
+walk alone: the sampler tests its one candidate order directly against
+the table's `_requirements`.  Under the isomorphism filter
+(`dedup="iso"`) no structure on a table that is not least in its orbit
+is canonical; on a least table only its automorphisms, found by the
+orbit pass, can make the order smaller, and each costs a few mask
+operations per order (`_image`).  The relabelings come from a table
+built once per (n, k) (`_relabelings`): for each one, the position in
+the table's flat key of the cell each relabeled cell reads, so an image
+is a run of list lookups, and a comparison stops at the first cell that
+differs.
 
 Without the filter (`dedup="labeled"`) the walk gives each structure an
 isomorphism class key, so that a campaign checks one structure per
-class.  The orbit index c and the relabeling pi with pi L = T already
-name the table, and `_orbit_masks` already moves each compatible order
-o of the least table L to T's order pi o; (T, pi o) is isomorphic to
-(L, o), so it gets the key of (L, o): (c, the least order key among the
-images of o under L's automorphisms), the same mask arithmetic as
-`_is_canonical` (`_class_keys`).  Two structures get the same key
-exactly when some relabeling maps one to the other.  Under iso every
-structure is its own class, and the walk computes no key.
+class.  (pi L, pi o) is isomorphic to (L, o), so it gets the key of
+(L, o): (c, the least order key among o and its images under L's
+automorphisms), c the orbit's index (`_class_keys`), read through the
+same list as the mask.  Two structures get the same key exactly when
+some relabeling maps one to the other.  Under iso every structure is
+its own class, and the walk computes no key.
 
 Sampling reuses the same backtracking, in the same (g, a, b) cell
 order, with shuffled value order and a node budget, counted by the fill
@@ -584,12 +584,18 @@ def _is_canonical(automorphisms: tuple | None, order: _Order) -> bool:
         return False
     key = order.key
     for moved in automorphisms:
-        m = 0
-        for i in order.pairs:
-            m |= moved[i]
-        if m < key:
+        if _image(moved, order) < key:
             return False
     return True
+
+
+def _image(moved: tuple, order: _Order) -> int:
+    """The key of `order` under a relabeling whose `moved` (see
+    `_relabelings`) gives the mask bit each pair a*n + b moves to."""
+    m = 0
+    for i in order.pairs:
+        m |= moved[i]
+    return m
 
 
 def _gamma_names(k: int) -> tuple[str, ...]:
@@ -609,105 +615,66 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
 def _keyed_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[tuple]:
     """The structures of `enumerate_structures`, each as (structure, key):
     under `dedup="labeled"`, key is the structure's isomorphism class key
-    (see `_orbit_masks`); under iso, where every structure is its own
-    class, it is None."""
+    (see `_walk`); under iso, where every structure is its own class, it
+    is None."""
     if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)
                               or limit < 0):
         raise InputError(f"limit must be an integer >= 0, got {limit!r}")
     return islice(_walk(spec), limit)
 
 
-def _orbit_masks(n: int, k: int, orders: list[_Order], keyed: bool = False) -> Iterator[tuple]:
-    """(tables, compatible, automorphisms, classes) for each item (tables,
-    c, pi, automorphisms) of `_associative_tables(n, k)`, in its order:
-    `compatible` is the `_compatible_orders` mask of the tables over
-    `orders`.  With `keyed`, `classes` maps the bit 1 << o of each
-    compatible order to the class key of the structure (tables, order o);
-    without, it is None.
+def _class_keys(c: int, compatible: int, automorphisms: tuple, orders: list[_Order],
+                bits: list[int]) -> dict:
+    """Per order o of `compatible`, keyed by its bit `bits[o]`, the class
+    key (c, r) of the structure (L, order o), L the least table of orbit
+    c: r is the least order key among o and its images under L's
+    automorphisms, the images `_is_canonical` compares.  The images are
+    the order's class on L, so r names it."""
+    return {bit: (c, min([order.key] + [_image(moved, order) for moved in automorphisms]))
+            for bit, order in zip(bits, orders) if compatible & bit}
 
-    The join runs once per orbit, on its least table L, and skips
-    `_requirements` when no order holds a pair a != b.  Any other table of
-    the orbit is pi L, and order o is compatible with L exactly when pi o
-    is compatible with pi L, so its mask is L's with each bit o moved to
-    pi o's; every order mode is closed under relabeling.  The key of pi o
-    is the OR of `moved[i]` over o's pairs; its index is built on demand,
-    once per (pi, o).  The structure (pi L, pi o) is isomorphic to (L, o),
-    so its class key is that of (L, o), which `_class_keys` gives: two
-    structures have the same key exactly when they are isomorphic."""
-    join = _join(orders, n)
-    index = {order.key: o for o, order in enumerate(orders)}
-    moves = {pi: (moved, {}) for pi, _, moved in _relabelings(n, k)}
+
+def _walk(spec: EnumSpec) -> Iterator[tuple]:
+    """The (structure, key) pairs of `_keyed_structures`.  Per orbit, the
+    join (which skips `_requirements` when no order holds a pair a != b)
+    and, under labeled, `_class_keys` run on the least table L alone.
+    Every table pi L reads them through `source`, per order p the bit of
+    the order o of L with pi o = p (every order mode is closed under
+    relabeling): one list per carrier permutation pi, built from the
+    walk's own bits the first time pi comes.  Every order is tested by
+    `_compatible` and, under iso, every compatible one by `_is_canonical`."""
+    n, k, iso = spec.n, spec.k, spec.dedup == "iso"
+    names = _gamma_names(k)
+    orders = [(leq, _order_masks(leq, n), *_down_up(leq, n))
+              for leq in partial_orders(n, spec.orders)]
+    masks = [order for _, order, _, _ in orders]
+    join = _join(masks, n)
+    index = {order.key: p for p, order in enumerate(masks)}
+    bits = [1 << o for o in range(len(orders))]
+    moves = {pi: moved for pi, _, moved in _relabelings(n, k)}
+    sources = {None: bits, tuple(range(n)): bits}  # per carrier permutation
     kept = []  # per orbit c, the mask and class keys of its least table
     for tables, c, pi, automorphisms in _associative_tables(n, k):
         if pi is None:
             compatible = (_compatible_orders(join, _requirements(tables, n))
                           if join.holds else join.every)
-            classes = _class_keys(c, compatible, automorphisms, orders) if keyed else None
-            kept.append((compatible, classes))
-        else:
-            compatible, least = kept[c]
-            classes = least
-            moved, image = moves[pi]
-            if moved is not None:
-                out = 0
-                while compatible:
-                    low = compatible & -compatible
-                    compatible ^= low
-                    o = low.bit_length() - 1
-                    bit = image.get(o)
-                    if bit is None:
-                        m = 0
-                        for i in orders[o].pairs:
-                            m |= moved[i]
-                        bit = image[o] = 1 << index[m]
-                    out |= bit
-                compatible = out
-                if keyed:  # order pi o of these tables came from order o of L
-                    classes = {image[low.bit_length() - 1]: key for low, key in least.items()}
-        yield tables, compatible, automorphisms, classes
-
-
-def _class_keys(c: int, compatible: int, automorphisms: tuple, orders: list[_Order]) -> dict:
-    """Per bit 1 << o of `compatible`, the class key (c, r) of the
-    structure (L, order o), L the least table of orbit c: r is the least
-    order key among the order's images under L's automorphisms and the
-    order itself, from the same `moved` bits as `_is_canonical`.  The
-    images are the order's class on L, so r names it."""
-    keys = {}
-    while compatible:
-        low = compatible & -compatible
-        compatible ^= low
-        order = orders[low.bit_length() - 1]
-        least = order.key
-        for moved in automorphisms:
-            m = 0
-            for i in order.pairs:
-                m |= moved[i]
-            least = min(least, m)
-        keys[low] = (c, least)
-    return keys
-
-
-def _walk(spec: EnumSpec) -> Iterator[tuple]:
-    """The (structure, key) pairs of `_keyed_structures`: per table of
-    `_orbit_masks`, every order of the list tested by `_compatible`
-    against the table's mask and, under iso, every compatible one by
-    `_is_canonical`."""
-    n, k, iso = spec.n, spec.k, spec.dedup == "iso"
-    names = _gamma_names(k)
-    orders = [(1 << o, leq, _order_masks(leq, n), *_down_up(leq, n))
-              for o, leq in enumerate(partial_orders(n, spec.orders))]
-    masks = _orbit_masks(n, k, [order for _, _, order, _, _ in orders], keyed=not iso)
-    for tables, compatible, automorphisms, classes in masks:
+            keys = None if iso else _class_keys(c, compatible, automorphisms, masks, bits)
+            kept.append((compatible, keys))
+        compatible, keys = kept[c]
+        source = sources.get(pi)
+        if source is None:
+            source = sources[pi] = [0] * len(bits)
+            for bit, order in zip(bits, masks):
+                source[index[_image(moves[pi], order)]] = bit
         shared = {}  # the table-only results of every structure on this table
-        for entry in orders:
-            if not _compatible(compatible, entry[0]):
+        for entry, bit in zip(orders, source):
+            if not _compatible(compatible, bit):
                 continue
-            bit, leq, order, down, up = entry
+            leq, order, down, up = entry
             if iso and not _is_canonical(automorphisms, order):
                 continue
             yield (Structure._unchecked(n, names, tables, leq, down, up, shared),
-                   None if iso else classes[bit])
+                   None if iso else keys[bit])
 
 
 # sampling

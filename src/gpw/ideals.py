@@ -46,6 +46,15 @@ class IdealKind(Enum):
 _LEFT, _RIGHT, _TWO_SIDED = IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED
 
 
+def _kind(kind: IdealKind) -> IdealKind:
+    """`kind`, checked at the public entry points: the private paths
+    compare it with the members by identity, so they would read any other
+    value as some member."""
+    if not isinstance(kind, IdealKind):
+        raise InputError(f"expected an IdealKind, got {kind!r}")
+    return kind
+
+
 def _absorbs(s: Structure, tbits: int, abits: int, kind: IdealKind) -> bool:
     """T A inside A unless kind is RIGHT, and A T inside A unless it is LEFT."""
     if kind is not _RIGHT and product_bits(s, tbits, abits) & ~abits:
@@ -60,7 +69,7 @@ def _ideal_bits(s: Structure, bits: int, kind: IdealKind) -> bool:
 
 def is_ideal(s: Structure, a: Subset, kind: IdealKind = IdealKind.TWO_SIDED) -> bool:
     """Nonempty, absorbing on the side(s) given by kind, downward closed."""
-    return _ideal_bits(s, _owned(s, a), kind)
+    return _ideal_bits(s, _owned(s, a), _kind(kind))
 
 
 @per_table
@@ -101,7 +110,7 @@ def principal(s: Structure, a: int, kind: IdealKind = IdealKind.TWO_SIDED) -> Su
     """Least ideal of the given kind containing element a."""
     if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < s.n:
         raise InputError(f"element {a!r} outside 0..{s.n - 1}")
-    return Subset(s, _principals(s, kind)[a])
+    return Subset(s, _principals(s, _kind(kind))[a])
 
 
 @per_structure
@@ -131,7 +140,7 @@ def _absorbing_set(s: Structure, kind: IdealKind, tbits: int) -> frozenset[int]:
 
 def all_ideals(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subset]:
     """Every ideal of the given kind, brute force over all subsets."""
-    return [Subset(s, b) for b in _all_ideal_bits(s, kind)]
+    return [Subset(s, b) for b in _all_ideal_bits(s, _kind(kind))]
 
 
 @per_table
@@ -257,7 +266,7 @@ def is_idempotent_subset(s: Structure, a: Subset) -> bool:
 
 def ideals_form_chain(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> bool:
     """All ideals of the given kind are pairwise comparable by inclusion."""
-    return _chain_break_bits(s, kind) is None
+    return _chain_break_bits(s, _kind(kind)) is None
 
 
 @per_structure

@@ -13,7 +13,7 @@ from gpw.analysis import (all_subsemigroups, decompose, intra_regular_failure,
                           is_right_regular, is_right_regular_legacy,
                           is_right_simple, is_simple, is_subsemigroup,
                           maximal_simple_subsemigroups, relative_ideals)
-from gpw.core import PreconditionError, Structure
+from gpw.core import InputError, PreconditionError, Structure
 from gpw.explore import random_structure
 from gpw.ideals import IdealKind
 from gpw.relations import Partition
@@ -138,6 +138,8 @@ def test_decompose_with_explicit_sigma(lz, min_sl):
     assert not dec.is_semilattice_of_simple  # the whole carrier is not simple
     with pytest.raises(PreconditionError):
         decompose(min_sl, sigma=Partition.identity(lz))
+    with pytest.raises(InputError):
+        decompose(min_sl, sigma="N")
 
 
 def test_chain_witness():

@@ -74,6 +74,31 @@ def test_table_streams_pinned():
         assert _sha256(tables) == own, (n, k)
 
 
+# per slice, the SHA-256 over the walk's items (structure, class key),
+# each as repr((tables, leq, key)), under orders all, trivial and total,
+# each labeled and then iso: the walk's tables, orders and keys, in order
+WALK_STREAMS = {
+    (2, 1): "adf536cd4f7864150eaaffec214e616d083af042bf37d91643257ca4e90c5920",
+    (3, 1): "7df64009a16ffa706998b7dee9b1dd1c43c980ffc5beb8af97b922d621c877ac",
+    (2, 2): "155dd837af21a7cb2c61739d5948b1bc8375ed77228811e1238549abd142d9fa",
+    (3, 2): "07d508a30a5c2343b7b98fc730756065be1b6c2bf3bf5586ee429e67bf464e73",
+    (4, 1): "d878c125f236b79ef599524c9ac48c1f7e87f0ffcd9eb58ed2c8bfeb56b8098f",
+    (1, 3): "ddd8171741e9dc497d8d04d16ed78746384c184e73dc9ca82f7dc1111eca2445",
+    (2, 3): "3aaa3f1c3efbdfe41c327a616ef8a9f9c33908476cd7080f8ad00959a5212f16",
+    (3, 3): "158c44841d93d1a3e8c0c58aa178a01dbaf1ace9f3ef1293cc5813506e026da0",
+}
+
+
+def test_walk_streams_pinned():
+    for (n, k), want in WALK_STREAMS.items():
+        h = hashlib.sha256()
+        for orders in ("all", "trivial", "total"):
+            for dedup in ("labeled", "iso"):
+                for s, key in explore._keyed_structures(EnumSpec(n, k, orders, dedup)):
+                    h.update(repr((s.tables, s.leq, key)).encode())
+        assert h.hexdigest() == want, (n, k)
+
+
 def test_first_structure_costs_one_check_per_cell(monkeypatch):
     """The walk streams: its first structure waits for the first table
     alone, whose fill tries value 0 at each of the k * n * n cells and

@@ -343,24 +343,27 @@ def test_orbit_items_name_their_least_table():
                            for rho in permutations(range(k))), (n, k, tables)
 
 
-def test_orbit_masks_match_the_join_on_every_table():
-    """The mask `_orbit_masks` carries to each table from its orbit's
-    least table is the one the join computes from the table itself, under
-    every order mode, and only the least table gets its automorphisms."""
+def _join_pairs(n: int, k: int, leqs: tuple):
+    """(tables, leq) for every table of the stream and every order of
+    `leqs` that the join finds compatible with that table itself."""
+    join = explore._join([explore._order_masks(leq, n) for leq in leqs], n)
+    for tables, _, _, _ in explore._associative_tables(n, k):
+        compatible = explore._compatible_orders(join, explore._requirements(tables, n))
+        for o, leq in enumerate(leqs):
+            if compatible >> o & 1:
+                yield tables, leq
+
+
+def test_walk_orders_match_the_join_on_every_table():
+    """On every table, the labeled walk yields exactly the orders that the
+    join computes from the table itself, in list order, under every order
+    mode, although it runs the join on its orbit's least table alone."""
     for n, k in SMALL_SLICES + ((4, 1), (4, 2), (2, 3), (3, 3)):
-        joins, walks = [], []
         for mode in ("all", "total", "trivial"):
-            orders = [explore._order_masks(leq, n) for leq in explore.partial_orders(n, mode)]
-            joins.append(explore._join(orders, n))
-            walks.append(explore._orbit_masks(n, k, orders))
-        for (tables, _, pi, _), *items in zip(explore._associative_tables(n, k), *walks,
-                                              strict=True):
-            req = explore._requirements(tables, n)
-            least = ref_automorphisms(tables, n, k) if pi is None else None
-            for join, (got, compatible, automorphisms, _) in zip(joins, items):
-                assert got == tables
-                assert compatible == explore._compatible_orders(join, req), (n, k, tables)
-                assert automorphisms == least, (n, k, tables)
+            walk = ((s.tables, s.leq) for s in enumerate_structures(EnumSpec(n, k, mode)))
+            for got, want in zip(walk, _join_pairs(n, k, explore.partial_orders(n, mode)),
+                                 strict=True):
+                assert got == want, (n, k, mode)
 
 
 def test_requirements_once_per_orbit(monkeypatch):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw.core import (PreconditionError, Subset, downset_bits, product_bits,
+from gpw.analysis import is_relative_ideal, relative_ideals
+from gpw.core import (InputError, PreconditionError, Subset, downset_bits, product_bits,
                       subset_masks)
 from gpw.explore import EnumSpec, enumerate_structures, random_structure
 from gpw.ideals import (IdealKind, all_filters, all_ideals, filter_gen,
@@ -168,6 +169,30 @@ def test_ideals_form_chain(min_sl, lz):
     assert ideals_form_chain(min_sl, IdealKind.LEFT)
     assert not ideals_form_chain(lz, IdealKind.RIGHT)
     assert ideals_form_chain(lz, IdealKind.LEFT)
+
+
+def test_kind_must_be_an_ideal_kind(rz, cz):
+    """A kind that is not an `IdealKind` member is an input error: the
+    private paths compare kinds by identity, so on right_zero they would
+    read "left" as another kind and make the principal ideal of 0 {0, 1}."""
+    calls = (lambda kind: principal(rz, 0, kind),
+             lambda kind: is_ideal(rz, rz.subset([0]), kind),
+             lambda kind: all_ideals(rz, kind),
+             lambda kind: ideals_form_chain(rz, kind),
+             lambda kind: is_relative_ideal(rz, rz.universe(), rz.subset([0]), kind),
+             lambda kind: relative_ideals(rz, rz.universe(), kind))
+    for call in calls:
+        call(IdealKind.LEFT)
+        for kind in ("left", None):
+            with pytest.raises(InputError):
+                call(kind)
+    assert principal(rz, 0, IdealKind.LEFT).elements() == [0]
+    assert not ideals_form_chain(rz, IdealKind.LEFT)
+    # the kind is checked before the subsemigroup precondition
+    with pytest.raises(InputError):
+        relative_ideals(cz, cz.subset([1]), "left")
+    with pytest.raises(InputError):
+        is_relative_ideal(cz, cz.subset([1]), cz.subset([1]), "left")
 
 
 @st.composite

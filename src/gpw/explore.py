@@ -42,21 +42,20 @@ respects the order on both sides.
 
 Every (table, order) pair is tested, but the work that depends on the
 table alone is done once per orbit, on its least table, and the work
-that depends on the order alone once per walk: its pair masks and its
-`down` / `up` masks.  The structures of one table share one
-`core.table_cache` dict, so the checks compute their table-only results
-once per table.  A structure is built by `core.Structure._unchecked`,
-without the shape checks of `Structure(...)`, which the fill and the
-order generator make true by construction.  The compatibility join is
-bit-parallel over the walk's order list, bit o of a mask standing for
-order o: built once per walk (`_join`), it gives per least table L one
-int, the orders that every operation respects (`_compatible_orders`).
+that depends on the order alone once per (n, order mode) in a process:
+its pair masks, its `down` / `up` masks and the join (`_order_table`).
+The structures of one table share one `core.table_cache` dict, so the
+checks compute their table-only results once per table.  A structure is
+built by `core.Structure._unchecked`, without the shape checks of
+`Structure(...)`, which the fill and the order generator make true by
+construction.  The compatibility join is bit-parallel over the order
+list, bit o of a mask standing for order o: it gives per least table L
+one int, the orders that every operation respects (`_compatible_orders`).
 Another table of the orbit is pi L, and its order p is compatible
 exactly when the order o of L with pi o = p is, so each (table, order)
 pair is one bit test (`_compatible`) of L's mask at o's bit, which one
-list per carrier permutation pi gives for every p.  The join serves the
-walk alone: the sampler tests its one candidate order directly against
-the table's `_requirements`.  Under the isomorphism filter
+list per carrier permutation pi gives for every p.  The sampler draws
+its order from the same join.  Under the isomorphism filter
 (`dedup="iso"`) no structure on a table that is not least in its orbit
 is canonical; on a least table only its automorphisms, found by the
 orbit pass, can make the order smaller, and each costs a few mask
@@ -75,16 +74,16 @@ same list as the mask.  Two structures get the same key exactly when
 some relabeling maps one to the other.  Under iso every structure is
 its own class, and the walk computes no key.
 
-Sampling reuses the same backtracking, in the same (g, a, b) cell
-order, with shuffled value order and a node budget, counted by the fill
-itself: each value tried is a node.  The generator is seeded from
-(n, k, seed) so repeated calls agree byte for byte across runs and
-platforms.  The draw contract: every shuffle of range(n), one per depth
-the fill enters and one per candidate order, is the permutation
-`Random.shuffle` gives, drawn with the same `getrandbits` calls
-(`_shuffler` makes them directly), so the values tried, the nodes
-counted and the generator state at every exhausted attempt are those of
-a loop that calls `rng.shuffle`.
+Sampling reuses the same backtracking, in the same (g, a, b) cell order,
+with shuffled value order and a node budget, counted by the fill itself:
+each value tried is a node.  The generator is seeded from (n, k, seed)
+so repeated calls agree byte for byte across runs and platforms.  The
+draw contract: every shuffle of range(n), one per depth the fill enters,
+is the permutation `Random.shuffle` gives, drawn with the same
+`getrandbits` calls (`_shuffler` makes them directly), so the values
+tried, the nodes counted and the generator state at every exhausted
+attempt are those of a loop that calls `rng.shuffle`; then one
+`rng.randrange` picks the order.
 
 A search expression combines `PREDICATES` names with !, &, | and
 parentheses.  Its grammar is Python's for ~, & and | over names, so
@@ -106,8 +105,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
                        is_right_regular, _simple_bits)
-from .core import (InputError, Structure, _down_up, _order_closure, bit_indices,
-                   validate)
+from .core import InputError, Structure, _down_up, bit_indices, validate
 from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
 
@@ -500,6 +498,15 @@ def _compatible(compatible: int, bit: int) -> bool:
     return compatible & bit != 0
 
 
+@lru_cache(maxsize=None)
+def _order_table(n: int, mode: str) -> tuple:
+    """The orders of `partial_orders(n, mode)`, each as (leq, its `_Order`,
+    down, up), and their `_join`, shared by the walk and the sampler."""
+    orders = tuple((leq, _order_masks(leq, n), *_down_up(leq, n))
+                   for leq in partial_orders(n, mode))
+    return orders, _join([order for _, order, _, _ in orders], n)
+
+
 # isomorphism filtering
 #
 # A relabeling (pi, rho) of carrier and operation labels maps a structure
@@ -645,10 +652,8 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
     `_compatible` and, under iso, every compatible one by `_is_canonical`."""
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
-    orders = [(leq, _order_masks(leq, n), *_down_up(leq, n))
-              for leq in partial_orders(n, spec.orders)]
+    orders, join = _order_table(n, spec.orders)
     masks = [order for _, order, _, _ in orders]
-    join = _join(masks, n)
     index = {order.key: p for p, order in enumerate(masks)}
     bits = [1 << o for o in range(len(orders))]
     moves = {pi: moved for pi, _, moved in _relabelings(n, k)}
@@ -734,31 +739,26 @@ def _random_tables(n: int, k: int, rng: random.Random) -> tuple:
 
 
 def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
-    """A compatible order: thinned random linear extensions, with the
-    trivial order as the always-compatible fallback.  A candidate is
-    compatible when, with each pair i = a*n + b it holds, it holds every
-    pair of req[i], which a <= b forces (`_requirements`)."""
-    req = _requirements(tables, n)
-    shuffled = _shuffler(rng, n)
-    for _ in range(20):
-        perm = shuffled()
-        leq = _order_closure(n, [(perm[i], perm[j]) for i in range(n)
-                                 for j in range(i + 1, n) if rng.random() < 0.4])
-        order = _order_masks(leq, n)
-        if not any(req[i] & ~order.key for i in order.pairs):
-            return tuple(tuple(row) for row in leq)
-    return tuple(tuple(a == b for b in range(n)) for a in range(n))
+    """The j-th of the `partial_orders(n)` that `tables` respect, in list
+    order, j = `rng.randrange` of their number: a uniform pick (the
+    trivial order is always one).  Reversed, `bin` lists bits 0 up."""
+    orders, join = _order_table(n, "all")
+    compatible = _compatible_orders(join, _requirements(tables, n))
+    j = rng.randrange(compatible.bit_count())
+    return orders[[o for o, d in enumerate(reversed(bin(compatible))) if d == "1"][j]][0]
 
 
 def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure:
     """One pseudo-random validated structure, fully determined by (n, k, seed).
 
     The default seed comes from the GPW_SEED environment variable when it
-    is set, else 0.  Not a uniform sampler over the slice; it is a seeded
-    randomized fill, documented as such.
+    is set, else 0.  The tables come from a seeded randomized fill, not
+    uniform over the slice; the order is uniform over the partial orders
+    the drawn tables respect.  n is 1..6, as in `EnumSpec`: the first draw
+    at n builds every partial order, about 0.1 s at n = 5 and 4-6 s at 6.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError("n must be a positive integer")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 6:
+        raise InputError("n must be a positive integer, at most 6")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InputError("k must be a positive integer")
     if seed is None:

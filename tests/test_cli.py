@@ -489,9 +489,9 @@ TEXT_PINS = {
     ("validate", "min_sl"): (0, "bb828c142dd1b775c5fe5243b185d3b2a78286fa1ca647584668138fffd2506b"),
     ("analyze", "min_sl"): (0, "a775f023601c9b685dcc1d69de27b213293626170dd863c16466241b6a4f96e1"),
     ("check", "min_sl"): (0, "8b7e761b10ac1bcb0cfc4845448e497143670eaf596defb5ba54c74afcd70a42"),
-    ("validate", "n4k2"): (0, "f3bb190da2027274a269a445542e3fdc3a72d588a95bef14017b96329a6d0e3a"),
-    ("analyze", "n4k2"): (0, "4a6e9ff3ad26f0266101474c02952e9a9852e264c8138c294350749dc3638dc8"),
-    ("check", "n4k2"): (0, "8244da2d96671f5bfd7bab898747c1b7cabed01a57df122d197788e0aa595a66"),
+    ("validate", "n4k2"): (0, "2791348a5c2e8c0c37047de57007636ecbdff046d06e3092e9c42bbd85ee3f1e"),
+    ("analyze", "n4k2"): (0, "143b03a0742d0d49dc759286df2f1017de45bcd5bf53eee4f56e235f81b2d7b0"),
+    ("check", "n4k2"): (0, "f4fea75eeae886eff3551047a1e57b4ba0990b0bc1a90e1c0c43b382a1529a7c"),
     ("validate", "bad"): (2, "6181349334c0d18d7ac36d9c581f332fdc243c40fe3e5b7333be4b1ddbce42ff"),
 }
 

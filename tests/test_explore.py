@@ -259,58 +259,58 @@ def test_random_structure_seed_env(monkeypatch):
 
 
 # SHA-256 of dumps(random_structure(n, k, seed)) for seeds 0..9, recorded
-# before the sampler drew its shuffles itself; they hold on every CPython
-# whose Random.shuffle makes the draws that `explore._shuffler` replays
+# when the order draw became one uniform pick from the compatibility join
+# (the tables, pinned apart below, did not move); they hold on every
+# CPython whose Random.shuffle makes the draws that `explore._shuffler`
+# replays and whose Random.randrange draws as today
 SAMPLED_DIGESTS = {
     (3, 1): (
-        "6eee2cf71e40b72f7fafe28ec87c418f699f90316a69984ef743244a185c274f",
+        "7c4764cbdec2fa742f7b41aa718a711fadd81f8238fc1d50259e4b6fdc6f606e",
         "f799c477830d791a2ce3a50a06cc8c251a9f19fd5d31aae48816ddfb980bc2e2",
-        "650aec7474b27b5541354e0fed645930fadc4ab42ff2ce690dd62e033a2159a0",
-        "f0bd85e76389a0c61c4e4f92606b00b167daeb384e69c8d28d36a49a85e4c04c",
-        "a422640b98d09a90b3fcbd5cf22d83d838774e7f25a1826bb412afb0cf0e02c3",
+        "c5f7c4730e9277c676e851346ab6f04e503c79d86fce0a2a2fe30823c8f21aa0",
+        "64224ed42a4acde175515b54df37879c49fc97bac55aec5cc804dbb58f1ae7bb",
+        "302f19ffa95d623db67e91fa1118a5ab42af31be996b731840393c5f021f6a2a",
         "640a29f6cd7d0178efc85af66564e2d485127a2490df454c0b940fd6e93392b3",
-        "51072d65d31418ba1fbee2d956aed90c6d5952e00f4665cd772cc1a8188eeab7",
+        "f90bd9c66a52f1b089429e4433d233832648047086a1c9229e7b1f1e3f6faa26",
         "4f703da4a7f63d04b9c0f1dff6e24febaf3731efe8e56a7be6571a517375ce55",
-        "3741359e32d904810a3eb19c1fcd19069b590399789f8d19e4ea6ce5ecde06e3",
-        "75e52d9e4706874a1060b278d76320c380d9121d6b6de379b9ec014fb0b79f28",
+        "d610584de3abf6cff73ea4e389e1e6ac307fee56390cc426424f0dcaa59b2dce",
+        "a4061244e202b8b24416884ea23fcf75a8398ca36446fbb0a06e6a293672fc01",
     ),
-    # recorded before the fill's liveness plan
     (5, 1): (
-        "fff435280bee2b3b84b6286cccecb2c77599058ff827785059828c80e02bb374",
-        "6caa91c9c43782a775c052eb2ff90fbf370b2ef434ee6185781b7afa40251d6d",
-        "0482cd600892e1f7a907cda8581cc181e7b79efbeefdb18b8c68c171e9ef654b",
+        "c9c3bc24ff6ae47c0257ae97fa0b8ed961f4d9ff937d5de983b561f1c62e1417",
+        "71831153b8d5ca1bcdba4cfdad7f0d141563692c28e8ed576142e567cf90ae85",
+        "a4e723ddc7f33f5a875e26e1dc7d506440165cf20d4e5b4020727d68fbc53994",
         "d2ee83eb885e13e2f7271a3a595fb06f8e0edc734e422de08031d801b186732f",
-        "eee97e10af5317c4a3466fbfe248aa4ef465601f32861f59c7252523abd7d14a",
-        "44414d4a4fca506746c2cf1a9539d12466445aecd0f70334d55c40581a6d9b1a",
-        "229b13d8f4a04e97b143ab24fc7e78a6fb55f8140917f04aa834e77411fb2c68",
-        "1c598bafd6c82ae7eb03c18c687fe3407107ac824eba69cc43dc96b9f010d1ed",
-        "9b4c161ae2da86d77aab98a6c1aef5e5e2138d378afbeb950e7bf96e1a3b489f",
-        "815b3e40994a89ffbe22e136a86a2d6cc8d5d769dd23bedaa23f85bb93e39981",
+        "6971a03f650d5e0678c8a87982e19f757e762d38a39f0137c039392de437cb69",
+        "dd5393082f984aa4f187a9da146e463f60b499eec19f68dbf1de4987c3a2e17b",
+        "1bc8364fd7e7914c151c257d9d0750bc7dc04d11254815e9a1ab9ab4a7bdfedb",
+        "cbb653d77c7fb1f17aa51244da5ae60d89c232fd8e8385af25f911882a409927",
+        "561d69beb564406863636f20190038a2b96ba70a5d8328bca316a3ca7c92e98d",
+        "d628ffba20dfb0d1a56a11c388338c908abb554659db9d92f2b0e47c63b44cb0",
     ),
-    # (4, 2) and (3, 3) recorded after the fill went to (g, a, b) cell order
     (4, 2): (
-        "f6c3952ea6c59ff907063349e8260380fe0c427e9a60cb7d775c88243b646865",
+        "48f12d0f07eb059caffd6cfe2b9c586b34db8bfb3f455103dedd09a6a72e8e43",
         "422dadf9cfd64c04310d02716be6c644bc1dab72c51c0f6b94f6d6de448e4931",
-        "92380cb4628dece5a0a0122714212a6c8d741bde1193aa47ce68ecf40c9f99b2",
-        "dd511039f4e207fda13d4d666ea61bc27ea114123fc065a977e40df0d0f16b17",
-        "f55faf1d953d3fee9e5dd96ee26514a74049a1a5c15c1f32e96cc8fc83f0c459",
+        "5562be3ab0f8941f969d30fdbe4b72c2f5dd9e70641fc6a5d20ff3015aa798b3",
+        "67e8e0176df9e4c4251d70d517522122262fc705a485c5f0a20bed2917e94752",
+        "d874be13b9e454fdb5a1d8f5800c8723230da45f13941464283ec1f787d9877d",
         "1c37155d8f0bd0b46900e1a24c4da4c2ce05e52ad68d614a23b9f64b00aa2aa8",
-        "18cc23550db35a0dd7d76d0727bdaa21292c1182eb25e3d64e97326dbdd83a48",
-        "7569ff79e71896024e3e98b3768729dac6a8c409f60204a824472cecb127f213",
+        "4a1db4a308d2571fa72a44f1258ff3e3aa2289dc994815249ff819e0b73f82e1",
+        "0902390323098ca159e8b592b30b8585567ffb6ed53f5c8b92cd136826163f00",
         "a1bb24cf68f77e12af73454e3bb9bb5a3367411b489207dddff7fb318992a1f2",
         "b09b447be086f2191314ceea7b7680a438f5973ad5840d48634ac56a87f6d395",
     ),
     (3, 3): (
         "9a629c38d7aa6e2174e8ee51b9e13d31a9aa1f8d48b6b881e08d79ddac0d380f",
         "29168eac22b52321d24035d2ab5518e76f0a599587847ed8e04f61114f6c2158",
-        "f6bc929fa684229909d7aff9635d721e7d54bacb570f8bad9ad73c8c4ee9cc4d",
+        "a4cb3e7341710550cb163fe572dda6744da6aecdddde5a4bce81cdb346223462",
         "cf2113eac7662a6fa6390548d1e05cebc92d9ec603d69857b85e70886e37e380",
-        "1653b863132e014a4759c8d408a67810514494466c938149c357189612b41724",
-        "4413c31181701fd70f777af33417b0e1821c33f76b4ef74313b88a34f338bdb2",
-        "38365b7691222c6d0e9a9d87b7084a783c82189c53bab2844ab5792638998fa2",
-        "739018828ed1e89b5db4fd88b3d311c1ab782930a0ecc256ee62f26f45584c27",
-        "d89118fc88fbae54ef28d97e707ecdd285c4be5363ce6f884070c04ab0da36bc",
-        "2779a2b8864d44f4ef08e277d419c00df2f337d9ce9b50a4e92553211bc9c2a6",
+        "39284b1ab8f5b896ca5b347c896cb671ae5b5e4cf1bf797c370ca71fb6eadcc2",
+        "7a915be955137f082d362e32acd9fed482d80f1d70dd301498ac81adc9c4cf16",
+        "7ddd50750c18f6571116b3cc7aaa80050a10051292534b2f7dd76ffbf13b4847",
+        "5d49fdfffd80450b2b08d58d047653a7f2de149da837af467ac0b56538d3220e",
+        "8b52507907b449574fb325cc6f947dcac369dd5f9e79d307ad8f4c17455f32ae",
+        "9f69c4b6e29efbb6d97083236134d742b6254481cf66ddfd7b038f38dd44676d",
     ),
 }
 
@@ -320,6 +320,46 @@ def test_random_structure_digests_pinned():
         got = tuple(hashlib.sha256(dumps(random_structure(n, k, seed)).encode()).hexdigest()
                     for seed in range(10))
         assert got == expected, (n, k)
+
+
+def _tables_digest(structures) -> str:
+    """SHA-256 over repr(s.tables) of each structure, in order."""
+    h = hashlib.sha256()
+    for s in structures:
+        h.update(repr(s.tables).encode())
+    return h.hexdigest()
+
+
+# the tables alone, recorded before the order draw moved to the join: the
+# table draw comes first, so a change to the order draw leaves these be
+SAMPLED_TABLE_DIGESTS = {
+    (3, 1): "94d4fe313ba25dd6859d21660f787963a18f8d13318a7ead7499662e455b7539",
+    (5, 1): "cd4ef2f95b6e82db472f10a4641e02f2051f447d461c652779e6ce3adea152bd",
+    (4, 2): "4fecf257c86d83243460d9a4e7d00fe13c5256a30b2fedd4ba5b66daa23a56d2",
+    (3, 3): "9f4b0fcf6bf9c9b029fd13b18810687953002d71e50d106bf14469b6c595c515",
+}
+
+
+def test_sampled_tables_pinned():
+    """The tables of the `SAMPLED_DIGESTS` seeds and of the 500 samples of
+    acceptance criterion 1 (`test_acceptance.sample_corpus`)."""
+    for (n, k), expected in SAMPLED_TABLE_DIGESTS.items():
+        assert _tables_digest(random_structure(n, k, seed) for seed in range(10)) == expected
+    corpus = [random_structure(n, k, seed=seed)
+              for n in (1, 2, 3, 4) for k in (1, 2) for seed in range(63)][:500]
+    assert _tables_digest(corpus) == (
+        "fede29579e8c960b5fe06d0acdca4ad2d5357d3690af71a7a6f52be871037bbc")
+
+
+def test_random_structure_n_outside_1_to_6(monkeypatch):
+    """n = 7 has 6,129,859 partial orders: n outside 1..6 is an input
+    error before any order is enumerated."""
+    def fail(*args):
+        raise AssertionError("partial_orders called")
+    monkeypatch.setattr(explore, "partial_orders", fail)
+    for n in (7, 0):
+        with pytest.raises(InputError, match="at most 6"):
+            random_structure(n, 1)
 
 
 def test_random_structure_seeds_spread():

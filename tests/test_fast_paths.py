@@ -733,44 +733,55 @@ def ref_random_structure(n, k, seed, max_nodes=25_000, attempts=40):
 
 
 def ref_random_order(tables, n, rng):
-    """The sampler's order draw with plain loops and `ref_compatible`."""
-    for _ in range(20):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        cand = [[a == b for b in range(n)] for a in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.4:
-                    cand[perm[i]][perm[j]] = True
-        for m in range(n):
-            for a in range(n):
-                if cand[a][m]:
-                    for b in range(n):
-                        if cand[m][b]:
-                            cand[a][b] = True
-        if ref_compatible(tables, cand):
-            return cand
-    return [[a == b for b in range(n)] for a in range(n)]
+    """The sampler's order draw with plain loops: the orders of the mask
+    filter that `ref_compatible` keeps, and one `randrange` among them."""
+    compatible = [leq for leq in ref_partial_orders(n) if ref_compatible(tables, leq)]
+    return compatible[rng.randrange(len(compatible))]
 
 
 def test_random_order_matches_plain_loops():
-    """The sampler's direct compatibility test against `ref_compatible`:
-    the same draws give the same order, or the same fallback, on every
-    table of the small slices, each under three seeds, and leave the
-    generator in the same state."""
-    fallbacks = drawn = 0
+    """The sampler's draw from the compatibility join against
+    `ref_random_order`: the same draws give the same order on every table
+    of the small slices, each under three seeds, and leave the generator
+    in the same state; both trivial and non-trivial orders are drawn."""
+    trivial_drawn = other_drawn = 0
     for n, k in SMALL_SLICES:
-        trivial = [[a == b for b in range(n)] for a in range(n)]
+        trivial = tuple(tuple(a == b for b in range(n)) for a in range(n))
         for tables in _stream(n, k):
             for seed in range(3):
                 rng, ref = random.Random(seed), random.Random(seed)
                 leq = explore._random_order(tables, n, rng)
                 expected = ref_random_order(tables, n, ref)
-                assert [list(row) for row in leq] == expected, (tables, seed)
+                assert leq == expected, (tables, seed)
                 assert rng.getstate() == ref.getstate()
-                fallbacks += expected == trivial
-                drawn += expected != trivial
-    assert fallbacks and drawn
+                trivial_drawn += expected == trivial
+                other_drawn += expected != trivial
+    assert trivial_drawn and other_drawn
+
+
+class _Pick:
+    """A generator stub whose `randrange(m)` returns a fixed j and keeps m."""
+
+    def __init__(self, j: int) -> None:
+        self.j, self.m = j, None
+
+    def randrange(self, m: int) -> int:
+        self.m = m
+        return self.j
+
+
+def test_random_order_reaches_each_compatible_order_once():
+    """With `randrange` returning j, the sampler gives the j-th order of
+    the mask filter that `ref_compatible` keeps, in list order, over
+    `randrange(m)` with m their number: as j runs over range(m) every
+    compatible order comes exactly once, so a uniform j is a uniform
+    order.  On every table of the small slices."""
+    for n, k in SMALL_SLICES:
+        for tables in _stream(n, k):
+            want = [leq for leq in ref_partial_orders(n) if ref_compatible(tables, leq)]
+            picks = [_Pick(j) for j in range(len(want))]
+            assert [explore._random_order(tables, n, pick) for pick in picks] == want, tables
+            assert all(pick.m == len(want) for pick in picks), tables
 
 
 def test_sampler_matches_plain_loops():
@@ -877,7 +888,7 @@ def test_shared_table_results_match_fresh_structures():
     sampled = ([v.as_dict() for v in harness.check_all(random_structure(4, 2, seed=f"7:{i}"))]
                for i in range(100))
     assert _verdict_digest(sampled) == (
-        "5efefde575febde567c566764bd5f4b60bad4a9599288cc0a67a0a48d1a562da")
+        "0f72db613677dccc63475bf4b3b122ddacc384a0a4efa7d895bf32a15fa9dc47")
 
 
 def test_table_cache_is_shared_per_table():
@@ -937,6 +948,7 @@ def test_table_verdicts_give_each_structure_its_own_witness(monkeypatch):
 
 # generative partial orders: the mask filter they replaced
 
+@lru_cache(maxsize=None)
 def ref_partial_orders(n: int) -> tuple:
     """Every 0/1 matrix over the off-diagonal pairs, in mask order, kept
     when antisymmetric and transitive."""

@@ -44,26 +44,35 @@ Every (table, order) pair is tested, but the work that depends on the
 table alone is done once per orbit, on its least table, and the work
 that depends on the order alone once per (n, order mode) in a process:
 its pair masks, its `down` / `up` masks and the join (`_order_table`).
-The structures of one table share one `core.table_cache` dict, so the
-checks compute their table-only results once per table.  A structure is
-built by `core.Structure._unchecked`, without the shape checks of
-`Structure(...)`, which the fill and the order generator make true by
-construction.  The compatibility join is bit-parallel over the order
-list, bit o of a mask standing for order o: it gives per least table L
-one int, the orders that every operation respects (`_compatible_orders`).
-Another table of the orbit is pi L, and its order p is compatible
-exactly when the order o of L with pi o = p is, so each (table, order)
-pair is one bit test (`_compatible`) of L's mask at o's bit, which one
-list per carrier permutation pi gives for every p.  The sampler draws
-its order from the same join.  Under the isomorphism filter
-(`dedup="iso"`) no structure on a table that is not least in its orbit
-is canonical; on a least table only its automorphisms, found by the
-orbit pass, can make the order smaller, and each costs a few mask
+The orders share their rows (63 distinct ones among the 130,023 orders
+at n = 6) and their `down` / `up` tuples (an order's down is its dual's
+up).  The structures of one table share one `core.table_cache` dict, so
+the checks compute their table-only results once per table.  A
+structure is built by `core.Structure._unchecked`, without the shape
+checks of `Structure(...)`, which the fill and the order generator make
+true by construction; its order's closure tables (`core.down_table`,
+`core.up_table`) are built by the walk the first time the order yields
+a structure, and copied into the `_cache` of every structure on it.
+The compatibility join is bit-parallel over the order list, bit o of a
+mask standing for order o: it gives per least table L one int, the
+orders that every operation respects (`_compatible_orders`).  Another
+table of the orbit is pi L, and its order p is compatible exactly when
+the order o of L with pi o = p is, so each (table, order) pair is one
+AND (`_compatible`, which is `operator.and_`) of L's mask with o's bit,
+which one list per carrier permutation pi gives for every p; the ANDs
+run under `map`, and the walk's own loop visits the compatible pairs
+alone.
+The sampler draws its order from the same join.  Under the isomorphism
+filter (`dedup="iso"`) no structure on a table that is not least in its
+orbit is canonical; on a least table only its automorphisms, found by
+the orbit pass, can make the order smaller, and each costs a few mask
 operations per order (`_image`).  The relabelings come from a table
 built once per (n, k) (`_relabelings`): for each one, the position in
-the table's flat key of the cell each relabeled cell reads, so an image
-is a run of list lookups, and a comparison stops at the first cell that
-differs.
+the table's flat key of the cell each relabeled cell reads.  In the
+fill's cut an image is a run of list lookups, and a comparison stops at
+the first cell that differs; the orbit pass builds each whole image as
+`bytes`, with one `operator.itemgetter` of those positions and one
+`bytes.translate` by pi.
 
 Without the filter (`dedup="labeled"`) the walk gives each structure an
 isomorphism class key, so that a campaign checks one structure per
@@ -94,18 +103,20 @@ and the nodes after.
 from __future__ import annotations
 
 import ast
+import operator
 import os
 import random
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
                        is_right_regular, _simple_bits)
-from .core import InputError, Structure, _down_up, bit_indices, validate
+from .core import (InputError, Structure, _down_up, _union_table, bit_indices, down_table,
+                   up_table, validate)
 from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
 
@@ -314,6 +325,10 @@ def _associative_tables(n: int, k: int) -> Iterator[tuple]:
     count = len(relabelings)
     size = n * n
     end = k * size
+    # per relabeling, the cells its image reads (every relabeling reads
+    # k * n * n >= 2 cells, so the getter gives a tuple) and pi as a byte map
+    images_of = [(operator.itemgetter(*reads), bytes(pi).ljust(256, b"\0"))
+                 for pi, reads, _ in relabelings]
 
     def item(entry: bytes) -> tuple:
         c, r = divmod(int.from_bytes(entry[end:], "big"), count)
@@ -325,7 +340,7 @@ def _associative_tables(n: int, k: int) -> Iterator[tuple]:
         key = bytes(x for t in least for row in t for x in row)
         while pending and pending[0] < key:
             yield item(heappop(pending))
-        images = [bytes([pi[key[p]] for p in reads]) for pi, reads, _ in relabelings]
+        images = [bytes(read(key)).translate(pi) for read, pi in images_of]
         # one `moved` per carrier permutation pi != id of an automorphism
         yield least, c, None, tuple(dict.fromkeys(
             moved for (_, _, moved), image in zip(relabelings, images)
@@ -343,27 +358,33 @@ def _associative_tables(n: int, k: int) -> Iterator[tuple]:
 
 @lru_cache(maxsize=None)
 def partial_orders(n: int, mode: str = "all") -> tuple:
-    """Reflexive order matrices on 0..n-1, as tuples of bool tuples."""
+    """Reflexive order matrices on 0..n-1, as tuples of bool tuples.  The
+    orders share their rows: one tuple per distinct row, at most 2^n - 1
+    of them (63 at n = 6, against 780,138 rows of 130,023 orders)."""
     if mode not in _ORDER_MODES:
         raise InputError(f"orders must be one of {_ORDER_MODES}")
     if mode == "trivial":
         return (tuple(tuple(a == b for b in range(n)) for a in range(n)),)
+    shared = {}
+
+    def rows(leq: Iterable[tuple]) -> tuple:
+        return tuple([shared.setdefault(row, row) for row in leq])
+
     if mode == "total":
         out = []
         for perm in permutations(range(n)):
             pos = [0] * n
             for i, e in enumerate(perm):
                 pos[e] = i
-            out.append(tuple(tuple(pos[a] <= pos[b] for b in range(n))
-                             for a in range(n)))
+            out.append(rows(tuple(pos[a] <= pos[b] for b in range(n)) for a in range(n)))
         return tuple(out)
     # ascending by the mask whose bit i stands for the i-th pair a != b in
     # row-major order; the walk order, and so every report, depends on it
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     keyed = []
     for below in _posets(n):
-        leq = tuple(tuple(a == b or (below[b] >> a) & 1 == 1 for b in range(n))
-                    for a in range(n))
+        leq = rows(tuple(a == b or (below[b] >> a) & 1 == 1 for b in range(n))
+                   for a in range(n))
         keyed.append((sum(1 << i for i, (a, b) in enumerate(pairs) if leq[a][b]), leq))
     keyed.sort()
     return tuple(leq for _, leq in keyed)
@@ -492,17 +513,23 @@ def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
     return every ^ bad
 
 
-def _compatible(compatible: int, bit: int) -> bool:
-    """Whether the order at mask bit `bit` of a join is among the table's
-    `compatible` orders, a mask `_compatible_orders` gave."""
-    return compatible & bit != 0
+# _compatible(compatible, bit): nonzero exactly when the order at mask bit
+# `bit` of a join is among the table's `compatible` orders, a mask that
+# `_compatible_orders` gave.  It is C's AND, called once per (table, order)
+# pair, and no other name in gpw is bound to it, so that a tracer that
+# rebinds it by identity counts these tests alone.
+_compatible = operator.and_
 
 
 @lru_cache(maxsize=None)
 def _order_table(n: int, mode: str) -> tuple:
     """The orders of `partial_orders(n, mode)`, each as (leq, its `_Order`,
-    down, up), and their `_join`, shared by the walk and the sampler."""
-    orders = tuple((leq, _order_masks(leq, n), *_down_up(leq, n))
+    down, up), and their `_join`, shared by the walk and the sampler.  The
+    down of one order is the up of its dual, which is in the same list, so
+    the `down` and `up` tuples are shared: one tuple per distinct one."""
+    shared = {}
+    orders = tuple((leq, _order_masks(leq, n),
+                    *(shared.setdefault(masks, masks) for masks in _down_up(leq, n)))
                    for leq in partial_orders(n, mode))
     return orders, _join([order for _, order, _, _ in orders], n)
 
@@ -649,11 +676,17 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
     the order o of L with pi o = p (every order mode is closed under
     relabeling): one list per carrier permutation pi, built from the
     walk's own bits the first time pi comes.  Every order is tested by
-    `_compatible` and, under iso, every compatible one by `_is_canonical`."""
+    `_compatible` and, under iso, every compatible one by `_is_canonical`.
+    The first time an order yields a structure, its closure tables
+    (`core.down_table`, `core.up_table`) are built, in this walk and not in
+    `_order_table`, and every structure on it gets them in its own
+    `_cache`."""
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
     orders, join = _order_table(n, spec.orders)
     masks = [order for _, order, _, _ in orders]
+    # per order, (leq, order, down, up, its closure tables once built)
+    entries = [(*entry, {}) for entry in orders]
     index = {order.key: p for p, order in enumerate(masks)}
     bits = [1 << o for o in range(len(orders))]
     moves = {pi: moved for pi, _, moved in _relabelings(n, k)}
@@ -672,14 +705,17 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
             for bit, order in zip(bits, masks):
                 source[index[_image(moves[pi], order)]] = bit
         shared = {}  # the table-only results of every structure on this table
-        for entry, bit in zip(orders, source):
-            if not _compatible(compatible, bit):
-                continue
-            leq, order, down, up = entry
+        # one `_compatible` call per order, and a loop over the hits alone
+        tested = map(_compatible, repeat(compatible), source)
+        for (leq, order, down, up, closures), bit in compress(zip(entries, source), tested):
             if iso and not _is_canonical(automorphisms, order):
                 continue
-            yield (Structure._unchecked(n, names, tables, leq, down, up, shared),
-                   None if iso else keys[bit])
+            if not closures:
+                closures[down_table] = _union_table(n, down)
+                closures[up_table] = _union_table(n, up)
+            s = Structure._unchecked(n, names, tables, leq, down, up, shared)
+            s._cache.update(closures)
+            yield s, None if iso else keys[bit]
 
 
 # sampling

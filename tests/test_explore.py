@@ -4,7 +4,10 @@ and the pinned-versus-legacy separation facts."""
 from __future__ import annotations
 
 import hashlib
+import importlib
+import operator
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import gpw
 from gpw import explore
 from gpw.analysis import is_intra_regular, is_intra_regular_legacy
-from gpw.core import InputError, validate
+from gpw.core import InputError, _union_table, down_table, up_table, validate
 from gpw.explore import (And, EnumSpec, Not, Or, Pred, PREDICATES,
                          SamplingBudgetError, _associative_tables,
                          enumerate_structures, eval_expr, parse_expr,
@@ -185,6 +188,51 @@ def test_iso_walk_counts_match_the_golden_trace(monkeypatch):
     assert _count(EnumSpec(4, 1, dedup="iso")) == 4753
     assert counts == {"tables": 3492, "_compatible": [764748, 107688],
                       "_is_canonical": [107688, 4753]}
+
+
+def test_walk_hands_each_structure_its_closure_tables():
+    """Every walked structure arrives with its order's closure tables in
+    its own `_cache`: they equal the tables built from its `down` / `up`,
+    one pair per order is shared by the structures on it, and no two
+    structures share the dict itself.  Every order mode of the n <= 3
+    slices, both dedup modes, and n4k1 iso."""
+    specs = [EnumSpec(n, k, orders, dedup) for n in (1, 2, 3) for k in (1, 2, 3)
+             for orders in ("all", "trivial", "total") for dedup in ("labeled", "iso")]
+    for spec in specs + [EnumSpec(4, 1, dedup="iso")]:
+        walked = list(enumerate_structures(spec))
+        assert walked, spec
+        assert len({id(s._cache) for s in walked}) == len(walked), spec
+        per_order: dict[tuple, set] = {}
+        for s in walked:
+            assert down_table in s._cache and up_table in s._cache, spec
+            assert down_table(s) == _union_table(s.n, s.down), (spec, s.leq)
+            assert up_table(s) == _union_table(s.n, s.up), (spec, s.leq)
+            per_order.setdefault(s.leq, set()).add((id(down_table(s)), id(up_table(s))))
+        assert all(len(ids) == 1 for ids in per_order.values()), spec
+
+
+def test_compatible_is_the_only_name_bound_to_and():
+    """`_compatible` is C's AND, and no other module-level name in gpw is
+    bound to that function, so a tracer rebinding it by identity (see
+    perfbench/tracer.py) counts the walk's compatibility tests alone."""
+    for info in pkgutil.iter_modules(gpw.__path__):
+        importlib.import_module(f"gpw.{info.name}")
+    bound = [(name, attr) for name, mod in list(sys.modules.items())
+             if name == "gpw" or name.startswith("gpw.")
+             for attr, value in vars(mod).items() if value is operator.and_]
+    assert bound == [("gpw.explore", "_compatible")]
+
+
+def test_partial_orders_share_their_rows():
+    """An order's rows are tuples shared with every other order holding
+    the same row, at most 2^n of them; in `_order_table` an order's `down`
+    tuple is its dual's `up`, so the two hold one tuple per order."""
+    for n in (3, 4):
+        for mode in ("all", "total"):
+            orders = partial_orders(n, mode)
+            assert len({id(row) for leq in orders for row in leq}) <= 2 ** n, (n, mode)
+    orders = explore._order_table(4, "all")[0]
+    assert len({id(masks) for _, _, down, up in orders for masks in (down, up)}) == len(orders)
 
 
 # external pins: OEIS A027851 counts semigroups up to isomorphism, A023814

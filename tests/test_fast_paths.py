@@ -546,16 +546,17 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
             assert explore._compatible_orders(as_lists, req) == mask
             for mode_leqs, mode_join in modes:
                 mode_mask = explore._compatible_orders(mode_join, req)
-                assert [explore._compatible(mode_mask, 1 << o) for o in range(len(mode_leqs))] \
+                assert [bool(explore._compatible(mode_mask, 1 << o))
+                        for o in range(len(mode_leqs))] \
                     == [ref_compatible(tables, leq) for leq in mode_leqs]
             automorphisms = ref_automorphisms(tables, n, k)
             non_least += automorphisms is None
             nontrivial += bool(automorphisms)
             for o, (leq, order) in enumerate(zip(leqs, orders)):
                 ok = ref_compatible(tables, leq)
-                assert explore._compatible(mask, 1 << o) == ok
+                assert bool(explore._compatible(mask, 1 << o)) == ok
                 one = explore._compatible_orders(explore._join([order], n), req)
-                assert explore._compatible(one, 1) == ok
+                assert bool(explore._compatible(one, 1)) == ok
                 least = ref_is_canonical(tables, leq, n, k)
                 assert explore._is_canonical(automorphisms, order) == least, (tables, leq)
                 compatible += ok

@@ -13,8 +13,7 @@ enumeration walk builds its structures with `Structure._unchecked`,
 which stores the parts as given: its tables come from the fill and its
 orders from `explore.partial_orders`, both already tuples of the right
 shapes and ranges, and it computes each order's `down` / `up` masks
-once per process, and its closure tables once per walk, rather than
-once per structure.  Unpickling goes through `_unchecked` too, with the
+and its closure tables once per walk, rather than once per structure.  Unpickling goes through `_unchecked` too, with the
 `down` / `up` the pickle carries: pickles come only from the walk (to
 the workers of `campaign --jobs N`), and loading a pickle runs code
 anyway.

@@ -35,24 +35,22 @@ plain fill's order after a fraction of its cell checks, each with its
 orbit's least table and a relabeling that maps that table to it.  The
 sampler runs the fill without the cut.
 
-Orders come from a cached enumeration that adds one element at a time,
+Orders come from an enumeration that adds one element at a time,
 choosing the elements below and above it, sorted by the pair mask that
 fixes their order.  A structure is emitted only when every operation
 respects the order on both sides.
 
 Every (table, order) pair is tested, but the work that depends on the
-table alone is done once per orbit, on its least table, and the work
-that depends on the order alone once per (n, order mode) in a process:
-its pair masks, its `down` / `up` masks and the join (`_order_table`).
-The orders share their rows (63 distinct ones among the 130,023 orders
-at n = 6) and their `down` / `up` tuples (an order's down is its dual's
-up).  The structures of one table share one `core.table_cache` dict, so
-the checks compute their table-only results once per table.  A
-structure is built by `core.Structure._unchecked`, without the shape
-checks of `Structure(...)`, which the fill and the order generator make
-true by construction; its order's closure tables (`core.down_table`,
-`core.up_table`) are built by the walk the first time the order yields
-a structure, and copied into the `_cache` of every structure on it.
+table alone is done once per orbit, on its least table, the order list
+and its join once per (n, order mode) in a process (`_order_layer`), and
+each order's pair masks and `down` / `up` masks once per walk
+(`_walk_orders`).  The orders share their rows (63 distinct ones among
+the 130,023 orders at n = 6).  The structures of one table share one
+`core.table_cache` dict, so the checks compute their table-only results
+once per table.  A structure is built by `core.Structure._unchecked`,
+without the shape checks of `Structure(...)`, which the fill and the
+order generator make true by construction; its order's closure tables
+are built by the walk the first time the order yields a structure.
 The compatibility join is bit-parallel over the order list, bit o of a
 mask standing for order o: it gives per least table L one int, the
 orders that every operation respects (`_compatible_orders`).  Another
@@ -115,8 +113,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
                        is_right_regular, _simple_bits)
-from .core import (InputError, Structure, _down_up, _union_table, bit_indices, down_table,
-                   up_table, validate)
+from .core import (InputError, Structure, _union_table, bit_indices, down_table, up_table,
+                   validate)
 from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
 
@@ -356,68 +354,80 @@ def _associative_tables(n: int, k: int) -> Iterator[tuple]:
 
 # order generation
 
-@lru_cache(maxsize=None)
 def partial_orders(n: int, mode: str = "all") -> tuple:
-    """Reflexive order matrices on 0..n-1, as tuples of bool tuples.  The
-    orders share their rows: one tuple per distinct row, at most 2^n - 1
-    of them (63 at n = 6, against 780,138 rows of 130,023 orders)."""
+    """Reflexive order matrices on 0..n-1, as tuples of bool tuples, the
+    list of `_order_layer(n, mode)`.  The orders share their rows: one
+    tuple per distinct row, at most 2^n - 1 of them (63 at n = 6, against
+    780,138 rows of 130,023 orders)."""
+    return _order_layer(n, mode)[0]
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int) -> tuple:
+    """Per mask u over 0..n-1, the order row whose elements at or above
+    its element are u: the tuple of its n truth values."""
+    return tuple(tuple(u >> b & 1 == 1 for b in range(n)) for u in range(1 << n))
+
+
+@lru_cache(maxsize=None)
+def _order_layer(n: int, mode: str) -> tuple:
+    """The orders of `mode` on 0..n-1 and their `_Join`, all that the walk
+    and the sampler share.  Each order starts as its up masks, byte a of a
+    `bytes` holding the elements at or above a (n <= 8).  "all" sorts the
+    orders by the mask whose bit i stands for the i-th pair a != b in
+    row-major order, as their bytes read from the last back do (row a of
+    the mask is the more significant the larger a, and ranks as a's up
+    mask); every report depends on it.  The join reads pair (a, b) off
+    byte a of every order at once, as base-2 digits, order 0 last."""
     if mode not in _ORDER_MODES:
         raise InputError(f"orders must be one of {_ORDER_MODES}")
     if mode == "trivial":
-        return (tuple(tuple(a == b for b in range(n)) for a in range(n)),)
-    shared = {}
-
-    def rows(leq: Iterable[tuple]) -> tuple:
-        return tuple([shared.setdefault(row, row) for row in leq])
-
-    if mode == "total":
-        out = []
-        for perm in permutations(range(n)):
-            pos = [0] * n
-            for i, e in enumerate(perm):
-                pos[e] = i
-            out.append(rows(tuple(pos[a] <= pos[b] for b in range(n)) for a in range(n)))
-        return tuple(out)
-    # ascending by the mask whose bit i stands for the i-th pair a != b in
-    # row-major order; the walk order, and so every report, depends on it
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    keyed = []
-    for below in _posets(n):
-        leq = rows(tuple(a == b or (below[b] >> a) & 1 == 1 for b in range(n))
-                   for a in range(n))
-        keyed.append((sum(1 << i for i, (a, b) in enumerate(pairs) if leq[a][b]), leq))
-    keyed.sort()
-    return tuple(leq for _, leq in keyed)
+        ups = [bytes(1 << a for a in range(n))]
+    elif mode == "total":  # above e: e and every element after it in perm
+        ups = [bytes(sum(1 << x for x in perm[perm.index(e):]) for e in range(n))
+               for perm in permutations(range(n))]
+    else:
+        ups = sorted(map(bytes, _posets(n)), key=lambda up: up[::-1])
+    rows = _rows(n)
+    leqs = tuple(tuple(map(rows.__getitem__, up)) for up in ups)
+    digits = [bytes(48 + (u >> b & 1) for u in range(256)) for b in range(n)]
+    flat = b"".join(ups)
+    holds = []
+    for a in range(n):
+        column = flat[a::n]  # the up mask of a in every order
+        for b in range(n):
+            if b != a:
+                held = int(column.translate(digits[b])[::-1], 2)
+                if held:
+                    holds.append((a * n + b, held))
+    return leqs, _Join(tuple(holds), {1 << (n * n - 1 - i): held for i, held in holds},
+                       (1 << len(ups)) - 1)
 
 
 def _posets(n: int) -> Iterator[list[int]]:
-    """Every partial order on 0..n-1, as the masks of the elements
-    strictly below each element.  Element k = n - 1 joins each order on
-    0..k-1 above a down-closed set D and below an up-closed set U, with
-    every member of D below every member of U (so D and U are disjoint);
-    each order on 0..n-1 comes from exactly one such choice."""
+    """Every partial order on 0..n-1, as the masks of the elements at or
+    above each element.  Element k = n - 1 joins each order on 0..k-1
+    above a down-closed set D and below an up-closed set U, with every
+    member of D below every member of U (so D and U are disjoint); each
+    order on 0..n-1 comes from exactly one such choice."""
     if n == 0:
         yield []
         return
     k = n - 1
     every = (1 << k) - 1
-    for below in _posets(k):
-        above = [0] * k
-        for b, mask in enumerate(below):
-            for a in bit_indices(mask):
-                above[a] |= 1 << b
-        downs = [d for d in range(every + 1)
-                 if all(not below[x] & ~d for x in bit_indices(d))]
-        ups = [u for u in range(every + 1)
-               if all(not above[x] & ~u for x in bit_indices(u))]
-        for d in downs:
+    top = 1 << k
+    for up in _posets(k):
+        # U is up-closed when it holds every element above a member, and
+        # D is down-closed when the rest of 0..k-1 is up-closed
+        ups = [u for u, above in enumerate(_union_table(k, up)) if above == u]
+        for d in (every ^ u for u in ups):
             allowed = every & ~d  # above every member of d, and outside it
             for x in bit_indices(d):
-                allowed &= above[x]
+                allowed &= up[x]
+            up_k = [m | top if d >> a & 1 else m for a, m in enumerate(up)]
             for u in ups:
                 if not u & ~allowed:
-                    yield ([m | (1 << k) if (u >> b) & 1 else m
-                            for b, m in enumerate(below)] + [d])
+                    yield up_k + [u | top]
 
 
 def _pair_bit(n: int, a: int, b: int) -> int:
@@ -434,15 +444,23 @@ class _Order(NamedTuple):
     key: int  # the off-diagonal pairs in the order
 
 
-def _order_masks(leq, n: int) -> _Order:
-    """`leq` is any n x n matrix of truth values (tuples or lists)."""
-    pairs, inside = [], 0
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b]:
-                pairs.append(a * n + b)
-                inside |= _pair_bit(n, a, b)
-    return _Order(tuple(pairs), inside)
+def _walk_orders(leqs: tuple, n: int) -> list[tuple]:
+    """Per order of `leqs`, (leq, its `_Order`, down, up), the parts only
+    the walk reads: each row and column of `leq` is a `_rows` entry, so
+    its mask is one lookup, and the pairs and key of row a with mask u
+    are entry [a][u] of `cells`."""
+    mask_of = {row: u for u, row in enumerate(_rows(n))}
+    bit = _pair_bits(n)
+    cells = [[(tuple(a * n + b for b in bit_indices(u) if b != a),
+               sum(bit[a][b] for b in bit_indices(u))) for u in range(1 << n)]
+             for a in range(n)]
+    out = []
+    for leq in leqs:
+        up = tuple(map(mask_of.__getitem__, leq))
+        parts = list(map(list.__getitem__, cells, up))
+        order = _Order(tuple(i for pairs, _ in parts for i in pairs), sum(key for _, key in parts))
+        out.append((leq, order, tuple(map(mask_of.__getitem__, zip(*leq))), up))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -481,18 +499,6 @@ class _Join(NamedTuple):
     every: int  # every order
 
 
-def _join(orders: Iterable[_Order], n: int) -> _Join:
-    """The join over `orders`, orders on 0..n-1."""
-    holds, every = {}, 0
-    for o, order in enumerate(orders):
-        bit = 1 << o
-        every |= bit
-        for i in order.pairs:
-            holds[i] = holds.get(i, 0) | bit
-    return _Join(tuple(holds.items()),
-                 {1 << (n * n - 1 - i): held for i, held in holds.items()}, every)
-
-
 def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
     """The mask of the join's orders that every operation of the table
     whose `_requirements` are `req` respects on both sides.  An order
@@ -519,19 +525,6 @@ def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
 # pair, and no other name in gpw is bound to it, so that a tracer that
 # rebinds it by identity counts these tests alone.
 _compatible = operator.and_
-
-
-@lru_cache(maxsize=None)
-def _order_table(n: int, mode: str) -> tuple:
-    """The orders of `partial_orders(n, mode)`, each as (leq, its `_Order`,
-    down, up), and their `_join`, shared by the walk and the sampler.  The
-    down of one order is the up of its dual, which is in the same list, so
-    the `down` and `up` tuples are shared: one tuple per distinct one."""
-    shared = {}
-    orders = tuple((leq, _order_masks(leq, n),
-                    *(shared.setdefault(masks, masks) for masks in _down_up(leq, n)))
-                   for leq in partial_orders(n, mode))
-    return orders, _join([order for _, order, _, _ in orders], n)
 
 
 # isomorphism filtering
@@ -679,11 +672,13 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
     `_compatible` and, under iso, every compatible one by `_is_canonical`.
     The first time an order yields a structure, its closure tables
     (`core.down_table`, `core.up_table`) are built, in this walk and not in
-    `_order_table`, and every structure on it gets them in its own
+    `_order_layer`, and every structure on it gets them in its own
     `_cache`."""
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
-    orders, join = _order_table(n, spec.orders)
+    # the list through `partial_orders`, whose calls a tracer counts
+    orders = _walk_orders(partial_orders(n, spec.orders), n)
+    join = _order_layer(n, spec.orders)[1]
     masks = [order for _, order, _, _ in orders]
     # per order, (leq, order, down, up, its closure tables once built)
     entries = [(*entry, {}) for entry in orders]
@@ -777,11 +772,11 @@ def _random_tables(n: int, k: int, rng: random.Random) -> tuple:
 def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
     """The j-th of the `partial_orders(n)` that `tables` respect, in list
     order, j = `rng.randrange` of their number: a uniform pick (the
-    trivial order is always one).  Reversed, `bin` lists bits 0 up."""
-    orders, join = _order_table(n, "all")
+    trivial order is always one)."""
+    leqs, join = _order_layer(n, "all")
     compatible = _compatible_orders(join, _requirements(tables, n))
     j = rng.randrange(compatible.bit_count())
-    return orders[[o for o, d in enumerate(reversed(bin(compatible))) if d == "1"][j]][0]
+    return leqs[next(islice(bit_indices(compatible), j, None))]
 
 
 def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure:
@@ -791,7 +786,8 @@ def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure
     is set, else 0.  The tables come from a seeded randomized fill, not
     uniform over the slice; the order is uniform over the partial orders
     the drawn tables respect.  n is 1..6, as in `EnumSpec`: the first draw
-    at n builds every partial order, about 0.1 s at n = 5 and 4-6 s at 6.
+    at n builds every partial order and their join (`_order_layer`), about
+    0.02 s at n = 5 and 0.4-0.9 s at 6 on a 2-vCPU VM.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 6:
         raise InputError("n must be a positive integer, at most 6")

@@ -134,6 +134,27 @@ def test_partial_order_count_n5():
     assert len(partial_orders(5)) == 4231  # OEIS A001035(5)
 
 
+# SHA-256 of repr(partial_orders(5, mode)): the lists, their order and
+# their rows as the matrix-by-matrix build gave them
+PARTIAL_ORDERS_N5 = {
+    "all": "8ac68ef893ddddf4fd00acde2f8b2d125aac249c92dc93d76c07239dc7c9366b",
+    "total": "230e83248c3fc07f07c5f97f47d84b16b8a9614120c0cf53d919d87b8dd77a16",
+    "trivial": "34739c6ebe19a1c86f5fcf669a6f0582c640171bd872e7f814c09f6740cca989",
+}
+
+
+def test_partial_orders_n5_pinned():
+    for mode, want in PARTIAL_ORDERS_N5.items():
+        assert _sha256(partial_orders(5, mode)) == want, mode
+
+
+def test_partial_orders_one_cache_entry():
+    """The default mode and "all" read one list, built once."""
+    for n in (1, 4, 5):
+        assert partial_orders(n) is partial_orders(n, "all")
+        assert partial_orders(n) is explore._order_layer(n, "all")[0]
+
+
 def test_structure_counts():
     assert _count(EnumSpec(2, 1)) == 20
     assert _count(EnumSpec(3, 1)) == 971
@@ -225,14 +246,12 @@ def test_compatible_is_the_only_name_bound_to_and():
 
 def test_partial_orders_share_their_rows():
     """An order's rows are tuples shared with every other order holding
-    the same row, at most 2^n of them; in `_order_table` an order's `down`
-    tuple is its dual's `up`, so the two hold one tuple per order."""
+    the same row, at most 2^n of them.  (`test_fast_paths` checks the
+    walk's `down` / `up` masks against the plain loop.)"""
     for n in (3, 4):
         for mode in ("all", "total"):
             orders = partial_orders(n, mode)
             assert len({id(row) for leq in orders for row in leq}) <= 2 ** n, (n, mode)
-    orders = explore._order_table(4, "all")[0]
-    assert len({id(masks) for _, _, down, up in orders for masks in (down, up)}) == len(orders)
 
 
 # external pins: OEIS A027851 counts semigroups up to isomorphism, A023814
@@ -403,11 +422,13 @@ def test_random_structure_n_outside_1_to_6(monkeypatch):
     """n = 7 has 6,129,859 partial orders: n outside 1..6 is an input
     error before any order is enumerated."""
     def fail(*args):
-        raise AssertionError("partial_orders called")
-    monkeypatch.setattr(explore, "partial_orders", fail)
+        raise AssertionError("_order_layer called")
+    monkeypatch.setattr(explore, "_order_layer", fail)
     for n in (7, 0):
         with pytest.raises(InputError, match="at most 6"):
             random_structure(n, 1)
+    with pytest.raises(AssertionError, match="_order_layer called"):
+        random_structure(2, 1)  # the sampler's orders come from there
 
 
 def test_random_structure_seeds_spread():

@@ -343,10 +343,59 @@ def test_orbit_items_name_their_least_table():
                            for rho in permutations(range(k))), (n, k, tables)
 
 
+def ref_order(leq, n: int) -> explore._Order:
+    """The pairs a*n + b (a != b) of `leq` and their `_pair_bit`s ORed,
+    one cell at a time."""
+    pairs, key = [], 0
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq[a][b]:
+                pairs.append(a * n + b)
+                key |= explore._pair_bit(n, a, b)
+    return explore._Order(tuple(pairs), key)
+
+
+def ref_down_up(leq, n: int) -> tuple:
+    """Per element, the mask of the elements at or below it and of those
+    at or above it, one cell at a time."""
+    down, up = [0] * n, [0] * n
+    for a in range(n):
+        for b in range(n):
+            if leq[a][b]:
+                down[b] |= 1 << a
+                up[a] |= 1 << b
+    return tuple(down), tuple(up)
+
+
+def ref_join(leqs, n: int) -> explore._Join:
+    """The join over `leqs`, one (order, pair) at a time, its pairs in
+    ascending order."""
+    holds, every = {}, 0
+    for o, leq in enumerate(leqs):
+        every |= 1 << o
+        for i in ref_order(leq, n).pairs:
+            holds[i] = holds.get(i, 0) | 1 << o
+    held = tuple(sorted(holds.items()))
+    return explore._Join(held, {1 << (n * n - 1 - i): mask for i, mask in held}, every)
+
+
+def test_order_layer_matches_loops():
+    """The join that `_order_layer` builds from the up masks in one pass,
+    and the pairs, key, down and up that the walk reads off its row
+    table, against the plain loops, on every order of every mode up to
+    n = 5."""
+    for n in range(1, 6):
+        for mode in ("all", "total", "trivial"):
+            leqs, join = explore._order_layer(n, mode)
+            assert join == ref_join(leqs, n), (n, mode)
+            assert explore._walk_orders(leqs, n) == [
+                (leq, ref_order(leq, n), *ref_down_up(leq, n)) for leq in leqs], (n, mode)
+
+
 def _join_pairs(n: int, k: int, leqs: tuple):
     """(tables, leq) for every table of the stream and every order of
     `leqs` that the join finds compatible with that table itself."""
-    join = explore._join([explore._order_masks(leq, n) for leq in leqs], n)
+    join = ref_join(leqs, n)
     for tables, _, _, _ in explore._associative_tables(n, k):
         compatible = explore._compatible_orders(join, explore._requirements(tables, n))
         for o, leq in enumerate(leqs):
@@ -523,27 +572,19 @@ def test_fill_matches_padded_fill_without_plan(monkeypatch):
 
 def test_compatible_and_canonical_match_loops_on_every_pair():
     """The compatibility join against the plain loop on every (table,
-    order) pair: the walk's join over every order, joins over the total
-    and the trivial orders, one over `_order_masks` of list-row matrices,
-    and a join over one order."""
+    order) pair: the walk's join over every order, its joins over the
+    total and the trivial orders, and a join over one order."""
     compatible = canonical = nontrivial = non_least = 0
     for n, k in SMALL_SLICES:
-        leqs = explore.partial_orders(n)
-        orders = [explore._order_masks(leq, n) for leq in leqs]
-        join = explore._join(orders, n)
-        as_lists = explore._join((explore._order_masks([list(row) for row in leq], n)
-                                  for leq in leqs), n)
-        modes = [(explore.partial_orders(n, mode),
-                  explore._join((explore._order_masks(leq, n)
-                                 for leq in explore.partial_orders(n, mode)), n))
-                 for mode in ("total", "trivial")]
+        leqs, join = explore._order_layer(n, "all")
+        orders = [ref_order(leq, n) for leq in leqs]
+        modes = [explore._order_layer(n, mode) for mode in ("total", "trivial")]
         for tables in _stream(n, k):
             req = explore._requirements(tables, n)
             assert not any(req[i] & explore._pair_bit(n, a, a)
                            for i in range(n * n) for a in range(n)), tables
             mask = explore._compatible_orders(join, req)
             assert mask >> len(orders) == 0
-            assert explore._compatible_orders(as_lists, req) == mask
             for mode_leqs, mode_join in modes:
                 mode_mask = explore._compatible_orders(mode_join, req)
                 assert [bool(explore._compatible(mode_mask, 1 << o))
@@ -555,7 +596,7 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
             for o, (leq, order) in enumerate(zip(leqs, orders)):
                 ok = ref_compatible(tables, leq)
                 assert bool(explore._compatible(mask, 1 << o)) == ok
-                one = explore._compatible_orders(explore._join([order], n), req)
+                one = explore._compatible_orders(ref_join([leq], n), req)
                 assert bool(explore._compatible(one, 1)) == ok
                 least = ref_is_canonical(tables, leq, n, k)
                 assert explore._is_canonical(automorphisms, order) == least, (tables, leq)

@@ -21,6 +21,8 @@ import json
 import os
 import sys
 import time
+from collections import deque
+from functools import partial
 
 from . import __version__
 from .analysis import (decompose, intra_regular_failure,
@@ -227,52 +229,47 @@ def cmd_check(args) -> tuple[dict, int, str | None]:
 
 # campaign
 
-def _campaign_unit(job) -> tuple:
-    """(key, result) for one job (structure, key, theorem ids) of
-    `_campaign_jobs`: the result is the names of the predicates the
-    structure satisfies and its failure record when a check disagrees.
-    A structure of None stands for a later member of the isomorphism
-    class `key`, whose first member was sent before it; its result is
-    None, and `_class_results` reads the first member's instead."""
-    s, key, tids = job
-    if s is None:
-        return key, None
+def _campaign_unit(s: Structure, tids: tuple) -> tuple:
+    """The names of the predicates `s` satisfies, and its failure record
+    when one of the checks `tids` disagrees, else None."""
     preds = tuple(name for name, fn in sorted(PREDICATES.items()) if fn(s))
-    verdicts = [check(s, tid) for tid in tids]
-    bad = [v.as_dict() for v in verdicts if not v.equivalent]
+    bad = [v.as_dict() for v in (check(s, tid) for tid in tids) if not v.equivalent]
     if not bad:
-        return key, (preds, None)
-    return key, (preds, {"structure": to_obj(s), "digest": digest(s), "verdicts": bad})
+        return preds, None
+    return preds, {"structure": to_obj(s), "digest": digest(s), "verdicts": bad}
 
 
-def _campaign_jobs(walk, tids: tuple):
-    """One job per (structure, key) of `walk`, a `_keyed_structures`
-    stream: the structure itself for the first member of its isomorphism
-    class, None for every later one.  Every verdict and predicate is
-    invariant under relabeling, so a class is checked once, on its first
-    labeled member; under iso every key is None and every structure is
-    checked."""
-    sent = set()  # the class keys whose first member was sent
-    for s, key in walk:
-        if key is None or key not in sent:
-            sent.add(key)
-            yield s, key, tids
-        else:
-            yield None, key, tids
+def _walk_results(walk, run):
+    """The `_campaign_unit` result of every structure of `walk`, a
+    `_keyed_structures` stream, in walk order.  `run` maps the first
+    member of each isomorphism class, under iso every structure, to its
+    result, in order (`map`, or a pool's `imap`).  Every verdict and
+    predicate is invariant under relabeling, so a later member reads its
+    class's result.  Each structure's key is queued before the structure
+    goes to `run`, which may read the walk in another thread, so the keys
+    up to a first member are there when its result comes; a queued key
+    whose class has a result is a later member's."""
+    keys = deque()
 
+    def firsts():
+        seen = set()  # the class keys whose first member was sent
+        for s, key in walk:
+            keys.append(key)
+            if key is None or key not in seen:
+                seen.add(key)
+                yield s
 
-def _class_results(stream):
-    """The (predicates, failure) of each structure, in the order of
-    `stream`, the `_campaign_unit` results of `_campaign_jobs`: a class's
-    first member brings its result, which every later member reads.  The
-    stream keeps the walk's order, so the first member comes back first."""
     results = {}  # per class key, the result of its first member
-    for key, result in stream:
-        if result is None:
-            result = results[key]
-        elif key is not None:
+    for result in run(firsts()):
+        key = keys.popleft()
+        while key in results:
+            yield results[key]
+            key = keys.popleft()
+        if key is not None:
             results[key] = result
         yield result
+    for key in keys:  # the later members after the last first member
+        yield results[key]
 
 
 def cmd_campaign(args) -> tuple[dict, int, str | None]:
@@ -280,11 +277,8 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
     tids = _parse_theorems(args.theorems)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    # a Structure pickles as its raw parts and its table cache, still
-    # empty in the parent, so the structures of one table that travel in
-    # one imap chunk of 128 share one table cache in the worker, as they
-    # share the walk's at --jobs 1; a class's later members travel as None
-    jobs = _campaign_jobs(_keyed_structures(spec, args.limit), tids)
+    walk = _keyed_structures(spec, args.limit)
+    unit = partial(_campaign_unit, tids=tids)
     structures = 0
     pred_counts = {name: 0 for name in sorted(PREDICATES)}
     combos: dict[str, int] = {}
@@ -292,12 +286,15 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
     if args.jobs > 1:
         from multiprocessing import Pool  # only here: its import costs every run
         pool = Pool(processes=min(args.jobs, os.cpu_count() or 1))
-        stream = pool.imap(_campaign_unit, jobs, chunksize=128)
+        # a Structure pickles as its raw parts and its table cache, still
+        # empty in the parent, so the first members of one table that
+        # travel in one chunk share one table cache in the worker
+        run = partial(pool.imap, unit, chunksize=128)
     else:
         pool = None
-        stream = map(_campaign_unit, jobs)
+        run = partial(map, unit)
     try:
-        for preds, failure in _class_results(stream):
+        for preds, failure in _walk_results(walk, run):
             structures += 1
             for name in preds:
                 pred_counts[name] += 1

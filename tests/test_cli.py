@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -239,10 +241,10 @@ def _memo_misses(spec: EnumSpec, limit: int | None = None) -> list[int]:
     """The indices of the structures whose campaign result, read from
     their class's first member, differs from a direct `_campaign_unit`
     on the structure itself."""
-    tids = harness.THEOREM_IDS
-    jobs = cli._campaign_jobs(explore._keyed_structures(spec, limit), tids)
-    memo = cli._class_results(map(cli._campaign_unit, jobs))
-    direct = (cli._campaign_unit((s, None, tids))[1] for s in enumerate_structures(spec, limit))
+    unit = functools.partial(cli._campaign_unit, tids=harness.THEOREM_IDS)
+    memo = cli._walk_results(explore._keyed_structures(spec, limit),
+                             functools.partial(map, unit))
+    direct = map(unit, enumerate_structures(spec, limit))
     return [i for i, (got, want) in enumerate(zip(memo, direct, strict=True)) if got != want]
 
 
@@ -296,27 +298,106 @@ def test_campaign_memo_misses_a_label_sensitive_fault(capsys, monkeypatch):
     assert _memo_misses(EnumSpec(2, 1)) == [14]
 
 
+class _InProcessPool:
+    """A stand-in for `multiprocessing.Pool` that maps in process, so no
+    worker starts."""
+
+    def imap(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("limit, structures, checked", [
+    (1000, 1000, 486), (None, 107688, 4753)])
+def test_campaign_checks_each_class_once(capsys, monkeypatch, limit, structures, checked):
+    """Labeled n4k1, the first 1,000 structures and all 107,688: the
+    campaign calls `_campaign_unit` once per isomorphism class, on its
+    first member, and reads that result for every later member."""
+    calls = []
+    real = cli._campaign_unit
+    monkeypatch.setattr(cli, "_campaign_unit",
+                        lambda s, tids: calls.append(None) or real(s, tids))
+    argv = ["campaign", "--n", "4", "--k", "1", "--jobs", "1"]
+    code, out, _ = _run(capsys, argv + ([] if limit is None else ["--limit", str(limit)]))
+    sec = _report(out)["sections"]
+    assert code == 0 and sec["all_equivalent"] is True
+    assert (sec["structures"], len(calls)) == (structures, checked)
+
+
+@pytest.mark.parametrize("target, limit, structures", [
+    (12, None, 13),  # the last first member, after later members 8 and 11
+    (10, 12, 11),    # a first member after later member 8
+    (13, 15, 15),    # a later member; the limit ends inside a run of them
+    (19, None, 20),  # a later member in the run after the last first member
+])
+def test_campaign_merge_edges_for_every_jobs_value(capsys, monkeypatch, target, limit,
+                                                   structures):
+    """Labeled n2k1 walks its 20 structures as the first members of
+    classes 0..10 (F) and later members (l): F0..F7 l7 F8 F9 l9 F10 l3 l5
+    l4 l10 l0 l2 l1.  One check fails on structure `target` alone, which
+    the campaign checks only when it is a first member.  The sections at
+    --jobs 1, 2 and 64 (an in-process pool) are those of a direct reading:
+    each structure takes its class's first member's result, up to the
+    first failure or the limit."""
+    walk = list(explore._keyed_structures(EnumSpec(2, 1)))
+    keys = [key for _, key in walk]
+    assert [i for i, key in enumerate(keys) if keys.index(key) == i] == [*range(8), 9, 10, 12]
+    fault = digest(walk[target][0])
+    real = harness._CHECKS["Lemma4"]
+
+    def faulty(s):
+        verdict = real(s)
+        if digest(s) == fault:
+            return dataclasses.replace(verdict, equivalent=False, witness={"injected": target})
+        return verdict
+
+    # pool workers are forked, so they see the patched catalogue too
+    monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
+    unit = functools.partial(cli._campaign_unit, tids=harness.THEOREM_IDS)
+    firsts, results = {}, []
+    for s, key in walk[:limit]:
+        if key not in firsts:
+            firsts[key] = unit(s)
+        results.append(firsts[key])
+        if results[-1][1] is not None:
+            break
+    failure = results[-1][1]
+    assert len(results) == structures
+    assert (failure is not None) == (keys.index(keys[target]) == target)
+    combos = collections.Counter("+".join(preds) or "(none)" for preds, _ in results)
+    want = {
+        "structures": structures,
+        "all_equivalent": failure is None,
+        "first_failure": failure,
+        "predicate_counts": {name: sum(name in preds for preds, _ in results)
+                             for name in sorted(explore.PREDICATES)},
+        "combination_tally": dict(combos),
+    }
+    argv = ["campaign", "--n", "2", "--k", "1"] + ([] if limit is None else ["--limit", str(limit)])
+    for jobs in ("1", "2", "64"):
+        if jobs == "64":
+            monkeypatch.setattr(multiprocessing, "Pool", lambda processes: _InProcessPool())
+        code, out, _ = _run(capsys, argv + ["--jobs", jobs])
+        sec = _report(out)["sections"]
+        assert code == (0 if failure is None else 1)
+        assert {name: sec[name] for name in want} == want
+    if failure is not None:
+        assert failure["digest"] == fault
+
+
 def test_campaign_caps_workers_at_cpu_count(capsys, monkeypatch):
     """`--jobs` above the CPU count builds one pool of as many workers as
     CPUs, and one worker when the count is unknown; the sections are
     those of `--jobs 1`.  The pool is a stand-in that maps in process, so
     no worker starts."""
     built = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            built.append(processes)
-
-        def imap(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda processes: built.append(processes) or _InProcessPool())
     argv = ["campaign", "--n", "2", "--k", "1", "--jobs"]
     code, out, _ = _run(capsys, argv + ["1"])
     assert code == 0 and built == []

@@ -16,8 +16,8 @@ found once per table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from .core import (InputError, PreconditionError, Structure, Subset, _owned,
                    _unchecked_subset, down_table, downset_bits, per_structure, per_table,
@@ -184,16 +184,14 @@ def _is_simple_of_kind(s: Structure, t: Subset, kind: IdealKind) -> bool:
     return _simple_bits(s, tbits, kind)
 
 
-@dataclass
-class ClassVerdict:
+class ClassVerdict(NamedTuple):
     block: Subset
     is_subsemigroup: bool
     is_simple: bool
     is_left_simple: bool
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """How the carrier splits along a semilattice congruence.
 
     `is_semilattice_of_simple` requires the partition to actually be a

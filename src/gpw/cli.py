@@ -12,6 +12,11 @@ the command and wraps and emits its report.
 
 Exit codes: 0 success, 1 a checked claim failed, 2 bad input or usage,
 3 a search exhausted its slice without finding a witness.
+
+Start-up loads only what the command runs: at module level this imports
+the standard library, `__version__` and `core` (for the parser), and each
+command imports the rest when it runs, so `gpw --version` loads no other
+`gpw` module and `gpw validate` neither `explore` nor `harness`.
 """
 
 from __future__ import annotations
@@ -22,24 +27,16 @@ import os
 import sys
 import time
 from collections import deque
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
-from .analysis import (decompose, intra_regular_failure,
-                       intra_regular_legacy_failure, left_regular_failure,
-                       maximal_simple_subsemigroups, right_regular_failure)
-from .core import InputError, Structure, validate
-from .explore import (_DEDUP_MODES, _ORDER_MODES, EnumSpec, PREDICATES,
-                      _keyed_structures, parse_expr, search as run_search)
-from .gpsjson import digest, load, to_obj
-from .harness import THEOREM_IDS, check
-from .ideals import IdealKind, all_filters, all_ideals, filter_gen, principal
-from .relations import relation_partition
+from .core import _DEDUP_MODES, _ORDER_MODES, InputError, Structure, validate
 
 
-def _slice(args) -> tuple[EnumSpec, dict]:
+def _slice(args) -> tuple:
     """The slice that `add_slice_flags` names, after one warning on stderr
     when it lies beyond the supported envelope, and its report keys."""
+    from .explore import EnumSpec
     spec = EnumSpec(n=args.n, k=args.k, orders=args.orders, dedup=args.dedup)
     n, k = spec.n, spec.k
     if not ((n <= 3 and k <= 3) or (n <= 4 and k == 1)):
@@ -98,19 +95,23 @@ def _emit(report: dict, args) -> None:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write a temporary file next to `path`, then rename it over `path`,
-    so a failed write leaves whatever was there before."""
+    so a failed write leaves whatever was there before; its error names
+    `path`, not the temporary file."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise exc if exc.filename is None else OSError(exc.errno, exc.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def _load_valid(path: str) -> Structure:
+    from .gpsjson import load
     s = load(path)
     rep = validate(s)
     if not rep.ok:
@@ -122,6 +123,7 @@ def _load_valid(path: str) -> Structure:
 # validate
 
 def cmd_validate(args) -> tuple[dict, int, str | None]:
+    from .gpsjson import digest, load
     s = load(args.path)
     rep = validate(s)
     sections = {
@@ -136,19 +138,25 @@ def cmd_validate(args) -> tuple[dict, int, str | None]:
 # analyze
 
 def _predicate_section(s: Structure) -> tuple[dict, dict]:
+    from . import analysis
+    from .explore import PREDICATES
     preds = {name: bool(fn(s)) for name, fn in sorted(PREDICATES.items())}
     wits = {}
     for name, fail in (
-            ("intra_regular", intra_regular_failure),
-            ("intra_regular_legacy", intra_regular_legacy_failure),
-            ("left_regular", left_regular_failure),
-            ("right_regular", right_regular_failure)):
+            ("intra_regular", analysis.intra_regular_failure),
+            ("intra_regular_legacy", analysis.intra_regular_legacy_failure),
+            ("left_regular", analysis.left_regular_failure),
+            ("right_regular", analysis.right_regular_failure)):
         w = fail(s)
         wits[name] = None if w is None else list(w)
     return preds, wits
 
 
 def cmd_analyze(args) -> tuple[dict, int, str | None]:
+    from .analysis import decompose, maximal_simple_subsemigroups
+    from .gpsjson import digest
+    from .ideals import IdealKind, all_filters, all_ideals, filter_gen, principal
+    from .relations import relation_partition
     s = _load_valid(args.path)
     preds, wits = _predicate_section(s)
     per_element = {}
@@ -202,6 +210,7 @@ def cmd_analyze(args) -> tuple[dict, int, str | None]:
 # check
 
 def _parse_theorems(text: str) -> tuple[str, ...]:
+    from .harness import THEOREM_IDS
     if text == "all":
         return THEOREM_IDS
     wanted = tuple(tok.strip() for tok in text.split(",") if tok.strip())
@@ -215,6 +224,8 @@ def _parse_theorems(text: str) -> tuple[str, ...]:
 
 
 def cmd_check(args) -> tuple[dict, int, str | None]:
+    from .gpsjson import digest
+    from .harness import check
     tids = _parse_theorems(args.theorems)
     s = _load_valid(args.path)
     verdicts = [check(s, tid) for tid in tids]
@@ -229,14 +240,22 @@ def cmd_check(args) -> tuple[dict, int, str | None]:
 
 # campaign
 
+@cache
+def _campaign_modules() -> tuple:
+    """The modules a campaign unit reads, imported once per process."""
+    from . import explore, gpsjson, harness
+    return explore, gpsjson, harness
+
+
 def _campaign_unit(s: Structure, tids: tuple) -> tuple:
     """The names of the predicates `s` satisfies, and its failure record
     when one of the checks `tids` disagrees, else None."""
-    preds = tuple(name for name, fn in sorted(PREDICATES.items()) if fn(s))
-    bad = [v.as_dict() for v in (check(s, tid) for tid in tids) if not v.equivalent]
+    explore, gpsjson, harness = _campaign_modules()
+    preds = tuple(name for name, fn in sorted(explore.PREDICATES.items()) if fn(s))
+    bad = [v.as_dict() for v in (harness.check(s, tid) for tid in tids) if not v.equivalent]
     if not bad:
         return preds, None
-    return preds, {"structure": to_obj(s), "digest": digest(s), "verdicts": bad}
+    return preds, {"structure": gpsjson.to_obj(s), "digest": gpsjson.digest(s), "verdicts": bad}
 
 
 def _walk_results(walk, run):
@@ -273,6 +292,7 @@ def _walk_results(walk, run):
 
 
 def cmd_campaign(args) -> tuple[dict, int, str | None]:
+    from .explore import PREDICATES, _keyed_structures
     spec, corpus = _slice(args)
     tids = _parse_theorems(args.theorems)
     if args.jobs < 1:
@@ -320,9 +340,11 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
 # search
 
 def cmd_search(args) -> tuple[dict, int, str | None]:
+    from .explore import search
+    from .gpsjson import to_obj
     spec, corpus = _slice(args)
     # the first hit or None, the list of hits, or their count
-    found = run_search(spec, parse_expr(args.expr), args.mode)
+    found = search(spec, args.expr, args.mode)
     sections = {"corpus": corpus, "expr": args.expr, "mode": args.mode}
     if args.mode == "count":
         sections["count"] = found

@@ -53,9 +53,12 @@ empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+# `EnumSpec`'s orders and dedup values, here so the CLI's parser needs no `explore`
+_ORDER_MODES = ("all", "trivial", "total")
+_DEDUP_MODES = ("labeled", "iso")
 
 
 class InputError(ValueError):
@@ -183,17 +186,27 @@ class Structure:
         return Subset(self, self.full)
 
 
-@dataclass(frozen=True)
 class Subset:
-    """Bit-mask subset of one structure's carrier."""
+    """Bit-mask subset of one structure's carrier, an immutable value."""
 
-    structure: Structure
-    bits: int
+    def __init__(self, structure: Structure, bits: int) -> None:
+        if (not isinstance(bits, int) or isinstance(bits, bool)
+                or not 0 <= bits <= structure.full):
+            raise InputError(f"subset mask {bits!r} outside the carrier")
+        self.__dict__.update(structure=structure, bits=bits)
 
-    def __post_init__(self) -> None:
-        if (not isinstance(self.bits, int) or isinstance(self.bits, bool)
-                or not 0 <= self.bits <= self.structure.full):
-            raise InputError(f"subset mask {self.bits!r} outside the carrier")
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Subset")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Subset:
+            return NotImplemented
+        return self.structure is other.structure and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.structure, self.bits))
 
     def elements(self) -> list[int]:
         return list(bit_indices(self.bits))
@@ -259,7 +272,7 @@ def _order_closure(n: int, pairs: Iterable) -> list[list[bool]]:
 
 def _unchecked_subset(s: Structure, bits: int) -> Subset:
     """The Subset of `bits`, which the caller guarantees lies within the
-    carrier of s, built without `__post_init__`'s range check."""
+    carrier of s, built without `__init__`'s range check."""
     sub = object.__new__(Subset)
     object.__setattr__(sub, "structure", s)
     object.__setattr__(sub, "bits", bits)
@@ -425,8 +438,7 @@ def word_product(s: Structure, items: Sequence) -> int:
     return acc
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the axiom check: ok iff no violations were collected."""
 
     ok: bool

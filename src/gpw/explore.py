@@ -105,7 +105,7 @@ import operator
 import os
 import random
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -113,13 +113,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
                        is_left_duo, is_left_regular, is_right_duo,
                        is_right_regular, _simple_bits)
-from .core import (InputError, Structure, _union_table, bit_indices, down_table, up_table,
-                   validate)
+from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _union_table,
+                   bit_indices, down_table, up_table, validate)
 from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
                      _weakly_prime_bits, ideals_form_chain)
-
-_ORDER_MODES = ("all", "trivial", "total")
-_DEDUP_MODES = ("labeled", "iso")
 
 
 class SamplingBudgetError(RuntimeError):
@@ -130,24 +127,29 @@ class _Exhausted(Exception):
     """A fill tried more values than its node budget allows."""
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+def _value(cls):
+    """Tuple class `cls`, equal only to its own values: no plain tuple, no other kind."""
+    cls.__eq__ = lambda a, b: type(a) is type(b) and tuple.__eq__(a, b)
+    cls.__ne__ = lambda a, b: not a == b
+    return cls
+
+
+@_value
+class EnumSpec(namedtuple("EnumSpec", "n k orders dedup")):
     """What slice of the structure space to walk."""
 
-    n: int
-    k: int = 1
-    orders: str = "all"
-    dedup: str = "labeled"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or not 1 <= self.n <= 6:
+    def __new__(cls, n: int, k: int = 1, orders: str = "all", dedup: str = "labeled"):
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 6:
             raise InputError("n must be an integer in 1..6")
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or not 1 <= self.k <= 3:
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 3:
             raise InputError("k must be an integer in 1..3")
-        if self.orders not in _ORDER_MODES:
+        if orders not in _ORDER_MODES:
             raise InputError(f"orders must be one of {_ORDER_MODES}")
-        if self.dedup not in _DEDUP_MODES:
+        if dedup not in _DEDUP_MODES:
             raise InputError(f"dedup must be one of {_DEDUP_MODES}")
+        return super().__new__(cls, n, k, orders, dedup)
 
 
 # table generation
@@ -829,24 +831,24 @@ PREDICATES: dict[str, Callable[[Structure], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class Pred:
+@_value
+class Pred(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@_value
+class Not(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+@_value
+class And(NamedTuple):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Or:
+@_value
+class Or(NamedTuple):
     left: "Expr"
     right: "Expr"
 

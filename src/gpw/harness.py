@@ -24,7 +24,7 @@ partition.  Both answers must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import (_simple_bits, _subsemigroup_masks, decompose,
                        intra_regular_failure, is_intra_regular, is_left_duo,
@@ -38,8 +38,7 @@ from .ideals import (IdealKind, _absorbing_set, _all_ideal_bits, _chain_break_bi
 from .relations import _block_masks, _semilattice_classes, relation_partition
 
 
-@dataclass
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     theorem_id: str
     shape: str  # "equivalence" | "implication" | "unconditional"
     condition_values: dict

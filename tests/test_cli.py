@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import hashlib
 import json
@@ -151,6 +150,21 @@ def test_out_file_failed_write_keeps_old_file(capsys, min_sl_path, tmp_path, mon
     assert set(os.listdir(tmp_path)) == {"report.json", "min_sl.json"}
 
 
+def test_out_error_names_the_given_path(capsys, tmp_path):
+    """A report that cannot be written exits 2 with an error naming the
+    path given to --out, not the temporary file written beside it, and
+    leaves no file behind: once when the temporary file cannot be opened
+    (a missing directory), once when it cannot replace the target (a
+    directory)."""
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for target in (str(tmp_path / "missing" / "report.json"), str(taken)):
+        code, out, err = _run(capsys, ["campaign", "--n", "2", "--out", target])
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {target!r}\n"), err
+    assert os.listdir(tmp_path) == ["taken"] and os.listdir(taken) == []
+
+
 # check
 
 def test_check_all(capsys, min_sl_path):
@@ -216,7 +230,7 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
     def faulty(s):
         verdict = real(s)
         if digest(s) == digest(target):
-            return dataclasses.replace(verdict, equivalent=False, witness={"injected": 7})
+            return verdict._replace(equivalent=False, witness={"injected": 7})
         return verdict
 
     # pool workers are forked, so they see the patched catalogue too
@@ -290,7 +304,7 @@ def test_campaign_memo_misses_a_label_sensitive_fault(capsys, monkeypatch):
 
     def faulty(s):
         verdict = real(s)
-        return dataclasses.replace(verdict, equivalent=False) if digest(s) == target else verdict
+        return verdict._replace(equivalent=False) if digest(s) == target else verdict
 
     monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
     code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1"])
@@ -353,7 +367,7 @@ def test_campaign_merge_edges_for_every_jobs_value(capsys, monkeypatch, target, 
     def faulty(s):
         verdict = real(s)
         if digest(s) == fault:
-            return dataclasses.replace(verdict, equivalent=False, witness={"injected": target})
+            return verdict._replace(equivalent=False, witness={"injected": target})
         return verdict
 
     # pool workers are forked, so they see the patched catalogue too

@@ -116,6 +116,21 @@ def test_subset_rejects_bool_masks(min_sl):
     assert Subset(min_sl, 1).bits == 1
 
 
+def test_subset_value_semantics(min_sl, lz):
+    """A Subset is a value: equal, with one hash, to a Subset of the same
+    structure and mask and to nothing else, shown by its elements, and
+    its fields cannot be assigned."""
+    a, b = Subset(min_sl, 1), min_sl.subset([0])
+    assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Subset(min_sl, 3) and a != Subset(lz, 1)
+    assert a != (min_sl, 1) and (min_sl, 1) != a and a != 1
+    assert repr(a) == "Subset([0])" and repr(min_sl.universe()) == "Subset([0, 1])"
+    for field in ("structure", "bits"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+    assert a.structure is min_sl and a.bits == 1
+
+
 def test_downset_upset(min_sl):
     top = min_sl.subset([1])
     assert downset(min_sl, top).elements() == [0, 1]

@@ -309,6 +309,31 @@ def test_enum_spec_rejects_booleans():
             EnumSpec(**bad)
 
 
+def test_enum_spec_and_expression_nodes_are_values():
+    """EnumSpec and the expression nodes compare, hash and print by class
+    and fields: a value equals no value of another class, a tuple of the
+    same fields included, and none of its fields can be assigned."""
+    spec = EnumSpec(3)
+    assert spec == EnumSpec(3, 1, "all", "labeled") == EnumSpec(n=3, dedup="labeled")
+    assert hash(spec) == hash(EnumSpec(3, 1)) and len({spec, EnumSpec(3, 1)}) == 1
+    assert spec != EnumSpec(3, 2) and spec != EnumSpec(3, orders="total")
+    assert spec != (3, 1, "all", "labeled") and (3, 1, "all", "labeled") != spec
+    assert repr(spec) == "EnumSpec(n=3, k=1, orders='all', dedup='labeled')"
+    a, b = Pred("simple"), Pred("left_duo")
+    tree = Or(And(a, Not(b)), a)
+    assert tree == parse_expr("simple & !left_duo | simple") and not tree != tree
+    assert hash(tree) == hash(parse_expr("simple & !left_duo | simple"))
+    assert And(a, b) != Or(a, b) and len({And(a, b), Or(a, b), And(a, b)}) == 2
+    assert Pred("x") != ("x",) and ("x",) != Pred("x") and Not(a) != (a,)
+    assert Or(a, b) != Or(a, Not(b)) and Pred("x") == Pred("x")
+    assert repr(tree) == ("Or(left=And(left=Pred(name='simple'), right=Not(arg="
+                          "Pred(name='left_duo'))), right=Pred(name='simple'))")
+    for value, field in ((spec, "n"), (spec, "dedup"), (a, "name"), (Not(a), "arg"),
+                         (And(a, b), "left"), (Or(a, b), "right")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
 # sampling
 
 def test_random_structure_deterministic():

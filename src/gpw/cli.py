@@ -428,6 +428,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
+        if args.out == "":  # before the command runs; `_emit` reads "" as stdout
+            raise InputError("--out needs a file name")
         sections, code, structure_digest = args.fn(args)
         timings = {"total_s": round(time.perf_counter() - t0, 6)}
         _emit(_report(args.command, sections, timings, structure_digest), args)

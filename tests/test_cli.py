@@ -165,6 +165,15 @@ def test_out_error_names_the_given_path(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["taken"] and os.listdir(taken) == []
 
 
+def test_empty_out_is_an_input_error(capsys, min_sl_path):
+    """`--out ""` names no file: every command rejects it with exit code 2
+    before it runs, rather than printing its report to stdout."""
+    for argv in (["validate", min_sl_path], ["analyze", min_sl_path], ["check", min_sl_path],
+                 ["campaign", "--n", "1"], ["search", "--n", "1", "--expr", "simple"]):
+        code, out, err = _run(capsys, argv + ["--out", ""])
+        assert (code, out, err) == (2, "", "error: --out needs a file name\n"), argv
+
+
 # check
 
 def test_check_all(capsys, min_sl_path):

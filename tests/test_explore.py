@@ -4,6 +4,7 @@ and the pinned-versus-legacy separation facts."""
 from __future__ import annotations
 
 import hashlib
+import heapq
 import importlib
 import operator
 import os
@@ -211,6 +212,34 @@ def test_iso_walk_counts_match_the_golden_trace(monkeypatch):
                       "_is_canonical": [107688, 4753]}
 
 
+def test_iso_walk_decodes_no_table_outside_the_least_ones(monkeypatch):
+    """Under iso the walk reads the unmerged orbit stream: every table
+    that is not least in its orbit stays a `bytes` key, no heap is
+    built, and every structure stands on a least table.  The labeled
+    walk still merges, and reads every table decoded."""
+    def no_heap(*args):
+        raise AssertionError("the iso walk pushed onto a heap")
+
+    fill, items = explore._associative_tables, []
+
+    def recording(*args):
+        for item in fill(*args):
+            items.append(item)
+            yield item
+    monkeypatch.setattr(explore, "_associative_tables", recording)
+    with monkeypatch.context() as m:
+        m.setattr(heapq, "heappush", no_heap)
+        walked = list(enumerate_structures(EnumSpec(4, 1, dedup="iso")))
+    assert len(walked) == 4753 and len(items) == 3492
+    least = {tables for tables, _, pi, _ in items if pi is None}
+    assert len(least) == 188
+    assert all(type(tables) is bytes for tables, _, pi, _ in items if pi is not None)
+    assert {s.tables for s in walked} <= least
+    items.clear()
+    assert sum(1 for _ in enumerate_structures(EnumSpec(3, 1))) == 971
+    assert len(items) == 113 and all(type(tables) is tuple for tables, _, _, _ in items)
+
+
 def test_walk_hands_each_structure_its_closure_tables():
     """Every walked structure arrives with its order's closure tables in
     its own `_cache`: they equal the tables built from its `down` / `up`,
@@ -232,15 +261,15 @@ def test_walk_hands_each_structure_its_closure_tables():
         assert all(len(ids) == 1 for ids in per_order.values()), spec
 
 
-def test_compatible_is_the_only_name_bound_to_and():
-    """`_compatible` is C's AND, and no other module-level name in gpw is
-    bound to that function, so a tracer rebinding it by identity (see
-    perfbench/tracer.py) counts the walk's compatibility tests alone."""
+def test_compatible_is_the_only_name_bound_to_getitem():
+    """`_compatible` is C's item lookup, and no other module-level name in
+    gpw is bound to that function, so a tracer rebinding it by identity
+    (see perfbench/tracer.py) counts the walk's compatibility tests alone."""
     for info in pkgutil.iter_modules(gpw.__path__):
         importlib.import_module(f"gpw.{info.name}")
     bound = [(name, attr) for name, mod in list(sys.modules.items())
              if name == "gpw" or name.startswith("gpw.")
-             for attr, value in vars(mod).items() if value is operator.and_]
+             for attr, value in vars(mod).items() if value is operator.getitem]
     assert bound == [("gpw.explore", "_compatible")]
 
 

@@ -343,6 +343,36 @@ def test_orbit_items_name_their_least_table():
                            for rho in permutations(range(k))), (n, k, tables)
 
 
+def _decoded(key: bytes, n: int, k: int) -> tuple:
+    """The k tables of n x n cells whose flat (g, a, b) key is `key`."""
+    cells = iter(key)
+    return tuple(tuple(tuple(next(cells) for _ in range(n)) for _ in range(n))
+                 for _ in range(k))
+
+
+def test_unmerged_stream_matches_merged_stream():
+    """Without the merge the stream holds the merged stream's items,
+    every table but the least ones as its flat `bytes` key: decoded, the
+    same multiset of (tables, c, pi, automorphisms), each least table
+    before the members of its orbit, and those members straight after
+    it."""
+    for n, k in SMALL_SLICES + ((4, 1),):
+        merged = list(explore._associative_tables(n, k))
+        unmerged = list(explore._associative_tables(n, k, False))
+        assert len(unmerged) == len(merged), (n, k)
+        seen = []  # the orbits c in the order their least tables came
+        for tables, c, pi, automorphisms in unmerged:
+            if pi is None:
+                assert c == len(seen) and automorphisms is not None, (n, k)
+                seen.append(c)
+            else:
+                assert type(tables) is bytes and automorphisms is None, (n, k)
+                assert seen and seen[-1] == c, (n, k)
+        decoded = [(t if pi is None else _decoded(t, n, k), c, pi, autos)
+                   for t, c, pi, autos in unmerged]
+        assert sorted(decoded, key=repr) == sorted(merged, key=repr), (n, k)
+
+
 def ref_order(leq, n: int) -> explore._Order:
     """The pairs a*n + b (a != b) of `leq` and their `_pair_bit`s ORed,
     one cell at a time."""
@@ -572,8 +602,9 @@ def test_fill_matches_padded_fill_without_plan(monkeypatch):
 
 def test_compatible_and_canonical_match_loops_on_every_pair():
     """The compatibility join against the plain loop on every (table,
-    order) pair: the walk's join over every order, its joins over the
-    total and the trivial orders, and a join over one order."""
+    order) pair, read as the walk reads it, `_compatible(flags, o)` on
+    the mask's `_flags`: the walk's join over every order, its joins over
+    the total and the trivial orders, and a join over one order."""
     compatible = canonical = nontrivial = non_least = 0
     for n, k in SMALL_SLICES:
         leqs, join = explore._order_layer(n, "all")
@@ -585,19 +616,21 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
                            for i in range(n * n) for a in range(n)), tables
             mask = explore._compatible_orders(join, req)
             assert mask >> len(orders) == 0
+            flags = explore._flags(mask, len(orders))
+            assert flags == bytes(mask >> o & 1 for o in range(len(orders)))
             for mode_leqs, mode_join in modes:
-                mode_mask = explore._compatible_orders(mode_join, req)
-                assert [bool(explore._compatible(mode_mask, 1 << o))
-                        for o in range(len(mode_leqs))] \
+                mode_flags = explore._flags(explore._compatible_orders(mode_join, req),
+                                            len(mode_leqs))
+                assert [explore._compatible(mode_flags, o) for o in range(len(mode_leqs))] \
                     == [ref_compatible(tables, leq) for leq in mode_leqs]
             automorphisms = ref_automorphisms(tables, n, k)
             non_least += automorphisms is None
             nontrivial += bool(automorphisms)
             for o, (leq, order) in enumerate(zip(leqs, orders)):
                 ok = ref_compatible(tables, leq)
-                assert bool(explore._compatible(mask, 1 << o)) == ok
+                assert explore._compatible(flags, o) == ok
                 one = explore._compatible_orders(ref_join([leq], n), req)
-                assert bool(explore._compatible(one, 1)) == ok
+                assert explore._compatible(explore._flags(one, 1), 0) == ok
                 least = ref_is_canonical(tables, leq, n, k)
                 assert explore._is_canonical(automorphisms, order) == least, (tables, leq)
                 compatible += ok
@@ -610,18 +643,25 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
 
 def test_orbit_stabilizer():
     """Each iso representative stands for n! * k! / |Stab| labeled
-    structures; summed, they give the labeled count of the slice."""
-    slices = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3))
-    for (n, k), labeled in zip(slices, (20, 971, 34, 3203, 62, 10103)):
-        total = 0
-        for s in enumerate_structures(EnumSpec(n, k, dedup="iso")):
-            base = ref_iso_key(s.tables, s.leq, n, k, tuple(range(n)), tuple(range(k)))
-            relabel = relabelings(n, k)
-            stab = sum(ref_iso_key(s.tables, s.leq, n, k, pi, rho) == base
-                       for pi, rho in relabel)
-            assert len(relabel) % stab == 0
-            total += len(relabel) // stab
-        assert total == labeled, (n, k)
+    structures; summed, they give the labeled walk's own count of the
+    slice, under every order mode, and the pinned counts under all
+    orders.  This ties the iso walk to the labeled one, which reads the
+    merged orbit stream that the iso walk no longer reads."""
+    slices = ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 1))
+    pinned = dict(zip(slices, (20, 971, 34, 3203, 62, 10103, 107688)))
+    for n, k in slices:
+        relabel = relabelings(n, k)
+        for orders in ("all", "trivial", "total"):
+            total = 0
+            for s in enumerate_structures(EnumSpec(n, k, orders, "iso")):
+                base = ref_iso_key(s.tables, s.leq, n, k, tuple(range(n)), tuple(range(k)))
+                stab = sum(ref_iso_key(s.tables, s.leq, n, k, pi, rho) == base
+                           for pi, rho in relabel)
+                assert len(relabel) % stab == 0
+                total += len(relabel) // stab
+            labeled = sum(1 for _ in enumerate_structures(EnumSpec(n, k, orders)))
+            assert total == labeled, (n, k, orders)
+            assert orders != "all" or total == pinned[n, k], (n, k)
 
 
 def ref_automorphisms(tables: tuple, n: int, k: int) -> tuple | None:

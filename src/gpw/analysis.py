@@ -4,14 +4,13 @@ and decomposition of the carrier along a semilattice congruence.
 The pinned regularity predicates quantify over every operation g and ask
 for membership with the inner product x g x fixed; the legacy variants
 let every operation position range independently.  Pinned implies legacy;
-the converse is a search target, not a theorem.  The pinned predicates
-read the element closures of `ideals._element_closures`, and
-intra-regularity, a premise of most claims, is memoised per structure,
-as are simplicity and the decomposition along the N partition; the
-subsemigroups, the set products behind the legacy forms
-(`ideals._word_products`), and a partition's semilattice test and chain
-scan (`relations._semilattice_labels`, `relations._chain_failure`) are
-found once per table.
+the converse is a search target, not a theorem.  All six forms read the
+set products of `ideals._word_products`: x lies in the down-closure of a
+product W exactly when `s.up[x] & W` is nonzero.  The pinned failures,
+simplicity and the decomposition along the N partition are memoised per
+structure; the set products, the subsemigroups and a partition's
+semilattice test and chain scan (`relations._semilattice_labels`,
+`relations._chain_failure`) are found once per table.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import NamedTuple
 from .core import (InputError, PreconditionError, Structure, Subset, _owned,
                    _unchecked_subset, down_table, downset_bits, per_structure, per_table,
                    product_bits, subset_masks)
-from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits,
-                     _element_closures, _kind, _word_products)
+from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits, _kind,
+                     _word_products)
 from .relations import Partition, _chain_failure, _semilattice_labels, relation_partition
 
 
@@ -32,11 +31,13 @@ def is_intra_regular(s: Structure) -> bool:
     return intra_regular_failure(s) is None
 
 
-def _pinned_failure(s: Structure, closed: list[int]):
-    """First (x, label) with x outside closed[x g x], or None."""
-    for x in range(s.n):
+def _pinned_failure(s: Structure, word: str):
+    """First (x, label) with x below no member of the word's set product
+    at x g x (`_word_products`), or None."""
+    products = _word_products(s, word)
+    for x, above in enumerate(s.up):
         for g, t in zip(s.gamma_names, s.tables):
-            if not (closed[t[x][x]] >> x) & 1:
+            if not above & products[t[x][x]]:
                 return (x, g)
     return None
 
@@ -44,7 +45,7 @@ def _pinned_failure(s: Structure, closed: list[int]):
 @per_structure
 def intra_regular_failure(s: Structure):
     """First (x, label) breaking pinned intra-regularity, or None."""
-    return _pinned_failure(s, _element_closures(s)[2])
+    return _pinned_failure(s, "MxM")
 
 
 def is_intra_regular_legacy(s: Structure) -> bool:
@@ -57,8 +58,7 @@ def intra_regular_legacy_failure(s: Structure):
 
 
 def _legacy_failure(s: Structure, word: str):
-    """First (x,) with x outside the down-closure of its `_word_products`
-    entry, that is, below none of its members; or None."""
+    """First (x,) with x below no member of the word's set product at x, or None."""
     for x, (above, w) in enumerate(zip(s.up, _word_products(s, word))):
         if not above & w:
             return (x,)
@@ -72,7 +72,7 @@ def is_left_regular(s: Structure) -> bool:
 
 @per_structure
 def left_regular_failure(s: Structure):
-    return _pinned_failure(s, _element_closures(s)[0])
+    return _pinned_failure(s, "Mx")
 
 
 def is_right_regular(s: Structure) -> bool:
@@ -82,7 +82,7 @@ def is_right_regular(s: Structure) -> bool:
 
 @per_structure
 def right_regular_failure(s: Structure):
-    return _pinned_failure(s, _element_closures(s)[1])
+    return _pinned_failure(s, "xM")
 
 
 def is_left_regular_legacy(s: Structure) -> bool:

@@ -216,10 +216,12 @@ def _parse_theorems(text: str) -> tuple[str, ...]:
     wanted = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     if not wanted:
         raise InputError("no theorem ids given")
-    for tid in wanted:
+    for i, tid in enumerate(wanted):
         if tid not in THEOREM_IDS:
             raise InputError(f"unknown theorem id {tid!r}; known: "
                              + ", ".join(THEOREM_IDS))
+        if tid in wanted[:i]:
+            raise InputError(f"theorem id {tid!r} given more than once")
     return wanted
 
 
@@ -394,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run claim checks on one structure")
     sp.add_argument("path")
     sp.add_argument("--theorems", default="all",
-                    help="comma separated theorem ids, or 'all'")
+                    help="comma separated distinct theorem ids, or 'all'")
     add_output_flags(sp)
     sp.set_defaults(fn=cmd_check)
 

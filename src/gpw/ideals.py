@@ -15,11 +15,12 @@ carrier or in a subsemigroup (`_absorbing`, as a set `_absorbing_set`);
 a structure only applies its own order to them.  Weak primeness reads
 the tables and the two-sided ideals alone, so it is kept once per table
 and ideal family (`_weakly_prime_among`).  The closures close the set
-products of the words "Mx", "xM" and "MxM" (`_word_products`), which
-also spell the products behind `analysis`'s legacy forms.  Primeness and
-semiprimeness of a mask T are one lookup each: the set product of T's
-complement with itself, and the squares of the complement's members
-(`_square_table`, once per table), must miss T.
+products of the words "Mx", "xM" and "MxM" (`_word_products`); against
+the order's up masks, `analysis` reads them at x g x for its pinned
+regularity forms, and "Mxx", "xxM" and "MxxM" at x for the legacy ones.
+Primeness and semiprimeness of a mask T are one lookup each: the set
+product of T's complement with itself, and the squares of the
+complement's members (`_square_table`, once per table), must miss T.
 
 An `IdealKind` enters memo keys, so it hashes by identity: an Enum's own
 hash is a Python-level call.  The hot tests compare against module-level

@@ -199,6 +199,15 @@ def test_check_unknown_theorem(capsys, min_sl_path):
     assert "unknown theorem id" in err
 
 
+@pytest.mark.parametrize("command", ["check", "campaign"])
+def test_repeated_theorem_id(capsys, min_sl_path, command):
+    """A theorem id given twice is an input error, not a second run."""
+    where = [min_sl_path] if command == "check" else ["--n", "2", "--k", "1"]
+    code, out, err = _run(capsys, [command, "--theorems", "Lemma4,Prop2,Prop2", *where])
+    assert code == 2 and out == ""
+    assert "theorem id 'Prop2' given more than once" in err
+
+
 # campaign
 
 def _strip_timings(rep: dict) -> dict:

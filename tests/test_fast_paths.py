@@ -9,8 +9,8 @@ sharing of table-only results, checked against structures built fresh
 from the same raw tables, the element tables (per-element closures,
 principal ideals and generated filters, per-table ideal and
 relative-ideal families, memoised faces and unchecked internal
-partitions), and the per-table lookups behind the legacy regularity
-forms and prime / semiprime masks.
+partitions), and the per-table lookups behind the pinned and legacy
+regularity forms and prime / semiprime masks.
 
 The oracles are the plain loops over elements and subsets that the fast
 paths replaced; they share nothing with the code under test but the
@@ -34,7 +34,8 @@ from hypothesis import given, settings, strategies as st
 
 from gpw import analysis, core, explore, harness, ideals, relations
 from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
-                          is_left_duo, is_right_duo, left_regular_failure,
+                          is_intra_regular_legacy, is_left_duo, is_left_regular_legacy,
+                          is_right_duo, is_right_regular_legacy, left_regular_failure,
                           relative_ideals, right_regular_failure)
 from gpw.core import (InputError, Structure, Subset, bit_indices, downset_bits,
                       product_bits, subset_masks, table_cache, upset_bits)
@@ -1220,6 +1221,29 @@ def test_element_tables_match_per_call_helpers_on_walk_corpus():
             for kind in KINDS:
                 assert [a.bits for a in relative_ideals(s, t, kind)] == \
                     [a for a in ref_submasks(tb) if ref_relative_ideal_bits(s, tb, a, kind)]
+
+
+# legacy-but-not-pinned intra-regular structures per iso slice; at k = 1
+# the two families coincide (the n4k1 search finds none)
+SEPARATIONS = {(3, 2): 88, (3, 3): 223, (4, 2): 3775}
+
+
+@pytest.mark.parametrize("n, k", sorted(SEPARATIONS))
+def test_pinned_and_legacy_regularity_where_they_differ(n, k):
+    """Over every iso structure of n3k2, n3k3 and n4k2 each pinned form
+    implies its legacy form, the pinned failures match the closure loops
+    at n = 3, and the separations number as pinned."""
+    refs = (ref_closed_sandwich, ref_left_closure, ref_right_closure)
+    separated = 0
+    for s in enumerate_structures(EnumSpec(n, k, dedup="iso")):
+        pinned = [intra_regular_failure(s), left_regular_failure(s), right_regular_failure(s)]
+        legacy = [is_intra_regular_legacy(s), is_left_regular_legacy(s),
+                  is_right_regular_legacy(s)]
+        assert all(failure is not None or holds for failure, holds in zip(pinned, legacy))
+        if n == 3:
+            assert pinned == [ref_pinned_failure(s, lambda b, ref=ref: ref(s, b)) for ref in refs]
+        separated += legacy[0] and pinned[0] is not None
+    assert separated == SEPARATIONS[n, k]
 
 
 @settings(max_examples=60, deadline=None)

@@ -33,10 +33,10 @@ _EXPORTS = {
                  "is_left_duo", "is_right_duo", "is_subsemigroup", "all_subsemigroups",
                  "is_relative_ideal", "relative_ideals", "is_simple", "is_left_simple",
                  "is_right_simple", "ClassVerdict", "DecompositionReport", "decompose",
-                 "maximal_simple_subsemigroups"),
+                 "maximal_simple_subsemigroups", "PREDICATES"),
     "harness": ("THEOREM_IDS", "TheoremVerdict", "check", "check_all"),
-    "explore": ("EnumSpec", "PREDICATES", "SamplingBudgetError", "enumerate_structures",
-                "partial_orders", "random_structure", "parse_expr", "eval_expr", "search"),
+    "explore": ("EnumSpec", "SamplingBudgetError", "enumerate_structures", "partial_orders",
+                "random_structure", "parse_expr", "eval_expr", "search"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

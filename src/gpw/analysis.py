@@ -1,5 +1,5 @@
 """Structure-level analysis: regularity, duo, relative ideals, simplicity,
-and decomposition of the carrier along a semilattice congruence.
+decomposition along a semilattice congruence, and the `PREDICATES` table.
 
 The pinned regularity predicates quantify over every operation g and ask
 for membership with the inner product x g x fixed; the legacy variants
@@ -16,13 +16,13 @@ semilattice test and chain scan (`relations._semilattice_labels`,
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (InputError, PreconditionError, Structure, Subset, _owned,
                    _unchecked_subset, down_table, downset_bits, per_structure, per_table,
                    product_bits, subset_masks)
-from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits, _kind,
-                     _word_products)
+from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits, _kind, _prime_bits,
+                     _semiprime_bits, _weakly_prime_bits, _word_products, ideals_form_chain)
 from .relations import Partition, _chain_failure, _semilattice_labels, relation_partition
 
 
@@ -281,3 +281,25 @@ def maximal_simple_subsemigroups(s: Structure) -> list[Subset]:
             found.append(m)
             inside.update(subset_masks(m))
     return [_unchecked_subset(s, m) for m in reversed(found)]
+
+
+def _all_ideals_hold(s: Structure, test: Callable[[Structure, int], bool]) -> bool:
+    return all(test(s, b) for b in _all_ideal_bits(s, IdealKind.TWO_SIDED))
+
+
+PREDICATES: dict[str, Callable[[Structure], bool]] = {
+    "intra_regular": is_intra_regular,
+    "intra_regular_legacy": is_intra_regular_legacy,
+    "left_regular": is_left_regular,
+    "right_regular": is_right_regular,
+    "left_duo": is_left_duo,
+    "right_duo": is_right_duo,
+    "ideals_chain": lambda s: ideals_form_chain(s, IdealKind.TWO_SIDED),
+    "ideals_prime": lambda s: _all_ideals_hold(s, _prime_bits),
+    "ideals_semiprime": lambda s: _all_ideals_hold(s, _semiprime_bits),
+    "ideals_weakly_prime": lambda s: _all_ideals_hold(s, _weakly_prime_bits),
+    "semilattice_of_simple": lambda s: decompose(s).is_semilattice_of_simple,
+    "chain_of_simple": lambda s: decompose(s).is_chain_of_simple,
+    "simple": lambda s: _simple_bits(s, s.full, IdealKind.TWO_SIDED),
+    "left_simple": lambda s: _simple_bits(s, s.full, IdealKind.LEFT),
+}

@@ -139,8 +139,7 @@ def cmd_validate(args) -> tuple[dict, int, str | None]:
 
 def _predicate_section(s: Structure) -> tuple[dict, dict]:
     from . import analysis
-    from .explore import PREDICATES
-    preds = {name: bool(fn(s)) for name, fn in sorted(PREDICATES.items())}
+    preds = {name: bool(fn(s)) for name, fn in sorted(analysis.PREDICATES.items())}
     wits = {}
     for name, fail in (
             ("intra_regular", analysis.intra_regular_failure),

@@ -82,20 +82,20 @@ some relabeling maps one to the other.  Under iso every structure is
 its own class, and the walk computes no key.
 
 Sampling reuses the same backtracking, in the same (g, a, b) cell order,
-with shuffled value order and a node budget, counted by the fill itself:
-each value tried is a node.  The generator is seeded from (n, k, seed)
-so repeated calls agree byte for byte across runs and platforms.  The
-draw contract: every shuffle of range(n), one per depth the fill enters,
-is the permutation `Random.shuffle` gives, drawn with the same
-`getrandbits` calls (`_shuffler` makes them directly), so the values
-tried, the nodes counted and the generator state at every exhausted
-attempt are those of a loop that calls `rng.shuffle`; then one
-`rng.randrange` picks the order.
+with shuffled value order and a node budget, counted by the sampler's
+value iterators, not the fill: each value they hand it is a node.  The
+generator is seeded from (n, k, seed) so repeated calls agree byte for
+byte across runs and platforms.  The draw contract: every shuffle of
+range(n), one per depth the fill enters, is the permutation
+`Random.shuffle` gives, drawn with the same `getrandbits` calls
+(`_shuffler` makes them directly), so the values tried, the nodes counted
+and the generator state at every exhausted attempt are those of a loop
+that calls `rng.shuffle`; then one `rng.randrange` picks the order.
 
-A search expression combines `PREDICATES` names with !, &, | and
-parentheses.  Its grammar is Python's for ~, & and | over names, so
-`parse_expr` lets `ast` parse it and only checks the characters before
-and the nodes after.
+A search expression combines the names of `analysis.PREDICATES` with !,
+&, | and parentheses.  Its grammar is Python's for ~, & and | over
+names, so `parse_expr` lets `ast` parse it and only checks the
+characters before and the nodes after.
 """
 
 from __future__ import annotations
@@ -110,21 +110,13 @@ from functools import lru_cache
 from itertools import compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .analysis import (decompose, is_intra_regular, is_intra_regular_legacy,
-                       is_left_duo, is_left_regular, is_right_duo,
-                       is_right_regular, _simple_bits)
+from .analysis import PREDICATES
 from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _union_table,
                    bit_indices, down_table, up_table, validate)
-from .ideals import (IdealKind, _all_ideal_bits, _prime_bits, _semiprime_bits,
-                     _weakly_prime_bits, ideals_form_chain)
 
 
 class SamplingBudgetError(RuntimeError):
     """Raised when the randomized fill runs out of its node budget."""
-
-
-class _Exhausted(Exception):
-    """A fill tried more values than its node budget allows."""
 
 
 def _value(cls):
@@ -150,6 +142,11 @@ class EnumSpec(namedtuple("EnumSpec", "n k orders dedup")):
         if dedup not in _DEDUP_MODES:
             raise InputError(f"dedup must be one of {_DEDUP_MODES}")
         return super().__new__(cls, n, k, orders, dedup)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> EnumSpec:
+        """Through `__new__`'s checks, for `_replace` too, which calls it."""
+        return cls(*iterable)
 
 
 # table generation
@@ -232,7 +229,7 @@ def _fill_plan(n: int, k: int) -> tuple:
 
 
 def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
-          max_nodes: int | None = None, canonical: bool = False) -> Iterator[tuple]:
+          canonical: bool = False) -> Iterator[tuple]:
     """Backtracking fill over the cells in (g, a, b) order, trying the
     values `values()` gives, in its order, at each cell; yields every
     complete k-tuple of n x n tables satisfying mixed associativity, in
@@ -246,8 +243,8 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
     slot's check scans only the rows and columns its plan names, bound to
     this fill's tables once.  The search is one loop over depths, each
     with its own value iterator; a cell enters the preimage lists once its
-    value is accepted, so each preimage list is in fill order.  With
-    `max_nodes`, trying value number max_nodes + 1 raises _Exhausted.
+    value is accepted, so each preimage list is in fill order.  A caller
+    bounds the fill's work through its value iterators (`_random_tables`).
 
     With `canonical`, the lex-leader cut (`_leads`) also tests each value
     `_cell_ok` accepts at a row end, and the fill yields only the tables
@@ -265,7 +262,6 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
               [t[m][x] for m, x in rows], [(t[m], t[m][b], z) for m, z in cols], cut)
              for (g, a, b, rows, cols), cut in zip(plan, cuts)]
     last = len(slots) - 1
-    left = -1 if max_nodes is None else max(max_nodes, 0)  # -1 never reaches 0
     its = [None] * len(slots)
     its[0] = iter(values())
     i = 0
@@ -275,9 +271,6 @@ def _fill(n: int, k: int, values: Callable[[], Iterable[int]],
         if v != n:  # retreat from the value accepted last at this depth
             pre_g[v].pop()
         for v in its[i]:
-            if not left:
-                raise _Exhausted
-            left -= 1
             row[b] = v
             if _cell_ok(t, pre, n, g, a, b, rows, cols):
                 if cut is not None:
@@ -768,19 +761,20 @@ def _random_tables(n: int, k: int, rng: random.Random) -> tuple:
     in well under a thousand nodes.  Both are read at call time.  Each
     depth the fill enters tries the values in the order of a fresh
     `_shuffler` draw, the permutation and RNG state that
-    `rng.shuffle(list(range(n)))` would give there.
+    `rng.shuffle(list(range(n)))` would give there.  Every depth's values
+    pass through `compress` against the attempt's one `repeat` budget, a
+    unit per value handed to the fill: once it is spent, no depth gets a
+    value, so the fill unwinds without a draw and yields nothing.
     """
-    values = _shuffler(rng, n)
-    max_nodes, attempts = _NODE_BUDGET, _ATTEMPTS
+    shuffled = _shuffler(rng, n)
+    nodes, attempts = _NODE_BUDGET, _ATTEMPTS
     for _ in range(attempts):
-        try:
-            tables = next(_fill(n, k, values, max_nodes), None)
-        except _Exhausted:
-            continue
+        budget = repeat(True, nodes)
+        tables = next(_fill(n, k, lambda: compress(shuffled(), budget)), None)
         if tables is not None:
             return tables
     raise SamplingBudgetError(
-        f"table sampling spent {attempts} attempts of {max_nodes} nodes "
+        f"table sampling spent {attempts} attempts of {nodes} nodes "
         f"each without completing a fill at n={n}, k={k}")
 
 
@@ -820,28 +814,10 @@ def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure
     return s
 
 
-# predicates and the search expression language
+# the search expression language
 
-def _all_ideals_hold(s: Structure, test: Callable[[Structure, int], bool]) -> bool:
-    return all(test(s, b) for b in _all_ideal_bits(s, IdealKind.TWO_SIDED))
-
-
-PREDICATES: dict[str, Callable[[Structure], bool]] = {
-    "intra_regular": is_intra_regular,
-    "intra_regular_legacy": is_intra_regular_legacy,
-    "left_regular": is_left_regular,
-    "right_regular": is_right_regular,
-    "left_duo": is_left_duo,
-    "right_duo": is_right_duo,
-    "ideals_chain": lambda s: ideals_form_chain(s, IdealKind.TWO_SIDED),
-    "ideals_prime": lambda s: _all_ideals_hold(s, _prime_bits),
-    "ideals_semiprime": lambda s: _all_ideals_hold(s, _semiprime_bits),
-    "ideals_weakly_prime": lambda s: _all_ideals_hold(s, _weakly_prime_bits),
-    "semilattice_of_simple": lambda s: decompose(s).is_semilattice_of_simple,
-    "chain_of_simple": lambda s: decompose(s).is_chain_of_simple,
-    "simple": lambda s: _simple_bits(s, s.full, IdealKind.TWO_SIDED),
-    "left_simple": lambda s: _simple_bits(s, s.full, IdealKind.LEFT),
-}
+def _unknown(name: str) -> InputError:
+    return InputError(f"unknown predicate {name!r}; known: " + ", ".join(sorted(PREDICATES)))
 
 
 @_value
@@ -891,8 +867,7 @@ def parse_expr(text: str) -> Expr:
             e, operands_built = todo.pop()
             if isinstance(e, ast.Name):
                 if e.id not in PREDICATES:
-                    raise InputError(f"unknown predicate {e.id!r}; known: "
-                                     + ", ".join(sorted(PREDICATES)))
+                    raise _unknown(e.id)
                 built.append(Pred(e.id))
             elif isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.Invert):
                 if operands_built:
@@ -932,7 +907,10 @@ def eval_expr(s: Structure, expr: Expr) -> bool:
                 raise InputError(f"not an expression node: {node!r}")
             waiting.append((node, False))
             node = node.arg if isinstance(node, Not) else node.left
-        value = PREDICATES[node.name](s)
+        fn = PREDICATES.get(node.name)
+        if fn is None:
+            raise _unknown(node.name)
+        value = fn(s)
         while waiting:
             parent, right = waiting.pop()
             if isinstance(parent, Not):

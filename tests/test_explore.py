@@ -338,6 +338,22 @@ def test_enum_spec_rejects_booleans():
             EnumSpec(**bad)
 
 
+def test_enum_spec_replace_and_make_validate():
+    """`_replace` and `_make` build a spec through the same checks as the
+    constructor: namedtuple's own `_make` skips `__new__`."""
+    spec = EnumSpec(2)
+    for bad in (dict(n=9), dict(k=0), dict(n=True), dict(orders="sideways"),
+                dict(dedup="maybe")):
+        with pytest.raises(InputError):
+            spec._replace(**bad)
+    for bad in ((0, 1, "all", "labeled"), (2, 4, "all", "labeled"), (2, 1, "all", "maybe")):
+        with pytest.raises(InputError):
+            EnumSpec._make(bad)
+    assert spec._replace(k=2, dedup="iso") == EnumSpec(2, 2, "all", "iso")
+    assert EnumSpec._make((3, 1, "total", "labeled")) == EnumSpec(3, orders="total")
+    assert type(EnumSpec._make([2, 1, "all", "labeled"])) is EnumSpec
+
+
 def test_enum_spec_and_expression_nodes_are_values():
     """EnumSpec and the expression nodes compare, hash and print by class
     and fields: a value equals no value of another class, a tuple of the
@@ -497,6 +513,28 @@ def test_sampling_budget_error(monkeypatch):
         random_structure(3, 2, seed=0)
 
 
+def test_sampling_budget_boundary(monkeypatch):
+    """A budget of exactly the values the first attempt tries completes
+    that attempt; one fewer exhausts it.  With the sampler's fill, each
+    value tried is one `_cell_ok` call."""
+    monkeypatch.setattr(explore, "_ATTEMPTS", 1)
+    tried = []
+    cell_ok = explore._cell_ok
+    monkeypatch.setattr(explore, "_cell_ok", lambda *args: tried.append(1) or cell_ok(*args))
+    expected = dumps(random_structure(4, 2, seed="edge:0"))
+    nodes = len(tried)
+    assert 1 < nodes < explore._NODE_BUDGET
+    monkeypatch.setattr(explore, "_NODE_BUDGET", nodes)
+    tried.clear()
+    assert dumps(random_structure(4, 2, seed="edge:0")) == expected
+    assert len(tried) == nodes
+    monkeypatch.setattr(explore, "_NODE_BUDGET", nodes - 1)
+    tried.clear()
+    with pytest.raises(SamplingBudgetError):
+        random_structure(4, 2, seed="edge:0")
+    assert len(tried) == nodes - 1
+
+
 def test_random_structure_input_errors():
     with pytest.raises(InputError):
         random_structure(0, 1)
@@ -654,6 +692,18 @@ def test_eval_on_fixtures(min_sl, lz):
     assert not eval_expr(lz, parse_expr("right_duo | !left_simple"))
     with pytest.raises(InputError):
         eval_expr(min_sl, "not an ast node")
+
+
+def test_eval_and_search_reject_an_unknown_name(min_sl):
+    """A hand-built `Pred` naming no predicate is the input error that
+    `parse_expr` gives for it, not a KeyError."""
+    message = "unknown predicate 'nope'; known: chain_of_simple, "
+    with pytest.raises(InputError, match=message):
+        eval_expr(min_sl, Pred("nope"))
+    with pytest.raises(InputError, match=message):
+        eval_expr(min_sl, Or(Pred("nope"), Pred("simple")))
+    with pytest.raises(InputError, match=message):
+        search(EnumSpec(2), Pred("nope"), "count")
 
 
 def test_search_modes_agree():

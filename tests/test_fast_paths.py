@@ -2,15 +2,15 @@
 product_bits / downset_bits / upset_bits, the ok(a)-meet form of
 Stmt1to2, the shared semilattice-congruence sweep, and the enumeration
 kernels (the padded, preimage-indexed fill check and its liveness plan,
-the iterative fill with its node budget, mask compatibility join,
-automorphism-only iso filter and its relabeling table, generative
-partial orders, the walk's unchecked structures), the per-table
-sharing of table-only results, checked against structures built fresh
-from the same raw tables, the element tables (per-element closures,
-principal ideals and generated filters, per-table ideal and
-relative-ideal families, memoised faces and unchecked internal
-partitions), and the per-table lookups behind the pinned and legacy
-regularity forms and prime / semiprime masks.
+the iterative fill, the node budget that the sampler's value iterators
+count, mask compatibility join, automorphism-only iso filter and its
+relabeling table, generative partial orders, the walk's unchecked
+structures), the per-table sharing of table-only results, checked
+against structures built fresh from the same raw tables, the element
+tables (per-element closures, principal ideals and generated filters,
+per-table ideal and relative-ideal families, memoised faces and
+unchecked internal partitions), and the per-table lookups behind the
+pinned and legacy regularity forms and prime / semiprime masks.
 
 The oracles are the plain loops over elements and subsets that the fast
 paths replaced; they share nothing with the code under test but the

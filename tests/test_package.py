@@ -43,16 +43,16 @@ def _fresh(code: str, *argv: str):
     ([], {"gpw"}, None),
     (["--version"], {"gpw", "gpw.cli", "gpw.core"}, None),
     (["validate", "{path}"], None, {"gpw.explore", "gpw.harness"}),
-    (["analyze", "{path}"], None, {"gpw.harness"}),
+    (["analyze", "{path}"], None, {"gpw.explore", "gpw.harness"}),
     (["check", "{path}"], None, {"gpw.explore"}),
     (["search", "--n", "2", "--expr", "simple"], None, {"gpw.harness"}),
     (["campaign", "--n", "2"], None, set()),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, exact, absent):
     """`import gpw` loads no submodule, `--version` only the CLI and the
-    kernel it needs for its parser, `validate` neither the walk nor the
-    claim catalogue, `search` no claim catalogue, and nothing loads
-    `dataclasses`."""
+    kernel it needs for its parser, `validate` and `analyze` neither the
+    walk nor the claim catalogue, `search` no claim catalogue, and
+    nothing loads `dataclasses`."""
     path = tmp_path / "s.json"
     dump(min_semilattice(), str(path))
     loaded = set(_fresh(_LOADED, *(a.format(path=path) for a in argv)))

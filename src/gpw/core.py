@@ -13,10 +13,10 @@ enumeration walk builds its structures with `Structure._unchecked`,
 which stores the parts as given: its tables come from the fill and its
 orders from `explore.partial_orders`, both already tuples of the right
 shapes and ranges, and it computes each order's `down` / `up` masks
-and its closure tables once per walk, rather than once per structure.  Unpickling goes through `_unchecked` too, with the
-`down` / `up` the pickle carries: pickles come only from the walk (to
-the workers of `campaign --jobs N`), and loading a pickle runs code
-anyway.
+once per walk, rather than once per structure.  Unpickling goes through
+`_unchecked` too, with the `down` / `up` the pickle carries: pickles
+come only from the walk (to the workers of `campaign --jobs N`), and
+loading a pickle runs code anyway.
 
 Subsets of the carrier are bit masks tagged with the owning structure, so
 values belonging to different structures cannot be mixed by accident.
@@ -43,12 +43,10 @@ decorated function, or a tuple of it and the other arguments, which are
 positional and hashable.  Only this module reads either dict directly:
 `product_bits` reads the product table from the table dict, and
 `downset_bits` and `upset_bits` read their closure tables from
-`s._cache`, each by one lookup.  The walk alone writes one: each
-structure it builds gets its order's `down_table` and `up_table` entries
-in its own `_cache`.  A pickled structure carries its raw parts, its
-`down` / `up` masks and its table dict, so the structures of one table
-that travel in one pickle share it again; its own `_cache` arrives
-empty.
+`s._cache`, each by one lookup.  A pickled structure carries its raw
+parts, its `down` / `up` masks and its table dict, so the structures of
+one table that travel in one pickle share it again; its own `_cache`
+arrives empty.
 """
 
 from __future__ import annotations

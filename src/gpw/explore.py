@@ -43,14 +43,13 @@ respects the order on both sides.
 Every (table, order) pair is tested, but the work that depends on the
 table alone is done once per orbit, on its least table, the order list
 and its join once per (n, order mode) in a process (`_order_layer`), and
-each order's pair masks and `down` / `up` masks once per walk
+each order's key and `down` / `up` masks once per walk
 (`_walk_orders`).  The orders share their rows (63 distinct ones among
 the 130,023 orders at n = 6).  The structures of one table share one
 `core.table_cache` dict, so the checks compute their table-only results
 once per table.  A structure is built by `core.Structure._unchecked`,
 without the shape checks of `Structure(...)`, which the fill and the
-order generator make true by construction; its order's closure tables
-are built by the walk the first time the order yields a structure.
+order generator make true by construction.
 The compatibility join is bit-parallel over the order list, bit o of a
 mask standing for order o: it gives per least table L one int, the
 orders that every operation respects (`_compatible_orders`), which the
@@ -59,25 +58,27 @@ orbit is pi L, and its order p is compatible exactly when the order o
 of L with pi o = p is, so each (table, order) pair is one lookup
 (`_compatible`, which is `operator.getitem`) of o in L's bytes, o read
 off one list per carrier permutation pi; the lookups run under `map`,
-and the walk's own loop visits the compatible pairs alone.
-The sampler draws its order from the same join.  Under the isomorphism
-filter (`dedup="iso"`) no structure on a table that is not least in its
-orbit is canonical; on a least table only its automorphisms, found by
-the orbit pass, can make the order smaller, and each costs a few mask
-operations per order (`_image`).  The relabelings come from a table
-built once per (n, k) (`_relabelings`): for each one, the position in
-the table's flat key of the cell each relabeled cell reads.  In the
-fill's cut an image is a run of list lookups, and a comparison stops at
-the first cell that differs; the orbit pass builds each whole image as
-`bytes`, with one `operator.itemgetter` of those positions and one
-`bytes.translate` by pi.
+and the walk's own loop visits the compatible pairs alone.  The list of
+pi is built from the orders' up masks as `bytes`, relabeled the way a
+table is.  The sampler draws its order from the same join.  Under the
+isomorphism filter (`dedup="iso"`) no structure on a table that is not
+least in its orbit is canonical; on a least table only its
+automorphisms, the carrier permutations the orbit pass finds, can make
+the order smaller, and each costs one lookup in its list per order.
+The relabelings come from a table built once per (n, k)
+(`_relabelings`): for each one, the position in the table's flat key of
+the cell each relabeled cell reads.  In the fill's cut an image is a
+run of list lookups, and a comparison stops at the first cell that
+differs; the orbit pass builds each whole image as `bytes`, with one
+`operator.itemgetter` of those positions and one `bytes.translate` by
+pi.
 
 Without the filter (`dedup="labeled"`) the walk gives each structure an
 isomorphism class key, so that a campaign checks one structure per
 class.  (pi L, pi o) is isomorphic to (L, o), so it gets the key of
 (L, o): (c, the least order key among o and its images under L's
 automorphisms), c the orbit's index (`_class_keys`), read through the
-same list as the mask.  Two structures get the same key exactly when
+same list as the flags.  Two structures get the same key exactly when
 some relabeling maps one to the other.  Under iso every structure is
 its own class, and the walk computes no key.
 
@@ -112,7 +113,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import PREDICATES
 from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _union_table,
-                   bit_indices, down_table, up_table, validate)
+                   bit_indices, validate)
 
 
 class SamplingBudgetError(RuntimeError):
@@ -297,10 +298,9 @@ def _associative_tables(n: int, k: int, merge: bool = True) -> Iterator[tuple]:
     table in the canonical fill, and pi the carrier permutation (shared
     from `_relabelings`) of a relabeling that maps that least table to
     these tables, None for the least table itself.  On the least table,
-    `automorphisms` holds, for each distinct carrier permutation pi != id
-    of a relabeling that fixes it, in `_relabelings` order, its `moved`:
-    the mask bit that pair a*n + b moves to, indexed by a*n + b.  On every
-    other table it is None.
+    `automorphisms` holds the distinct carrier permutations pi != id of
+    the relabelings that fix it, in `_relabelings` order; on every other
+    table it is None.
 
     The canonical fill gives the least table of each orbit, in ascending
     order; each is relabeled once by every relabeling.  The images equal
@@ -322,7 +322,8 @@ def _associative_tables(n: int, k: int, merge: bool = True) -> Iterator[tuple]:
     # per relabeling, the cells its image reads (every relabeling reads
     # k * n * n >= 2 cells, so the getter gives a tuple) and pi as a byte map
     images_of = [(operator.itemgetter(*reads), bytes(pi).ljust(256, b"\0"))
-                 for pi, reads, _ in relabelings]
+                 for pi, reads in relabelings]
+    identity = tuple(range(n))
 
     def item(entry: bytes) -> tuple:
         c, r = divmod(int.from_bytes(entry[end:], "big"), count)
@@ -335,10 +336,9 @@ def _associative_tables(n: int, k: int, merge: bool = True) -> Iterator[tuple]:
         while pending and pending[0] < key:
             yield item(heappop(pending))
         images = [bytes(read(key)).translate(pi) for read, pi in images_of]
-        # one `moved` per carrier permutation pi != id of an automorphism
         yield least, c, None, tuple(dict.fromkeys(
-            moved for (_, _, moved), image in zip(relabelings, images)
-            if image == key and moved is not None))
+            pi for (pi, _), image in zip(relabelings, images)
+            if image == key and pi != identity))
         # each relabeled key, with the last relabeling that gives it
         orbit = dict(zip(images, range(count)))
         orbit.pop(key, None)
@@ -357,7 +357,10 @@ def partial_orders(n: int, mode: str = "all") -> tuple:
     """Reflexive order matrices on 0..n-1, as tuples of bool tuples, the
     list of `_order_layer(n, mode)`.  The orders share their rows: one
     tuple per distinct row, at most 2^n - 1 of them (63 at n = 6, against
-    780,138 rows of 130,023 orders)."""
+    780,138 rows of 130,023 orders).  n is 0..6: 0 gives the one empty
+    order."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= 6:
+        raise InputError(f"n must be an integer in 0..6, got {n!r}")
     return _order_layer(n, mode)[0]
 
 
@@ -436,29 +439,20 @@ def _pair_bit(n: int, a: int, b: int) -> int:
     return 1 << (n * n - 1 - a * n - b)
 
 
-class _Order(NamedTuple):
-    """An order as masks over the pairs (a, b), see `_pair_bit`."""
-
-    pairs: tuple[int, ...]  # a*n + b for each pair a != b in the order
-    key: int  # the off-diagonal pairs in the order
-
-
 def _walk_orders(leqs: tuple, n: int) -> list[tuple]:
-    """Per order of `leqs`, (leq, its `_Order`, down, up), the parts only
-    the walk reads: each row and column of `leq` is a `_rows` entry, so
-    its mask is one lookup, and the pairs and key of row a with mask u
-    are entry [a][u] of `cells`."""
+    """Per order of `leqs`, (leq, key, down, up), the parts only the walk
+    reads: key is the OR of the `_pair_bit`s of its pairs a != b, so keys
+    compare as the orders' row-major 0/1 keys do.  Each row and column of
+    `leq` is a `_rows` entry, so its mask is one lookup, and the key part
+    of row a with mask u is entry [a][u] of `keys`."""
     mask_of = {row: u for u, row in enumerate(_rows(n))}
     bit = _pair_bits(n)
-    cells = [[(tuple(a * n + b for b in bit_indices(u) if b != a),
-               sum(bit[a][b] for b in bit_indices(u))) for u in range(1 << n)]
-             for a in range(n)]
+    keys = [[sum(bit[a][b] for b in bit_indices(u)) for u in range(1 << n)] for a in range(n)]
     out = []
     for leq in leqs:
         up = tuple(map(mask_of.__getitem__, leq))
-        parts = list(map(list.__getitem__, cells, up))
-        order = _Order(tuple(i for pairs, _ in parts for i in pairs), sum(key for _, key in parts))
-        out.append((leq, order, tuple(map(mask_of.__getitem__, zip(*leq))), up))
+        out.append((leq, sum(map(list.__getitem__, keys, up)),
+                    tuple(map(mask_of.__getitem__, zip(*leq))), up))
     return out
 
 
@@ -545,23 +539,19 @@ _compatible = operator.getitem
 @lru_cache(maxsize=None)
 def _relabelings(n: int, k: int) -> tuple:
     """Every relabeling (pi, rho) but the identity, pi the outer loop and
-    rho the inner one, each in `permutations` order, as (pi, reads,
-    moved): `reads[i]` is the position in the flat (g, a, b) key of the
-    cell whose value, mapped by pi, the relabeled key holds at position
-    i; `moved` is None when pi is the identity, else the mask bit that
-    pair a*n + b moves to, indexed by a*n + b."""
+    rho the inner one, each in `permutations` order, as (pi, reads):
+    `reads[i]` is the position in the flat (g, a, b) key of the cell
+    whose value, mapped by pi, the relabeled key holds at position i."""
     identity = tuple(range(n))
     out = []
     for pi in permutations(identity):
         inv = [0] * n
         for i, p in enumerate(pi):
             inv[p] = i
-        moved = None if pi == identity else tuple(
-            _pair_bit(n, pi[a], pi[b]) for a in range(n) for b in range(n))
         for rho in permutations(range(k)):
-            if moved is not None or rho != tuple(range(k)):
+            if pi != identity or rho != tuple(range(k)):
                 out.append((pi, tuple(r * n * n + ia * n + ib
-                                      for r in rho for ia in inv for ib in inv), moved))
+                                      for r in rho for ia in inv for ib in inv)))
     return tuple(out)
 
 
@@ -576,7 +566,7 @@ def _leader_plan(n: int, k: int) -> tuple:
     out = [None] * size
     for i in range(n - 1, size, n):
         cut = []
-        for pi, reads, _ in _relabelings(n, k):
+        for pi, reads in _relabelings(n, k):
             p = 0
             while p <= i and reads[p] <= i:
                 p += 1
@@ -606,27 +596,22 @@ def _leads(key: list, cut: tuple) -> bool:
     return True
 
 
-def _is_canonical(automorphisms: tuple | None, order: _Order) -> bool:
-    """True when (tables, order) is the least member of its isomorphism
+def _is_canonical(lists: list | None, keys: list, o: int) -> bool:
+    """True when (tables, order o) is the least member of its isomorphism
     class under carrier relabelings crossed with operation-label
-    relabelings; `automorphisms` is what `_associative_tables` gives
-    with the tables."""
-    if automorphisms is None:
+    relabelings.  `lists` is None on a table that is not least in its
+    orbit; on a least one it holds, per automorphism pi that
+    `_associative_tables` gives with it, the walk's list of pi: entry o
+    the index of the order that pi maps to o.  The automorphisms form a
+    group, so these are the images of o under every one of them, and
+    `keys` holds each order's key."""
+    if lists is None:
         return False
-    key = order.key
-    for moved in automorphisms:
-        if _image(moved, order) < key:
+    key = keys[o]
+    for lst in lists:
+        if keys[lst[o]] < key:
             return False
     return True
-
-
-def _image(moved: tuple, order: _Order) -> int:
-    """The key of `order` under a relabeling whose `moved` (see
-    `_relabelings`) gives the mask bit each pair a*n + b moves to."""
-    m = 0
-    for i in order.pairs:
-        m |= moved[i]
-    return m
 
 
 def _gamma_names(k: int) -> tuple[str, ...]:
@@ -635,7 +620,7 @@ def _gamma_names(k: int) -> tuple[str, ...]:
 
 def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[Structure]:
     """Walk the slice in a fixed deterministic order: tables in fill-order
-    lexicographic sequence, then orders in mask sequence.
+    lexicographic sequence, then orders in `partial_orders` list order.
 
     At most `limit` structures when it is given; 0 yields none and a
     negative limit is an InputError.
@@ -648,77 +633,80 @@ def _keyed_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[tupl
     under `dedup="labeled"`, key is the structure's isomorphism class key
     (see `_walk`); under iso, where every structure is its own class, it
     is None."""
+    if not isinstance(spec, EnumSpec):
+        raise InputError(f"spec must be an EnumSpec, got {spec!r}")
     if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)
                               or limit < 0):
         raise InputError(f"limit must be an integer >= 0, got {limit!r}")
     return islice(_walk(spec), limit)
 
 
-def _class_keys(c: int, flags: bytes, automorphisms: tuple, orders: list[_Order]) -> dict:
+def _class_keys(c: int, flags: bytes, lists: list, keys: list) -> dict:
     """Per order o that `flags` marks compatible, keyed by o, the class
     key (c, r) of the structure (L, order o), L the least table of orbit
-    c: r is the least order key among o and its images under L's
-    automorphisms, the images `_is_canonical` compares.  The images are
-    the order's class on L, so r names it."""
-    return {o: (c, min([order.key] + [_image(moved, order) for moved in automorphisms]))
-            for o, order in compress(enumerate(orders), flags)}
+    c: r is the least key among o's and those of its images under L's
+    automorphisms, read through `lists` as `_is_canonical` reads them.
+    The images are the order's class on L, so r names it."""
+    return {o: (c, min([keys[o]] + [keys[lst[o]] for lst in lists]))
+            for o in compress(range(len(flags)), flags)}
 
 
 def _walk(spec: EnumSpec) -> Iterator[tuple]:
     """The (structure, key) pairs of `_keyed_structures`.  Per orbit, the
     join (which skips `_requirements` when no order holds a pair a != b),
     as `_flags`, and, under labeled, `_class_keys` run on the least table
-    L alone.  Every table pi L reads them through `source`, per order p
-    the index of the order o of L with pi o = p (every order mode is
-    closed under relabeling): one list per carrier permutation pi, built
-    the first time pi comes.  Every order is tested by `_compatible` and,
-    under iso, every compatible one by `_is_canonical`, under `map` and
-    `compress` alone on a table pi L, which yields no structure.  The
-    first time an order yields a structure, its closure tables
-    (`core.down_table`, `core.up_table`) are built, in this walk and not
-    in `_order_layer`, and every structure on it gets them in its own
-    `_cache`."""
+    L alone.  Every table pi L reads them through the list of pi, per
+    order p the index of the order o of L with pi o = p (every order mode
+    is closed under relabeling), and L's automorphisms read theirs: one
+    list per carrier permutation, built the first time it comes from the
+    orders' up masks, each relabeled by pi^-1 the way
+    `_associative_tables` relabels a table.  Every order is tested by
+    `_compatible` and, under iso, every compatible one by `_is_canonical`,
+    under `map` and `compress` alone on a table pi L, which yields no
+    structure."""
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
     # the list through `partial_orders`, whose calls a tracer counts
     orders = _walk_orders(partial_orders(n, spec.orders), n)
     join = _order_layer(n, spec.orders)[1]
-    masks = [order for _, order, _, _ in orders]
-    # per order, (leq, order, down, up, its closure tables once built)
-    entries = [(*entry, {}) for entry in orders]
-    index = {order.key: p for p, order in enumerate(masks)}
+    entries = [(leq, down, up) for leq, _, down, up in orders]
+    keys = [key for _, key, _, _ in orders]
+    ups = [bytes(up) for _, _, _, up in orders]
+    index = {up: o for o, up in enumerate(ups)}
     ids = list(range(len(orders)))
-    moves = {pi: moved for pi, _, moved in _relabelings(n, k)}
-    sources = {None: ids, tuple(range(n)): ids}  # per carrier permutation
+    lists = {None: ids, tuple(range(n)): ids}  # per carrier permutation
+
+    def relabeled(pi: tuple) -> list:
+        # the up masks of pi^-1 p: element a's is pi^-1 of p's at pi(a)
+        lst = lists.get(pi)
+        if lst is None:
+            get = operator.itemgetter(*pi)
+            masks = bytes(_union_table(n, [1 << pi.index(a) for a in range(n)])).ljust(256, b"\0")
+            lst = lists[pi] = [index[bytes(get(up)).translate(masks)] for up in ups]
+        return lst
+
     kept = []  # per orbit c, the flags and class keys of its least table
     for tables, c, pi, automorphisms in _associative_tables(n, k, not iso):
         if pi is None:
             compatible = (_compatible_orders(join, _requirements(tables, n))
                           if join.holds else join.every)
             flags = _flags(compatible, len(ids))
-            kept.append((flags, None if iso else _class_keys(c, flags, automorphisms, masks)))
-        flags, keys = kept[c]
-        source = sources.get(pi)
-        if source is None:
-            source = sources[pi] = [0] * len(ids)
-            for o, order in enumerate(masks):
-                source[index[_image(moves[pi], order)]] = o
+            images = [relabeled(p) for p in automorphisms]
+            kept.append((flags, None if iso else _class_keys(c, flags, images, keys)))
+        flags, classes = kept[c]
+        source = relabeled(pi)
         # one `_compatible` call per order, and a loop over the hits alone
         tested = map(_compatible, repeat(flags), source)
         if iso and pi is not None:
             # each is False; the calls stay only because perfbench/golden.json counts them
-            deque(map(_is_canonical, repeat(None), compress(masks, tested)), 0)
+            deque(map(_is_canonical, repeat(None), repeat(keys), compress(source, tested)), 0)
             continue
         shared = {}  # the table-only results of every structure on this table
-        for (leq, order, down, up, closures), o in compress(zip(entries, source), tested):
-            if iso and not _is_canonical(automorphisms, order):
+        for (leq, down, up), o in compress(zip(entries, source), tested):
+            if iso and not _is_canonical(images, keys, o):
                 continue
-            if not closures:
-                closures[down_table] = _union_table(n, down)
-                closures[up_table] = _union_table(n, up)
-            s = Structure._unchecked(n, names, tables, leq, down, up, shared)
-            s._cache.update(closures)
-            yield s, None if iso else keys[o]
+            yield (Structure._unchecked(n, names, tables, leq, down, up, shared),
+                   None if iso else classes[o])
 
 
 # sampling

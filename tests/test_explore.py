@@ -131,6 +131,15 @@ def test_partial_order_counts():
         partial_orders(2, "chaotic")
 
 
+def test_partial_orders_reject_n_outside_0_to_6():
+    """n must be an int in 0..6, not a bool; 0 gives the one empty order.
+    The check comes before any build, so n = 7 starts none."""
+    for bad in (-1, 2.5, True, 7, "3"):
+        with pytest.raises(InputError, match="n must be an integer in 0..6"):
+            partial_orders(bad)
+    assert partial_orders(0) == ((),)
+
+
 def test_partial_order_count_n5():
     assert len(partial_orders(5)) == 4231  # OEIS A001035(5)
 
@@ -241,24 +250,19 @@ def test_iso_walk_decodes_no_table_outside_the_least_ones(monkeypatch):
 
 
 def test_walk_hands_each_structure_its_closure_tables():
-    """Every walked structure arrives with its order's closure tables in
-    its own `_cache`: they equal the tables built from its `down` / `up`,
-    one pair per order is shared by the structures on it, and no two
-    structures share the dict itself.  Every order mode of the n <= 3
-    slices, both dedup modes, and n4k1 iso."""
+    """Every walked structure's closure tables equal the tables built
+    from its `down` / `up`, and no two structures share the `_cache`
+    that holds them.  Every order mode of the n <= 3 slices, both dedup
+    modes, and n4k1 iso."""
     specs = [EnumSpec(n, k, orders, dedup) for n in (1, 2, 3) for k in (1, 2, 3)
              for orders in ("all", "trivial", "total") for dedup in ("labeled", "iso")]
     for spec in specs + [EnumSpec(4, 1, dedup="iso")]:
         walked = list(enumerate_structures(spec))
         assert walked, spec
         assert len({id(s._cache) for s in walked}) == len(walked), spec
-        per_order: dict[tuple, set] = {}
         for s in walked:
-            assert down_table in s._cache and up_table in s._cache, spec
             assert down_table(s) == _union_table(s.n, s.down), (spec, s.leq)
             assert up_table(s) == _union_table(s.n, s.up), (spec, s.leq)
-            per_order.setdefault(s.leq, set()).add((id(down_table(s)), id(up_table(s))))
-        assert all(len(ids) == 1 for ids in per_order.values()), spec
 
 
 def test_compatible_is_the_only_name_bound_to_getitem():
@@ -329,6 +333,20 @@ def test_enum_spec_validation():
                 dict(n=2, orders="sideways"), dict(n=2, dedup="maybe")):
         with pytest.raises(InputError):
             EnumSpec(**bad)
+
+
+def test_walk_rejects_a_spec_that_is_not_an_enum_spec():
+    """Only an `EnumSpec`, checked on construction, reaches the walk: a
+    plain tuple, or a look-alike object whose n is far beyond 6, is an
+    input error before anything is built."""
+    class LookAlike:
+        n, k, orders, dedup = 9, 1, "all", "labeled"
+
+    for bad in ((3, 1, "all", "labeled"), LookAlike()):
+        with pytest.raises(InputError, match="spec must be an EnumSpec"):
+            enumerate_structures(bad)
+        with pytest.raises(InputError, match="spec must be an EnumSpec"):
+            search(bad, "simple")
 
 
 def test_enum_spec_rejects_booleans():

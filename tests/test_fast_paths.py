@@ -374,16 +374,25 @@ def test_unmerged_stream_matches_merged_stream():
         assert sorted(decoded, key=repr) == sorted(merged, key=repr), (n, k)
 
 
-def ref_order(leq, n: int) -> explore._Order:
-    """The pairs a*n + b (a != b) of `leq` and their `_pair_bit`s ORed,
-    one cell at a time."""
+def ref_order(leq, n: int) -> tuple:
+    """(pairs, key): the pairs a*n + b (a != b) of `leq` and their
+    `_pair_bit`s ORed, one cell at a time."""
     pairs, key = [], 0
     for a in range(n):
         for b in range(n):
             if a != b and leq[a][b]:
                 pairs.append(a * n + b)
                 key |= explore._pair_bit(n, a, b)
-    return explore._Order(tuple(pairs), key)
+    return tuple(pairs), key
+
+
+def ref_relabel_order(leq, pi, n: int) -> tuple:
+    """The order pi leq: pi(a) <= pi(b) exactly when a <= b in `leq`."""
+    out = [[False] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[pi[a]][pi[b]] = leq[a][b]
+    return tuple(map(tuple, out))
 
 
 def ref_down_up(leq, n: int) -> tuple:
@@ -404,7 +413,7 @@ def ref_join(leqs, n: int) -> explore._Join:
     holds, every = {}, 0
     for o, leq in enumerate(leqs):
         every |= 1 << o
-        for i in ref_order(leq, n).pairs:
+        for i in ref_order(leq, n)[0]:
             holds[i] = holds.get(i, 0) | 1 << o
     held = tuple(sorted(holds.items()))
     return explore._Join(held, {1 << (n * n - 1 - i): mask for i, mask in held}, every)
@@ -412,15 +421,14 @@ def ref_join(leqs, n: int) -> explore._Join:
 
 def test_order_layer_matches_loops():
     """The join that `_order_layer` builds from the up masks in one pass,
-    and the pairs, key, down and up that the walk reads off its row
-    table, against the plain loops, on every order of every mode up to
-    n = 5."""
+    and the key, down and up that the walk reads off its row table,
+    against the plain loops, on every order of every mode up to n = 5."""
     for n in range(1, 6):
         for mode in ("all", "total", "trivial"):
             leqs, join = explore._order_layer(n, mode)
             assert join == ref_join(leqs, n), (n, mode)
             assert explore._walk_orders(leqs, n) == [
-                (leq, ref_order(leq, n), *ref_down_up(leq, n)) for leq in leqs], (n, mode)
+                (leq, ref_order(leq, n)[1], *ref_down_up(leq, n)) for leq in leqs], (n, mode)
 
 
 def _join_pairs(n: int, k: int, leqs: tuple):
@@ -605,11 +613,15 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
     """The compatibility join against the plain loop on every (table,
     order) pair, read as the walk reads it, `_compatible(flags, o)` on
     the mask's `_flags`: the walk's join over every order, its joins over
-    the total and the trivial orders, and a join over one order."""
+    the total and the trivial orders, and a join over one order.  The
+    canonical test reads, per automorphism pi, the list whose entry p is
+    the order o with pi o = p, and the order keys."""
     compatible = canonical = nontrivial = non_least = 0
     for n, k in SMALL_SLICES:
         leqs, join = explore._order_layer(n, "all")
         orders = [ref_order(leq, n) for leq in leqs]
+        keys = [key for _, key in orders]
+        index = {leq: o for o, leq in enumerate(leqs)}
         modes = [explore._order_layer(n, mode) for mode in ("total", "trivial")]
         for tables in _stream(n, k):
             req = explore._requirements(tables, n)
@@ -627,13 +639,21 @@ def test_compatible_and_canonical_match_loops_on_every_pair():
             automorphisms = ref_automorphisms(tables, n, k)
             non_least += automorphisms is None
             nontrivial += bool(automorphisms)
-            for o, (leq, order) in enumerate(zip(leqs, orders)):
+            lists = None
+            if automorphisms is not None:
+                lists = []
+                for pi in automorphisms:
+                    lst = [0] * len(leqs)
+                    for o, leq in enumerate(leqs):
+                        lst[index[ref_relabel_order(leq, pi, n)]] = o
+                    lists.append(lst)
+            for o, leq in enumerate(leqs):
                 ok = ref_compatible(tables, leq)
                 assert explore._compatible(flags, o) == ok
                 one = explore._compatible_orders(ref_join([leq], n), req)
                 assert explore._compatible(explore._flags(one, 1), 0) == ok
                 least = ref_is_canonical(tables, leq, n, k)
-                assert explore._is_canonical(automorphisms, order) == least, (tables, leq)
+                assert explore._is_canonical(lists, keys, o) == least, (tables, leq)
                 compatible += ok
                 canonical += ok and least
     # labeled and iso structure counts of the six slices
@@ -666,13 +686,12 @@ def test_orbit_stabilizer():
 
 
 def ref_automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
-    """None when some relabeling makes the tables smaller; otherwise, for
-    each distinct carrier permutation pi != id of an automorphism, in
-    `permutations` order, the mask bit that pair a*n + b moves to, indexed
-    by a*n + b.  One generator of relabeled cells per (pi, rho)."""
+    """None when some relabeling makes the tables smaller; otherwise the
+    distinct carrier permutations pi != id of the automorphisms, in
+    `permutations` order.  One generator of relabeled cells per (pi, rho)."""
     base = [x for t in tables for row in t for x in row]
     identity = tuple(range(n))
-    moves = {}
+    autos = []
     for pi in permutations(identity):
         inv = [0] * n
         for i, p in enumerate(pi):
@@ -686,10 +705,9 @@ def ref_automorphisms(tables: tuple, n: int, k: int) -> tuple | None:
                     break
             if diff < 0:
                 return None
-            if diff == 0 and pi != identity and pi not in moves:
-                moves[pi] = tuple(explore._pair_bit(n, pi[a], pi[b])
-                                  for a in range(n) for b in range(n))
-    return tuple(moves.values())
+            if diff == 0 and pi != identity and pi not in autos:
+                autos.append(pi)
+    return tuple(autos)
 
 
 def test_automorphisms_match_generator_form():
@@ -703,6 +721,28 @@ def test_automorphisms_match_generator_form():
         assert all((got is None) != least for got, _, least in results), (n, k)
         assert any(got is None for got, _, _ in results), (n, k)
         assert any(got for got, _, _ in results), (n, k)
+
+
+def test_automorphisms_form_a_group():
+    """On every least table, the carrier permutations the orbit stream
+    gives, with the identity, are closed under composition and inverse.
+    `_is_canonical` and `_class_keys` read, per automorphism pi, the
+    order that pi maps to each order, the image under pi^-1, so they see
+    the images under every automorphism only because this holds."""
+    for n, k in ((4, 1), (4, 2), (3, 3)):
+        identity = tuple(range(n))
+        nontrivial = 0
+        for _, _, pi, automorphisms in explore._associative_tables(n, k):
+            if pi is not None:
+                continue
+            group = {identity, *automorphisms}
+            assert len(group) == len(automorphisms) + 1, (n, k)
+            for p in group:
+                assert tuple(p.index(a) for a in range(n)) in group, (n, k, p)
+                for q in group:
+                    assert tuple(p[q[a]] for a in range(n)) in group, (n, k, p, q)
+            nontrivial += bool(automorphisms)
+        assert nontrivial, (n, k)
 
 
 def test_walk_structures_match_checked_construction():

@@ -86,12 +86,9 @@ Sampling reuses the same backtracking, in the same (g, a, b) cell order,
 with shuffled value order and a node budget, counted by the sampler's
 value iterators, not the fill: each value they hand it is a node.  The
 generator is seeded from (n, k, seed) so repeated calls agree byte for
-byte across runs and platforms.  The draw contract: every shuffle of
-range(n), one per depth the fill enters, is the permutation
-`Random.shuffle` gives, drawn with the same `getrandbits` calls
-(`_shuffler` makes them directly), so the values tried, the nodes counted
-and the generator state at every exhausted attempt are those of a loop
-that calls `rng.shuffle`; then one `rng.randrange` picks the order.
+byte across runs and platforms.  The draw contract: each depth the fill
+enters tries the values in the order `rng.shuffle(list(range(n)))`
+gives there; then one `rng.randrange` picks the order.
 
 A search expression combines the names of `analysis.PREDICATES` with !,
 &, | and parentheses.  Its grammar is Python's for ~, & and | over
@@ -103,7 +100,6 @@ from __future__ import annotations
 
 import ast
 import operator
-import os
 import random
 import warnings
 from collections import deque, namedtuple
@@ -715,31 +711,6 @@ _NODE_BUDGET = 25_000
 _ATTEMPTS = 40
 
 
-def _shuffler(rng: random.Random, n: int) -> Callable[[], list[int]]:
-    """A function returning a new shuffle of range(n) at each call, the
-    one `rng.shuffle(list(range(n)))` would give, from the same draws.
-
-    CPython's `Random.shuffle` swaps position i with j = `_randbelow(i + 1)`
-    for i from n - 1 down to 1, and `_randbelow(m)` draws
-    `getrandbits(m.bit_length())` until the draw is below m; this makes
-    those `getrandbits` calls itself and skips the per-swap method calls.
-    """
-    getrandbits = rng.getrandbits
-    base = list(range(n))
-    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-
-    def shuffled() -> list[int]:
-        vals = base[:]
-        for i, bits in steps:
-            j = getrandbits(bits)
-            while j > i:
-                j = getrandbits(bits)
-            vals[i], vals[j] = vals[j], vals[i]
-        return vals
-
-    return shuffled
-
-
 def _random_tables(n: int, k: int, rng: random.Random) -> tuple:
     """Randomized fill with restarts.
 
@@ -748,13 +719,16 @@ def _random_tables(n: int, k: int, rng: random.Random) -> tuple:
     `_NODE_BUDGET` nodes and a fresh shuffle; the median attempt finishes
     in well under a thousand nodes.  Both are read at call time.  Each
     depth the fill enters tries the values in the order of a fresh
-    `_shuffler` draw, the permutation and RNG state that
-    `rng.shuffle(list(range(n)))` would give there.  Every depth's values
-    pass through `compress` against the attempt's one `repeat` budget, a
-    unit per value handed to the fill: once it is spent, no depth gets a
-    value, so the fill unwinds without a draw and yields nothing.
+    `rng.shuffle` of range(n).  Every depth's values pass through
+    `compress` against the attempt's one `repeat` budget, a unit per value
+    handed to the fill: once it is spent, no depth gets a value, so the
+    fill unwinds without a draw and yields nothing.
     """
-    shuffled = _shuffler(rng, n)
+    def shuffled() -> list[int]:
+        values = list(range(n))
+        rng.shuffle(values)
+        return values
+
     nodes, attempts = _NODE_BUDGET, _ATTEMPTS
     for _ in range(attempts):
         budget = repeat(True, nodes)
@@ -779,20 +753,18 @@ def _random_order(tables: tuple, n: int, rng: random.Random) -> tuple:
 def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure:
     """One pseudo-random validated structure, fully determined by (n, k, seed).
 
-    The default seed comes from the GPW_SEED environment variable when it
-    is set, else 0.  The tables come from a seeded randomized fill, not
-    uniform over the slice; the order is uniform over the partial orders
-    the drawn tables respect.  n is 1..6, as in `EnumSpec`: the first draw
-    at n builds every partial order and their join (`_order_layer`), about
-    0.02 s at n = 5 and 0.4-0.9 s at 6 on a 2-vCPU VM.
+    An omitted or None seed is 0.  The tables come from a seeded
+    randomized fill, not uniform over the slice; the order is uniform over
+    the partial orders the drawn tables respect.  n is 1..6 and k is 1..3,
+    as in `EnumSpec`: the first draw at n builds every partial order and
+    their join (`_order_layer`), about 0.02 s at n = 5 and 0.4-0.9 s at 6
+    on a 2-vCPU VM, and the fill plan (`_fill_plan`) grows as k^2 n^3.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 6:
         raise InputError("n must be a positive integer, at most 6")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InputError("k must be a positive integer")
-    if seed is None:
-        seed = os.environ.get("GPW_SEED", "0")
-    rng = random.Random(f"{n}:{k}:{seed}")
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 3:
+        raise InputError("k must be a positive integer, at most 3")
+    rng = random.Random(f"{n}:{k}:{0 if seed is None else seed}")
     tables = _random_tables(n, k, rng)
     leq = _random_order(tables, n, rng)
     s = Structure(n, _gamma_names(k), tables, leq)

@@ -86,6 +86,8 @@ def loads(text: str) -> Structure:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deep") from None
     return from_obj(obj)
 
 
@@ -97,7 +99,11 @@ def dump(s: Structure, path) -> None:
 
 def load(path) -> Structure:
     with open(path, "r", encoding="utf-8") as f:
-        return loads(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return loads(text)
 
 
 def digest(s: Structure) -> str:

@@ -88,6 +88,18 @@ def test_validate_malformed_json(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("command", ["validate", "analyze", "check"])
+def test_unreadable_structure_file_is_an_input_error(capsys, tmp_path, command, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    code, out, err = _run(capsys, [command, str(p)])
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+
+
 # analyze
 
 def test_analyze_report(capsys, min_sl, min_sl_path):

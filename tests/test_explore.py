@@ -406,18 +406,19 @@ def test_random_structure_deterministic():
     assert validate(a).ok
 
 
-def test_random_structure_seed_env(monkeypatch):
+def test_random_structure_reads_no_environment(monkeypatch):
+    """An omitted or None seed is 0, whatever the environment holds."""
     monkeypatch.setenv("GPW_SEED", "7")
-    assert to_obj(random_structure(3, 1)) == to_obj(random_structure(3, 1, seed=7))
-    monkeypatch.delenv("GPW_SEED")
-    assert to_obj(random_structure(3, 1)) == to_obj(random_structure(3, 1, seed=0))
+    expected = to_obj(random_structure(3, 1, seed=0))
+    assert to_obj(random_structure(3, 1)) == expected
+    assert to_obj(random_structure(3, 1, seed=None)) == expected
+    assert to_obj(random_structure(3, 1, seed=7)) != expected
 
 
 # SHA-256 of dumps(random_structure(n, k, seed)) for seeds 0..9, recorded
 # when the order draw became one uniform pick from the compatibility join
 # (the tables, pinned apart below, did not move); they hold on every
-# CPython whose Random.shuffle makes the draws that `explore._shuffler`
-# replays and whose Random.randrange draws as today
+# CPython whose Random.shuffle and Random.randrange draw as today
 SAMPLED_DIGESTS = {
     (3, 1): (
         "7c4764cbdec2fa742f7b41aa718a711fadd81f8238fc1d50259e4b6fdc6f606e",
@@ -517,6 +518,19 @@ def test_random_structure_n_outside_1_to_6(monkeypatch):
             random_structure(n, 1)
     with pytest.raises(AssertionError, match="_order_layer called"):
         random_structure(2, 1)  # the sampler's orders come from there
+
+
+def test_random_structure_k_outside_1_to_3(monkeypatch):
+    """The fill plan grows as k^2 n^3: k outside 1..3 is an input error
+    before any plan is built."""
+    def fail(*args):
+        raise AssertionError("_fill_plan called")
+    monkeypatch.setattr(explore, "_fill_plan", fail)
+    for k in (4, 0):
+        with pytest.raises(InputError, match="at most 3"):
+            random_structure(2, k)
+    with pytest.raises(AssertionError, match="_fill_plan called"):
+        random_structure(2, 1)  # the sampler's fill reads its plan there
 
 
 def test_random_structure_seeds_spread():

@@ -938,21 +938,6 @@ def test_sampler_budget_matches_plain_loops(monkeypatch):
     assert any(outcomes) and not all(outcomes)
 
 
-def test_shuffler_replays_random_shuffle():
-    """The sampler's draw is `Random.shuffle` of range(n): the same
-    permutation, and the generator left in the same state."""
-    for n in range(1, 9):
-        for seed in range(200):
-            rng, ref = random.Random(seed), random.Random(seed)
-            expected = list(range(n))
-            ref.shuffle(expected)
-            assert explore._shuffler(rng, n)() == expected, (n, seed)
-            assert rng.getstate() == ref.getstate(), (n, seed)
-    rng = random.Random(0)
-    explore._shuffler(rng, 1)()
-    assert rng.getstate() == random.Random(0).getstate()  # n = 1 draws nothing
-
-
 def test_sampler_makes_as_many_cell_checks_as_plain_loops(monkeypatch):
     """Equal check counts on the seeds of test_sampler_matches_plain_loops:
     the sampler walks the plain loops' search tree, not only its output."""

@@ -125,6 +125,13 @@ def test_loads_rejects_non_json():
         loads('["a", "list"]')
 
 
+def test_loads_rejects_deep_nesting():
+    """json.loads raises RecursionError on deep nesting; a file can hold
+    that, so it is an input error like any other bad JSON."""
+    with pytest.raises(InputError, match="nested too deep"):
+        loads("[" * 100_000)
+
+
 def test_load_file(tmp_path, min_sl):
     p = tmp_path / "s.json"
     p.write_text(dumps(min_sl), encoding="utf-8")

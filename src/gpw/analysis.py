@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from .core import (InputError, PreconditionError, Structure, Subset, _owned,
                    _unchecked_subset, down_table, downset_bits, per_structure, per_table,
                    product_bits, subset_masks)
-from .ideals import (IdealKind, _absorbing, _absorbing_set, _all_ideal_bits, _kind, _prime_bits,
+from .ideals import (IdealKind, _absorbing, _all_ideal_bits, _first_ideal, _kind, _prime_bits,
                      _semiprime_bits, _weakly_prime_bits, _word_products, ideals_form_chain)
 from .relations import Partition, _chain_failure, _semilattice_labels, relation_partition
 
@@ -105,7 +105,7 @@ def is_right_duo(s: Structure) -> bool:
 
 @per_structure
 def _duo(s: Structure, kind: IdealKind) -> bool:
-    two = _absorbing_set(s, IdealKind.TWO_SIDED, s.full)
+    two = _absorbing(s, IdealKind.TWO_SIDED, s.full)
     return all(b in two for b in _all_ideal_bits(s, kind))
 
 
@@ -130,7 +130,7 @@ def all_subsemigroups(s: Structure) -> list[Subset]:
 
 def _relative_ideal_bits(s: Structure, tbits: int, abits: int, kind: IdealKind) -> bool:
     # downward closure relative to T under the ambient order
-    return (abits in _absorbing_set(s, kind, tbits)
+    return (abits in _absorbing(s, kind, tbits)
             and not downset_bits(s, abits) & tbits & ~abits)
 
 
@@ -283,10 +283,6 @@ def maximal_simple_subsemigroups(s: Structure) -> list[Subset]:
     return [_unchecked_subset(s, m) for m in reversed(found)]
 
 
-def _all_ideals_hold(s: Structure, test: Callable[[Structure, int], bool]) -> bool:
-    return all(test(s, b) for b in _all_ideal_bits(s, IdealKind.TWO_SIDED))
-
-
 PREDICATES: dict[str, Callable[[Structure], bool]] = {
     "intra_regular": is_intra_regular,
     "intra_regular_legacy": is_intra_regular_legacy,
@@ -295,9 +291,9 @@ PREDICATES: dict[str, Callable[[Structure], bool]] = {
     "left_duo": is_left_duo,
     "right_duo": is_right_duo,
     "ideals_chain": lambda s: ideals_form_chain(s, IdealKind.TWO_SIDED),
-    "ideals_prime": lambda s: _all_ideals_hold(s, _prime_bits),
-    "ideals_semiprime": lambda s: _all_ideals_hold(s, _semiprime_bits),
-    "ideals_weakly_prime": lambda s: _all_ideals_hold(s, _weakly_prime_bits),
+    "ideals_prime": lambda s: _first_ideal(s, _prime_bits) is None,
+    "ideals_semiprime": lambda s: _first_ideal(s, _semiprime_bits) is None,
+    "ideals_weakly_prime": lambda s: _first_ideal(s, _weakly_prime_bits) is None,
     "semilattice_of_simple": lambda s: decompose(s).is_semilattice_of_simple,
     "chain_of_simple": lambda s: decompose(s).is_chain_of_simple,
     "simple": lambda s: _simple_bits(s, s.full, IdealKind.TWO_SIDED),

@@ -22,8 +22,10 @@ command imports the rest when it runs, so `gpw --version` loads no other
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import reprlib
 import sys
 import time
 from collections import deque
@@ -217,10 +219,10 @@ def _parse_theorems(text: str) -> tuple[str, ...]:
         raise InputError("no theorem ids given")
     for i, tid in enumerate(wanted):
         if tid not in THEOREM_IDS:
-            raise InputError(f"unknown theorem id {tid!r}; known: "
+            raise InputError(f"unknown theorem id {reprlib.repr(tid)}; known: "
                              + ", ".join(THEOREM_IDS))
         if tid in wanted[:i]:
-            raise InputError(f"theorem id {tid!r} given more than once")
+            raise InputError(f"theorem id {reprlib.repr(tid)} given more than once")
     return wanted
 
 
@@ -429,8 +431,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        if args.out == "":  # before the command runs; `_emit` reads "" as stdout
+        # before a command that may take minutes; the last two raise what its write would
+        if args.out == "":  # `_emit` reads "" as stdout
             raise InputError("--out needs a file name")
+        if args.out and os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         sections, code, structure_digest = args.fn(args)
         timings = {"total_s": round(time.perf_counter() - t0, 6)}
         _emit(_report(args.command, sections, timings, structure_digest), args)

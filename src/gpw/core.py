@@ -51,6 +51,7 @@ arrives empty.
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache, update_wrapper
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -108,25 +109,26 @@ class Structure:
     def __init__(self, n: int, gamma_names: Sequence[str],
                  tables: Sequence, leq: Sequence) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InputError(f"carrier size must be an integer >= 1, got {n!r}")
+            raise InputError(f"carrier size must be an integer >= 1, got {reprlib.repr(n)}")
         names = tuple(gamma_names)
         if not names:
             raise InputError("at least one operation label is required")
         for g in names:
             if not isinstance(g, str):
-                raise InputError(f"operation labels must be strings, got {g!r}")
+                raise InputError(f"operation labels must be strings, got {reprlib.repr(g)}")
         if len(set(names)) != len(names):
-            raise InputError(f"duplicate operation labels in {names!r}")
+            raise InputError(f"duplicate operation labels in {reprlib.repr(names)}")
         tabs = tuple(tuple(tuple(row) for row in t) for t in tables)
         if len(tabs) != len(names):
             raise InputError(f"expected {len(names)} tables, got {len(tabs)}")
         for g, t in zip(names, tabs):
             if len(t) != n or any(len(row) != n for row in t):
-                raise InputError(f"table {g!r} is not {n}x{n}")
+                raise InputError(f"table {reprlib.repr(g)} is not {n}x{n}")
             for row in t:
                 for v in row:
                     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                        raise InputError(f"table {g!r} has entry {v!r} outside 0..{n - 1}")
+                        raise InputError(f"table {reprlib.repr(g)} has entry "
+                                         f"{reprlib.repr(v)} outside 0..{n - 1}")
         order = tuple(tuple(bool(x) for x in row) for row in leq)
         if len(order) != n or any(len(row) != n for row in order):
             raise InputError(f"order matrix is not {n}x{n}")

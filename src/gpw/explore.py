@@ -43,9 +43,8 @@ respects the order on both sides.
 Every (table, order) pair is tested, but the work that depends on the
 table alone is done once per orbit, on its least table, the order list
 and its join once per (n, order mode) in a process (`_order_layer`), and
-each order's key and `down` / `up` masks once per walk
-(`_walk_orders`).  The orders share their rows (63 distinct ones among
-the 130,023 orders at n = 6).  The structures of one table share one
+each order's key and `down` / `up` masks (`core._down_up`, as in
+`Structure`) once per walk.  The structures of one table share one
 `core.table_cache` dict, so the checks compute their table-only results
 once per table.  A structure is built by `core.Structure._unchecked`,
 without the shape checks of `Structure(...)`, which the fill and the
@@ -101,15 +100,16 @@ from __future__ import annotations
 import ast
 import operator
 import random
+import reprlib
 import warnings
 from collections import deque, namedtuple
 from functools import lru_cache
-from itertools import compress, islice, permutations, repeat
+from itertools import chain, compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import PREDICATES
-from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _union_table,
-                   bit_indices, validate)
+from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _down_up,
+                   _union_table, bit_indices, validate)
 
 
 class SamplingBudgetError(RuntimeError):
@@ -435,23 +435,6 @@ def _pair_bit(n: int, a: int, b: int) -> int:
     return 1 << (n * n - 1 - a * n - b)
 
 
-def _walk_orders(leqs: tuple, n: int) -> list[tuple]:
-    """Per order of `leqs`, (leq, key, down, up), the parts only the walk
-    reads: key is the OR of the `_pair_bit`s of its pairs a != b, so keys
-    compare as the orders' row-major 0/1 keys do.  Each row and column of
-    `leq` is a `_rows` entry, so its mask is one lookup, and the key part
-    of row a with mask u is entry [a][u] of `keys`."""
-    mask_of = {row: u for u, row in enumerate(_rows(n))}
-    bit = _pair_bits(n)
-    keys = [[sum(bit[a][b] for b in bit_indices(u)) for u in range(1 << n)] for a in range(n)]
-    out = []
-    for leq in leqs:
-        up = tuple(map(mask_of.__getitem__, leq))
-        out.append((leq, sum(map(list.__getitem__, keys, up)),
-                    tuple(map(mask_of.__getitem__, zip(*leq))), up))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     """`_pair_bit(n, a, b)` at [a][b] for a != b, 0 on the diagonal: every
@@ -663,13 +646,14 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
     names = _gamma_names(k)
     # the list through `partial_orders`, whose calls a tracer counts
-    orders = _walk_orders(partial_orders(n, spec.orders), n)
+    leqs = partial_orders(n, spec.orders)
     join = _order_layer(n, spec.orders)[1]
-    entries = [(leq, down, up) for leq, _, down, up in orders]
-    keys = [key for _, key, _, _ in orders]
-    ups = [bytes(up) for _, _, _, up in orders]
+    entries = [(leq, *_down_up(leq, n)) for leq in leqs]
+    bits = list(chain.from_iterable(_pair_bits(n)))
+    keys = [sum(compress(bits, chain.from_iterable(leq))) for leq in leqs]
+    ups = [bytes(up) for _, _, up in entries]
     index = {up: o for o, up in enumerate(ups)}
-    ids = list(range(len(orders)))
+    ids = list(range(len(leqs)))
     lists = {None: ids, tuple(range(n)): ids}  # per carrier permutation
 
     def relabeled(pi: tuple) -> list:
@@ -777,7 +761,8 @@ def random_structure(n: int, k: int, seed: int | str | None = None) -> Structure
 # the search expression language
 
 def _unknown(name: str) -> InputError:
-    return InputError(f"unknown predicate {name!r}; known: " + ", ".join(sorted(PREDICATES)))
+    return InputError(f"unknown predicate {reprlib.repr(name)}; known: "
+                      + ", ".join(sorted(PREDICATES)))
 
 
 @_value
@@ -841,7 +826,7 @@ def parse_expr(text: str) -> Expr:
                 else:
                     todo += [(e, True), (e.right, False), (e.left, False)]
             else:
-                raise InputError(f"malformed expression {text!r}")
+                raise InputError(f"malformed expression {reprlib.repr(text)}")
         return built[0]
 
     try:
@@ -851,7 +836,7 @@ def parse_expr(text: str) -> Expr:
             tree = ast.parse(" ".join(text.split()).replace("!", "~"), mode="eval")
         return build(tree.body)
     except (SyntaxError, RecursionError, MemoryError):  # the last two: nested too deep
-        raise InputError(f"malformed expression {text!r}") from None
+        raise InputError(f"malformed expression {reprlib.repr(text)}") from None
 
 
 def eval_expr(s: Structure, expr: Expr) -> bool:
@@ -864,7 +849,7 @@ def eval_expr(s: Structure, expr: Expr) -> bool:
     while True:
         while not isinstance(node, Pred):
             if not isinstance(node, (Not, And, Or)):
-                raise InputError(f"not an expression node: {node!r}")
+                raise InputError(f"not an expression node: {reprlib.repr(node)}")
             waiting.append((node, False))
             node = node.arg if isinstance(node, Not) else node.left
         fn = PREDICATES.get(node.name)

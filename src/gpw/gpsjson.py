@@ -12,6 +12,7 @@ structures serialize to identical bytes; `digest` hashes that form.
 from __future__ import annotations
 
 import json
+import reprlib
 
 from .core import InputError, Structure, _order_closure
 
@@ -39,10 +40,10 @@ def from_obj(obj) -> Structure:
         raise InputError(f"missing keys: {sorted(missing)}")
     extra = set(obj) - _KEYS
     if extra:
-        raise InputError(f"unknown keys: {sorted(extra)}")
+        raise InputError(f"unknown keys: {reprlib.repr(sorted(extra))}")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"n must be an integer >= 1, got {n!r}")
+        raise InputError(f"n must be an integer >= 1, got {reprlib.repr(n)}")
     gamma = obj["gamma"]
     if not isinstance(gamma, list) or not gamma or not all(isinstance(g, str) for g in gamma):
         raise InputError("gamma must be a nonempty list of labels")
@@ -56,7 +57,7 @@ def from_obj(obj) -> Structure:
         # before the order closure, which costs n^2 memory and n^3 time
         if (not isinstance(t, list) or len(t) != n
                 or any(not isinstance(row, list) or len(row) != n for row in t)):
-            raise InputError(f"table {g!r} is not {n}x{n}")
+            raise InputError(f"table {reprlib.repr(g)} is not {n}x{n}")
 
     leq_pairs = obj["leq"]
     if not isinstance(leq_pairs, list):
@@ -64,10 +65,10 @@ def from_obj(obj) -> Structure:
     for p in leq_pairs:
         if (not isinstance(p, list) or len(p) != 2
                 or any(not isinstance(x, int) or isinstance(x, bool) for x in p)):
-            raise InputError(f"leq entry {p!r} is not a pair of integers")
+            raise InputError(f"leq entry {reprlib.repr(p)} is not a pair of integers")
         a, b = p
         if not (0 <= a < n and 0 <= b < n):
-            raise InputError(f"leq pair {p!r} outside 0..{n - 1}")
+            raise InputError(f"leq pair {reprlib.repr(p)} outside 0..{n - 1}")
     rel = _order_closure(n, leq_pairs)
     for a in range(n):
         for b in range(a + 1, n):

@@ -32,9 +32,10 @@ from .analysis import (_simple_bits, _subsemigroup_masks, decompose,
                        maximal_simple_subsemigroups)
 from .core import (InputError, Structure, bit_indices, down_table, downset_bits,
                    per_structure, per_table, product_bits, subset_masks)
-from .ideals import (IdealKind, _absorbing_set, _all_ideal_bits, _chain_break_bits,
-                     _element_closures, _filter_gens, _prime_bits, _principals,
-                     _semiprime_bits, _weakly_prime_bits, ideals_form_chain)
+from .ideals import (IdealKind, _absorbing, _all_ideal_bits, _chain_break_bits,
+                     _element_closures, _filter_gens, _first_ideal, _idempotent_bits,
+                     _prime_bits, _principals, _semiprime_bits, _weakly_prime_bits,
+                     ideals_form_chain)
 from .relations import _block_masks, _semilattice_classes, relation_partition
 
 
@@ -110,15 +111,6 @@ def _product_cells(s: Structure) -> list[tuple[int, int, int, int, int]]:
             for x in elems for y in elems for g, t in enumerate(s.tables)]
 
 
-def _first_ideal(s: Structure, bad) -> int | None:
-    """The first two-sided ideal, in enumeration order, that `bad` flags."""
-    return next((b for b in _all_ideal_bits(s, IdealKind.TWO_SIDED) if bad(b)), None)
-
-
-def _closed_square(s: Structure, bits: int) -> int:
-    return downset_bits(s, product_bits(s, bits, bits))
-
-
 def _exists_semilattice_all_simple(s: Structure, kind: IdealKind, chain: bool) -> bool:
     """Some semilattice congruence, passing the chain condition too when
     `chain`, has blocks that are all simple subsemigroups of the kind."""
@@ -142,7 +134,7 @@ def _faces(s: Structure, side: str, tag: str, first: bool) -> dict:
     masks = _block_masks(pn.class_of)
     dec = decompose(s)
     ideals = _all_ideal_bits(s, kind)
-    two = _absorbing_set(s, IdealKind.TWO_SIDED, s.full)
+    two = _absorbing(s, IdealKind.TWO_SIDED, s.full)
     simple = all(v.is_subsemigroup and _simple_bits(s, m, kind)
                  for m, v in zip(masks, dec.class_verdicts))
     c = {
@@ -260,7 +252,7 @@ def check_lemma4(s: Structure) -> TheoremVerdict:
 def check_lemma5(s: Structure) -> TheoremVerdict:
     """Intra-regularity holds exactly when every two-sided ideal is semiprime."""
     fail = intra_regular_failure(s)
-    bad = _first_ideal(s, lambda b: not _semiprime_bits(s, b))
+    bad = _first_ideal(s, _semiprime_bits)
     return _equivalence(
         "Lemma5", {"intra_regular": fail is None, "two_sided_ideals_semiprime": bad is None},
         lambda: _ideal_witness(bad) or _intra_witness(fail))
@@ -278,7 +270,7 @@ def check_lemma6(s: Structure) -> TheoremVerdict:
     # per face, its first element whose closure is not a down-closed member
     # of the kind's absorbing masks, or n when it holds
     bad = [next((a for a, b in enumerate(closed) if down[b] != b or b not in absorbing), s.n)
-           for _, closed, kind in faces for absorbing in [_absorbing_set(s, kind, s.full)]]
+           for _, closed, kind in faces for absorbing in [_absorbing(s, kind, s.full)]]
     a = min(bad)
     return _implication(
         "Lemma6", None, {face[0]: e == s.n for face, e in zip(faces, bad)},
@@ -294,7 +286,7 @@ def check_theorem8(s: Structure) -> TheoremVerdict:
 def check_lemma9(s: Structure) -> TheoremVerdict:
     """All two-sided ideals idempotent iff intersections equal closed products."""
     ideals = _all_ideal_bits(s, IdealKind.TWO_SIDED)
-    not_idem = _first_ideal(s, lambda b: b != _closed_square(s, b))
+    not_idem = _first_ideal(s, _idempotent_bits)
     pair = next(((a, b) for a in ideals for b in ideals
                  if (a & b) != downset_bits(s, product_bits(s, a, b))), None)
     return _equivalence(
@@ -305,8 +297,8 @@ def check_lemma9(s: Structure) -> TheoremVerdict:
 
 def check_theorem10(s: Structure) -> TheoremVerdict:
     """Every ideal weakly prime iff every ideal idempotent and a chain."""
-    not_weak = _first_ideal(s, lambda b: not _weakly_prime_bits(s, b))
-    not_idem = _first_ideal(s, lambda b: b != _closed_square(s, b))
+    not_weak = _first_ideal(s, _weakly_prime_bits)
+    not_idem = _first_ideal(s, _idempotent_bits)
     pair = _chain_break_bits(s, IdealKind.TWO_SIDED)
     return _equivalence(
         "Thm10", {"ideals_weakly_prime": not_weak is None,
@@ -349,7 +341,7 @@ def check_lemma12(s: Structure) -> TheoremVerdict:
 
 def check_theorem13(s: Structure) -> TheoremVerdict:
     """Every ideal prime iff the ideals chain and the structure is intra-regular."""
-    not_prime = _first_ideal(s, lambda b: not _prime_bits(s, b))
+    not_prime = _first_ideal(s, _prime_bits)
     pair = _chain_break_bits(s, IdealKind.TWO_SIDED)
     fail = intra_regular_failure(s) if pair is None else None
     return _equivalence(
@@ -398,9 +390,9 @@ def check_lemma17(s: Structure) -> TheoremVerdict:
 
 
 @per_table
-def _subsemigroup_ideals(s: Structure) -> tuple[tuple[int, tuple[int, ...], frozenset[int]], ...]:
+def _subsemigroup_ideals(s: Structure) -> tuple[tuple[int, tuple[int, ...], dict[int, None]], ...]:
     """Each subsemigroup, its members, and the masks absorbing it on both sides."""
-    return tuple((tb, tuple(bit_indices(tb)), _absorbing_set(s, IdealKind.TWO_SIDED, tb))
+    return tuple((tb, tuple(bit_indices(tb)), _absorbing(s, IdealKind.TWO_SIDED, tb))
                  for tb in _subsemigroup_masks(s))
 
 

@@ -11,16 +11,17 @@ and again are built once per structure as n-entry lists, on first use
 and the generated filters (`_filter_gens`).  Their product halves read
 the tables alone and are built once per table (`core.per_table`), as
 are the masks that absorb products on an ideal kind's sides, in the
-carrier or in a subsemigroup (`_absorbing`, as a set `_absorbing_set`);
-a structure only applies its own order to them.  Weak primeness reads
-the tables and the two-sided ideals alone, so it is kept once per table
-and ideal family (`_weakly_prime_among`).  The closures close the set
-products of the words "Mx", "xM" and "MxM" (`_word_products`); against
-the order's up masks, `analysis` reads them at x g x for its pinned
-regularity forms, and "Mxx", "xxM" and "MxxM" at x for the legacy ones.
-Primeness and semiprimeness of a mask T are one lookup each: the set
-product of T's complement with itself, and the squares of the
-complement's members (`_square_table`, once per table), must miss T.
+carrier or in a subsemigroup (`_absorbing`, one dict, in order and a
+membership test); a structure only applies its own order to them.  Weak
+primeness reads the tables and the two-sided ideals alone, so it is
+kept once per table and ideal family (`_weakly_prime_among`).  The
+closures close the set products of the words "Mx", "xM" and "MxM"
+(`_word_products`); against the order's up masks, `analysis` reads them
+at x g x for its pinned regularity forms, and "Mxx", "xxM" and "MxxM"
+at x for the legacy ones.  Primeness and semiprimeness of a mask T are
+one lookup each: the set product of T's complement with itself, and the
+squares of the complement's members (`_square_table`, once per table),
+must miss T.
 
 An `IdealKind` enters memo keys, so it hashes by identity: an Enum's own
 hash is a Python-level call.  The hot tests compare against module-level
@@ -124,19 +125,12 @@ def _all_ideal_bits(s: Structure, kind: IdealKind) -> tuple[int, ...]:
 
 
 @per_table
-def _absorbing(s: Structure, kind: IdealKind, tbits: int) -> tuple[int, ...]:
+def _absorbing(s: Structure, kind: IdealKind, tbits: int) -> dict[int, None]:
     """The nonempty submasks A of T in `subset_masks` order that absorb T
-    on the kind's sides: the ideals of the kind, and the relative ideals
-    of a subsemigroup T, before the order has its say."""
-    return tuple(a for a in subset_masks(tbits) if _absorbs(s, tbits, a, kind))
-
-
-@per_table
-def _absorbing_set(s: Structure, kind: IdealKind, tbits: int) -> frozenset[int]:
-    """`_absorbing(s, kind, T)` as a set: a nonempty mask of T is an
+    on the kind's sides, as the keys of a dict: a nonempty mask of T is an
     ideal of the kind, or a relative ideal of the subsemigroup T, exactly
     when it is a member and is down-closed (in T)."""
-    return frozenset(_absorbing(s, kind, tbits))
+    return dict.fromkeys(a for a in subset_masks(tbits) if _absorbs(s, tbits, a, kind))
 
 
 def all_ideals(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> list[Subset]:
@@ -259,10 +253,18 @@ def is_weakly_prime(s: Structure, t: Subset) -> bool:
     return _weakly_prime_bits(s, tbits)
 
 
+def _idempotent_bits(s: Structure, bits: int) -> bool:
+    return bits == downset_bits(s, product_bits(s, bits, bits))
+
+
 def is_idempotent_subset(s: Structure, a: Subset) -> bool:
     """A equals the downward closure of A*A."""
-    bits = _owned(s, a)
-    return bits == downset_bits(s, product_bits(s, bits, bits))
+    return _idempotent_bits(s, _owned(s, a))
+
+
+def _first_ideal(s: Structure, test) -> int | None:
+    """The first two-sided ideal, in enumeration order, failing `test(s, b)`, or None."""
+    return next((b for b in _all_ideal_bits(s, _TWO_SIDED) if not test(s, b)), None)
 
 
 def ideals_form_chain(s: Structure, kind: IdealKind = IdealKind.TWO_SIDED) -> bool:

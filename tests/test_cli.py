@@ -186,6 +186,20 @@ def test_empty_out_is_an_input_error(capsys, min_sl_path):
         assert (code, out, err) == (2, "", "error: --out needs a file name\n"), argv
 
 
+def test_unwritable_out_fails_before_the_command_runs(capsys, tmp_path, monkeypatch):
+    """An --out in a missing directory, or naming a directory, exits 2
+    with the error that names the given path before the campaign runs,
+    which at n5k1 takes minutes."""
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_campaign", never)
+    for target in (str(tmp_path / "missing" / "report.json"), str(tmp_path)):
+        code, out, err = _run(capsys, ["campaign", "--n", "5", "--dedup", "iso", "--out", target])
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {target!r}\n"), err
+
+
 # check
 
 def test_check_all(capsys, min_sl_path):
@@ -209,6 +223,22 @@ def test_check_unknown_theorem(capsys, min_sl_path):
     code, _, err = _run(capsys, ["check", "--theorems", "Thm99", min_sl_path])
     assert code == 2
     assert "unknown theorem id" in err
+
+
+def test_input_error_lines_stay_short(capsys, min_sl_path, tmp_path):
+    """A huge value on the command line or in a file is quoted shortened:
+    the one `error:` line stays under 300 bytes."""
+    long = "q" * 100_000
+    bad_n = tmp_path / "bad_n.json"
+    bad_n.write_text(json.dumps({"n": long, "gamma": ["g0"], "ops": {"g0": [[0]]}, "leq": []}))
+    for argv in (["check", "--theorems", long, min_sl_path],
+                 ["check", "--theorems", f"{long},{long}", min_sl_path],
+                 ["validate", str(bad_n)], ["analyze", str(bad_n)],
+                 ["search", "--n", "2", "--expr", "simple & (" * 18_000],
+                 ["search", "--n", "2", "--expr", long]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv[:2]
+        assert len(err.encode()) < 300, argv[:2]
 
 
 @pytest.mark.parametrize("command", ["check", "campaign"])

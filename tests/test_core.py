@@ -39,6 +39,22 @@ def test_structure_shape_errors():
         Structure(2, ("g0", "g1"), good_t, good_leq)
 
 
+def test_structure_errors_quote_a_bounded_repr():
+    """`Structure(...)` quotes an offending value shortened by `reprlib`."""
+    long = "x" * 100_000
+    good_t = (((0, 0), (0, 1)),)
+    good_leq = ((True, True), (False, True))
+    for args in ((long, ("g0",), good_t, good_leq), ([long], ("g0",), good_t, good_leq),
+                 (2, (long.encode(),), good_t, good_leq),
+                 (2, (long, long), good_t * 2, good_leq), (2, (long,), (((0,),),), good_leq),
+                 (2, ("g0",), (((0, long), (0, 1)),), good_leq)):
+        with pytest.raises(InputError) as err:
+            Structure(*args)
+        assert len(str(err.value)) < 300
+    with pytest.raises(InputError, match=r"^table 'g0' has entry 2 outside 0..1$"):
+        Structure(2, ("g0",), (((0, 2), (0, 1)),), good_leq)
+
+
 def test_structure_attributes(min_sl):
     assert min_sl.n == 2
     assert min_sl.full == 0b11

@@ -647,6 +647,19 @@ def test_parse_errors():
         parse_expr("simple &\n")
 
 
+def test_parse_errors_quote_a_bounded_repr():
+    """A malformed expression or an unknown name is quoted shortened by
+    `reprlib`, however long it is."""
+    for bad in ("simple & (" * 18_000, "simple " * 30_000, "q" * 100_000,
+                "simple & " + "q" * 100_000, "!" * 20_000 + "simple"):
+        with pytest.raises(InputError) as err:
+            parse_expr(bad)
+        assert len(str(err.value)) < 300
+    with pytest.raises(InputError) as err:
+        eval_expr(random_structure(2, 1, seed=0), Pred("q" * 100_000))
+    assert len(str(err.value)) < 300
+
+
 def test_parse_lets_no_warning_escape():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -421,14 +421,19 @@ def ref_join(leqs, n: int) -> explore._Join:
 
 def test_order_layer_matches_loops():
     """The join that `_order_layer` builds from the up masks in one pass,
-    and the key, down and up that the walk reads off its row table,
-    against the plain loops, on every order of every mode up to n = 5."""
+    and the down and up masks of `core._down_up`, against the plain loops,
+    on every order of every mode up to n = 5; the walk's structures carry
+    those masks.  The walk's order keys are pinned through the class keys
+    of `WALK_STREAMS`."""
     for n in range(1, 6):
         for mode in ("all", "total", "trivial"):
             leqs, join = explore._order_layer(n, mode)
             assert join == ref_join(leqs, n), (n, mode)
-            assert explore._walk_orders(leqs, n) == [
-                (leq, ref_order(leq, n)[1], *ref_down_up(leq, n)) for leq in leqs], (n, mode)
+            assert [core._down_up(leq, n) for leq in leqs] == [
+                ref_down_up(leq, n) for leq in leqs], (n, mode)
+            if n <= 4:
+                for s in enumerate_structures(EnumSpec(n, 1, mode, "iso")):
+                    assert (s.down, s.up) == ref_down_up(s.leq, n), (n, mode)
 
 
 def _join_pairs(n: int, k: int, leqs: tuple):

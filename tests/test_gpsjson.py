@@ -132,6 +132,26 @@ def test_loads_rejects_deep_nesting():
         loads("[" * 100_000)
 
 
+def test_input_errors_quote_a_bounded_repr():
+    """An error quotes the offending value shortened by `reprlib`, so a
+    huge value in a file gives a short message; a short value is quoted
+    whole."""
+    long = "x" * 100_000
+    base = {"n": 2, "gamma": ["g0"], "ops": {"g0": [[0, 0], [0, 0]]}, "leq": []}
+    for bad in (dict(base, n=long), dict(base, n=[long] * 1000),
+                dict(base, n=[[[[[[[[[[0]]]]]]]]]] * 1000),
+                dict(base, leq=[[long, 0]]), dict(base, leq=[list(range(100_000))]),
+                dict(base, leq=[[0, 10**4000]]), dict(base, gamma=[long], ops={long: [[0]]}),
+                dict(base, ops={"g0": [[0, long], [0, 0]]}), {long: 1, **base}):
+        with pytest.raises(InputError) as err:
+            from_obj(bad)
+        assert len(str(err.value)) < 300
+    with pytest.raises(InputError, match=r"^n must be an integer >= 1, got 'abc'$"):
+        from_obj(dict(base, n="abc"))
+    with pytest.raises(InputError, match=r"^leq pair \[0, 5\] outside 0..1$"):
+        from_obj(dict(base, leq=[[0, 5]]))
+
+
 def test_load_file(tmp_path, min_sl):
     p = tmp_path / "s.json"
     p.write_text(dumps(min_sl), encoding="utf-8")

@@ -118,7 +118,7 @@ def _forced(monkeypatch, s, tid, name, value):
     # the ideal side fails: the first offending ideal
     ("Lemma5", "min_sl", "_semiprime_bits", False, "two_sided_ideals_semiprime",
      {"ideal": [0]}),
-    ("Lemma9", "min_sl", "_closed_square", 0, "ideals_idempotent", {"ideal": [0]}),
+    ("Lemma9", "min_sl", "_idempotent_bits", False, "ideals_idempotent", {"ideal": [0]}),
     ("Thm10", "min_sl", "_weakly_prime_bits", False, "ideals_weakly_prime",
      {"ideal": [0]}),
     ("Thm13", "min_sl", "_prime_bits", False, "ideals_prime", {"ideal": [0]}),
@@ -154,7 +154,7 @@ def test_forced_disagreement_witness(monkeypatch, request, tid, fixture, name, v
 def test_lemma9_pair_witness(monkeypatch, cz):
     """Idempotence forced true: the first pair whose meet is not the
     closed product, here {0, 1} with itself."""
-    monkeypatch.setattr(harness, "_closed_square", lambda s, b: b)
+    monkeypatch.setattr(harness, "_idempotent_bits", lambda s, b: True)
     v = check(cz, "Lemma9")
     assert v.condition_values == {"ideals_idempotent": True,
                                   "intersections_are_closed_products": False}
@@ -255,7 +255,7 @@ def test_forced_lemma12_containment(monkeypatch, lz):
 def test_forced_lemma17(monkeypatch, min_sl):
     """No trace is a relative ideal: the first subsemigroup, {0}, and its
     first element fail."""
-    monkeypatch.setattr(harness, "_absorbing_set", lambda s, kind, tb: frozenset())
+    monkeypatch.setattr(harness, "_absorbing", lambda s, kind, tb: {})
     v = check(min_sl, "Lemma17")
     assert not v.equivalent
     assert v.condition_values == {"sandwich_trace_relative_ideal": False}

@@ -11,6 +11,17 @@ simplicity and the decomposition along the N partition are memoised per
 structure; the set products, the subsemigroups and a partition's
 semilattice test and chain scan (`relations._semilattice_labels`,
 `relations._chain_failure`) are found once per table.
+
+The two intra-regularity predicates, which the search's workload names,
+also have bitset forms (`ORDER_FORMS`), which answer for every order of
+a list at once, bit o of an int standing for order o (bitslicing: Biham,
+FSE 1997).  With P[x][y] the mask of the orders holding x <= y, "x lies
+below some member of W" holds for the OR of P[x][y] over the members y
+of W, read off a union table per x (`order_reach`); a form is the AND of
+those masks over x (and over g, for the pinned form) at the same set
+products as its per-structure form, which stays the oracle.  The forms
+read the tables alone, so one call on a table answers for all its
+orders.
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ from functools import cmp_to_key
 from typing import Callable, NamedTuple
 
 from .core import (InputError, PreconditionError, Structure, Subset, _owned,
-                   _unchecked_subset, down_table, downset_bits, per_structure, per_table,
-                   product_bits, subset_masks)
+                   _unchecked_subset, _union_table, down_table, downset_bits, per_structure,
+                   per_table, product_bits, subset_masks)
 from .ideals import (IdealKind, _absorbing, _all_ideal_bits, _first_ideal, _kind, _prime_bits,
                      _semiprime_bits, _weakly_prime_bits, _word_products, ideals_form_chain)
 from .relations import Partition, _chain_failure, _semilattice_labels, relation_partition
@@ -91,6 +102,35 @@ def is_left_regular_legacy(s: Structure) -> bool:
 
 def is_right_regular_legacy(s: Structure) -> bool:
     return _legacy_failure(s, "xxM") is None
+
+
+def order_reach(below: list[list[int]]) -> list[list[int]]:
+    """Per x, per mask W over 0..n-1, the mask of the orders of a list
+    under which x lies below some member of W: the OR of below[x][y] over
+    the members y of W, below[x][y] being the mask of the orders holding
+    x <= y."""
+    return [_union_table(len(below), row) for row in below]
+
+
+def _pinned_orders(s: Structure, word: str, reach: list) -> int:
+    """The orders under which `_pinned_failure(s, word)` is None, as a
+    mask over `reach`'s list (see `order_reach`); the order of s is not
+    read."""
+    products = _word_products(s, word)
+    bits = -1  # every order; n >= 1 masks follow
+    for x, below in enumerate(reach):
+        for t in s.tables:
+            bits &= below[products[t[x][x]]]
+    return bits
+
+
+def _legacy_orders(s: Structure, word: str, reach: list) -> int:
+    """The orders under which `_legacy_failure(s, word)` is None, as
+    `_pinned_orders` gives them."""
+    bits = -1
+    for below, w in zip(reach, _word_products(s, word)):
+        bits &= below[w]
+    return bits
 
 
 def is_left_duo(s: Structure) -> bool:
@@ -298,4 +338,12 @@ PREDICATES: dict[str, Callable[[Structure], bool]] = {
     "chain_of_simple": lambda s: decompose(s).is_chain_of_simple,
     "simple": lambda s: _simple_bits(s, s.full, IdealKind.TWO_SIDED),
     "left_simple": lambda s: _simple_bits(s, s.full, IdealKind.LEFT),
+}
+
+
+# the bitset forms of the `PREDICATES` of the same names: f(s, reach) is
+# the mask of the orders of `reach`'s list under which s's tables satisfy it
+ORDER_FORMS: dict[str, Callable[[Structure, list], int]] = {
+    "intra_regular": lambda s, reach: _pinned_orders(s, "MxM", reach),
+    "intra_regular_legacy": lambda s, reach: _legacy_orders(s, "MxxM", reach),
 }

@@ -44,11 +44,15 @@ Every (table, order) pair is tested, but the work that depends on the
 table alone is done once per orbit, on its least table, the order list
 and its join once per (n, order mode) in a process (`_order_layer`), and
 each order's key and `down` / `up` masks (`core._down_up`, as in
-`Structure`) once per walk.  The structures of one table share one
-`core.table_cache` dict, so the checks compute their table-only results
-once per table.  A structure is built by `core.Structure._unchecked`,
-without the shape checks of `Structure(...)`, which the fill and the
-order generator make true by construction.
+`Structure`) once per walk.  The walk goes one table at a time: it hands
+on each table with its items, one per structure, each naming its order
+by its index in the list and by that of the matching order of the least
+table; `enumerate_structures` builds the structures from them.  The
+structures of one table share one `core.table_cache` dict, so the checks
+compute their table-only results once per table.  A structure is built
+by `core.Structure._unchecked`, without the shape checks of
+`Structure(...)`, which the fill and the order generator make true by
+construction.
 The compatibility join is bit-parallel over the order list, bit o of a
 mask standing for order o: it gives per least table L one int, the
 orders that every operation respects (`_compatible_orders`), which the
@@ -92,7 +96,16 @@ gives there; then one `rng.randrange` picks the order.
 A search expression combines the names of `analysis.PREDICATES` with !,
 &, | and parentheses.  Its grammar is Python's for ~, & and | over
 names, so `parse_expr` lets `ast` parse it and only checks the
-characters before and the nodes after.
+characters before and the nodes after.  One evaluator (`_holds`) gives
+the bits of a domain mask on which an expression holds: `eval_expr` runs
+it on one structure, a one-bit domain, and `search` on each table's
+orders at once, one bit per order.  The two intra-regularity names read
+the bitset forms of `analysis.ORDER_FORMS`, found once per orbit on its
+least table; every other name runs its `PREDICATES` entry on each order
+left in its domain.  The hits come out in walk order.  Under mode first,
+an expression that names a per-structure predicate takes a table's
+orders in runs of 16, 32, 64, ..., so that few are asked past the first
+hit.
 """
 
 from __future__ import annotations
@@ -107,7 +120,7 @@ from functools import lru_cache
 from itertools import chain, compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .analysis import PREDICATES
+from .analysis import ORDER_FORMS, PREDICATES, order_reach
 from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _down_up,
                    _union_table, bit_indices, validate)
 
@@ -611,13 +624,21 @@ def _keyed_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[tupl
     """The structures of `enumerate_structures`, each as (structure, key):
     under `dedup="labeled"`, key is the structure's isomorphism class key
     (see `_walk`); under iso, where every structure is its own class, it
-    is None."""
-    if not isinstance(spec, EnumSpec):
-        raise InputError(f"spec must be an EnumSpec, got {spec!r}")
+    is None.  They flatten `_walk`'s items."""
+    entries, walk = _walk(spec)
     if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)
                               or limit < 0):
         raise InputError(f"limit must be an integer >= 0, got {limit!r}")
-    return islice(_walk(spec), limit)
+    n, names = spec.n, _gamma_names(spec.k)
+
+    def structures() -> Iterator[tuple]:
+        for tables, _, items in walk:
+            shared = {}  # the table-only results of every structure on this table
+            for p, _, key in items:
+                leq, down, up = entries[p]  # a call through * slows the walk by a tenth
+                yield Structure._unchecked(n, names, tables, leq, down, up, shared), key
+
+    return islice(structures(), limit)
 
 
 def _class_keys(c: int, flags: bytes, lists: list, keys: list) -> dict:
@@ -630,21 +651,31 @@ def _class_keys(c: int, flags: bytes, lists: list, keys: list) -> dict:
             for o in compress(range(len(flags)), flags)}
 
 
-def _walk(spec: EnumSpec) -> Iterator[tuple]:
-    """The (structure, key) pairs of `_keyed_structures`.  Per orbit, the
-    join (which skips `_requirements` when no order holds a pair a != b),
-    as `_flags`, and, under labeled, `_class_keys` run on the least table
+def _walk(spec: EnumSpec) -> tuple[list, Iterator[tuple]]:
+    """(entries, tables): entries per order p of the mode's list, its
+    (leq, down, up); tables, per table of `_associative_tables` on which
+    the slice has a structure, in that order, (tables, c, items).  c is
+    the index of the table's orbit, whose least table L comes first here:
+    it comes first from `_associative_tables`, and has a structure
+    whenever another table of the orbit has one.  items are the table's
+    structures in list order, each as (p, o, key): p the index of its
+    order, o that of the order of L with pi o = p for the table pi L
+    (o = p on L), and key its class key under labeled, None under iso.
+
+    Per orbit, the join (which skips `_requirements` when no order holds
+    a pair a != b), as `_flags`, and, under labeled, `_class_keys` run on
     L alone.  Every table pi L reads them through the list of pi, per
-    order p the index of the order o of L with pi o = p (every order mode
-    is closed under relabeling), and L's automorphisms read theirs: one
-    list per carrier permutation, built the first time it comes from the
-    orders' up masks, each relabeled by pi^-1 the way
-    `_associative_tables` relabels a table.  Every order is tested by
-    `_compatible` and, under iso, every compatible one by `_is_canonical`,
-    under `map` and `compress` alone on a table pi L, which yields no
-    structure."""
+    order p its o (every order mode is closed under relabeling), and L's
+    automorphisms read theirs: one list per carrier permutation, built the
+    first time it comes from the orders' up masks, each relabeled by pi^-1
+    the way `_associative_tables` relabels a table.  Every order is tested
+    by `_compatible` and, under iso, every compatible one by
+    `_is_canonical`, under `map` and `compress` alone on a table pi L,
+    which has no structure.  A table's items are found whole before it is
+    handed on.  The spec is checked, and the entries built, on the call."""
+    if not isinstance(spec, EnumSpec):
+        raise InputError(f"spec must be an EnumSpec, got {reprlib.repr(spec)}")
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
-    names = _gamma_names(k)
     # the list through `partial_orders`, whose calls a tracer counts
     leqs = partial_orders(n, spec.orders)
     join = _order_layer(n, spec.orders)[1]
@@ -665,28 +696,32 @@ def _walk(spec: EnumSpec) -> Iterator[tuple]:
             lst = lists[pi] = [index[bytes(get(up)).translate(masks)] for up in ups]
         return lst
 
-    kept = []  # per orbit c, the flags and class keys of its least table
-    for tables, c, pi, automorphisms in _associative_tables(n, k, not iso):
-        if pi is None:
-            compatible = (_compatible_orders(join, _requirements(tables, n))
-                          if join.holds else join.every)
-            flags = _flags(compatible, len(ids))
-            images = [relabeled(p) for p in automorphisms]
-            kept.append((flags, None if iso else _class_keys(c, flags, images, keys)))
-        flags, classes = kept[c]
-        source = relabeled(pi)
-        # one `_compatible` call per order, and a loop over the hits alone
-        tested = map(_compatible, repeat(flags), source)
-        if iso and pi is not None:
-            # each is False; the calls stay only because perfbench/golden.json counts them
-            deque(map(_is_canonical, repeat(None), repeat(keys), compress(source, tested)), 0)
-            continue
-        shared = {}  # the table-only results of every structure on this table
-        for (leq, down, up), o in compress(zip(entries, source), tested):
-            if iso and not _is_canonical(images, keys, o):
+    def walk() -> Iterator[tuple]:
+        kept = []  # per orbit c, the flags and class keys of its least table
+        for tables, c, pi, automorphisms in _associative_tables(n, k, not iso):
+            if pi is None:
+                compatible = (_compatible_orders(join, _requirements(tables, n))
+                              if join.holds else join.every)
+                flags = _flags(compatible, len(ids))
+                images = [relabeled(p) for p in automorphisms]
+                kept.append((flags, None if iso else _class_keys(c, flags, images, keys)))
+            flags, classes = kept[c]
+            source = relabeled(pi)
+            # one `_compatible` call per order
+            tested = map(_compatible, repeat(flags), source)
+            if not iso:
+                items = [(p, o, classes[o]) for p, o in compress(enumerate(source), tested)]
+            elif pi is None:
+                items = [(o, o, None) for o in compress(ids, tested)
+                         if _is_canonical(images, keys, o)]
+            else:
+                # each is False; the calls stay only because perfbench/golden.json counts them
+                deque(map(_is_canonical, repeat(None), repeat(keys), compress(source, tested)), 0)
                 continue
-            yield (Structure._unchecked(n, names, tables, leq, down, up, shared),
-                   None if iso else classes[o])
+            if items:
+                yield tables, c, items
+
+    return entries, walk()
 
 
 # sampling
@@ -839,34 +874,130 @@ def parse_expr(text: str) -> Expr:
         raise InputError(f"malformed expression {reprlib.repr(text)}") from None
 
 
-def eval_expr(s: Structure, expr: Expr) -> bool:
-    """The expression's value on `s`, operands left to right, `&` and `|`
-    short-circuiting.  An explicit stack of the nodes waiting on an
-    operand replaces recursion, so a chain as long as the parser accepts
-    does not overflow Python's stack."""
-    waiting = []  # (node, whether its right operand is the one evaluated)
-    node = expr
+def _predicate(name: str) -> Callable[[Structure], bool]:
+    fn = PREDICATES.get(name)
+    if fn is None:
+        raise _unknown(name)
+    return fn
+
+
+def _holds(expr: Expr, dom: int, leaf: Callable[[str, int], int]) -> int:
+    """The bits of the domain mask `dom` on which the expression holds,
+    `leaf(name, d)` giving those of a nonempty domain d on which a name
+    does.  `!` takes the domain's bits its operand lacks, `&` asks its
+    right operand on the bits where its left holds and `|` on those where
+    it fails, and no part of the expression is asked on an empty domain;
+    on a one-bit domain that is the short-circuit evaluation, operands
+    left to right.  An explicit stack of the nodes waiting on an operand
+    replaces recursion, so a chain as long as the parser accepts does not
+    overflow Python's stack."""
+    waiting = []  # (node, its domain, its left operand's bits or None)
+    node, d = expr, dom
     while True:
-        while not isinstance(node, Pred):
+        while d and not isinstance(node, Pred):
             if not isinstance(node, (Not, And, Or)):
                 raise InputError(f"not an expression node: {reprlib.repr(node)}")
-            waiting.append((node, False))
+            waiting.append((node, d, None))
             node = node.arg if isinstance(node, Not) else node.left
-        fn = PREDICATES.get(node.name)
-        if fn is None:
-            raise _unknown(node.name)
-        value = fn(s)
+        value = leaf(node.name, d) if d else 0
         while waiting:
-            parent, right = waiting.pop()
+            parent, d, left = waiting.pop()
             if isinstance(parent, Not):
-                value = not value
-            elif not right and bool(value) != isinstance(parent, Or):
-                # a true left operand of & or a false one of |: the right decides
-                waiting.append((parent, True))
-                node = parent.right
+                value = d & ~value
+            elif left is None:
+                waiting.append((parent, d, value))
+                node, d = parent.right, value if isinstance(parent, And) else d & ~value
                 break
+            elif isinstance(parent, Or):
+                value |= left
         else:
             return value
+
+
+def eval_expr(s: Structure, expr: Expr) -> bool:
+    """The expression's value on `s`, operands left to right, `&` and `|`
+    short-circuiting: `_holds` on a one-bit domain."""
+    return bool(_holds(expr, 1, lambda name, d: _predicate(name)(s)))
+
+
+def _names(expr: Expr) -> set[str]:
+    """The predicate names the expression's leaves hold."""
+    names, todo = set(), [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Pred):
+            names.add(e.name)
+        elif isinstance(e, Not):
+            todo.append(e.arg)
+        elif isinstance(e, (And, Or)):
+            todo += (e.left, e.right)
+    return names
+
+
+def _below(n: int, join: _Join) -> list[list[int]]:
+    """P[x][y], the mask of the join's orders holding x <= y: `every` on
+    the diagonal, 0 on a pair x != y that no order holds."""
+    below = [[join.every if x == y else 0 for y in range(n)] for x in range(n)]
+    for i, held in join.holds:
+        below[i // n][i % n] = held
+    return below
+
+
+def _runs(items: list) -> list[list]:
+    """`items` cut in order into runs of 16, 32, 64, ...: a search that
+    takes them in turn and stops at the first hit has asked fewer than
+    twice as many as came before it, and 16 more."""
+    bounds = [0]
+    while bounds[-1] < len(items):
+        bounds.append(2 * bounds[-1] + 16)
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _hits(spec: EnumSpec, expr: Expr, first: bool) -> Iterator[Structure]:
+    """The structures of `enumerate_structures(spec)` on which `expr`
+    holds, in walk order, each table's orders evaluated at once by
+    `_holds` over the mask of their bits o (see `_walk`).  The names of
+    `analysis.ORDER_FORMS` read their masks, found once per orbit on its
+    least table L, the first time the name is asked there: (pi L, p) and
+    (L, o) are isomorphic, so every table pi L reads them at bit o.  Any
+    other name runs its `PREDICATES` entry on each structure left in the
+    domain; the structures of the orders such an expression evaluates are
+    built first, as the walk builds them, and with `first` it takes them
+    in `_runs`, so that the work stops soon after the first hit.  Otherwise a structure is built only for L and for a hit."""
+    entries, walk = _walk(spec)
+    n, names = spec.n, _gamma_names(spec.k)
+    named = _names(expr)
+    formed = named & ORDER_FORMS.keys()
+    per_structure = formed != named
+    reach = order_reach(_below(n, _order_layer(n, spec.orders)[1])) if formed else None
+    orbits = {}  # per orbit c, a structure on L and the masks of the forms asked
+    for tables, c, items in walk:
+        shared = {}  # the table-only results of every structure on this table
+
+        def make(p: int) -> Structure:
+            leq, down, up = entries[p]
+            return Structure._unchecked(n, names, tables, leq, down, up, shared)
+
+        if c not in orbits:  # on L
+            orbits[c] = make(items[0][0]), {}
+        least, masks = orbits[c]
+        built = {}  # per bit o, the structure of the order it stands for
+
+        def leaf(name: str, d: int) -> int:
+            if name in formed:
+                mask = masks.get(name)
+                if mask is None:
+                    mask = masks[name] = ORDER_FORMS[name](least, reach)
+                return mask & d
+            fn = _predicate(name)
+            return sum(1 << o for o in bit_indices(d) if fn(built[o]))
+
+        for run in _runs(items) if first and per_structure else [items]:
+            if per_structure:
+                built = {o: make(p) for p, o, _ in run}
+            found = _holds(expr, sum(1 << o for _, o, _ in run), leaf)
+            yield from (built[o] if per_structure else make(p)
+                        for p, o, _ in run if found >> o & 1)
 
 
 def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):
@@ -880,7 +1011,7 @@ def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):
         expr = parse_expr(expr)
     if mode not in ("first", "all", "count"):
         raise InputError("mode must be first, all or count")
-    hits = (s for s in enumerate_structures(spec) if eval_expr(s, expr))
+    hits = _hits(spec, expr, mode == "first")
     if mode == "first":
         return next(hits, None)
     return list(hits) if mode == "all" else sum(1 for _ in hits)

@@ -89,6 +89,8 @@ def loads(text: str) -> Structure:
         raise InputError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise InputError("invalid JSON: nested too deep") from None
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise InputError(f"unreadable JSON: {e}") from None
     return from_obj(obj)
 
 

@@ -12,6 +12,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -729,6 +730,46 @@ def test_eval_asks_predicates_in_the_recursive_order(truth, tree):
     with mock.patch.dict(PREDICATES, {name: asker(name) for name in truth}):
         assert eval_expr(None, tree) == ref_eval(truth, tree, expected)
     assert calls == expected
+
+
+@lru_cache(maxsize=None)
+def _walked(spec: EnumSpec) -> tuple:
+    """The slice's structures, kept so that their memoised predicates
+    serve every example."""
+    return tuple(enumerate_structures(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TREES)
+def test_search_matches_the_per_structure_evaluation(tree):
+    """`search` evaluates a table's orders at once, yet finds what
+    `eval_expr` finds structure by structure, in walk order, on labeled
+    n2k2 and n3k1 and iso n3k2; `first` and `count` agree with `all`."""
+    for spec in (EnumSpec(2, 2), EnumSpec(3, 1), EnumSpec(3, 2, dedup="iso")):
+        want = [to_obj(s) for s in _walked(spec) if eval_expr(s, tree)]
+        assert [to_obj(s) for s in search(spec, tree, "all")] == want, spec
+        first = search(spec, tree, "first")
+        assert (first and to_obj(first)) == (want[0] if want else None), spec
+        assert search(spec, tree, "count") == len(want), spec
+
+
+def test_first_takes_a_table_in_runs_that_cover_it():
+    """Under mode first a table's orders go in runs of 16, 32, 64, ...,
+    which together are the table, in order, with none empty."""
+    for m in range(300):
+        runs = explore._runs(list(range(m)))
+        assert [o for run in runs for o in run] == list(range(m)), m
+        assert [len(run) for run in runs[:-1]] == [16 << i for i in range(len(runs) - 1)], m
+        assert all(runs), m
+
+
+@pytest.mark.parametrize("expr", ["ideals_chain", "left_regular", "intra_regular & simple"])
+def test_first_finds_a_hit_past_the_first_run_of_its_table(expr):
+    """Over labeled n4k1 the first hit of each expression is order 35 or
+    105 of its table's structures, in the third or fourth run."""
+    spec, tree = EnumSpec(4, 1), parse_expr(expr)
+    want = next(s for s in enumerate_structures(spec) if eval_expr(s, tree))
+    assert to_obj(search(spec, tree, "first")) == to_obj(want)
 
 
 def test_eval_on_fixtures(min_sl, lz):

@@ -33,14 +33,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpw import analysis, core, explore, harness, ideals, relations
-from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
-                          is_intra_regular_legacy, is_left_duo, is_left_regular_legacy,
-                          is_right_duo, is_right_regular_legacy, left_regular_failure,
-                          relative_ideals, right_regular_failure)
+from gpw.analysis import (ORDER_FORMS, PREDICATES, _simple_bits, _subsemigroup_masks,
+                          intra_regular_failure, is_intra_regular_legacy, is_left_duo,
+                          is_left_regular_legacy, is_right_duo, is_right_regular_legacy,
+                          left_regular_failure, relative_ideals, right_regular_failure)
 from gpw.core import (InputError, Structure, Subset, bit_indices, downset_bits,
                       product_bits, subset_masks, table_cache, upset_bits)
 from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
-                         random_structure)
+                         random_structure, search)
 from gpw.gpsjson import dumps
 from gpw.ideals import IdealKind
 from gpw.relations import (Partition, all_partitions, is_semilattice_congruence,
@@ -1258,14 +1258,39 @@ def test_element_tables_match_per_call_helpers_on_walk_corpus():
 SEPARATIONS = {(3, 2): 88, (3, 3): 223, (4, 2): 3775}
 
 
+def _order_forms_checker(n: int):
+    """A check that, on a structure of an iso walk over every order, each
+    bitset form of `ORDER_FORMS` has the bit of the structure's order set
+    exactly when the `PREDICATES` entry of its name holds.  An iso
+    structure stands on its orbit's least table, so that bit is the
+    order's index in the list; the masks are found once per table."""
+    leqs, join = explore._order_layer(n, "all")
+    reach = analysis.order_reach(explore._below(n, join))
+    position = {leq: o for o, leq in enumerate(leqs)}
+    masks = {}
+
+    def check(s: Structure) -> None:
+        table = masks.get(s.tables)
+        if table is None:
+            table = masks[s.tables] = {name: form(s, reach) for name, form in ORDER_FORMS.items()}
+        o = position[s.leq]
+        assert ({name: mask >> o & 1 == 1 for name, mask in table.items()}
+                == {name: PREDICATES[name](s) for name in table}), (s.tables, s.leq)
+    return check
+
+
 @pytest.mark.parametrize("n, k", sorted(SEPARATIONS))
 def test_pinned_and_legacy_regularity_where_they_differ(n, k):
     """Over every iso structure of n3k2, n3k3 and n4k2 each pinned form
     implies its legacy form, the pinned failures match the closure loops
-    at n = 3, and the separations number as pinned."""
+    at n = 3, the bitset forms match the per-structure predicates, and
+    the separations number as pinned, counted one by one and by the
+    search."""
     refs = (ref_closed_sandwich, ref_left_closure, ref_right_closure)
+    check_forms = _order_forms_checker(n)
     separated = 0
     for s in enumerate_structures(EnumSpec(n, k, dedup="iso")):
+        check_forms(s)
         pinned = [intra_regular_failure(s), left_regular_failure(s), right_regular_failure(s)]
         legacy = [is_intra_regular_legacy(s), is_left_regular_legacy(s),
                   is_right_regular_legacy(s)]
@@ -1274,6 +1299,17 @@ def test_pinned_and_legacy_regularity_where_they_differ(n, k):
             assert pinned == [ref_pinned_failure(s, lambda b, ref=ref: ref(s, b)) for ref in refs]
         separated += legacy[0] and pinned[0] is not None
     assert separated == SEPARATIONS[n, k]
+    assert search(EnumSpec(n, k, dedup="iso"), "intra_regular_legacy & !intra_regular",
+                  mode="count") == SEPARATIONS[n, k]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_order_forms_match_the_predicates_at_k1(n):
+    """The bitset forms against the per-structure predicates on every iso
+    structure of n <= 4 with k = 1 (4,753 at n = 4)."""
+    check_forms = _order_forms_checker(n)
+    for s in enumerate_structures(EnumSpec(n, 1, dedup="iso")):
+        check_forms(s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -132,6 +132,16 @@ def test_loads_rejects_deep_nesting():
         loads("[" * 100_000)
 
 
+def test_loads_rejects_an_integer_past_the_digit_limit():
+    """json.loads raises a plain ValueError for an integer literal longer
+    than the interpreter's limit on integer digits (4,300 by default); a
+    file can hold one, so it is an input error with a short message."""
+    text = '{"n": %s, "gamma": ["g0"], "ops": {"g0": [[0]]}, "leq": []}' % ("1" * 5001)
+    with pytest.raises(InputError) as err:
+        loads(text)
+    assert len(str(err.value)) < 300
+
+
 def test_input_errors_quote_a_bounded_repr():
     """An error quotes the offending value shortened by `reprlib`, so a
     huge value in a file gives a short message; a short value is quoted

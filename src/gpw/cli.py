@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 a checked claim failed, 2 bad input or usage,
 Start-up loads only what the command runs: at module level this imports
 the standard library, `__version__` and `core` (for the parser), and each
 command imports the rest when it runs, so `gpw --version` loads no other
-`gpw` module and `gpw validate` neither `explore` nor `harness`.
+`gpw` module, `gpw validate` neither `explore` nor `harness`, and only
+`gpw campaign` loads `tablewise`.
 """
 
 from __future__ import annotations
@@ -246,18 +247,34 @@ def cmd_check(args) -> tuple[dict, int, str | None]:
 @cache
 def _campaign_modules() -> tuple:
     """The modules a campaign unit reads, imported once per process."""
-    from . import explore, gpsjson, harness
-    return explore, gpsjson, harness
+    from . import gpsjson, harness, tablewise
+    return gpsjson, harness, tablewise
 
 
-def _campaign_unit(s: Structure, tids: tuple) -> tuple:
+def _campaign_unit(s: Structure, tids: tuple, orders: str = "all") -> tuple:
     """The names of the predicates `s` satisfies, and its failure record
-    when one of the checks `tids` disagrees, else None."""
-    explore, gpsjson, harness = _campaign_modules()
-    preds = tuple(name for name, fn in sorted(explore.PREDICATES.items()) if fn(s))
-    bad = [v.as_dict() for v in (harness.check(s, tid) for tid in tids) if not v.equivalent]
-    if not bad:
+    when one of the checks `tids` disagrees, else None.
+
+    Both are read at the bit of the order of s in the list of the order
+    mode `orders` (a campaign passes its slice's), from the masks of
+    `tablewise.forms`, built once per table.  Only a check whose bit is
+    clear runs on s itself (`harness.check`): its verdict makes the
+    failure record, and an equivalent verdict there is an error, as the
+    two paths disagree."""
+    gpsjson, harness, tablewise = _campaign_modules()
+    forms = tablewise.forms(s, orders)
+    p = forms.position[s.leq]
+    preds = tuple(name for name, mask in forms.predicates if mask >> p & 1)
+    if forms.agreement(tids) >> p & 1:
         return preds, None
+    bad = []
+    for tid in tids:
+        if not forms.check(tid)[1] >> p & 1:
+            v = harness.check(s, tid)
+            if v.equivalent:
+                raise RuntimeError(f"{tid}: the table's masks fail structure {gpsjson.digest(s)}, "
+                                   "which its own check passes")
+            bad.append(v.as_dict())
     return preds, {"structure": gpsjson.to_obj(s), "digest": gpsjson.digest(s), "verdicts": bad}
 
 
@@ -301,7 +318,7 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     walk = _keyed_structures(spec, args.limit)
-    unit = partial(_campaign_unit, tids=tids)
+    unit = partial(_campaign_unit, tids=tids, orders=spec.orders)
     structures = 0
     pred_counts = {name: 0 for name in sorted(PREDICATES)}
     combos: dict[str, int] = {}

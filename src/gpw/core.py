@@ -47,6 +47,12 @@ positional and hashable.  Only this module reads either dict directly:
 parts, its `down` / `up` masks and its table dict, so the structures of
 one table that travel in one pickle share it again; its own `_cache`
 arrives empty.
+
+The compatibility join (`_compatible_orders`) tests a whole list of
+reflexive relations on the carrier at once, bit o of a mask standing for
+relation o: which of them every operation respects on both sides.  The
+walk runs it over its orders (`explore`), and the semilattice congruence
+sweep over the equivalences (`relations`).
 """
 
 from __future__ import annotations
@@ -436,6 +442,78 @@ def word_product(s: Structure, items: Sequence) -> int:
     if rev != acc:
         raise InputError("bracketing changed a word product; structure is not associative")
     return acc
+
+
+# the compatibility join (see the module docstring)
+
+def _pair_bit(n: int, a: int, b: int) -> int:
+    """The mask bit of the pair (a, b).  Row-major pairs go from the most
+    significant bit down, so two masks compare as integers the way their
+    row-major 0/1 keys compare as tuples."""
+    return 1 << (n * n - 1 - a * n - b)
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """`_pair_bit(n, a, b)` at [a][b] for a != b, 0 on the diagonal: every
+    reflexive relation holds each pair (a, a), so none is ever required."""
+    return tuple(tuple(_pair_bit(n, a, b) if a != b else 0 for b in range(n))
+                 for a in range(n))
+
+
+def _requirements(tables: tuple, n: int) -> tuple[int, ...]:
+    """Per pair a*n + b with a != b, the mask of the pairs (a g c, b g c)
+    and (c g a, c g b) over every c and g with the two elements distinct:
+    what holding (a, b) forces into a relation, an order or an
+    equivalence, for every operation to respect it on both sides."""
+    bit = _pair_bits(n)
+    req = [0] * (n * n)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                m = 0
+                for t in tables:
+                    ra, rb = t[a], t[b]
+                    for c in range(n):
+                        m |= bit[ra[c]][rb[c]] | bit[t[c][a]][t[c][b]]
+                req[a * n + b] = m
+    return tuple(req)
+
+
+class _Join(NamedTuple):
+    """The compatibility join over a list of reflexive relations on
+    0..n-1, orders or equivalences: bit o of each mask stands for
+    relation o of the list."""
+
+    holds: tuple[tuple[int, int], ...]  # (a*n + b, the relations holding it) per pair a != b held
+    held_by: dict[int, int]  # the same masks keyed by the pair's bit (see `_pair_bit`)
+    every: int  # every relation
+
+
+def _join(n: int, holds: list[tuple[int, int]], count: int) -> _Join:
+    """The join of a list of `count` relations, from its `holds`."""
+    return _Join(tuple(holds), {1 << (n * n - 1 - i): held for i, held in holds},
+                 (1 << count) - 1)
+
+
+def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
+    """The mask of the join's relations that every operation of the
+    table whose `_requirements` are `req` respects on both sides.  A
+    relation fails when it holds some pair i = a*n + b and lacks a pair
+    of req[i], which holding i forces, so the failing relations are the
+    union, over the held pairs i, of those holding i but not every pair
+    of req[i]."""
+    held_by, every = join.held_by, join.every
+    bad = 0
+    for i, held in join.holds:
+        forced = req[i]
+        holding = every  # the relations holding every pair of req[i] seen so far
+        while forced:
+            low = forced & -forced
+            holding &= held_by.get(low, 0)
+            forced ^= low
+        bad |= held & ~holding
+    return every ^ bad
 
 
 class ValidationReport(NamedTuple):

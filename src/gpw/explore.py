@@ -45,9 +45,10 @@ table alone is done once per orbit, on its least table, the order list
 and its join once per (n, order mode) in a process (`_order_layer`), and
 each order's key and `down` / `up` masks (`core._down_up`, as in
 `Structure`) once per walk.  The walk goes one table at a time: it hands
-on each table with its items, one per structure, each naming its order
-by its index in the list and by that of the matching order of the least
-table; `enumerate_structures` builds the structures from them.  The
+on each table with a lazy iterator of its items, one per structure, each
+naming its order by its index in the list and by that of the matching
+order of the least table, whose class keys come with it under labeled;
+`enumerate_structures` builds the structures from them.  The
 structures of one table share one `core.table_cache` dict, so the checks
 compute their table-only results once per table.  A structure is built
 by `core.Structure._unchecked`, without the shape checks of
@@ -116,13 +117,16 @@ import random
 import reprlib
 import warnings
 from collections import deque, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import ORDER_FORMS, PREDICATES, order_reach
-from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _down_up,
-                   _union_table, bit_indices, validate)
+# the compatibility join's kernel is `core`'s, which `relations` runs too;
+# its names stay importable from here
+from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _compatible_orders,
+                   _down_up, _join, _Join, _pair_bit, _pair_bits, _requirements, _union_table,
+                   bit_indices, validate)
 
 
 class SamplingBudgetError(RuntimeError):
@@ -411,8 +415,7 @@ def _order_layer(n: int, mode: str) -> tuple:
                 held = int(column.translate(digits[b])[::-1], 2)
                 if held:
                     holds.append((a * n + b, held))
-    return leqs, _Join(tuple(holds), {1 << (n * n - 1 - i): held for i, held in holds},
-                       (1 << len(ups)) - 1)
+    return leqs, _join(n, holds, len(ups))
 
 
 def _posets(n: int) -> Iterator[list[int]]:
@@ -439,69 +442,6 @@ def _posets(n: int) -> Iterator[list[int]]:
             for u in ups:
                 if not u & ~allowed:
                     yield up_k + [u | top]
-
-
-def _pair_bit(n: int, a: int, b: int) -> int:
-    """The mask bit of the pair (a, b).  Row-major pairs go from the most
-    significant bit down, so two masks compare as integers the way their
-    row-major 0/1 keys compare as tuples."""
-    return 1 << (n * n - 1 - a * n - b)
-
-
-@lru_cache(maxsize=None)
-def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """`_pair_bit(n, a, b)` at [a][b] for a != b, 0 on the diagonal: every
-    order holds each pair (a, a), so none is ever required."""
-    return tuple(tuple(_pair_bit(n, a, b) if a != b else 0 for b in range(n))
-                 for a in range(n))
-
-
-def _requirements(tables: tuple, n: int) -> tuple[int, ...]:
-    """Per pair a*n + b with a != b, the mask of the pairs (a g c, b g c)
-    and (c g a, c g b) over every c and g with the two elements distinct:
-    what a <= b forces into an order for every operation to respect it on
-    both sides."""
-    bit = _pair_bits(n)
-    req = [0] * (n * n)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                m = 0
-                for t in tables:
-                    ra, rb = t[a], t[b]
-                    for c in range(n):
-                        m |= bit[ra[c]][rb[c]] | bit[t[c][a]][t[c][b]]
-                req[a * n + b] = m
-    return tuple(req)
-
-
-class _Join(NamedTuple):
-    """The compatibility join over a list of orders: bit o of each mask
-    stands for order o of the list."""
-
-    holds: tuple[tuple[int, int], ...]  # (a*n + b, the orders holding it) per pair a != b held
-    held_by: dict[int, int]  # the same masks keyed by the pair's bit (see `_pair_bit`)
-    every: int  # every order
-
-
-def _compatible_orders(join: _Join, req: tuple[int, ...]) -> int:
-    """The mask of the join's orders that every operation of the table
-    whose `_requirements` are `req` respects on both sides.  An order
-    fails when it holds some pair i = a*n + b and lacks a pair of
-    req[i], which a <= b forces, so the failing orders are the union,
-    over the held pairs i, of the orders holding i but not every pair
-    of req[i]."""
-    held_by, every = join.held_by, join.every
-    bad = 0
-    for i, held in join.holds:
-        forced = req[i]
-        holding = every  # the orders holding every pair of req[i] seen so far
-        while forced:
-            low = forced & -forced
-            holding &= held_by.get(low, 0)
-            forced ^= low
-        bad |= held & ~holding
-    return every ^ bad
 
 
 def _flags(mask: int, count: int) -> bytes:
@@ -632,11 +572,12 @@ def _keyed_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[tupl
     n, names = spec.n, _gamma_names(spec.k)
 
     def structures() -> Iterator[tuple]:
-        for tables, _, items in walk:
+        for tables, _, classes, items in walk:
             shared = {}  # the table-only results of every structure on this table
-            for p, _, key in items:
+            for p, o in items:
                 leq, down, up = entries[p]  # a call through * slows the walk by a tenth
-                yield Structure._unchecked(n, names, tables, leq, down, up, shared), key
+                yield (Structure._unchecked(n, names, tables, leq, down, up, shared),
+                       None if classes is None else classes[o])
 
     return islice(structures(), limit)
 
@@ -654,13 +595,14 @@ def _class_keys(c: int, flags: bytes, lists: list, keys: list) -> dict:
 def _walk(spec: EnumSpec) -> tuple[list, Iterator[tuple]]:
     """(entries, tables): entries per order p of the mode's list, its
     (leq, down, up); tables, per table of `_associative_tables` on which
-    the slice has a structure, in that order, (tables, c, items).  c is
-    the index of the table's orbit, whose least table L comes first here:
-    it comes first from `_associative_tables`, and has a structure
-    whenever another table of the orbit has one.  items are the table's
-    structures in list order, each as (p, o, key): p the index of its
-    order, o that of the order of L with pi o = p for the table pi L
-    (o = p on L), and key its class key under labeled, None under iso.
+    the slice has a structure, in that order, (tables, c, classes,
+    items).  c is the index of the table's orbit, whose least table L
+    comes first here: it comes first from `_associative_tables`, and has
+    a structure whenever another table of the orbit has one.  items are
+    the table's structures in list order, each as (p, o): p the index of
+    its order, o that of the order of L with pi o = p for the table pi L
+    (o = p on L).  classes maps each such o to the structure's class key
+    under labeled, and is None under iso.
 
     Per orbit, the join (which skips `_requirements` when no order holds
     a pair a != b), as `_flags`, and, under labeled, `_class_keys` run on
@@ -671,8 +613,13 @@ def _walk(spec: EnumSpec) -> tuple[list, Iterator[tuple]]:
     the way `_associative_tables` relabels a table.  Every order is tested
     by `_compatible` and, under iso, every compatible one by
     `_is_canonical`, under `map` and `compress` alone on a table pi L,
-    which has no structure.  A table's items are found whole before it is
-    handed on.  The spec is checked, and the entries built, on the call."""
+    which has no structure.  A table's items come as an iterator, which
+    tests an order only when the items reach it, so a walk cut short, as
+    by `--limit`, tests no order past its cut.  A table is handed on
+    when L has a compatible order, exactly when the table has an item:
+    pi relabels L's compatible orders onto the table's, and on L the
+    least of each class under L's automorphisms is canonical.  The spec
+    is checked, and the entries built, on the call."""
     if not isinstance(spec, EnumSpec):
         raise InputError(f"spec must be an EnumSpec, got {reprlib.repr(spec)}")
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
@@ -710,16 +657,16 @@ def _walk(spec: EnumSpec) -> tuple[list, Iterator[tuple]]:
             # one `_compatible` call per order
             tested = map(_compatible, repeat(flags), source)
             if not iso:
-                items = [(p, o, classes[o]) for p, o in compress(enumerate(source), tested)]
+                items = compress(enumerate(source), tested)
             elif pi is None:
-                items = [(o, o, None) for o in compress(ids, tested)
-                         if _is_canonical(images, keys, o)]
+                canonical = filter(partial(_is_canonical, images, keys), compress(ids, tested))
+                items = ((o, o) for o in canonical)
             else:
                 # each is False; the calls stay only because perfbench/golden.json counts them
                 deque(map(_is_canonical, repeat(None), repeat(keys), compress(source, tested)), 0)
                 continue
-            if items:
-                yield tables, c, items
+            if 1 in flags:  # L has a compatible order, so this table has an item
+                yield tables, c, classes, items
 
     return entries, walk()
 
@@ -971,7 +918,8 @@ def _hits(spec: EnumSpec, expr: Expr, first: bool) -> Iterator[Structure]:
     per_structure = formed != named
     reach = order_reach(_below(n, _order_layer(n, spec.orders)[1])) if formed else None
     orbits = {}  # per orbit c, a structure on L and the masks of the forms asked
-    for tables, c, items in walk:
+    for tables, c, _, items in walk:
+        items = list(items)
         shared = {}  # the table-only results of every structure on this table
 
         def make(p: int) -> Structure:
@@ -994,10 +942,10 @@ def _hits(spec: EnumSpec, expr: Expr, first: bool) -> Iterator[Structure]:
 
         for run in _runs(items) if first and per_structure else [items]:
             if per_structure:
-                built = {o: make(p) for p, o, _ in run}
-            found = _holds(expr, sum(1 << o for _, o, _ in run), leaf)
+                built = {o: make(p) for p, o in run}
+            found = _holds(expr, sum(1 << o for _, o in run), leaf)
             yield from (built[o] if per_structure else make(p)
-                        for p, o, _ in run if found >> o & 1)
+                        for p, o in run if found >> o & 1)
 
 
 def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):

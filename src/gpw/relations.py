@@ -16,7 +16,9 @@ congruence (`_semilattice_labels`), its first chain failure
 congruences, with their block masks, whether every block is a
 subsemigroup and whether the chain condition fails
 (`_semilattice_classes`), which scans for a chain failure only on a
-congruence.
+congruence.  The sweep tests all Bell(n) partitions at once, as the walk
+tests its orders: through the compatibility join over the equivalences,
+one bit per growth string.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .core import (InputError, OwnerError, Structure, Subset, _unchecked_subset,
-                   per_structure, per_table, product_bits)
+from .core import (InputError, OwnerError, Structure, Subset, _compatible_orders, _join,
+                   _Join, _requirements, _unchecked_subset, bit_indices, per_structure,
+                   per_table, product_bits)
 from .ideals import IdealKind, _filter_gens, _principals
 
 _KINDS = {"L": IdealKind.LEFT, "R": IdealKind.RIGHT, "I": IdealKind.TWO_SIDED}
@@ -230,17 +233,40 @@ def _chain_failure(s: Structure, class_of: tuple[int, ...]) -> tuple | None:
                  for g, t in enumerate(s.tables) if cx != class_of[t[x][y]] != cy), None)
 
 
+@lru_cache(maxsize=None)
+def _equivalences(n: int) -> tuple[_Join, list[list[int]]]:
+    """The compatibility join over the equivalences of `_growth_strings(n)`,
+    bit i standing for the i-th, and per pair (x, y) the mask of those
+    that hold x ~ y, every one on the diagonal."""
+    strings = _growth_strings(n)
+    same = [[sum(1 << i for i, c in enumerate(strings) if c[x] == c[y]) for y in range(n)]
+            for x in range(n)]
+    holds = [(x * n + y, same[x][y]) for x in range(n) for y in range(n) if x != y]
+    return _join(n, holds, len(strings)), same
+
+
 @per_table
 def _semilattice_classes(s: Structure) -> tuple[tuple, ...]:
     """Every semilattice congruence, in `all_partitions` order, as its
     labels, its block masks, whether every block is a subsemigroup and
-    whether the chain condition fails."""
+    whether the chain condition fails.  They are the equivalences that
+    every operation respects on both sides, through the compatibility
+    join (`core._compatible_orders`), and that hold every pair (x, x g x)
+    and (x g y, y g x)."""
+    n, strings = s.n, _growth_strings(s.n)
+    join, same = _equivalences(n)
+    kept = _compatible_orders(join, _requirements(s.tables, n))
+    for t in s.tables:
+        for x, row in enumerate(t):
+            kept &= same[x][row[x]]
+            for y in range(x + 1, n):
+                kept &= same[row[y]][t[y][x]]
     out = []
-    for rgs in _growth_strings(s.n):
-        if _semilattice_labels(s, rgs):
-            masks = _block_masks(rgs)
-            out.append((rgs, masks, not any(product_bits(s, b, b) & ~b for b in masks),
-                        _chain_failure(s, rgs) is not None))
+    for i in bit_indices(kept):
+        rgs = strings[i]
+        masks = _block_masks(rgs)
+        out.append((rgs, masks, not any(product_bits(s, b, b) & ~b for b in masks),
+                    _chain_failure(s, rgs) is not None))
     return tuple(out)
 
 

@@ -15,7 +15,7 @@ from itertools import permutations
 import pytest
 
 import gpw
-from gpw import cli, explore, harness
+from gpw import cli, explore, harness, tablewise
 from gpw.cli import main
 from gpw.explore import EnumSpec, enumerate_structures, random_structure
 from gpw.gpsjson import digest, dump, to_obj
@@ -258,6 +258,21 @@ def _strip_timings(rep: dict) -> dict:
     return rep
 
 
+def _clear_form_bit(monkeypatch, tid: str, target) -> None:
+    """Clear the bit of `target` in the agreement mask of check `tid` on
+    target's table, so that a campaign runs that check on `target` itself
+    (pool workers are forked, so they see the patched forms too)."""
+    real = tablewise.CHECK_FORMS[tid]
+
+    def cleared(f):
+        conds, agree = real(f)
+        if f.s.tables == target.tables:
+            agree &= ~(1 << f.position[target.leq])
+        return conds, agree
+
+    monkeypatch.setitem(tablewise.CHECK_FORMS, tid, cleared)
+
+
 def test_campaign_small_slice(capsys):
     code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1"])
     assert code == 0
@@ -295,6 +310,7 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
 
     # pool workers are forked, so they see the patched catalogue too
     monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
+    _clear_form_bit(monkeypatch, "Lemma4", target)
     reports = []
     for jobs in ("1", "2"):
         code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1", "--jobs", jobs])
@@ -367,6 +383,7 @@ def test_campaign_memo_misses_a_label_sensitive_fault(capsys, monkeypatch):
         return verdict._replace(equivalent=False) if digest(s) == target else verdict
 
     monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
+    _clear_form_bit(monkeypatch, "Lemma4", pairs[14][0])
     code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1"])
     assert code == 0 and _report(out)["sections"]["all_equivalent"] is True
     assert _memo_misses(EnumSpec(2, 1)) == [14]
@@ -395,7 +412,7 @@ def test_campaign_checks_each_class_once(capsys, monkeypatch, limit, structures,
     calls = []
     real = cli._campaign_unit
     monkeypatch.setattr(cli, "_campaign_unit",
-                        lambda s, tids: calls.append(None) or real(s, tids))
+                        lambda s, tids, orders: calls.append(None) or real(s, tids, orders))
     argv = ["campaign", "--n", "4", "--k", "1", "--jobs", "1"]
     code, out, _ = _run(capsys, argv + ([] if limit is None else ["--limit", str(limit)]))
     sec = _report(out)["sections"]
@@ -432,6 +449,7 @@ def test_campaign_merge_edges_for_every_jobs_value(capsys, monkeypatch, target, 
 
     # pool workers are forked, so they see the patched catalogue too
     monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
+    _clear_form_bit(monkeypatch, "Lemma4", walk[target][0])
     unit = functools.partial(cli._campaign_unit, tids=harness.THEOREM_IDS)
     firsts, results = {}, []
     for s, key in walk[:limit]:

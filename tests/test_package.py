@@ -42,17 +42,18 @@ def _fresh(code: str, *argv: str):
 @pytest.mark.parametrize("argv, exact, absent", [
     ([], {"gpw"}, None),
     (["--version"], {"gpw", "gpw.cli", "gpw.core"}, None),
-    (["validate", "{path}"], None, {"gpw.explore", "gpw.harness"}),
-    (["analyze", "{path}"], None, {"gpw.explore", "gpw.harness"}),
-    (["check", "{path}"], None, {"gpw.explore"}),
-    (["search", "--n", "2", "--expr", "simple"], None, {"gpw.harness"}),
+    (["validate", "{path}"], None, {"gpw.explore", "gpw.harness", "gpw.tablewise"}),
+    (["analyze", "{path}"], None, {"gpw.explore", "gpw.harness", "gpw.tablewise"}),
+    (["check", "{path}"], None, {"gpw.explore", "gpw.tablewise"}),
+    (["search", "--n", "2", "--expr", "simple"], None, {"gpw.harness", "gpw.tablewise"}),
     (["campaign", "--n", "2"], None, set()),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, exact, absent):
     """`import gpw` loads no submodule, `--version` only the CLI and the
     kernel it needs for its parser, `validate` and `analyze` neither the
-    walk nor the claim catalogue, `search` no claim catalogue, and
-    nothing loads `dataclasses`."""
+    walk nor the claim catalogue, `search` no claim catalogue, only
+    `campaign` the campaign's per-table forms, and nothing loads
+    `dataclasses`."""
     path = tmp_path / "s.json"
     dump(min_semilattice(), str(path))
     loaded = set(_fresh(_LOADED, *(a.format(path=path) for a in argv)))
@@ -61,6 +62,22 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, exact, absent):
         assert loaded == exact
     else:
         assert {"gpw", "gpw.cli", "gpw.core"} <= loaded and not loaded & absent
+
+
+def test_sample_loop_does_not_load_the_campaign_forms():
+    """The benchmark's sample loop checks its structures through the
+    per-structure path alone."""
+    perfbench = os.path.join(os.path.dirname(_SRC), "perfbench")
+    code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {perfbench!r})
+import sample_loop
+with contextlib.redirect_stdout(io.StringIO()):
+    sample_loop.main(["--seed", "7", "--m", "2"])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("gpw"))))
+"""
+    loaded = set(_fresh(code))
+    assert {"gpw.explore", "gpw.harness"} <= loaded and "gpw.tablewise" not in loaded
 
 
 def test_lazy_exports_are_their_modules_objects():

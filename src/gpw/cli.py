@@ -13,6 +13,11 @@ the command and wraps and emits its report.
 Exit codes: 0 success, 1 a checked claim failed, 2 bad input or usage,
 3 a search exhausted its slice without finding a witness.
 
+`gpw campaign` tallies each table of the walk from the masks of its
+orbit's least table (`_campaign_unit`), and reads a table's items, so
+tests its (table, order) pairs, only when --limit cuts it or a check
+fails there.
+
 Start-up loads only what the command runs: at module level this imports
 the standard library, `__version__` and `core` (for the parser), and each
 command imports the rest when it runs, so `gpw --version` loads no other
@@ -25,12 +30,14 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import reprlib
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from functools import cache, partial
+from itertools import islice
 
 from . import __version__
 from .core import _DEDUP_MODES, _ORDER_MODES, InputError, Structure, validate
@@ -252,21 +259,32 @@ def _campaign_modules() -> tuple:
 
 
 def _campaign_unit(s: Structure, tids: tuple, orders: str = "all") -> tuple:
-    """The names of the predicates `s` satisfies, and its failure record
-    when one of the checks `tids` disagrees, else None.
+    """From `tablewise.forms` of the table of s over the list of order mode
+    `orders`: the agreement mask of the checks `tids`, and the mask of each
+    name of `PREDICATES`, sorted.  A campaign runs it on each least table."""
+    forms = _campaign_modules()[2].forms(s, orders)
+    return forms.agreement(tids), tuple(mask for _, mask in forms.predicates)
 
-    Both are read at the bit of the order of s in the list of the order
-    mode `orders` (a campaign passes its slice's), from the masks of
-    `tablewise.forms`, built once per table.  Only a check whose bit is
-    clear runs on s itself (`harness.check`): its verdict makes the
-    failure record, and an equivalent verdict there is an error, as the
-    two paths disagree."""
+
+def _tally(names: list, masks: tuple, domain: int) -> tuple[dict, dict]:
+    """Over the orders of `domain`: per name, how many its mask holds, and
+    per set of names, "+"-joined or "(none)", how many hold those alone."""
+    groups = {(): domain}  # per set of the names so far, the orders under which those alone hold
+    for name, mask in zip(names, masks):
+        groups = {key: orders for held, rest in groups.items()
+                  for key, orders in (((*held, name), rest & mask), (held, rest & ~mask))
+                  if orders}
+    return ({name: (mask & domain).bit_count() for name, mask in zip(names, masks)},
+            {"+".join(held) or "(none)": orders.bit_count() for held, orders in groups.items()})
+
+
+def _failure(s: Structure, tids: tuple, orders: str) -> dict:
+    """The failure record of s, on its orbit's least table: each check
+    whose bit of s is clear runs on s (`harness.check`) for its verdict,
+    and an equivalent one is an error, as the two paths disagree."""
     gpsjson, harness, tablewise = _campaign_modules()
     forms = tablewise.forms(s, orders)
     p = forms.position[s.leq]
-    preds = tuple(name for name, mask in forms.predicates if mask >> p & 1)
-    if forms.agreement(tids) >> p & 1:
-        return preds, None
     bad = []
     for tid in tids:
         if not forms.check(tid)[1] >> p & 1:
@@ -275,72 +293,80 @@ def _campaign_unit(s: Structure, tids: tuple, orders: str = "all") -> tuple:
                 raise RuntimeError(f"{tid}: the table's masks fail structure {gpsjson.digest(s)}, "
                                    "which its own check passes")
             bad.append(v.as_dict())
-    return preds, {"structure": gpsjson.to_obj(s), "digest": gpsjson.digest(s), "verdicts": bad}
-
-
-def _walk_results(walk, run):
-    """The `_campaign_unit` result of every structure of `walk`, a
-    `_keyed_structures` stream, in walk order.  `run` maps the first
-    member of each isomorphism class, under iso every structure, to its
-    result, in order (`map`, or a pool's `imap`).  Every verdict and
-    predicate is invariant under relabeling, so a later member reads its
-    class's result.  Each structure's key is queued before the structure
-    goes to `run`, which may read the walk in another thread, so the keys
-    up to a first member are there when its result comes; a queued key
-    whose class has a result is a later member's."""
-    keys = deque()
-
-    def firsts():
-        seen = set()  # the class keys whose first member was sent
-        for s, key in walk:
-            keys.append(key)
-            if key is None or key not in seen:
-                seen.add(key)
-                yield s
-
-    results = {}  # per class key, the result of its first member
-    for result in run(firsts()):
-        key = keys.popleft()
-        while key in results:
-            yield results[key]
-            key = keys.popleft()
-        if key is not None:
-            results[key] = result
-        yield result
-    for key in keys:  # the later members after the last first member
-        yield results[key]
+    return {"structure": gpsjson.to_obj(s), "digest": gpsjson.digest(s), "verdicts": bad}
 
 
 def cmd_campaign(args) -> tuple[dict, int, str | None]:
-    from .explore import PREDICATES, _keyed_structures
+    from .explore import PREDICATES, _gamma_names, _limit, _walk
     spec, corpus = _slice(args)
     tids = _parse_theorems(args.theorems)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    walk = _keyed_structures(spec, args.limit)
+    entries, walk = _walk(spec)
+    left = math.inf if _limit(args.limit) is None else args.limit  # structures still to read
+    n, gamma, names = spec.n, _gamma_names(spec.k), sorted(PREDICATES)
     unit = partial(_campaign_unit, tids=tids, orders=spec.orders)
-    structures = 0
-    pred_counts = {name: 0 for name in sorted(PREDICATES)}
-    combos: dict[str, int] = {}
-    failure = None
+    orbits = {}  # per orbit c, its least table's masks and their tally over its domain
+
+    def structure(tables: tuple, p: int) -> Structure:
+        return Structure._unchecked(n, gamma, tables, *entries[p], {})
+
+    def least(table: tuple) -> Structure:  # on the orbit's least table, its first
+        return structure(table[0], (table[2] & -table[2]).bit_length() - 1)
+
+    def inline():
+        for table in walk:
+            if table[1] not in orbits:
+                masks = unit(least(table))
+                orbits[table[1]] = (*masks, _tally(names, masks[1], table[2]))
+            yield table
+
+    def pooled(pool):
+        # the pool's feeder thread reads the walk ahead, queueing each table
+        # before it hands on a least table, so its masks find it queued
+        queue = deque()
+
+        def leasts():
+            top = -1
+            for table in walk:
+                queue.append(table)
+                if table[1] > top:
+                    top = table[1]
+                    yield least(table)
+
+        for masks in pool.imap(unit, leasts()):
+            table = queue.popleft()
+            while table[1] in orbits:  # a table of an earlier orbit
+                yield table
+                table = queue.popleft()
+            orbits[table[1]] = (*masks, _tally(names, masks[1], table[2]))
+            yield table
+        yield from queue  # the walk has ended
+
+    structures, failure = 0, None
+    pred_counts, combos = Counter(dict.fromkeys(names, 0)), Counter()
+    pool = None
     if args.jobs > 1:
         from multiprocessing import Pool  # only here: its import costs every run
+        _campaign_modules()  # imported once, before the workers fork
         pool = Pool(processes=min(args.jobs, os.cpu_count() or 1))
-        # a Structure pickles as its raw parts and its table cache, still
-        # empty in the parent, so the first members of one table that
-        # travel in one chunk share one table cache in the worker
-        run = partial(pool.imap, unit, chunksize=128)
-    else:
-        pool = None
-        run = partial(map, unit)
     try:
-        for preds, failure in _walk_results(walk, run):
-            structures += 1
-            for name in preds:
-                pred_counts[name] += 1
-            key = "+".join(preds) if preds else "(none)"
-            combos[key] = combos.get(key, 0) + 1
-            if failure is not None:
+        for tables, c, domain, items in () if not left else pooled(pool) if pool else inline():
+            agree, preds, tally = orbits[c]
+            count = domain.bit_count()
+            if count > left or domain & ~agree:  # read the items, up to the cut or a failure
+                read = 0
+                for p, o in islice(items, min(count, left)):
+                    read |= 1 << o
+                    if not agree >> o & 1:
+                        failure = _failure(structure(tables, p), tids, spec.orders)
+                        break
+                count, tally = read.bit_count(), _tally(names, preds, read)
+            structures += count
+            left -= count
+            pred_counts.update(tally[0])
+            combos.update(tally[1])
+            if failure is not None or not left:
                 break
     finally:
         if pool is not None:
@@ -351,7 +377,7 @@ def cmd_campaign(args) -> tuple[dict, int, str | None]:
         "structures": structures,
         "all_equivalent": failure is None,
         "first_failure": failure,
-        "predicate_counts": pred_counts,
+        "predicate_counts": dict(pred_counts),
         "combination_tally": dict(sorted(combos.items())),
     }
     return sections, 0 if failure is None else 1, None

@@ -40,20 +40,21 @@ choosing the elements below and above it, sorted by the pair mask that
 fixes their order.  A structure is emitted only when every operation
 respects the order on both sides.
 
-Every (table, order) pair is tested, but the work that depends on the
-table alone is done once per orbit, on its least table, the order list
-and its join once per (n, order mode) in a process (`_order_layer`), and
-each order's key and `down` / `up` masks (`core._down_up`, as in
-`Structure`) once per walk.  The walk goes one table at a time: it hands
-on each table with a lazy iterator of its items, one per structure, each
-naming its order by its index in the list and by that of the matching
-order of the least table, whose class keys come with it under labeled;
-`enumerate_structures` builds the structures from them.  The
-structures of one table share one `core.table_cache` dict, so the checks
-compute their table-only results once per table.  A structure is built
-by `core.Structure._unchecked`, without the shape checks of
-`Structure(...)`, which the fill and the order generator make true by
-construction.
+The walk tests every (table, order) pair its items reach, but the work
+that depends on the table alone is done once per orbit, on its least
+table, the order list and its join once per (n, order mode) in a process
+(`_order_layer`), and each order's key and `down` / `up` masks
+(`core._down_up`, as in `Structure`) once per walk.  The walk goes one
+table at a time: it hands on each table with the mask of the least
+table's orders that its items name, and with an iterator of those items,
+one per structure, each naming its order by its index in the list and by
+that of the matching order of the least table; `enumerate_structures`
+builds the structures from them, and a campaign tallies a whole table
+from the mask alone (see `cli`).  The structures of one table share one
+`core.table_cache` dict, so the checks compute their table-only results
+once per table.  A structure is built by `core.Structure._unchecked`,
+without the shape checks of `Structure(...)`, which the fill and the
+order generator make true by construction.
 The compatibility join is bit-parallel over the order list, bit o of a
 mask standing for order o: it gives per least table L one int, the
 orders that every operation respects (`_compatible_orders`), which the
@@ -76,15 +77,6 @@ run of list lookups, and a comparison stops at the first cell that
 differs; the orbit pass builds each whole image as `bytes`, with one
 `operator.itemgetter` of those positions and one `bytes.translate` by
 pi.
-
-Without the filter (`dedup="labeled"`) the walk gives each structure an
-isomorphism class key, so that a campaign checks one structure per
-class.  (pi L, pi o) is isomorphic to (L, o), so it gets the key of
-(L, o): (c, the least order key among o and its images under L's
-automorphisms), c the orbit's index (`_class_keys`), read through the
-same list as the flags.  Two structures get the same key exactly when
-some relabeling maps one to the other.  Under iso every structure is
-its own class, and the walk computes no key.
 
 Sampling reuses the same backtracking, in the same (g, a, b) cell order,
 with shuffled value order and a node budget, counted by the sampler's
@@ -555,71 +547,56 @@ def enumerate_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[S
     lexicographic sequence, then orders in `partial_orders` list order.
 
     At most `limit` structures when it is given; 0 yields none and a
-    negative limit is an InputError.
+    negative limit is an InputError.  They flatten `_walk`'s items.
     """
-    return (s for s, _ in _keyed_structures(spec, limit))
-
-
-def _keyed_structures(spec: EnumSpec, limit: int | None = None) -> Iterator[tuple]:
-    """The structures of `enumerate_structures`, each as (structure, key):
-    under `dedup="labeled"`, key is the structure's isomorphism class key
-    (see `_walk`); under iso, where every structure is its own class, it
-    is None.  They flatten `_walk`'s items."""
     entries, walk = _walk(spec)
-    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)
-                              or limit < 0):
-        raise InputError(f"limit must be an integer >= 0, got {limit!r}")
     n, names = spec.n, _gamma_names(spec.k)
 
-    def structures() -> Iterator[tuple]:
-        for tables, _, classes, items in walk:
+    def structures() -> Iterator[Structure]:
+        for tables, _, _, items in walk:
             shared = {}  # the table-only results of every structure on this table
-            for p, o in items:
+            for p, _ in items:
                 leq, down, up = entries[p]  # a call through * slows the walk by a tenth
-                yield (Structure._unchecked(n, names, tables, leq, down, up, shared),
-                       None if classes is None else classes[o])
+                yield Structure._unchecked(n, names, tables, leq, down, up, shared)
 
-    return islice(structures(), limit)
+    return islice(structures(), _limit(limit))
 
 
-def _class_keys(c: int, flags: bytes, lists: list, keys: list) -> dict:
-    """Per order o that `flags` marks compatible, keyed by o, the class
-    key (c, r) of the structure (L, order o), L the least table of orbit
-    c: r is the least key among o's and those of its images under L's
-    automorphisms, read through `lists` as `_is_canonical` reads them.
-    The images are the order's class on L, so r names it."""
-    return {o: (c, min([keys[o]] + [keys[lst[o]] for lst in lists]))
-            for o in compress(range(len(flags)), flags)}
+def _limit(limit: int | None) -> int | None:  # None, or an integer >= 0
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 0):
+        raise InputError(f"limit must be an integer >= 0, got {limit!r}")
+    return limit
 
 
 def _walk(spec: EnumSpec) -> tuple[list, Iterator[tuple]]:
     """(entries, tables): entries per order p of the mode's list, its
     (leq, down, up); tables, per table of `_associative_tables` on which
-    the slice has a structure, in that order, (tables, c, classes,
-    items).  c is the index of the table's orbit, whose least table L
-    comes first here: it comes first from `_associative_tables`, and has
-    a structure whenever another table of the orbit has one.  items are
-    the table's structures in list order, each as (p, o): p the index of
-    its order, o that of the order of L with pi o = p for the table pi L
-    (o = p on L).  classes maps each such o to the structure's class key
-    under labeled, and is None under iso.
+    the slice has a structure, in that order, (tables, c, domain, items).
+    c is the index of the table's orbit, whose least table L comes first
+    here: it comes first from `_associative_tables`, and has a structure
+    whenever another table of the orbit has one.  items are the table's
+    structures in list order, each as (p, o): p the index of its order, o
+    that of the order of L with pi o = p for the table pi L (o = p on L),
+    so (pi L, p) is isomorphic to (L, o).  domain is the mask of those o:
+    every compatible order of L under labeled, on each table of the
+    orbit, and L's canonical orders under iso, where L alone has items.
 
     Per orbit, the join (which skips `_requirements` when no order holds
-    a pair a != b), as `_flags`, and, under labeled, `_class_keys` run on
-    L alone.  Every table pi L reads them through the list of pi, per
-    order p its o (every order mode is closed under relabeling), and L's
-    automorphisms read theirs: one list per carrier permutation, built the
-    first time it comes from the orders' up masks, each relabeled by pi^-1
-    the way `_associative_tables` relabels a table.  Every order is tested
-    by `_compatible` and, under iso, every compatible one by
-    `_is_canonical`, under `map` and `compress` alone on a table pi L,
-    which has no structure.  A table's items come as an iterator, which
-    tests an order only when the items reach it, so a walk cut short, as
-    by `--limit`, tests no order past its cut.  A table is handed on
-    when L has a compatible order, exactly when the table has an item:
-    pi relabels L's compatible orders onto the table's, and on L the
-    least of each class under L's automorphisms is canonical.  The spec
-    is checked, and the entries built, on the call."""
+    a pair a != b), as `_flags`, runs on L alone.  Every table pi L reads
+    it through the list of pi, per order p its o (every order mode is
+    closed under relabeling), and L's automorphisms read theirs: one list
+    per carrier permutation, built the first time it comes from the
+    orders' up masks, each relabeled by pi^-1 the way
+    `_associative_tables` relabels a table.  Every order is tested by
+    `_compatible` and, under iso, every compatible one by `_is_canonical`,
+    under `map` and `compress` alone on a table pi L, which has no
+    structure.  Under labeled the items test an order only when they
+    reach it, so a walk cut short tests no order past its cut; under iso
+    L's orders are tested when L is handed on.  A table is handed on when
+    L has a compatible order, exactly when the table has an item: pi maps
+    L's compatible orders onto the table's, and on L the least of each
+    class under L's automorphisms is canonical.  The spec is checked, and
+    the entries built, on the call."""
     if not isinstance(spec, EnumSpec):
         raise InputError(f"spec must be an EnumSpec, got {reprlib.repr(spec)}")
     n, k, iso = spec.n, spec.k, spec.dedup == "iso"
@@ -644,29 +621,29 @@ def _walk(spec: EnumSpec) -> tuple[list, Iterator[tuple]]:
         return lst
 
     def walk() -> Iterator[tuple]:
-        kept = []  # per orbit c, the flags and class keys of its least table
+        kept = []  # per orbit c, the compatible orders of its least table, as a mask and as flags
         for tables, c, pi, automorphisms in _associative_tables(n, k, not iso):
             if pi is None:
                 compatible = (_compatible_orders(join, _requirements(tables, n))
                               if join.holds else join.every)
-                flags = _flags(compatible, len(ids))
-                images = [relabeled(p) for p in automorphisms]
-                kept.append((flags, None if iso else _class_keys(c, flags, images, keys)))
-            flags, classes = kept[c]
+                kept.append((compatible, _flags(compatible, len(ids))))
+            domain, flags = kept[c]
             source = relabeled(pi)
             # one `_compatible` call per order
             tested = map(_compatible, repeat(flags), source)
             if not iso:
                 items = compress(enumerate(source), tested)
             elif pi is None:
-                canonical = filter(partial(_is_canonical, images, keys), compress(ids, tested))
-                items = ((o, o) for o in canonical)
+                images = [relabeled(p) for p in automorphisms]
+                canonical = list(filter(partial(_is_canonical, images, keys),
+                                        compress(ids, tested)))
+                domain, items = sum(1 << o for o in canonical), zip(canonical, canonical)
             else:
                 # each is False; the calls stay only because perfbench/golden.json counts them
                 deque(map(_is_canonical, repeat(None), repeat(keys), compress(source, tested)), 0)
                 continue
-            if 1 in flags:  # L has a compatible order, so this table has an item
-                yield tables, c, classes, items
+            if domain:  # L has a compatible order, so this table has an item
+                yield tables, c, domain, items
 
     return entries, walk()
 

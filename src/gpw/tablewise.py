@@ -1,9 +1,10 @@
 """Every claim check and predicate on all the orders of a table at once.
 
-`gpw campaign` reads its verdicts here.  A mask has one bit per order
-of the slice's order-mode list (`explore._order_layer(n, mode)`), bit p
-for order p, and a form is the mask of the orders under which a
-condition holds on one table (bitslicing: Biham, FSE 1997).
+`gpw campaign` reads its verdicts here, from the forms of each orbit's
+least table, which every table of the orbit reads.  A mask has one bit
+per order of the slice's order-mode list (`explore._order_layer(n,
+mode)`), bit p for order p, and a form is the mask of the orders under
+which a condition holds on one table (bitslicing: Biham, FSE 1997).
 `forms(s, mode)` is kept once per table (`core.per_table`), and builds
 each check's form the first time it is asked; the structure (tables,
 order p) reads each at bit p.  A bit of an order that the table does not
@@ -114,7 +115,6 @@ class Forms:
         self.s = s
         self.every, self.reach, self.down_closed, self.position = _orders(s.n, mode)
         self._checks: dict[str, tuple[dict, int]] = {}
-        self._agreement: dict[tuple, int] = {}
         self._same: dict[str, list[list[int]]] = {}
         self._simple: dict[IdealKind, dict[int, int]] = {}
 
@@ -130,10 +130,7 @@ class Forms:
 
     def agreement(self, tids: tuple) -> int:
         """The orders under which every check of `tids` agrees."""
-        hit = self._agreement.get(tids)
-        if hit is None:
-            hit = self._agreement[tids] = self.none(~self.check(tid)[1] for tid in tids)
-        return hit
+        return self.none(~self.check(tid)[1] for tid in tids)
 
     @cached_property
     def predicates(self) -> tuple[tuple[str, int], ...]:

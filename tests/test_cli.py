@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -17,6 +17,7 @@ import pytest
 import gpw
 from gpw import cli, explore, harness, tablewise
 from gpw.cli import main
+from gpw.core import Structure
 from gpw.explore import EnumSpec, enumerate_structures, random_structure
 from gpw.gpsjson import digest, dump, to_obj
 from test_harness import _relabel
@@ -258,19 +259,85 @@ def _strip_timings(rep: dict) -> dict:
     return rep
 
 
-def _clear_form_bit(monkeypatch, tid: str, target) -> None:
-    """Clear the bit of `target` in the agreement mask of check `tid` on
-    target's table, so that a campaign runs that check on `target` itself
-    (pool workers are forked, so they see the patched forms too)."""
+def _clear_form_bit(monkeypatch, tid: str, spec: EnumSpec, *targets) -> None:
+    """Clear bit o of each target (pi L, p) of the slice `spec`, o the
+    order of L with pi o = p, in the agreement mask of check `tid` on its
+    orbit's least table L, whose masks the campaign reads for every table
+    of the orbit (pool workers are forked, so they see the patched forms
+    too)."""
+    entries, walk = explore._walk(spec)
+    wanted = {(t.tables, t.leq) for t in targets}
+    least, bits = {}, {}  # per orbit its least table; per least table the bits to clear
+    for tables, c, _, items in walk:
+        least.setdefault(c, tables)
+        for p, o in items:
+            if (tables, entries[p][0]) in wanted:
+                bits[least[c]] = bits.get(least[c], 0) | 1 << o
     real = tablewise.CHECK_FORMS[tid]
 
     def cleared(f):
         conds, agree = real(f)
-        if f.s.tables == target.tables:
-            agree &= ~(1 << f.position[target.leq])
-        return conds, agree
+        return conds, agree & ~bits.get(f.s.tables, 0)
 
     monkeypatch.setitem(tablewise.CHECK_FORMS, tid, cleared)
+
+
+def _fail_lemma4_on(monkeypatch, targets) -> None:
+    """Make `harness`'s Lemma4 check disagree on the structures
+    `targets` alone, its witness naming their index in `targets` (pool
+    workers are forked, so they see the patched catalogue too)."""
+    real = harness._CHECKS["Lemma4"]
+    index = {digest(t): i for i, t in enumerate(targets)}
+
+    def faulty(s):
+        verdict = real(s)
+        i = index.get(digest(s))
+        return verdict if i is None else verdict._replace(equivalent=False,
+                                                          witness={"injected": i})
+
+    monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
+
+
+def _read(pairs, limit: int | None = None) -> dict:
+    """The campaign sections read structure by structure: per pair
+    (s, r), r's `PREDICATES` values and `harness.check_all` verdicts, up
+    to `limit` pairs or the first pair whose r fails a check, recorded on
+    s."""
+    names = sorted(explore.PREDICATES)
+    structures, failure = 0, None
+    counts, combos = dict.fromkeys(names, 0), collections.Counter()
+    for s, r in itertools.islice(pairs, limit):
+        structures += 1
+        held = [name for name in names if explore.PREDICATES[name](r)]
+        for name in held:
+            counts[name] += 1
+        combos["+".join(held) or "(none)"] += 1
+        bad = [v.as_dict() for v in harness.check_all(r) if not v.equivalent]
+        if bad:
+            failure = {"structure": to_obj(s), "digest": digest(s), "verdicts": bad}
+            break
+    return {"structures": structures, "all_equivalent": failure is None,
+            "first_failure": failure, "predicate_counts": counts,
+            "combination_tally": dict(sorted(combos.items()))}
+
+
+def _through_least(spec: EnumSpec):
+    """Each structure (pi L, p) of the walk paired with (L, o), o the
+    order of L with pi o = p."""
+    entries, walk = explore._walk(spec)
+    names, least = explore._gamma_names(spec.k), {}
+    for tables, c, _, items in walk:
+        least.setdefault(c, tables)
+        for p, o in items:
+            yield (Structure(spec.n, names, tables, entries[p][0]),
+                   Structure(spec.n, names, least[c], entries[o][0]))
+
+
+def _campaign_sections(capsys, argv: list, jobs: str) -> tuple[int, dict]:
+    code, out, _ = _run(capsys, ["campaign", *argv, "--jobs", jobs])
+    sec = _report(out)["sections"]
+    del sec["corpus"]
+    return code, sec
 
 
 def test_campaign_small_slice(capsys):
@@ -294,9 +361,9 @@ def test_campaign_jobs_determinism(capsys):
 def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch):
     """One check made to disagree on one structure: the campaign stops at
     it with exit 1 and the same first_failure for every --jobs value.  The
-    structure is the first of its isomorphism class, so the campaign
-    checks it directly, and the second on its table, so at every --jobs
-    value it reads table results that the first one computed."""
+    structure stands on its orbit's least table, whose masks show the
+    fault, and is the second on it, so the campaign reads that table's
+    items one by one and checks it on its own."""
     structures = list(enumerate_structures(EnumSpec(2, 1)))
     target = structures[7]
     assert target.tables == structures[6].tables != structures[5].tables
@@ -310,7 +377,7 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
 
     # pool workers are forked, so they see the patched catalogue too
     monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
-    _clear_form_bit(monkeypatch, "Lemma4", target)
+    _clear_form_bit(monkeypatch, "Lemma4", EnumSpec(2, 1), target)
     reports = []
     for jobs in ("1", "2"):
         code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1", "--jobs", jobs])
@@ -327,66 +394,34 @@ def test_campaign_failure_is_serialized_for_every_jobs_value(capsys, monkeypatch
         [("Lemma4", False, {"injected": 7})]
 
 
-def _memo_misses(spec: EnumSpec, limit: int | None = None) -> list[int]:
-    """The indices of the structures whose campaign result, read from
-    their class's first member, differs from a direct `_campaign_unit`
-    on the structure itself."""
-    unit = functools.partial(cli._campaign_unit, tids=harness.THEOREM_IDS)
-    memo = cli._walk_results(explore._keyed_structures(spec, limit),
-                             functools.partial(map, unit))
-    direct = map(unit, enumerate_structures(spec, limit))
-    return [i for i, (got, want) in enumerate(zip(memo, direct, strict=True)) if got != want]
-
-
-def _relabeling_classes(structures: list) -> list[frozenset]:
-    """The structures' indices grouped by brute force: two are in one
-    class when some carrier and operation relabeling maps one to the
-    other, found as the least (tables, order) over every relabeling."""
-    classes = {}
-    for i, s in enumerate(structures):
-        form = min((t.tables, t.leq) for pi in permutations(range(s.n))
-                   for rho in permutations(range(len(s.tables))) for t in [_relabel(s, pi, rho)])
-        classes.setdefault(form, set()).add(i)
-    return sorted(map(frozenset, classes.values()), key=min)
-
-
-@pytest.mark.parametrize("spec, limit, count", [
-    (EnumSpec(3, 2), None, 371), (EnumSpec(4, 1), 1000, 486)])
-def test_campaign_memo_matches_direct_checks(spec, limit, count):
-    """One check per isomorphism class: on the full n3k2 labeled slice and
-    the n4k1 head, every structure's memoized (predicates, failure) is the
-    direct one, and the class keys split the structures into exactly the
-    brute-force relabeling classes."""
-    assert _memo_misses(spec, limit) == []
-    pairs = list(explore._keyed_structures(spec, limit))
-    by_key = {}
-    for i, (_, key) in enumerate(pairs):
-        by_key.setdefault(key, set()).add(i)
-    classes = _relabeling_classes([s for s, _ in pairs])
-    assert len(classes) == count
-    assert sorted(map(frozenset, by_key.values()), key=min) == classes
+@pytest.mark.parametrize("spec, limit", [
+    (EnumSpec(3, 2), None), (EnumSpec(2, 3), None), (EnumSpec(4, 1), 1000)])
+def test_campaign_matches_direct_checks(capsys, spec, limit):
+    """On the full n3k2 and n2k3 labeled slices and the n4k1 head, the
+    sections that the campaign tallies from each orbit's least-table masks
+    are those read structure by structure from `PREDICATES` and
+    `harness.check_all`."""
+    argv = ["--n", str(spec.n), "--k", str(spec.k)] + ([] if limit is None else
+                                                       ["--limit", str(limit)])
+    assert _campaign_sections(capsys, argv, "1") == (
+        0, _read(((s, s) for s in enumerate_structures(spec)), limit))
 
 
 def test_campaign_memo_misses_a_label_sensitive_fault(capsys, monkeypatch):
-    """The trade of one check per class: a check that fails on one
-    labeled structure only, n2k1 structure 14, a later member of
-    structure 5's class, passes the campaign, which never checks it; the
-    direct comparison flags exactly that structure."""
-    pairs = list(explore._keyed_structures(EnumSpec(2, 1)))
-    keys = [key for _, key in pairs]
-    assert keys.index(keys[14]) == 5
-    target = digest(pairs[14][0])
-    real = harness._CHECKS["Lemma4"]
-
-    def faulty(s):
-        verdict = real(s)
-        return verdict._replace(equivalent=False) if digest(s) == target else verdict
-
-    monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
-    _clear_form_bit(monkeypatch, "Lemma4", pairs[14][0])
+    """The trade of reading every table of an orbit through its least
+    table L: a check that fails on one labeled structure only, n2k1
+    structure 14, on a table whose L came four tables earlier, passes the
+    campaign, as L's masks do not show it; the direct reading stops at
+    exactly that structure."""
+    pairs = list(_through_least(EnumSpec(2, 1)))
+    target, least = pairs[14]
+    assert least.tables != target.tables
+    _fail_lemma4_on(monkeypatch, [target])
     code, out, _ = _run(capsys, ["campaign", "--n", "2", "--k", "1"])
     assert code == 0 and _report(out)["sections"]["all_equivalent"] is True
-    assert _memo_misses(EnumSpec(2, 1)) == [14]
+    assert _read(pairs)["all_equivalent"] is True
+    direct = _read((s, s) for s, _ in pairs)
+    assert (direct["structures"], direct["first_failure"]["digest"]) == (15, digest(target))
 
 
 class _InProcessPool:
@@ -403,83 +438,96 @@ class _InProcessPool:
         pass
 
 
-@pytest.mark.parametrize("limit, structures, checked", [
-    (1000, 1000, 486), (None, 107688, 4753)])
-def test_campaign_checks_each_class_once(capsys, monkeypatch, limit, structures, checked):
+@pytest.mark.parametrize("limit, structures, units", [
+    (1000, 1000, 13), (None, 107688, 188)])
+def test_campaign_runs_one_unit_per_orbit(capsys, monkeypatch, limit, structures, units):
     """Labeled n4k1, the first 1,000 structures and all 107,688: the
-    campaign calls `_campaign_unit` once per isomorphism class, on its
-    first member, and reads that result for every later member."""
+    campaign calls `_campaign_unit` once per orbit whose least table it
+    reaches, on that table, and reads its masks for every table of the
+    orbit."""
     calls = []
     real = cli._campaign_unit
     monkeypatch.setattr(cli, "_campaign_unit",
-                        lambda s, tids, orders: calls.append(None) or real(s, tids, orders))
+                        lambda s, tids, orders: calls.append(s.tables) or real(s, tids, orders))
     argv = ["campaign", "--n", "4", "--k", "1", "--jobs", "1"]
     code, out, _ = _run(capsys, argv + ([] if limit is None else ["--limit", str(limit)]))
     sec = _report(out)["sections"]
     assert code == 0 and sec["all_equivalent"] is True
-    assert (sec["structures"], len(calls)) == (structures, checked)
+    assert (sec["structures"], len(calls)) == (structures, units)
+    assert calls == sorted(set(calls))  # least tables, in walk order
 
 
 @pytest.mark.parametrize("target, limit, structures", [
-    (12, None, 13),  # the last first member, after later members 8 and 11
-    (10, 12, 11),    # a first member after later member 8
-    (13, 15, 15),    # a later member; the limit ends inside a run of them
-    (19, None, 20),  # a later member in the run after the last first member
+    (12, None, 13),  # on the last least table
+    (10, 12, 11),    # on a least table, before the limit
+    (13, 15, 15),    # not on a least table; the limit ends inside its table
+    (19, None, 20),  # on the last table, not a least one
 ])
 def test_campaign_merge_edges_for_every_jobs_value(capsys, monkeypatch, target, limit,
                                                    structures):
-    """Labeled n2k1 walks its 20 structures as the first members of
-    classes 0..10 (F) and later members (l): F0..F7 l7 F8 F9 l9 F10 l3 l5
-    l4 l10 l0 l2 l1.  One check fails on structure `target` alone, which
-    the campaign checks only when it is a first member.  The sections at
-    --jobs 1, 2 and 64 (an in-process pool) are those of a direct reading:
-    each structure takes its class's first member's result, up to the
-    first failure or the limit."""
-    walk = list(explore._keyed_structures(EnumSpec(2, 1)))
-    keys = [key for _, key in walk]
-    assert [i for i, key in enumerate(keys) if keys.index(key) == i] == [*range(8), 9, 10, 12]
-    fault = digest(walk[target][0])
-    real = harness._CHECKS["Lemma4"]
-
-    def faulty(s):
-        verdict = real(s)
-        if digest(s) == fault:
-            return verdict._replace(equivalent=False, witness={"injected": target})
-        return verdict
-
-    # pool workers are forked, so they see the patched catalogue too
-    monkeypatch.setitem(harness._CHECKS, "Lemma4", faulty)
-    _clear_form_bit(monkeypatch, "Lemma4", walk[target][0])
-    unit = functools.partial(cli._campaign_unit, tids=harness.THEOREM_IDS)
-    firsts, results = {}, []
-    for s, key in walk[:limit]:
-        if key not in firsts:
-            firsts[key] = unit(s)
-        results.append(firsts[key])
-        if results[-1][1] is not None:
-            break
-    failure = results[-1][1]
-    assert len(results) == structures
-    assert (failure is not None) == (keys.index(keys[target]) == target)
-    combos = collections.Counter("+".join(preds) or "(none)" for preds, _ in results)
-    want = {
-        "structures": structures,
-        "all_equivalent": failure is None,
-        "first_failure": failure,
-        "predicate_counts": {name: sum(name in preds for preds, _ in results)
-                             for name in sorted(explore.PREDICATES)},
-        "combination_tally": dict(combos),
-    }
-    argv = ["campaign", "--n", "2", "--k", "1"] + ([] if limit is None else ["--limit", str(limit)])
+    """Labeled n2k1 walks its 20 structures on tables L0..L4 of orbits
+    0..4, then on the orbits' other tables, of orbits 1, 4 and 0.  One
+    check fails on structure `target` alone, and its bit is cleared in
+    its orbit's least-table masks only when `target` stands on that
+    table.  The sections at --jobs 1, 2 and 64 (an in-process pool) are
+    those of reading each structure (pi L, p) through (L, o): a fault
+    off the least tables passes."""
+    pairs = list(_through_least(EnumSpec(2, 1)))
+    s, least = pairs[target]
+    _fail_lemma4_on(monkeypatch, [s])
+    if least.tables == s.tables:
+        _clear_form_bit(monkeypatch, "Lemma4", EnumSpec(2, 1), s)
+    want = _read(pairs, limit)
+    assert (want["structures"], want["all_equivalent"]) == (structures, least.tables != s.tables)
+    argv = ["--n", "2", "--k", "1"] + ([] if limit is None else ["--limit", str(limit)])
     for jobs in ("1", "2", "64"):
         if jobs == "64":
             monkeypatch.setattr(multiprocessing, "Pool", lambda processes: _InProcessPool())
-        code, out, _ = _run(capsys, argv + ["--jobs", jobs])
-        sec = _report(out)["sections"]
-        assert code == (0 if failure is None else 1)
-        assert {name: sec[name] for name in want} == want
-    if failure is not None:
-        assert failure["digest"] == fault
+        assert _campaign_sections(capsys, argv, jobs) == (int(not want["all_equivalent"]), want)
+
+
+def _class_of(s: Structure) -> list:
+    """Every relabeling of s, itself included."""
+    return [_relabel(s, pi, rho) for pi in permutations(range(s.n))
+            for rho in permutations(range(len(s.tables)))]
+
+
+# labeled n3k1: 971 structures on 113 tables of 24 orbits.  Table 7
+# (structures 73..85) is orbit 2's second, and orbit 7's least table,
+# table 8 (structures 86..94), follows it; orbit 23's least table, the
+# last least one, is table 67 (structure 631), and its other tables are
+# 93 and 98 (structures 835 and 852); table 112 (952..970), orbit 0's, is
+# the last.  Each planted structure is on a table that is not least, and
+# its class meets the least table first at structure 631, 90 or 8.
+@pytest.mark.parametrize("planted, limit, structures", [
+    (852, None, 632),  # fails on orbit 23's least table, the last least one
+    (700, None, 91),   # fails on table 8, after orbit 2's table 7
+    (700, 88, 88),     # the limit cuts table 8 before the failure
+    (700, 91, 91),     # and at it
+    (700, 94, 91),     # and after it
+    (960, None, 9),    # planted on the last table, fails on orbit 0's least table
+    (None, 80, 80),    # no failure; the limit cuts table 7, not a least table
+])
+def test_campaign_orbit_edges_for_every_jobs_value(capsys, monkeypatch, planted, limit,
+                                                   structures):
+    """A check fails on every structure isomorphic to labeled n3k1
+    structure `planted`, and the masks of its orbit's least table L show
+    it.  The campaign meets the failure on L, the first table of the
+    orbit, at every --jobs value 1, 2 and 64 (an in-process pool): its
+    sections are those of the direct reading, structure by structure."""
+    spec = EnumSpec(3, 1)
+    structures_ = list(enumerate_structures(spec))
+    if planted is not None:
+        members = _class_of(structures_[planted])
+        _fail_lemma4_on(monkeypatch, members)
+        _clear_form_bit(monkeypatch, "Lemma4", spec, *members)
+    want = _read(((s, s) for s in structures_), limit)
+    assert want["structures"] == structures
+    argv = ["--n", "3", "--k", "1"] + ([] if limit is None else ["--limit", str(limit)])
+    for jobs in ("1", "2", "64"):
+        if jobs == "64":
+            monkeypatch.setattr(multiprocessing, "Pool", lambda processes: _InProcessPool())
+        assert _campaign_sections(capsys, argv, jobs) == (int(not want["all_equivalent"]), want)
 
 
 def test_campaign_caps_workers_at_cpu_count(capsys, monkeypatch):
@@ -530,11 +578,17 @@ def test_campaign_limit(capsys):
     assert _report(out)["sections"]["structures"] == 5
 
 
-def test_campaign_limit_zero(capsys):
-    code, out, _ = _run(capsys, ["campaign", "--n", "3", "--k", "1",
-                                 "--limit", "0"])
-    assert code == 0
-    assert _report(out)["sections"]["structures"] == 0
+def test_campaign_limit_zero(capsys, monkeypatch):
+    """`--limit 0` runs no campaign unit, at --jobs 1 and through a pool."""
+    def no_unit(*args, **kwargs):
+        raise AssertionError("a campaign unit ran")
+
+    monkeypatch.setattr(cli, "_campaign_unit", no_unit)
+    for jobs in ("1", "2"):
+        code, out, _ = _run(capsys, ["campaign", "--n", "3", "--k", "1",
+                                     "--limit", "0", "--jobs", jobs])
+        assert code == 0
+        assert _report(out)["sections"]["structures"] == 0
 
 
 @pytest.mark.parametrize("flag, value", [("--limit", "-1"), ("--jobs", "0"),

@@ -79,28 +79,34 @@ def test_table_streams_pinned():
         assert _sha256(tables) == own, (n, k)
 
 
-# per slice, the SHA-256 over the walk's items (structure, class key),
-# each as repr((tables, leq, key)), under orders all, trivial and total,
-# each labeled and then iso: the walk's tables, orders and keys, in order
+# per slice, the SHA-256 over the walk's items, each as
+# repr((tables, leq, o)), o the index of the least table's order it maps
+# from, under orders all, trivial and total, each labeled and then iso:
+# the walk's tables, orders and least-table orders, in order
 WALK_STREAMS = {
-    (2, 1): "adf536cd4f7864150eaaffec214e616d083af042bf37d91643257ca4e90c5920",
-    (3, 1): "7df64009a16ffa706998b7dee9b1dd1c43c980ffc5beb8af97b922d621c877ac",
-    (2, 2): "155dd837af21a7cb2c61739d5948b1bc8375ed77228811e1238549abd142d9fa",
-    (3, 2): "07d508a30a5c2343b7b98fc730756065be1b6c2bf3bf5586ee429e67bf464e73",
-    (4, 1): "d878c125f236b79ef599524c9ac48c1f7e87f0ffcd9eb58ed2c8bfeb56b8098f",
-    (1, 3): "ddd8171741e9dc497d8d04d16ed78746384c184e73dc9ca82f7dc1111eca2445",
-    (2, 3): "3aaa3f1c3efbdfe41c327a616ef8a9f9c33908476cd7080f8ad00959a5212f16",
-    (3, 3): "158c44841d93d1a3e8c0c58aa178a01dbaf1ace9f3ef1293cc5813506e026da0",
+    (2, 1): "b217d5054b4e03ee842441fddbdb701d025b4bc896c3a0823d6a7d4374271d99",
+    (3, 1): "59f11af28c3cbdb188a60beb12a19b82a3db17a6cd422ac27a6b89e41fa15d03",
+    (2, 2): "fc01505a5e2f59b5f483f615a7ecd25d647c485fd4f4af0e59e46a67d25fc8e9",
+    (3, 2): "8748f0f6aa5ccbafdc933ff1cdb570f16c1150c9928871dd8d6686727c2a3f44",
+    (4, 1): "7ccb401d0360d6736fc246c1a917a9da05c3c9f9efa4ac820e462d649c78933d",
+    (1, 3): "0eb293eb469a85bcacd1a98871c2dac3c3a23f48259ba635979f76d445e3ceb8",
+    (2, 3): "ffc8b1fefae3f6faac8b864edd83871ac1b718b9168522b392a8ff8696fc2938",
+    (3, 3): "78d0ac57df33ab503e5478c6850990ac9b9e0ac7916d53ee2b5803472448cee3",
 }
 
 
 def test_walk_streams_pinned():
+    """Each table's domain is the mask of the o its items name."""
     for (n, k), want in WALK_STREAMS.items():
         h = hashlib.sha256()
         for orders in ("all", "trivial", "total"):
             for dedup in ("labeled", "iso"):
-                for s, key in explore._keyed_structures(EnumSpec(n, k, orders, dedup)):
-                    h.update(repr((s.tables, s.leq, key)).encode())
+                entries, walk = explore._walk(EnumSpec(n, k, orders, dedup))
+                for tables, _, domain, items in walk:
+                    items = list(items)
+                    assert domain == sum(1 << o for _, o in items), (n, k, orders, dedup)
+                    for p, o in items:
+                        h.update(repr((tables, entries[p][0], o)).encode())
         assert h.hexdigest() == want, (n, k)
 
 
@@ -184,15 +190,6 @@ def test_structure_counts_iso():
     assert _count(EnumSpec(2, 3, dedup="iso")) == 18
     assert _count(EnumSpec(3, 3, dedup="iso")) == 634
     assert _count(EnumSpec(4, 2, dedup="iso")) == 16945
-
-
-def test_labeled_class_keys_count_the_iso_structures():
-    """The labeled walk's class keys, one per isomorphism class, are as
-    many as the iso walk's structures, under every order mode."""
-    for n, k in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
-        for orders in ("all", "trivial", "total"):
-            keys = {key for _, key in explore._keyed_structures(EnumSpec(n, k, orders))}
-            assert len(keys) == _count(EnumSpec(n, k, orders, "iso")), (n, k, orders)
 
 
 def test_iso_walk_counts_match_the_golden_trace(monkeypatch):

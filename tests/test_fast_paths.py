@@ -423,8 +423,8 @@ def test_order_layer_matches_loops():
     """The join that `_order_layer` builds from the up masks in one pass,
     and the down and up masks of `core._down_up`, against the plain loops,
     on every order of every mode up to n = 5; the walk's structures carry
-    those masks.  The walk's order keys are pinned through the class keys
-    of `WALK_STREAMS`."""
+    those masks.  The walk's order keys are pinned through the iso
+    structures of `WALK_STREAMS`, the least of each class."""
     for n in range(1, 6):
         for mode in ("all", "total", "trivial"):
             leqs, join = explore._order_layer(n, mode)
@@ -731,9 +731,9 @@ def test_automorphisms_match_generator_form():
 def test_automorphisms_form_a_group():
     """On every least table, the carrier permutations the orbit stream
     gives, with the identity, are closed under composition and inverse.
-    `_is_canonical` and `_class_keys` read, per automorphism pi, the
-    order that pi maps to each order, the image under pi^-1, so they see
-    the images under every automorphism only because this holds."""
+    `_is_canonical` reads, per automorphism pi, the order that pi maps
+    to each order, the image under pi^-1, so it sees the images under
+    every automorphism only because this holds."""
     for n, k in ((4, 1), (4, 2), (3, 3)):
         identity = tuple(range(n))
         nontrivial = 0

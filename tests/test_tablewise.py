@@ -15,7 +15,7 @@ import pytest
 
 from gpw import analysis, harness, tablewise
 from gpw.cli import main
-from gpw.explore import EnumSpec, _keyed_structures, _walk
+from gpw.explore import EnumSpec, _walk, enumerate_structures
 from gpw.gpsjson import digest, to_obj
 
 
@@ -42,8 +42,8 @@ def _mismatches(structures, mode: str) -> list:
 def _least_tables(spec: EnumSpec, tables: int) -> list:
     """The structures of the first `tables` tables of an iso walk, each a
     least table of its orbit."""
-    return [s for s, _ in _keyed_structures(spec, sum(
-        len(list(items)) for *_, items in islice(_walk(spec)[1], tables)))]
+    return list(enumerate_structures(spec, sum(
+        len(list(items)) for *_, items in islice(_walk(spec)[1], tables))))
 
 
 def test_every_check_and_predicate_has_a_form():
@@ -56,7 +56,7 @@ def test_forms_match_every_iso_structure(n, k):
     """Every iso structure of n <= 4 with k = 1, and of n3k2, n3k3 and
     n4k2 (16,945 structures)."""
     spec = EnumSpec(n, k, dedup="iso")
-    assert _mismatches((s for s, _ in _keyed_structures(spec)), "all") == []
+    assert _mismatches(enumerate_structures(spec), "all") == []
 
 
 def test_forms_match_n5k1_least_tables():
@@ -81,7 +81,7 @@ def test_forms_read_the_partition_cap_when_built(monkeypatch):
     """With `PARTITION_CAP` at 1 the forms drop the exhaustive keys above
     n = 1, as the checks do."""
     monkeypatch.setattr(harness, "PARTITION_CAP", 1)
-    structures = [s for s, _ in _keyed_structures(EnumSpec(3, 2, dedup="iso"))]
+    structures = list(enumerate_structures(EnumSpec(3, 2, dedup="iso")))
     assert "L6e" not in tablewise.forms(structures[-1], "all").check("Thm21")[0]
     assert _mismatches(structures, "all") == []
 
@@ -90,7 +90,7 @@ def test_campaign_raises_when_a_form_fails_a_passing_structure(monkeypatch):
     """A form whose agreement bit is clear where the structure's own check
     passes stops the campaign with an error naming the check and the
     structure's digest."""
-    first = next(s for s, _ in _keyed_structures(EnumSpec(2, 1)))
+    first = next(enumerate_structures(EnumSpec(2, 1)))
     real = tablewise.CHECK_FORMS["Thm8"]
     monkeypatch.setitem(tablewise.CHECK_FORMS, "Thm8", lambda f: (real(f)[0], 0))
     with pytest.raises(RuntimeError, match=f"Thm8: .*{digest(first)}"):
@@ -100,7 +100,7 @@ def test_campaign_raises_when_a_form_fails_a_passing_structure(monkeypatch):
 def test_campaign_failure_record_is_the_structures_own(capsys, monkeypatch):
     """When the form and the structure's own check both fail, the report's
     failure record is the one the per-structure verdict makes."""
-    structures = [s for s, _ in _keyed_structures(EnumSpec(2, 1))]
+    structures = list(enumerate_structures(EnumSpec(2, 1)))
     target = structures[3]
     real_form, real_check = tablewise.CHECK_FORMS["Thm21"], harness._CHECKS["Thm21"]
 

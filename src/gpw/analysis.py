@@ -12,16 +12,11 @@ structure; the set products, the subsemigroups and a partition's
 semilattice test and chain scan (`relations._semilattice_labels`,
 `relations._chain_failure`) are found once per table.
 
-The two intra-regularity predicates, which the search's workload names,
-also have bitset forms (`ORDER_FORMS`), which answer for every order of
-a list at once, bit o of an int standing for order o (bitslicing: Biham,
-FSE 1997).  With P[x][y] the mask of the orders holding x <= y, "x lies
-below some member of W" holds for the OR of P[x][y] over the members y
-of W, read off a union table per x (`order_reach`); a form is the AND of
-those masks over x (and over g, for the pinned form) at the same set
-products as its per-structure form, which stays the oracle.  The forms
-read the tables alone, so one call on a table answers for all its
-orders.
+`_pinned_orders` and `_legacy_orders` answer a pinned or legacy form for
+every order of a list at once, bit o of an int standing for order o, as
+`gpw.tablewise` reads them: "x lies below some member of W" holds for
+the OR of P[x][y] over the members y of W, P[x][y] the mask of the
+orders holding x <= y, read off a union table per x (`order_reach`).
 """
 
 from __future__ import annotations
@@ -340,10 +335,3 @@ PREDICATES: dict[str, Callable[[Structure], bool]] = {
     "left_simple": lambda s: _simple_bits(s, s.full, IdealKind.LEFT),
 }
 
-
-# the bitset forms of the `PREDICATES` of the same names: f(s, reach) is
-# the mask of the orders of `reach`'s list under which s's tables satisfy it
-ORDER_FORMS: dict[str, Callable[[Structure, list], int]] = {
-    "intra_regular": lambda s, reach: _pinned_orders(s, "MxM", reach),
-    "intra_regular_legacy": lambda s, reach: _legacy_orders(s, "MxxM", reach),
-}

@@ -22,7 +22,7 @@ Start-up loads only what the command runs: at module level this imports
 the standard library, `__version__` and `core` (for the parser), and each
 command imports the rest when it runs, so `gpw --version` loads no other
 `gpw` module, `gpw validate` neither `explore` nor `harness`, and only
-`gpw campaign` loads `tablewise`.
+`gpw campaign` and `gpw search` load `tablewise`.
 """
 
 from __future__ import annotations

@@ -89,16 +89,14 @@ gives there; then one `rng.randrange` picks the order.
 A search expression combines the names of `analysis.PREDICATES` with !,
 &, | and parentheses.  Its grammar is Python's for ~, & and | over
 names, so `parse_expr` lets `ast` parse it and only checks the
-characters before and the nodes after.  One evaluator (`_holds`) gives
-the bits of a domain mask on which an expression holds: `eval_expr` runs
-it on one structure, a one-bit domain, and `search` on each table's
-orders at once, one bit per order.  The two intra-regularity names read
-the bitset forms of `analysis.ORDER_FORMS`, found once per orbit on its
-least table; every other name runs its `PREDICATES` entry on each order
-left in its domain.  The hits come out in walk order.  Under mode first,
-an expression that names a per-structure predicate takes a table's
-orders in runs of 16, 32, 64, ..., so that few are asked past the first
-hit.
+characters before and the nodes after; a hand-built tree is checked,
+node by node and name by name, before it is evaluated (`_check_expr`).
+One evaluator (`_holds`) gives the bits of a domain mask on which an
+expression holds: `eval_expr` runs it on one structure, a one-bit
+domain, with the `PREDICATES` entries, and `search` on all the orders
+of each orbit's least table at once, one bit per order, with the
+campaign's predicate forms (`tablewise.PREDICATE_FORMS`).  The hits come
+out in walk order.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ from functools import lru_cache, partial
 from itertools import chain, compress, islice, permutations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .analysis import ORDER_FORMS, PREDICATES, order_reach
+from .analysis import PREDICATES
 # the compatibility join's kernel is `core`'s, which `relations` runs too;
 # its names stay importable from here
 from .core import (_DEDUP_MODES, _ORDER_MODES, InputError, Structure, _compatible_orders,
@@ -798,11 +796,23 @@ def parse_expr(text: str) -> Expr:
         raise InputError(f"malformed expression {reprlib.repr(text)}") from None
 
 
-def _predicate(name: str) -> Callable[[Structure], bool]:
-    fn = PREDICATES.get(name)
-    if fn is None:
-        raise _unknown(name)
-    return fn
+def _check_expr(expr: Expr) -> None:
+    """An InputError unless every node of the tree is a `Pred`, `Not`,
+    `And` or `Or` and every leaf names a predicate: a hand-built tree is
+    checked whole before any part of it is evaluated, so a bad leaf past
+    a short circuit is reported too."""
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Pred):
+            if not (isinstance(e.name, str) and e.name in PREDICATES):
+                raise _unknown(e.name)
+        elif isinstance(e, Not):
+            todo.append(e.arg)
+        elif isinstance(e, (And, Or)):
+            todo += (e.left, e.right)
+        else:
+            raise InputError(f"not an expression node: {reprlib.repr(e)}")
 
 
 def _holds(expr: Expr, dom: int, leaf: Callable[[str, int], int]) -> int:
@@ -814,13 +824,12 @@ def _holds(expr: Expr, dom: int, leaf: Callable[[str, int], int]) -> int:
     on a one-bit domain that is the short-circuit evaluation, operands
     left to right.  An explicit stack of the nodes waiting on an operand
     replaces recursion, so a chain as long as the parser accepts does not
-    overflow Python's stack."""
+    overflow Python's stack.  The caller has checked the tree
+    (`_check_expr`)."""
     waiting = []  # (node, its domain, its left operand's bits or None)
     node, d = expr, dom
     while True:
         while d and not isinstance(node, Pred):
-            if not isinstance(node, (Not, And, Or)):
-                raise InputError(f"not an expression node: {reprlib.repr(node)}")
             waiting.append((node, d, None))
             node = node.arg if isinstance(node, Not) else node.left
         value = leaf(node.name, d) if d else 0
@@ -841,88 +850,32 @@ def _holds(expr: Expr, dom: int, leaf: Callable[[str, int], int]) -> int:
 def eval_expr(s: Structure, expr: Expr) -> bool:
     """The expression's value on `s`, operands left to right, `&` and `|`
     short-circuiting: `_holds` on a one-bit domain."""
-    return bool(_holds(expr, 1, lambda name, d: _predicate(name)(s)))
+    _check_expr(expr)
+    return bool(_holds(expr, 1, lambda name, d: PREDICATES[name](s)))
 
 
-def _names(expr: Expr) -> set[str]:
-    """The predicate names the expression's leaves hold."""
-    names, todo = set(), [expr]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Pred):
-            names.add(e.name)
-        elif isinstance(e, Not):
-            todo.append(e.arg)
-        elif isinstance(e, (And, Or)):
-            todo += (e.left, e.right)
-    return names
-
-
-def _below(n: int, join: _Join) -> list[list[int]]:
-    """P[x][y], the mask of the join's orders holding x <= y: `every` on
-    the diagonal, 0 on a pair x != y that no order holds."""
-    below = [[join.every if x == y else 0 for y in range(n)] for x in range(n)]
-    for i, held in join.holds:
-        below[i // n][i % n] = held
-    return below
-
-
-def _runs(items: list) -> list[list]:
-    """`items` cut in order into runs of 16, 32, 64, ...: a search that
-    takes them in turn and stops at the first hit has asked fewer than
-    twice as many as came before it, and 16 more."""
-    bounds = [0]
-    while bounds[-1] < len(items):
-        bounds.append(2 * bounds[-1] + 16)
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _hits(spec: EnumSpec, expr: Expr, first: bool) -> Iterator[Structure]:
+def _hits(spec: EnumSpec, expr: Expr) -> Iterator[Structure]:
     """The structures of `enumerate_structures(spec)` on which `expr`
-    holds, in walk order, each table's orders evaluated at once by
-    `_holds` over the mask of their bits o (see `_walk`).  The names of
-    `analysis.ORDER_FORMS` read their masks, found once per orbit on its
-    least table L, the first time the name is asked there: (pi L, p) and
-    (L, o) are isomorphic, so every table pi L reads them at bit o.  Any
-    other name runs its `PREDICATES` entry on each structure left in the
-    domain; the structures of the orders such an expression evaluates are
-    built first, as the walk builds them, and with `first` it takes them
-    in `_runs`, so that the work stops soon after the first hit.  Otherwise a structure is built only for L and for a hit."""
+    holds, in walk order.  Per orbit, `_holds` evaluates it once on the
+    predicate forms of its least table L over L's domain (see `_walk`),
+    bit o for order o: (pi L, p) and (L, o) are isomorphic, so every table
+    pi L reads the result at bit o.  A structure is built for L's forms
+    and for each hit, which a table's items hand on lazily."""
+    from .tablewise import PREDICATE_FORMS, forms  # `tablewise` imports this module
+
     entries, walk = _walk(spec)
     n, names = spec.n, _gamma_names(spec.k)
-    named = _names(expr)
-    formed = named & ORDER_FORMS.keys()
-    per_structure = formed != named
-    reach = order_reach(_below(n, _order_layer(n, spec.orders)[1])) if formed else None
-    orbits = {}  # per orbit c, a structure on L and the masks of the forms asked
-    for tables, c, _, items in walk:
-        items = list(items)
-        shared = {}  # the table-only results of every structure on this table
-
-        def make(p: int) -> Structure:
-            leq, down, up = entries[p]
-            return Structure._unchecked(n, names, tables, leq, down, up, shared)
-
-        if c not in orbits:  # on L
-            orbits[c] = make(items[0][0]), {}
-        least, masks = orbits[c]
-        built = {}  # per bit o, the structure of the order it stands for
-
-        def leaf(name: str, d: int) -> int:
-            if name in formed:
-                mask = masks.get(name)
-                if mask is None:
-                    mask = masks[name] = ORDER_FORMS[name](least, reach)
-                return mask & d
-            fn = _predicate(name)
-            return sum(1 << o for o in bit_indices(d) if fn(built[o]))
-
-        for run in _runs(items) if first and per_structure else [items]:
-            if per_structure:
-                built = {o: make(p) for p, o in run}
-            found = _holds(expr, sum(1 << o for _, o in run), leaf)
-            yield from (built[o] if per_structure else make(p)
-                        for p, o in run if found >> o & 1)
+    found = {}  # per orbit c, the bits o of L's orders on which expr holds
+    for tables, c, domain, items in walk:
+        if c not in found:  # on L, which comes first in its orbit
+            o = (domain & -domain).bit_length() - 1
+            f = forms(Structure._unchecked(n, names, tables, *entries[o], {}), spec.orders)
+            found[c] = _holds(expr, domain, lambda name, d: PREDICATE_FORMS[name](f) & d)
+        hits, shared = found[c], {}  # shared: the table-only results of its hits
+        for p, o in items:
+            if hits >> o & 1:
+                leq, down, up = entries[p]
+                yield Structure._unchecked(n, names, tables, leq, down, up, shared)
 
 
 def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):
@@ -936,7 +889,8 @@ def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):
         expr = parse_expr(expr)
     if mode not in ("first", "all", "count"):
         raise InputError("mode must be first, all or count")
-    hits = _hits(spec, expr, mode == "first")
+    _check_expr(expr)
+    hits = _hits(spec, expr)
     if mode == "first":
         return next(hits, None)
     return list(hits) if mode == "all" else sum(1 for _ in hits)

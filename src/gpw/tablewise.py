@@ -11,11 +11,11 @@ order p) reads each at bit p.  A bit of an order that the table does not
 respect means nothing, and no structure reads it.
 
 Every order read of the per-structure path comes down to masks built
-once per (n, mode) in a process (`_orders`) from the list's pair masks
-(`explore._below`): reach[x][W], the orders under which x lies below
-some member of W (`analysis.order_reach`), and D[m], those under which
-the mask m is down-closed; m is up-closed where its complement is
-down-closed.  From them:
+once per (n, mode) in a process (`_orders`) from the join's pair masks:
+reach[x][W], the orders under which x lies below some member of W
+(`analysis.order_reach`), and D[m], those under which the mask m is
+down-closed; m is up-closed where its complement is down-closed.  From
+them:
 
 - The down-closure of a set W, such as (M e M], is a set form: per
   element z, the mask reach[z][W] of the orders that put z in it.  Two
@@ -41,9 +41,10 @@ keys, and an agreement mask, which follows the check's shape as
 `harness._equivalence` and `_implication` decide it; `Lemma12` and
 `Thm21` decide theirs as their checks do.  No witness is built: the
 campaign runs `harness.check` on a structure whose agreement bit is
-clear, and that verdict makes the failure record.  The per-structure
-path of `harness` and `analysis` is the oracle; `gpw check`, `analyze`,
-`search` and the sampler use it alone.
+clear, and that verdict makes the failure record.  `gpw search` reads
+the predicate forms of each orbit's least table the same way.  The
+per-structure path of `harness` and `analysis` is the oracle; `gpw
+check`, `analyze` and the sampler use it alone.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
 from . import harness
-from .analysis import ORDER_FORMS, _pinned_orders, _subsemigroup_masks, order_reach
+from .analysis import _legacy_orders, _pinned_orders, _subsemigroup_masks, order_reach
 from .core import Structure, bit_indices, per_table, product_bits, subset_masks
-from .explore import _below, _order_layer
+from .explore import _order_layer
 from .harness import _product_cells, _stmt_1to2, _stmt_a, _subsemigroup_ideals
 from .ideals import (IdealKind, _absorbing, _factor_table, _prime_bits, _semiprime_bits,
                      _word_products)
@@ -76,7 +77,11 @@ class _Orders(NamedTuple):
 @lru_cache(maxsize=None)
 def _orders(n: int, mode: str) -> _Orders:
     leqs, join = _order_layer(n, mode)
-    reach = order_reach(_below(n, join))
+    # below[x][y]: the orders holding x <= y
+    below = [[join.every if x == y else 0 for y in range(n)] for x in range(n)]
+    for i, held in join.holds:
+        below[i // n][i % n] = held
+    reach = order_reach(below)
     full = (1 << n) - 1
     # m is down-closed unless an element outside it lies below a member
     down_closed = [join.every & ~_or(reach[x][m] for x in bit_indices(full & ~m))
@@ -309,7 +314,7 @@ class Forms:
 
     @cached_property
     def intra(self) -> int:
-        return ORDER_FORMS["intra_regular"](self.s, self.reach)
+        return _pinned_orders(self.s, "MxM", self.reach)
 
     @cached_property
     def regular(self) -> dict[IdealKind, int]:
@@ -511,7 +516,7 @@ CHECK_FORMS: dict[str, Callable[[Forms], tuple[dict, int]]] = {
 
 PREDICATE_FORMS: dict[str, Callable[[Forms], int]] = {
     "intra_regular": lambda f: f.intra,
-    "intra_regular_legacy": lambda f: ORDER_FORMS["intra_regular_legacy"](f.s, f.reach),
+    "intra_regular_legacy": lambda f: _legacy_orders(f.s, "MxxM", f.reach),
     "left_regular": lambda f: f.regular[_LEFT],
     "right_regular": lambda f: f.regular[_RIGHT],
     "left_duo": lambda f: f.duo[_LEFT],

@@ -750,20 +750,11 @@ def test_search_matches_the_per_structure_evaluation(tree):
         assert search(spec, tree, "count") == len(want), spec
 
 
-def test_first_takes_a_table_in_runs_that_cover_it():
-    """Under mode first a table's orders go in runs of 16, 32, 64, ...,
-    which together are the table, in order, with none empty."""
-    for m in range(300):
-        runs = explore._runs(list(range(m)))
-        assert [o for run in runs for o in run] == list(range(m)), m
-        assert [len(run) for run in runs[:-1]] == [16 << i for i in range(len(runs) - 1)], m
-        assert all(runs), m
-
-
 @pytest.mark.parametrize("expr", ["ideals_chain", "left_regular", "intra_regular & simple"])
 def test_first_finds_a_hit_past_the_first_run_of_its_table(expr):
     """Over labeled n4k1 the first hit of each expression is order 35 or
-    105 of its table's structures, in the third or fourth run."""
+    105 of its table's structures, not its first: mode first yields the
+    hit that the structure-by-structure evaluation finds first."""
     spec, tree = EnumSpec(4, 1), parse_expr(expr)
     want = next(s for s in enumerate_structures(spec) if eval_expr(s, tree))
     assert to_obj(search(spec, tree, "first")) == to_obj(want)
@@ -787,6 +778,31 @@ def test_eval_and_search_reject_an_unknown_name(min_sl):
         eval_expr(min_sl, Or(Pred("nope"), Pred("simple")))
     with pytest.raises(InputError, match=message):
         search(EnumSpec(2), Pred("nope"), "count")
+
+
+def test_eval_and_search_check_the_whole_tree_first(min_sl):
+    """A hand-built tree is checked whole before it is evaluated: an
+    unknown name behind a short circuit, a name that is not a string and
+    a node that is no expression are input errors to both."""
+    cases = [(And(And(Pred("simple"), Not(Pred("simple"))), Pred("nope")),
+              "unknown predicate 'nope'"),
+             (Pred(["x"]), r"unknown predicate \['x'\]"),
+             (Or(Or(Pred("simple"), Not(Pred("simple"))), "x"), "not an expression node: 'x'")]
+    for tree, message in cases:
+        with pytest.raises(InputError, match=message):
+            eval_expr(min_sl, tree)
+        with pytest.raises(InputError, match=message):
+            search(EnumSpec(2), tree, "count")
+
+
+@pytest.mark.parametrize("spec", [EnumSpec(4, 1, dedup="iso"), EnumSpec(3, 2)])
+def test_search_counts_each_predicate_as_the_structures_do(spec):
+    """Per predicate name, the search's count is the number of the
+    slice's structures on which its `PREDICATES` entry holds: iso n4k1
+    (4,753 structures) and labeled n3k2."""
+    structures = _walked(spec)
+    for name, fn in sorted(PREDICATES.items()):
+        assert search(spec, name, "count") == sum(1 for s in structures if fn(s)), name
 
 
 def test_search_modes_agree():

@@ -32,11 +32,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw import analysis, core, explore, harness, ideals, relations
-from gpw.analysis import (ORDER_FORMS, PREDICATES, _simple_bits, _subsemigroup_masks,
-                          intra_regular_failure, is_intra_regular_legacy, is_left_duo,
-                          is_left_regular_legacy, is_right_duo, is_right_regular_legacy,
-                          left_regular_failure, relative_ideals, right_regular_failure)
+from gpw import analysis, core, explore, harness, ideals, relations, tablewise
+from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failure,
+                          is_intra_regular_legacy, is_left_duo, is_left_regular_legacy,
+                          is_right_duo, is_right_regular_legacy, left_regular_failure,
+                          relative_ideals, right_regular_failure)
 from gpw.core import (InputError, Structure, Subset, bit_indices, downset_bits,
                       product_bits, subset_masks, table_cache, upset_bits)
 from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
@@ -1258,24 +1258,29 @@ def test_element_tables_match_per_call_helpers_on_walk_corpus():
 SEPARATIONS = {(3, 2): 88, (3, 3): 223, (4, 2): 3775}
 
 
+_PINNED, _LEGACY = ("MxM", "Mx", "xM"), ("MxxM", "Mxx", "xxM")
+
+
 def _order_forms_checker(n: int):
-    """A check that, on a structure of an iso walk over every order, each
-    bitset form of `ORDER_FORMS` has the bit of the structure's order set
-    exactly when the `PREDICATES` entry of its name holds.  An iso
-    structure stands on its orbit's least table, so that bit is the
-    order's index in the list; the masks are found once per table."""
-    leqs, join = explore._order_layer(n, "all")
-    reach = analysis.order_reach(explore._below(n, join))
-    position = {leq: o for o, leq in enumerate(leqs)}
+    """A check that, on a structure of an iso walk over every order, the
+    bitset forms of the six regularity words (`analysis._pinned_orders`
+    and `_legacy_orders`, as `tablewise` reads them) have the bit of the
+    structure's order set exactly when its per-structure failure is None.
+    An iso structure stands on its orbit's least table, so that bit is
+    the order's index in the list; the masks are found once per table."""
+    orders = tablewise._orders(n, "all")
     masks = {}
 
     def check(s: Structure) -> None:
         table = masks.get(s.tables)
         if table is None:
-            table = masks[s.tables] = {name: form(s, reach) for name, form in ORDER_FORMS.items()}
-        o = position[s.leq]
-        assert ({name: mask >> o & 1 == 1 for name, mask in table.items()}
-                == {name: PREDICATES[name](s) for name in table}), (s.tables, s.leq)
+            table = masks[s.tables] = (
+                [analysis._pinned_orders(s, word, orders.reach) for word in _PINNED]
+                + [analysis._legacy_orders(s, word, orders.reach) for word in _LEGACY])
+        o = orders.position[s.leq]
+        assert [mask >> o & 1 == 1 for mask in table] == (
+            [analysis._pinned_failure(s, word) is None for word in _PINNED]
+            + [analysis._legacy_failure(s, word) is None for word in _LEGACY]), (s.tables, s.leq)
     return check
 
 
@@ -1283,14 +1288,11 @@ def _order_forms_checker(n: int):
 def test_pinned_and_legacy_regularity_where_they_differ(n, k):
     """Over every iso structure of n3k2, n3k3 and n4k2 each pinned form
     implies its legacy form, the pinned failures match the closure loops
-    at n = 3, the bitset forms match the per-structure predicates, and
-    the separations number as pinned, counted one by one and by the
-    search."""
+    at n = 3, and the separations number as pinned, counted one by one
+    and by the search."""
     refs = (ref_closed_sandwich, ref_left_closure, ref_right_closure)
-    check_forms = _order_forms_checker(n)
     separated = 0
     for s in enumerate_structures(EnumSpec(n, k, dedup="iso")):
-        check_forms(s)
         pinned = [intra_regular_failure(s), left_regular_failure(s), right_regular_failure(s)]
         legacy = [is_intra_regular_legacy(s), is_left_regular_legacy(s),
                   is_right_regular_legacy(s)]
@@ -1305,8 +1307,8 @@ def test_pinned_and_legacy_regularity_where_they_differ(n, k):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_order_forms_match_the_predicates_at_k1(n):
-    """The bitset forms against the per-structure predicates on every iso
-    structure of n <= 4 with k = 1 (4,753 at n = 4)."""
+    """The bitset forms of the regularity words against the per-structure
+    failures on every iso structure of n <= 4 with k = 1 (4,753 at n = 4)."""
     check_forms = _order_forms_checker(n)
     for s in enumerate_structures(EnumSpec(n, 1, dedup="iso")):
         check_forms(s)

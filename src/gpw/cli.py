@@ -13,10 +13,12 @@ the command and wraps and emits its report.
 Exit codes: 0 success, 1 a checked claim failed, 2 bad input or usage,
 3 a search exhausted its slice without finding a witness.
 
-`gpw campaign` tallies each table of the walk from the masks of its
-orbit's least table (`_campaign_unit`), and reads a table's items, so
-tests its (table, order) pairs, only when --limit cuts it or a check
-fails there.
+`gpw campaign` reads the walk through `explore._by_orbit`, as `gpw
+search` does: `_campaign_unit` builds the masks of each orbit's least
+table and their tally, in process or, at --jobs N > 1, in a pool, one
+task per orbit, and every table of the orbit is tallied from them.  It
+reads a table's items, so tests its (table, order) pairs, only when
+--limit cuts it or a check fails there.
 
 Start-up loads only what the command runs: at module level this imports
 the standard library, `__version__` and `core` (for the parser), and each
@@ -35,7 +37,7 @@ import os
 import reprlib
 import sys
 import time
-from collections import Counter, deque
+from collections import Counter
 from functools import cache, partial
 from itertools import islice
 
@@ -258,12 +260,14 @@ def _campaign_modules() -> tuple:
     return gpsjson, harness, tablewise
 
 
-def _campaign_unit(s: Structure, tids: tuple, orders: str = "all") -> tuple:
+def _campaign_unit(s: Structure, domain: int, tids: tuple, orders: str = "all") -> tuple:
     """From `tablewise.forms` of the table of s over the list of order mode
-    `orders`: the agreement mask of the checks `tids`, and the mask of each
-    name of `PREDICATES`, sorted.  A campaign runs it on each least table."""
+    `orders`: the agreement mask of the checks `tids`, the mask of each
+    name of `PREDICATES`, sorted, and their `_tally` over `domain`.  A
+    campaign runs it on each least table."""
     forms = _campaign_modules()[2].forms(s, orders)
-    return forms.agreement(tids), tuple(mask for _, mask in forms.predicates)
+    names, masks = zip(*forms.predicates)
+    return forms.agreement(tids), masks, _tally(names, masks, domain)
 
 
 def _tally(names: list, masks: tuple, domain: int) -> tuple[dict, dict]:
@@ -278,13 +282,13 @@ def _tally(names: list, masks: tuple, domain: int) -> tuple[dict, dict]:
             {"+".join(held) or "(none)": orders.bit_count() for held, orders in groups.items()})
 
 
-def _failure(s: Structure, tids: tuple, orders: str) -> dict:
-    """The failure record of s, on its orbit's least table: each check
-    whose bit of s is clear runs on s (`harness.check`) for its verdict,
-    and an equivalent one is an error, as the two paths disagree."""
+def _failure(s: Structure, p: int, tids: tuple, orders: str) -> dict:
+    """The failure record of s, order p of the list on its orbit's least
+    table: each check whose bit p is clear runs on s (`harness.check`)
+    for its verdict, and an equivalent one is an error, as the two paths
+    disagree."""
     gpsjson, harness, tablewise = _campaign_modules()
     forms = tablewise.forms(s, orders)
-    p = forms.position[s.leq]
     bad = []
     for tid in tids:
         if not forms.check(tid)[1] >> p & 1:
@@ -297,69 +301,35 @@ def _failure(s: Structure, tids: tuple, orders: str) -> dict:
 
 
 def cmd_campaign(args) -> tuple[dict, int, str | None]:
-    from .explore import PREDICATES, _gamma_names, _limit, _walk
+    from .explore import PREDICATES, _by_orbit, _Done, _gamma_names, _limit
     spec, corpus = _slice(args)
     tids = _parse_theorems(args.theorems)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    entries, walk = _walk(spec)
     left = math.inf if _limit(args.limit) is None else args.limit  # structures still to read
-    n, gamma, names = spec.n, _gamma_names(spec.k), sorted(PREDICATES)
-    unit = partial(_campaign_unit, tids=tids, orders=spec.orders)
-    orbits = {}  # per orbit c, its least table's masks and their tally over its domain
-
-    def structure(tables: tuple, p: int) -> Structure:
-        return Structure._unchecked(n, gamma, tables, *entries[p], {})
-
-    def least(table: tuple) -> Structure:  # on the orbit's least table, its first
-        return structure(table[0], (table[2] & -table[2]).bit_length() - 1)
-
-    def inline():
-        for table in walk:
-            if table[1] not in orbits:
-                masks = unit(least(table))
-                orbits[table[1]] = (*masks, _tally(names, masks[1], table[2]))
-            yield table
-
-    def pooled(pool):
-        # the pool's feeder thread reads the walk ahead, queueing each table
-        # before it hands on a least table, so its masks find it queued
-        queue = deque()
-
-        def leasts():
-            top = -1
-            for table in walk:
-                queue.append(table)
-                if table[1] > top:
-                    top = table[1]
-                    yield least(table)
-
-        for masks in pool.imap(unit, leasts()):
-            table = queue.popleft()
-            while table[1] in orbits:  # a table of an earlier orbit
-                yield table
-                table = queue.popleft()
-            orbits[table[1]] = (*masks, _tally(names, masks[1], table[2]))
-            yield table
-        yield from queue  # the walk has ended
-
+    names = sorted(PREDICATES)
     structures, failure = 0, None
     pred_counts, combos = Counter(dict.fromkeys(names, 0)), Counter()
     pool = None
-    if args.jobs > 1:
+    if left and args.jobs > 1:
         from multiprocessing import Pool  # only here: its import costs every run
         _campaign_modules()  # imported once, before the workers fork
         pool = Pool(processes=min(args.jobs, os.cpu_count() or 1))
     try:
-        for tables, c, domain, items in () if not left else pooled(pool) if pool else inline():
-            agree, preds, tally = orbits[c]
+        # one task per orbit, on its least table
+        entries, walk = _by_orbit(spec, partial(_campaign_unit, tids=tids, orders=spec.orders),
+                                  _Done if pool is None else pool.apply_async)
+        for tables, domain, items, result in walk if left else ():
+            agree, preds, tally = result.get()
             count = domain.bit_count()
             if count > left or domain & ~agree:  # read the items, up to the cut or a failure
                 read = 0
                 for p, o in islice(items, min(count, left)):
                     read |= 1 << o
                     if not agree >> o & 1:
-                        failure = _failure(structure(tables, p), tids, spec.orders)
+                        s = Structure._unchecked(spec.n, _gamma_names(spec.k), tables,
+                                                 *entries[p], {})
+                        failure = _failure(s, p, tids, spec.orders)
                         break
                 count, tally = read.bit_count(), _tally(names, preds, read)
             structures += count

@@ -15,8 +15,8 @@ orders from `explore.partial_orders`, both already tuples of the right
 shapes and ranges, and it computes each order's `down` / `up` masks
 once per walk, rather than once per structure.  Unpickling goes through
 `_unchecked` too, with the `down` / `up` the pickle carries: pickles
-come only from the walk (to the workers of `campaign --jobs N`), and
-loading a pickle runs code anyway.
+come only from the walk, one least table's per task of `campaign --jobs
+N`, and loading a pickle runs code anyway.
 
 Subsets of the carrier are bit masks tagged with the owning structure, so
 values belonging to different structures cannot be mixed by accident.
@@ -44,9 +44,8 @@ positional and hashable.  Only this module reads either dict directly:
 `product_bits` reads the product table from the table dict, and
 `downset_bits` and `upset_bits` read their closure tables from
 `s._cache`, each by one lookup.  A pickled structure carries its raw
-parts, its `down` / `up` masks and its table dict, so the structures of
-one table that travel in one pickle share it again; its own `_cache`
-arrives empty.
+parts, its `down` / `up` masks and its table dict, which a campaign
+sends empty; its own `_cache` arrives empty too.
 
 The compatibility join (`_compatible_orders`) tests a whole list of
 reflexive relations on the carrier at once, bit o of a mask standing for

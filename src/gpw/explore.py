@@ -49,8 +49,12 @@ table at a time: it hands on each table with the mask of the least
 table's orders that its items name, and with an iterator of those items,
 one per structure, each naming its order by its index in the list and by
 that of the matching order of the least table; `enumerate_structures`
-builds the structures from them, and a campaign tallies a whole table
-from the mask alone (see `cli`).  The structures of one table share one
+builds the structures from them.  A campaign and a search read the
+walk through one driver (`_by_orbit`), which runs one unit of work per
+orbit on its least table, at once (`_Done`) or in a pool, and hands on
+each table with its orbit's result, in walk order and at most
+`_READ_AHEAD` tables ahead; they read a whole table from that result
+(see `cli`).  The structures of one table share one
 `core.table_cache` dict, so the checks compute their table-only results
 once per table.  A structure is built by `core.Structure._unchecked`,
 without the shape checks of `Structure(...)`, which the fill and the
@@ -646,6 +650,50 @@ def _walk(spec: EnumSpec) -> tuple[list, Iterator[tuple]]:
     return entries, walk()
 
 
+_READ_AHEAD = 1024  # tables the driver may hold while their orbit's result is computed
+
+
+class _Done:
+    """`Pool.apply_async` in process: `unit(*args)`, computed at once."""
+
+    def __init__(self, unit: Callable, args: tuple) -> None:
+        self.value = unit(*args)
+
+    def ready(self) -> bool:
+        return True
+
+    def get(self):
+        return self.value
+
+
+def _by_orbit(spec: EnumSpec, unit: Callable, submit: Callable = _Done) -> tuple:
+    """(entries, tables): `_walk(spec)`'s entries, and each of its tables
+    as (tables, domain, items, result).  On an orbit's least table L,
+    which comes first in its orbit, result is `submit(unit, (structure,
+    domain))`, the structure on L's first domain order with a fresh table
+    dict.  The tables wait in walk order, and one is handed on when its
+    result is `ready()` or more than `_READ_AHEAD` tables wait; the
+    consumer calls `get()`.  `_Done` reads no table ahead, so a consumer
+    that stops stops the walk and the calls."""
+    entries, walk = _walk(spec)
+    n, names = spec.n, _gamma_names(spec.k)
+
+    def handed() -> Iterator[tuple]:
+        results, waiting = {}, deque()  # per orbit c, its result; the tables not handed on
+        for tables, c, domain, items in walk:
+            result = results.get(c)
+            if result is None:  # on L
+                o = (domain & -domain).bit_length() - 1
+                least = Structure._unchecked(n, names, tables, *entries[o], {})
+                result = results[c] = submit(unit, (least, domain))
+            waiting.append((tables, domain, items, result))
+            while waiting and (len(waiting) > _READ_AHEAD or waiting[0][3].ready()):
+                yield waiting.popleft()
+        yield from waiting
+
+    return entries, handed()
+
+
 # sampling
 
 _NODE_BUDGET = 25_000
@@ -854,43 +902,41 @@ def eval_expr(s: Structure, expr: Expr) -> bool:
     return bool(_holds(expr, 1, lambda name, d: PREDICATES[name](s)))
 
 
-def _hits(spec: EnumSpec, expr: Expr) -> Iterator[Structure]:
-    """The structures of `enumerate_structures(spec)` on which `expr`
-    holds, in walk order.  Per orbit, `_holds` evaluates it once on the
-    predicate forms of its least table L over L's domain (see `_walk`),
-    bit o for order o: (pi L, p) and (L, o) are isomorphic, so every table
-    pi L reads the result at bit o.  A structure is built for L's forms
-    and for each hit, which a table's items hand on lazily."""
-    from .tablewise import PREDICATE_FORMS, forms  # `tablewise` imports this module
-
-    entries, walk = _walk(spec)
-    n, names = spec.n, _gamma_names(spec.k)
-    found = {}  # per orbit c, the bits o of L's orders on which expr holds
-    for tables, c, domain, items in walk:
-        if c not in found:  # on L, which comes first in its orbit
-            o = (domain & -domain).bit_length() - 1
-            f = forms(Structure._unchecked(n, names, tables, *entries[o], {}), spec.orders)
-            found[c] = _holds(expr, domain, lambda name, d: PREDICATE_FORMS[name](f) & d)
-        hits, shared = found[c], {}  # shared: the table-only results of its hits
-        for p, o in items:
-            if hits >> o & 1:
-                leq, down, up = entries[p]
-                yield Structure._unchecked(n, names, tables, leq, down, up, shared)
-
-
 def search(spec: EnumSpec, expr: Expr | str, mode: str = "first"):
     """Hunt the slice for structures satisfying the expression.
 
     mode "first" returns the first hit or None, "all" the list of hits,
     "count" just their number.  Order is the enumeration order, so the
-    result is deterministic.
+    result is deterministic.  Per orbit, `_holds` evaluates the expression
+    once on the predicate forms of its least table L over L's domain (see
+    `_walk`), bit o for order o: (pi L, p) and (L, o) are isomorphic, so
+    every table pi L reads the result at bit o.  A count builds no
+    structure for a hit; "first" and "all" build each hit lazily, so
+    "first" stops at the first.
     """
+    from .tablewise import PREDICATE_FORMS, forms  # `tablewise` imports this module
+
     if isinstance(expr, str):
         expr = parse_expr(expr)
     if mode not in ("first", "all", "count"):
         raise InputError("mode must be first, all or count")
     _check_expr(expr)
-    hits = _hits(spec, expr)
-    if mode == "first":
-        return next(hits, None)
-    return list(hits) if mode == "all" else sum(1 for _ in hits)
+
+    def unit(least: Structure, domain: int) -> int:
+        f = forms(least, spec.orders)
+        return _holds(expr, domain, lambda name, d: PREDICATE_FORMS[name](f) & d)
+
+    entries, tables = _by_orbit(spec, unit)
+    if mode == "count":  # a table's items name each o of its domain once
+        return sum(result.get().bit_count() for _, _, _, result in tables)
+    n, names = spec.n, _gamma_names(spec.k)
+
+    def hits() -> Iterator[Structure]:
+        for table, _, items, result in tables:
+            found, shared = result.get(), {}  # shared: the table-only results of its hits
+            for p, o in items:
+                if found >> o & 1:
+                    leq, down, up = entries[p]
+                    yield Structure._unchecked(n, names, table, leq, down, up, shared)
+
+    return next(hits(), None) if mode == "first" else list(hits())

@@ -13,9 +13,9 @@ respect means nothing, and no structure reads it.
 Every order read of the per-structure path comes down to masks built
 once per (n, mode) in a process (`_orders`) from the join's pair masks:
 reach[x][W], the orders under which x lies below some member of W
-(`analysis.order_reach`), and D[m], those under which the mask m is
-down-closed; m is up-closed where its complement is down-closed.  From
-them:
+(the OR of the masks of x <= y over the members y of W, a union table
+per x), and D[m], those under which the mask m is down-closed; m is
+up-closed where its complement is down-closed.  From them:
 
 - The down-closure of a set W, such as (M e M], is a set form: per
   element z, the mask reach[z][W] of the orders that put z in it.  Two
@@ -54,8 +54,8 @@ from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
 from . import harness
-from .analysis import _legacy_orders, _pinned_orders, _subsemigroup_masks, order_reach
-from .core import Structure, bit_indices, per_table, product_bits, subset_masks
+from .analysis import _subsemigroup_masks
+from .core import Structure, _union_table, bit_indices, per_table, product_bits, subset_masks
 from .explore import _order_layer
 from .harness import _product_cells, _stmt_1to2, _stmt_a, _subsemigroup_ideals
 from .ideals import (IdealKind, _absorbing, _factor_table, _prime_bits, _semiprime_bits,
@@ -71,22 +71,21 @@ class _Orders(NamedTuple):
     every: int  # every order of the list
     reach: list[list[int]]  # reach[x][W]
     down_closed: list[int]  # D[m]
-    position: dict  # per order matrix, its index in the list
 
 
 @lru_cache(maxsize=None)
 def _orders(n: int, mode: str) -> _Orders:
-    leqs, join = _order_layer(n, mode)
+    join = _order_layer(n, mode)[1]
     # below[x][y]: the orders holding x <= y
     below = [[join.every if x == y else 0 for y in range(n)] for x in range(n)]
     for i, held in join.holds:
         below[i // n][i % n] = held
-    reach = order_reach(below)
+    reach = [_union_table(n, row) for row in below]
     full = (1 << n) - 1
     # m is down-closed unless an element outside it lies below a member
     down_closed = [join.every & ~_or(reach[x][m] for x in bit_indices(full & ~m))
                    for m in range(full + 1)]
-    return _Orders(join.every, reach, down_closed, {leq: p for p, leq in enumerate(leqs)})
+    return _Orders(join.every, reach, down_closed)
 
 
 def _or(masks: Iterable[int]) -> int:
@@ -112,13 +111,33 @@ def _values(form: list[int], every: int) -> list[tuple[int, int]]:
     return groups
 
 
+def _pinned_orders(s: Structure, word: str, reach: list) -> int:
+    """The orders under which `analysis._pinned_failure(s, word)` is
+    None, as a mask over `reach`'s list; the order of s is not read."""
+    products = _word_products(s, word)
+    bits = -1  # every order; n >= 1 masks follow
+    for x, below in enumerate(reach):
+        for t in s.tables:
+            bits &= below[products[t[x][x]]]
+    return bits
+
+
+def _legacy_orders(s: Structure, word: str, reach: list) -> int:
+    """The orders under which `analysis._legacy_failure(s, word)` is
+    None, as `_pinned_orders` gives them."""
+    bits = -1
+    for below, w in zip(reach, _word_products(s, word)):
+        bits &= below[w]
+    return bits
+
+
 class Forms:
     """The forms of one table over one order-mode list; each piece is
     built the first time a form asks for it."""
 
     def __init__(self, s: Structure, mode: str) -> None:
         self.s = s
-        self.every, self.reach, self.down_closed, self.position = _orders(s.n, mode)
+        self.every, self.reach, self.down_closed = _orders(s.n, mode)
         self._checks: dict[str, tuple[dict, int]] = {}
         self._same: dict[str, list[list[int]]] = {}
         self._simple: dict[IdealKind, dict[int, int]] = {}

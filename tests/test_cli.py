@@ -425,17 +425,70 @@ def test_campaign_memo_misses_a_label_sensitive_fault(capsys, monkeypatch):
 
 
 class _InProcessPool:
-    """A stand-in for `multiprocessing.Pool` that maps in process, so no
-    worker starts."""
+    """A stand-in for `multiprocessing.Pool` that runs each task in
+    process, so no worker starts."""
 
-    def imap(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
+    def apply_async(self, fn, args):
+        return explore._Done(fn, args)
 
     def terminate(self):
         pass
 
     def join(self):
         pass
+
+
+def test_campaign_limit_0_builds_no_pool(capsys, monkeypatch):
+    """`--limit 0` reads no structure, so `--jobs 2` starts no worker: a
+    `multiprocessing.Pool` that raises is never called."""
+    def refuse(processes):
+        raise AssertionError(f"a pool of {processes} workers was built")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    code, sec = _campaign_sections(capsys, ["--n", "2", "--limit", "0"], "2")
+    assert code == 0 and sec["structures"] == 0 and sec["combination_tally"] == {}
+
+
+def test_campaign_reads_at_most_read_ahead_tables_ahead(capsys, monkeypatch):
+    """Labeled n3k1 (113 tables) through a pool whose results are never
+    ready until asked: the walk runs at most `_READ_AHEAD` + 1 tables
+    ahead of the tally, and reaches that bound; the sections are those of
+    --jobs 1."""
+    argv = ["--n", "3", "--k", "1"]
+    want = _campaign_sections(capsys, argv, "1")
+    pulled, tallied, ahead = [0], [0], []
+    real_walk = explore._walk
+
+    def walk(spec):
+        entries, tables = real_walk(spec)
+
+        def counted():
+            for table in tables:
+                pulled[0] += 1
+                ahead.append(pulled[0] - tallied[0])
+                yield table
+        return entries, counted()
+
+    class Pending:
+        def __init__(self, fn, args):
+            self.done = explore._Done(fn, args)  # computed here, handed on when asked
+
+        def ready(self):
+            return False
+
+        def get(self):
+            tallied[0] += 1
+            return self.done.get()
+
+    class PendingPool(_InProcessPool):
+        def apply_async(self, fn, args):
+            return Pending(fn, args)
+
+    monkeypatch.setattr(explore, "_READ_AHEAD", 8)
+    monkeypatch.setattr(explore, "_walk", walk)
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: PendingPool())
+    assert _campaign_sections(capsys, argv, "2") == want
+    assert (pulled[0], tallied[0], max(ahead)) == (113, 113, 8 + 1)
 
 
 @pytest.mark.parametrize("limit, structures, units", [
@@ -447,8 +500,8 @@ def test_campaign_runs_one_unit_per_orbit(capsys, monkeypatch, limit, structures
     orbit."""
     calls = []
     real = cli._campaign_unit
-    monkeypatch.setattr(cli, "_campaign_unit",
-                        lambda s, tids, orders: calls.append(s.tables) or real(s, tids, orders))
+    monkeypatch.setattr(cli, "_campaign_unit", lambda s, domain, tids, orders:
+                        calls.append(s.tables) or real(s, domain, tids, orders))
     argv = ["campaign", "--n", "4", "--k", "1", "--jobs", "1"]
     code, out, _ = _run(capsys, argv + ([] if limit is None else ["--limit", str(limit)]))
     sec = _report(out)["sections"]

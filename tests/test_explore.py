@@ -817,6 +817,24 @@ def test_search_modes_agree():
         search(spec, expr, mode="some")
 
 
+def test_search_count_builds_one_structure_per_orbit(monkeypatch):
+    """Over labeled n3k2, a count is the number of hits of `--mode all`
+    for every expression, and builds only the one structure per orbit on
+    its least table whose forms the expression reads, none per hit."""
+    spec = EnumSpec(3, 2)
+    orbits = len({c for _, c, _, _ in explore._walk(spec)[1]})
+    real, built = explore.Structure._unchecked, []
+    for expr in ("simple", "intra_regular & !right_duo", "left_duo | !ideals_chain",
+                 "intra_regular_legacy & !intra_regular", "simple & !simple"):
+        hits = search(spec, expr, "all")
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(explore.Structure, "_unchecked",
+                      staticmethod(lambda *parts: built.append(parts[2]) or real(*parts)))
+            assert search(spec, expr, "count") == len(hits), expr
+        assert len(built) == len(set(built)) == orbits, expr
+
+
 def test_search_accepts_parsed_expression():
     spec = EnumSpec(2, 1)
     assert (search(spec, Pred("simple"), mode="count")

@@ -40,7 +40,7 @@ from gpw.analysis import (_simple_bits, _subsemigroup_masks, intra_regular_failu
 from gpw.core import (InputError, Structure, Subset, bit_indices, downset_bits,
                       product_bits, subset_masks, table_cache, upset_bits)
 from gpw.explore import (EnumSpec, SamplingBudgetError, enumerate_structures,
-                         random_structure, search)
+                         partial_orders, random_structure, search)
 from gpw.gpsjson import dumps
 from gpw.ideals import IdealKind
 from gpw.relations import (Partition, all_partitions, is_semilattice_congruence,
@@ -1263,9 +1263,9 @@ _PINNED, _LEGACY = ("MxM", "Mx", "xM"), ("MxxM", "Mxx", "xxM")
 
 def _order_forms_checker(n: int):
     """A check that, on a structure of an iso walk over every order, the
-    bitset forms of the six regularity words (`analysis._pinned_orders`
-    and `_legacy_orders`, as `tablewise` reads them) have the bit of the
-    structure's order set exactly when its per-structure failure is None.
+    bitset forms of the six regularity words (`tablewise._pinned_orders`
+    and `_legacy_orders`) have the bit of the structure's order set
+    exactly when its per-structure failure is None.
     An iso structure stands on its orbit's least table, so that bit is
     the order's index in the list; the masks are found once per table."""
     orders = tablewise._orders(n, "all")
@@ -1275,9 +1275,9 @@ def _order_forms_checker(n: int):
         table = masks.get(s.tables)
         if table is None:
             table = masks[s.tables] = (
-                [analysis._pinned_orders(s, word, orders.reach) for word in _PINNED]
-                + [analysis._legacy_orders(s, word, orders.reach) for word in _LEGACY])
-        o = orders.position[s.leq]
+                [tablewise._pinned_orders(s, word, orders.reach) for word in _PINNED]
+                + [tablewise._legacy_orders(s, word, orders.reach) for word in _LEGACY])
+        o = partial_orders(n).index(s.leq)
         assert [mask >> o & 1 == 1 for mask in table] == (
             [analysis._pinned_failure(s, word) is None for word in _PINNED]
             + [analysis._legacy_failure(s, word) is None for word in _LEGACY]), (s.tables, s.leq)

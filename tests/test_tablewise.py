@@ -15,7 +15,7 @@ import pytest
 
 from gpw import analysis, harness, tablewise
 from gpw.cli import main
-from gpw.explore import EnumSpec, _walk, enumerate_structures
+from gpw.explore import EnumSpec, _walk, enumerate_structures, partial_orders
 from gpw.gpsjson import digest, to_obj
 
 
@@ -26,7 +26,7 @@ def _mismatches(structures, mode: str) -> list:
     bad = []
     for s in structures:
         forms = tablewise.forms(s, mode)
-        p = forms.position[s.leq]
+        p = partial_orders(s.n, mode).index(s.leq)
         for tid in harness.THEOREM_IDS:
             verdict = harness.check(s, tid)
             conds, agree = forms.check(tid)
@@ -107,7 +107,7 @@ def test_campaign_failure_record_is_the_structures_own(capsys, monkeypatch):
     def form(f):
         conds, agree = real_form(f)
         if f.s.tables == target.tables:
-            agree &= ~(1 << f.position[target.leq])
+            agree &= ~(1 << partial_orders(2).index(target.leq))
         return conds, agree
 
     def check(s):
